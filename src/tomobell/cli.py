@@ -1,10 +1,10 @@
 """Command-line frontend: figure-ready CSV/JSON data for every computation.
 
 Every command is deterministic given its effective configuration, which is
-resolved as flags > config file > built-in defaults and echoed into a JSON
-manifest next to each output.  Output files are written atomically (temp
-file + rename).  Exit codes: 0 success, 2 configuration error, 3
-accuracy/convergence error.
+resolved as flags > config file > built-in defaults (click's ``default_map``
+carries the config file) and echoed into a JSON manifest next to each
+output.  Output files are written atomically (temp file + rename).  Exit
+codes: 0 success, 2 configuration error, 3 accuracy/convergence error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from . import tomography as tg
 from .errors import AccuracyError, ConfigError, DomainError
 
 FIG3A_ANGLES = ("pi/2", "-pi/4", "0", "-3pi/4")  # theta1, theta2, theta1p, theta2p
+FIG1_LAMBDAS = (0.20, 0.54, 0.96)
+FIG2_NS = (1, 3, 5)
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -95,10 +97,28 @@ def load_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    if "lambda" in values:  # flag spelling; the parameter is named lam
-        values.setdefault("lam", values["lambda"])
+            values[key.strip()] = val.strip()
     return values
+
+
+def config_default_map(values: dict[str, str]) -> dict[str, dict[str, str]]:
+    """Turn config keys into a click ``default_map`` shared by every command.
+
+    A key is a long flag name of any command, written with '-' or '_'
+    (``state`` sets --state); ``lam`` is accepted for ``lambda``.  Click
+    converts each value with the option's own type.
+    """
+    params = {"lam": "lam"}
+    for command in main.commands.values():
+        for param in command.params:
+            for opt in param.opts:
+                if opt.startswith("--"):
+                    params[opt[2:].replace("-", "_")] = param.name
+    unknown = [key for key in values if key.replace("-", "_") not in params]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    defaults = {params[key.replace("-", "_")]: val for key, val in values.items()}
+    return {name: defaults for name in main.commands}
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -154,54 +174,6 @@ def cli_guard(func):
     return wrapper
 
 
-def resolve(ctx, name, flag_value, cast=str):
-    """flags > config file > default (the click default lands here too)."""
-    source = ctx.get_parameter_source(name)
-    file_values = ctx.obj.get("config_values", {}) if ctx.obj else {}
-    if source is not None and source.name == "COMMANDLINE":
-        return flag_value
-    if name in file_values:
-        raw = file_values[name]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config file value {name}={raw!r}: {exc}") from None
-    return flag_value
-
-
-def resolve_many(ctx, casts: dict, values: dict) -> dict:
-    """Apply the flag > config > default precedence to a set of parameters."""
-    return {
-        name: resolve(ctx, name, values[name], cast) for name, cast in casts.items()
-    }
-
-
-def build_state(kind, lam, n, r):
-    if kind == "epr":
-        if lam is None:
-            raise ConfigError("--state epr requires --lambda in [0, 1)")
-        return st.SqueezedVacuum(lam)
-    if kind == "fock-pair":
-        if n is None:
-            raise ConfigError("--state fock-pair requires --n >= 1")
-        return st.FockPairSuperposition(n)
-    if kind == "pair-coherent":
-        if r is None:
-            raise ConfigError("--state pair-coherent requires --r > 0")
-        return st.PairCoherent(r)
-    raise ConfigError(f"unknown state kind {kind!r}")
-
-
-def state_params(state) -> dict:
-    if isinstance(state, st.SqueezedVacuum):
-        return {"kind": "epr", "lambda": state.lam}
-    if isinstance(state, st.FockPairSuperposition):
-        return {"kind": "fock-pair", "n": state.n}
-    if isinstance(state, st.PairCoherent):
-        return {"kind": "pair-coherent", "r": state.r}
-    return {"kind": type(state).__name__}
-
-
 def manifest_for(out_path: str, command: str, config: dict, extras: dict | None = None) -> None:
     payload = {
         "command": command,
@@ -213,18 +185,117 @@ def manifest_for(out_path: str, command: str, config: dict, extras: dict | None 
     write_json(out_path + ".manifest.json", payload)
 
 
-_STATE_OPTIONS = [
-    click.option("--state", "kind", type=click.Choice(["epr", "fock-pair", "pair-coherent"]), required=True),
-    click.option("--lambda", "lam", type=float, default=None, help="squeezed-vacuum lambda = tanh(s)"),
-    click.option("--n", type=int, default=None, help="Fock-pair excitation number"),
-    click.option("--r", type=float, default=None, help="pair-coherent amplitude"),
-]
+def _integer(value: float) -> int:
+    if not float(value).is_integer():
+        raise ConfigError(f"--n must be an integer, got {value}")
+    return int(value)
 
 
-def state_options(func):
-    for opt in reversed(_STATE_OPTIONS):
-        func = opt(func)
-    return func
+#: --state kind -> (parameter flag, state class, value converter)
+STATE_KINDS = {
+    "epr": ("lambda", st.SqueezedVacuum, float),
+    "fock-pair": ("n", st.FockPairSuperposition, _integer),
+    "pair-coherent": ("r", st.PairCoherent, float),
+}
+
+def make_states(kind, values) -> list:
+    """[(parameter value, state), ...] for one state kind."""
+    _, cls, convert = STATE_KINDS[kind]
+    return [(value, cls(value)) for value in map(convert, values)]
+
+
+def parse_states(kind, lam, n, r, *, single=False) -> list:
+    """[(parameter value, state), ...] from the flag that carries kind's parameter.
+
+    The flag holds one value, a comma list or start:stop:step; with
+    ``single`` it must hold exactly one value.
+    """
+    flag = STATE_KINDS[kind][0]
+    text = {"lambda": lam, "n": n, "r": r}[flag]
+    if text is None:
+        raise ConfigError(f"--state {kind} requires --{flag}")
+    values = parse_values(text)
+    if not values or (single and len(values) > 1):
+        wanted = "exactly one value" if single else "at least one value"
+        raise ConfigError(f"--{flag} needs {wanted}, got {text!r}")
+    return make_states(kind, values)
+
+
+def state_label(kind, value) -> dict:
+    return {"kind": kind, STATE_KINDS[kind][0]: value}
+
+
+def state_options(required=True):
+    """--state plus its parameter flags, given as strings (see parse_states)."""
+    options = [
+        click.option("--state", "kind", type=click.Choice(list(STATE_KINDS)),
+                     default=None, required=required, help="benchmark state"),
+        click.option("--lambda", "lam", default=None, help="squeezed-vacuum lambda = tanh(s)"),
+        click.option("--n", default=None, help="Fock-pair excitation number"),
+        click.option("--r", default=None, help="pair-coherent amplitude"),
+    ]
+
+    def decorate(func):
+        for opt in reversed(options):
+            func = opt(func)
+        return func
+
+    return decorate
+
+
+PROB_COLUMNS = ["theta1", "theta2", "w_pp", "w_pm", "w_mp", "w_mm"]
+
+
+def _prob_rows(value, state, sums, theta2) -> list:
+    """[value, *PROB_COLUMNS] rows, one for each theta1 + theta2 in sums."""
+    rows = []
+    for s in sums:
+        probs = tg.sign_binned_closed_form(state, s - theta2, theta2)
+        rows.append([value, probs.theta1, probs.theta2, *probs.as_tuple()])
+    return rows
+
+
+def _tomographic_correlation_fn(state, order):
+    def corr(theta1, theta2):
+        return bell.correlation_tomographic(
+            tg.sign_binned_closed_form(state, theta1, theta2, order=order))
+
+    return corr
+
+
+def _pseudospin_correlation_fn(kind, state, cutoff, source="auto"):
+    """Closed form for the EPR/Fock-pair states; Fock oracle for pair-coherent.
+
+    The pair-coherent Bessel-ratio coefficient exceeds 1 near r = 1.05, so
+    its curve is generated from the density-matrix expectation instead (the
+    discrepancy is reported by `tomobell.bell.pair_coherent_sx_report`).
+    ``source`` "closed" or "fock" overrides that choice.
+    """
+    if source == "fock" or (source == "auto" and kind == "pair-coherent"):
+        return _fock_correlation_fn(st.density_matrix(state, cutoff))
+    return functools.partial(bell.closed_form_correlation, state)
+
+
+def _fock_correlation_fn(dm):
+    """Coplanar E(tu, tv) = u . T . v from the x-z entries T_ij = Tr[rho S_i S_j]."""
+    x_axis, z_axis = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+    t_zz = bell.correlation_pseudospin(dm, z_axis, z_axis)
+    t_xx = bell.correlation_pseudospin(dm, x_axis, x_axis)
+    # zero for the Schmidt-diagonal benchmark states; nonzero for a general --dm
+    t_xz = bell.correlation_pseudospin(dm, x_axis, z_axis)
+    t_zx = bell.correlation_pseudospin(dm, z_axis, x_axis)
+
+    def corr(tu, tv):
+        cu, su, cv, sv = math.cos(tu), math.sin(tu), math.cos(tv), math.sin(tv)
+        return t_zz * cu * cv + t_xx * su * sv + t_xz * su * cv + t_zx * cu * sv
+
+    return corr
+
+
+def _calb_curve(corr, tu_grid, tv, tup, tvp) -> list[float]:
+    """calB(theta_u) at fixed theta_v, theta_u', theta_v' for each theta_u in the grid."""
+    return [bell.chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp))
+            for tu in tu_grid]
 
 
 @click.group()
@@ -232,14 +303,15 @@ def state_options(func):
               help="key = value file; flags override it")
 @click.version_option()
 @click.pass_context
+@cli_guard
 def main(ctx, config_path):
     """Tomographic and pseudospin CHSH tests for two-mode states."""
-    ctx.ensure_object(dict)
-    ctx.obj["config_values"] = load_config_file(config_path) if config_path else {}
+    if config_path:
+        ctx.default_map = config_default_map(load_config_file(config_path))
 
 
 @main.command("tomogram")
-@state_options
+@state_options()
 @click.option("--theta1", default="0", help="homodyne angle of mode 1")
 @click.option("--theta2", default="0", help="homodyne angle of mode 2")
 @click.option("--x-max", type=float, default=2.0)
@@ -247,23 +319,12 @@ def main(ctx, config_path):
 @click.option("--check-radon", is_flag=True, help="cross-check against the numeric Radon projection")
 @click.option("--tol", type=float, default=1e-6, help="pass threshold for --check-radon")
 @click.option("-o", "--out", default="tomogram.csv", show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_tomogram(ctx, kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, tol, out):
+def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, tol, out):
     """Closed-form tomogram on an (X1, X2) grid, optional Radon cross-check."""
-    p = resolve_many(
-        ctx,
-        {"lam": float, "n": int, "r": float, "theta1": str, "theta2": str,
-         "x_max": float, "x_steps": int, "tol": float},
-        dict(lam=lam, n=n, r=r, theta1=theta1, theta2=theta2, x_max=x_max,
-             x_steps=x_steps, tol=tol),
-    )
-    lam, n, r, x_max, x_steps, tol = (
-        p["lam"], p["n"], p["r"], p["x_max"], p["x_steps"], p["tol"]
-    )
-    state = build_state(kind, lam, n, r)
-    t1 = parse_angle(p["theta1"])
-    t2 = parse_angle(p["theta2"])
+    [(value, state)] = parse_states(kind, lam, n, r, single=True)
+    t1 = parse_angle(theta1)
+    t2 = parse_angle(theta2)
     xs = np.linspace(-x_max, x_max, x_steps)
 
     closed = tg.tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
@@ -282,76 +343,45 @@ def cmd_tomogram(ctx, kind, lam, n, r, theta1, theta2, x_max, x_steps, check_rad
     write_csv(out, header, rows)
 
     config = {
-        "state": state_params(state), "theta1": t1, "theta2": t2,
+        "state": state_label(kind, value), "theta1": t1, "theta2": t2,
         "x_max": x_max, "x_steps": x_steps, "check_radon": check_radon, "tol": tol,
     }
     extras = {}
     if check_radon:
-        max_diff = float(np.max(np.abs(closed - radon)))
-        extras["max_abs_difference"] = max_diff
-        click.echo(f"max |closed - radon| = {max_diff:.3e}")
-        manifest_for(out, "tomogram", config, extras)
-        if max_diff >= tol:
-            click.echo(f"accuracy error: Radon cross-check exceeds {tol}", err=True)
-            sys.exit(3)
-        return
+        extras["max_abs_difference"] = float(np.max(np.abs(closed - radon)))
+        click.echo(f"max |closed - radon| = {extras['max_abs_difference']:.3e}")
     manifest_for(out, "tomogram", config, extras)
+    if check_radon and extras["max_abs_difference"] >= tol:
+        click.echo(f"accuracy error: Radon cross-check exceeds {tol}", err=True)
+        sys.exit(3)
 
 
 @main.command("probs")
-@click.option("--state", "kind", type=click.Choice(["epr", "fock-pair", "pair-coherent"]),
-              required=True)
-@click.option("--lambda", "lam", default=None, help="lambda value or comma list")
-@click.option("--n", default=None, help="n value or comma list")
-@click.option("--r", default=None, help="r value or comma list")
-@click.option("--theta-sum", default="0:6.283185307179586:360", show_default=True,
-              help="theta1+theta2 grid as start:stop:step or a comma list")
+@state_options()
+@click.option("--theta-sum", default="0:6.283185307179586:0.017453292519943295",
+              show_default=True, help="theta1+theta2 grid as start:stop:step or a comma list")
 @click.option("--theta2", default="0", help="fixed theta2 (theta1 carries the sweep)")
 @click.option("-o", "--out", default="probs.csv", show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_probs(ctx, kind, lam, n, r, theta_sum, theta2, out):
+def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
     """Sign-binned probabilities w_pp, w_pm, w_mp, w_mm along an angle sweep.
 
-    The state parameter may be a comma list (e.g. --lambda 0.20,0.54,0.96);
-    one CSV block per value.
+    The state parameter may be a comma list (e.g. --lambda 0.20,0.54,0.96)
+    or start:stop:step; one CSV block per value.
     """
-    p = resolve_many(
-        ctx,
-        {"lam": str, "n": str, "r": str, "theta_sum": str, "theta2": str},
-        dict(lam=lam, n=n, r=r, theta_sum=theta_sum, theta2=theta2),
-    )
-    t2 = parse_angle(p["theta2"])
-    sums = parse_values(p["theta_sum"])
-    param_flag = {"epr": p["lam"], "fock-pair": p["n"], "pair-coherent": p["r"]}[kind]
-    if param_flag is None:
-        raise ConfigError(f"--state {kind} needs its parameter flag")
-    values = parse_values(str(param_flag))
-
-    rows = []
-    for value in values:
-        state = build_state(
-            kind,
-            value if kind == "epr" else None,
-            int(value) if kind == "fock-pair" else None,
-            value if kind == "pair-coherent" else None,
-        )
-        for s in sums:
-            probs = tg.sign_binned_closed_form(state, s - t2, t2)
-            rows.append([value, probs.theta1, probs.theta2, *probs.as_tuple()])
-    write_csv(out, ["param", "theta1", "theta2", "w_pp", "w_pm", "w_mp", "w_mm"], rows)
+    t2 = parse_angle(theta2)
+    sums = parse_values(theta_sum)
+    states = parse_states(kind, lam, n, r)
+    rows = [row for value, state in states for row in _prob_rows(value, state, sums, t2)]
+    write_csv(out, ["param", *PROB_COLUMNS], rows)
     manifest_for(out, "probs", {
-        "state_kind": kind, "param_values": values, "theta2": t2,
+        "state_kind": kind, "param_values": [value for value, _ in states], "theta2": t2,
         "theta_sum_count": len(sums),
     })
 
 
 @main.command("bell-scan")
-@click.option("--state", "kind", type=click.Choice(["epr", "fock-pair", "pair-coherent"]),
-              required=True)
-@click.option("--lambda", "lam", default=None, help="lambda sweep: start:stop:step or comma list")
-@click.option("--n", default=None, help="n sweep: start:stop:step or comma list")
-@click.option("--r", default=None, help="r sweep: start:stop:step or comma list")
+@state_options()
 @click.option("--mode", type=click.Choice(["tomographic", "pseudospin", "both"]), default="both",
               show_default=True)
 @click.option("--angles", default="t1=pi/2,t2=-pi/4,t1p=0,t2p=-3pi/4", show_default=True,
@@ -364,33 +394,22 @@ def cmd_probs(ctx, kind, lam, n, r, theta_sum, theta2, out):
 @click.option("--quad-order", type=int, default=96, show_default=True)
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
 @click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
-@click.pass_context
 @cli_guard
-def cmd_bell_scan(ctx, kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
+def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
                   cutoff, quad_order, out, summary):
     """B (tomographic) and calB (pseudospin) along a state-parameter sweep.
 
-    The sweep rides the state parameter flag, e.g.
-    ``bell-scan --state pair-coherent --r 0.5:1.5:0.01``.
+    The sweep rides the state parameter flag as start:stop:step or a comma
+    list, e.g. ``bell-scan --state pair-coherent --r 0.5:1.5:0.01``.
     """
-    p = resolve_many(
-        ctx,
-        {"lam": str, "n": str, "r": str, "angles": str, "ps_angles": str,
-         "theta_u_steps": int, "cutoff": int, "quad_order": int},
-        dict(lam=lam, n=n, r=r, angles=angles, ps_angles=ps_angles,
-             theta_u_steps=theta_u_steps, cutoff=cutoff, quad_order=quad_order),
-    )
-    theta_u_steps, cutoff, quad_order = p["theta_u_steps"], p["cutoff"], p["quad_order"]
-    sweep_flag = {"epr": p["lam"], "fock-pair": p["n"], "pair-coherent": p["r"]}[kind]
-    if sweep_flag is None:
-        raise ConfigError(f"--state {kind} needs its parameter flag carrying the sweep")
-    sweep_vals = parse_values(str(sweep_flag))
-    named = parse_named_angles(p["angles"], {"t1", "t2", "t1p", "t2p"})
+    states = parse_states(kind, lam, n, r)
+    sweep_vals = [value for value, _ in states]
+    named = parse_named_angles(angles, {"t1", "t2", "t1p", "t2p"})
     quad = bell.BellAnglesQuadrature(
         named.get("t1", math.pi / 2), named.get("t1p", 0.0),
         named.get("t2", -math.pi / 4), named.get("t2p", -3 * math.pi / 4),
     )
-    ps = parse_named_angles(p["ps_angles"], {"tv", "tup", "tvp"})
+    ps = parse_named_angles(ps_angles, {"tv", "tup", "tvp"})
     tv, tup, tvp = ps.get("tv", math.pi / 4), ps.get("tup", -math.pi / 2), ps.get("tvp", -math.pi / 4)
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
 
@@ -404,27 +423,16 @@ def cmd_bell_scan(ctx, kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
 
     rows = []
     tomo_series, ps_series = [], []
-    for value in sweep_vals:
-        state = build_state(
-            kind,
-            value if kind == "epr" else None,
-            int(round(value)) if kind == "fock-pair" else None,
-            value if kind == "pair-coherent" else None,
-        )
+    for value, state in states:
         row = [value, quad.theta1, quad.theta2, quad.theta1p, quad.theta2p]
         if do_tomo:
-            def e_tomo(a, b):
-                return bell.correlation_tomographic(
-                    tg.sign_binned_closed_form(state, a, b, order=quad_order))
-            b_val = bell.chsh(*[e_tomo(a, b) for a, b in quad.pairs()])
+            corr = _tomographic_correlation_fn(state, quad_order)
+            b_val = bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
             row.append(b_val)
             tomo_series.append(b_val)
         if do_ps:
-            corr = _pseudospin_correlation_fn(state, cutoff)
-            vals = np.array([
-                bell.chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp))
-                for tu in tu_grid
-            ])
+            corr = _pseudospin_correlation_fn(kind, state, cutoff)
+            vals = _calb_curve(corr, tu_grid, tv, tup, tvp)
             best = int(np.argmax(vals))
             row += [float(vals[best]), float(tu_grid[best])]
             ps_series.append(float(vals[best]))
@@ -473,31 +481,8 @@ def _series_summary(params, values) -> dict:
     }
 
 
-def _pseudospin_correlation_fn(state, cutoff):
-    """Closed form for the EPR/Fock-pair states; Fock oracle for pair-coherent.
-
-    The pair-coherent Bessel-ratio coefficient exceeds 1 near r = 1.05, so
-    its curve is generated from the density-matrix expectation instead (the
-    discrepancy is reported by `tomobell.bell.pair_coherent_sx_report`).
-    """
-    if isinstance(state, st.PairCoherent):
-        dm = st.density_matrix(state, cutoff)
-        xval = bell.correlation_pseudospin(dm, [1, 0, 0], [1, 0, 0])
-        zval = bell.correlation_pseudospin(dm, [0, 0, 1], [0, 0, 1])
-
-        def corr(tu, tv_):
-            return zval * math.cos(tu) * math.cos(tv_) + xval * math.sin(tu) * math.sin(tv_)
-
-        return corr
-    return lambda tu, tv_: bell.closed_form_correlation(state, tu, tv_)
-
-
 @main.command("pseudospin")
-@click.option("--state", "kind", type=click.Choice(["epr", "fock-pair", "pair-coherent"]),
-              default=None, help="benchmark state (or use --dm)")
-@click.option("--lambda", "lam", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--r", type=float, default=None)
+@state_options(required=False)
 @click.option("--dm", "dm_path", type=click.Path(exists=True), default=None,
               help="two-mode density-matrix JSON instead of --state")
 @click.option("--cutoff", type=int, default=64, show_default=True)
@@ -507,96 +492,58 @@ def _pseudospin_correlation_fn(state, cutoff):
               show_default=True, help="correlation source for benchmark states")
 @click.option("--dump-dm", default=None, help="write the density matrix used to this JSON path")
 @click.option("-o", "--out", default="pseudospin.csv", show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_pseudospin(ctx, kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, source,
+def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, source,
                    dump_dm, out):
     """calB(theta_u) curve at fixed theta_v, theta_u', theta_v'."""
-    p = resolve_many(
-        ctx,
-        {"angles": str, "cutoff": int, "theta_u_steps": int, "source": str},
-        dict(angles=angles, cutoff=cutoff, theta_u_steps=theta_u_steps, source=source),
-    )
-    named = parse_named_angles(p["angles"], {"tv", "tup", "tvp"})
+    named = parse_named_angles(angles, {"tv", "tup", "tvp"})
     tv, tup, tvp = named.get("tv", 0.0), named.get("tup", math.pi), named.get("tvp", math.pi / 2)
-    cutoff, theta_u_steps, source = p["cutoff"], p["theta_u_steps"], p["source"]
 
     if dm_path is not None:
-        dm = st.DensityMatrix.load(dm_path)
-        corr = _fock_correlation_fn(dm)
+        corr = _fock_correlation_fn(st.DensityMatrix.load(dm_path))
         label = {"kind": "explicit-fock", "path": dm_path}
     else:
         if kind is None:
             raise ConfigError("pseudospin needs either --state or --dm")
-        state = build_state(kind, lam, n, r)
-        label = state_params(state)
-        use_fock = source == "fock" or (source == "auto" and isinstance(state, st.PairCoherent))
-        if use_fock:
-            dm = st.density_matrix(state, cutoff)
-            corr = _fock_correlation_fn(dm)
-        else:
-            dm = None
-            corr = lambda tu, tv_: bell.closed_form_correlation(state, tu, tv_)
+        [(value, state)] = parse_states(kind, lam, n, r, single=True)
+        label = state_label(kind, value)
         if dump_dm:
-            (dm or st.density_matrix(state, cutoff)).save(dump_dm)
+            st.density_matrix(state, cutoff).save(dump_dm)
+        corr = _pseudospin_correlation_fn(kind, state, cutoff, source)
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
-    rows = []
-    for tu in tu_grid:
-        b_val = bell.chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp))
-        rows.append([float(tu), b_val])
-    write_csv(out, ["theta_u", "B"], rows)
-    best = max(rows, key=lambda row: row[1])
+    curve = _calb_curve(corr, tu_grid, tv, tup, tvp)
+    write_csv(out, ["theta_u", "B"], [[float(tu), b_val] for tu, b_val in zip(tu_grid, curve)])
+    best = int(np.argmax(curve))
     manifest_for(out, "pseudospin", {
         "state": label, "cutoff": cutoff, "source": source,
         "theta_v": tv, "theta_up": tup, "theta_vp": tvp, "theta_u_steps": theta_u_steps,
-    }, {"max_B": best[1], "theta_u_argmax": best[0]})
-    click.echo(f"max calB = {best[1]:.6f} at theta_u = {best[0]:.6f}")
-
-
-def _fock_correlation_fn(dm):
-    def corr(tu, tv_):
-        u = [math.sin(tu), 0.0, math.cos(tu)]
-        v = [math.sin(tv_), 0.0, math.cos(tv_)]
-        return bell.correlation_pseudospin(dm, u, v)
-
-    return corr
+    }, {"max_B": curve[best], "theta_u_argmax": float(tu_grid[best])})
+    click.echo(f"max calB = {curve[best]:.6f} at theta_u = {tu_grid[best]:.6f}")
 
 
 @main.command("optimize")
-@state_options
+@state_options()
 @click.option("--mode", type=click.Choice(["tomographic", "pseudospin"]), default="tomographic",
               show_default=True)
 @click.option("--cutoff", type=int, default=32, show_default=True)
 @click.option("--grid-points", type=int, default=24, show_default=True)
 @click.option("--quad-order", type=int, default=96, show_default=True)
 @click.option("-o", "--out", default="optimize.json", show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_optimize(ctx, kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
+def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     """Maximize the CHSH value over the four measurement angles."""
-    p = resolve_many(
-        ctx,
-        {"lam": float, "n": int, "r": float, "cutoff": int, "grid_points": int,
-         "quad_order": int},
-        dict(lam=lam, n=n, r=r, cutoff=cutoff, grid_points=grid_points,
-             quad_order=quad_order),
-    )
-    lam, n, r, cutoff = p["lam"], p["n"], p["r"], p["cutoff"]
-    grid_points, quad_order = p["grid_points"], p["quad_order"]
-    state = build_state(kind, lam, n, r)
+    [(value, state)] = parse_states(kind, lam, n, r, single=True)
     if mode == "tomographic":
-        def corr(t1, t2):
-            return bell.correlation_tomographic(
-                tg.sign_binned_closed_form(state, t1, t2, order=quad_order))
+        corr = _tomographic_correlation_fn(state, quad_order)
     else:
-        corr = _pseudospin_correlation_fn(state, cutoff)
-    angles, value = bell.maximize_chsh(corr, grid_points=grid_points)
+        corr = _pseudospin_correlation_fn(kind, state, cutoff)
+    angles, best = bell.maximize_chsh(corr, grid_points=grid_points)
     reduced = angles.reduced()
     payload = {
         "method": mode,
-        "state": state_params(state),
-        "max_B": value,
+        "state": state_label(kind, value),
+        "max_B": best,
         "argmax_angles": {
             "theta1": reduced.theta1, "theta1p": reduced.theta1p,
             "theta2": reduced.theta2, "theta2p": reduced.theta2p,
@@ -605,35 +552,27 @@ def cmd_optimize(ctx, kind, lam, n, r, mode, cutoff, grid_points, quad_order, ou
                              "quad_order": quad_order},
     }
     write_json(out, payload)
-    click.echo(f"max B = {value:.8f}")
+    click.echo(f"max B = {best:.8f}")
 
 
 @main.command("sample")
-@state_options
+@state_options()
 @click.option("--theta1", default="0")
 @click.option("--theta2", default="0")
 @click.option("--count", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=20240901, show_default=True)
 @click.option("-o", "--out", default="batch.csv", show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_sample(ctx, kind, lam, n, r, theta1, theta2, count, seed, out):
+def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
     """Seeded Monte Carlo homodyne batch; CSV (X1, X2) plus JSON sidecar."""
-    p = resolve_many(
-        ctx,
-        {"lam": float, "n": int, "r": float, "theta1": str, "theta2": str,
-         "count": int, "seed": int},
-        dict(lam=lam, n=n, r=r, theta1=theta1, theta2=theta2, count=count, seed=seed),
-    )
-    state = build_state(kind, p["lam"], p["n"], p["r"])
-    t1 = parse_angle(p["theta1"])
-    t2 = parse_angle(p["theta2"])
-    count, seed = p["count"], p["seed"]
+    [(value, state)] = parse_states(kind, lam, n, r, single=True)
+    t1 = parse_angle(theta1)
+    t2 = parse_angle(theta2)
     batch = smp.sample_state(state, t1, t2, count, seed)
     est = smp.estimate_probs(batch)
     write_csv(out, ["X1", "X2"], [[float(a), float(b)] for a, b in batch.pairs])
     sidecar = {
-        "state": state_params(state),
+        "state": state_label(kind, value),
         "theta1": t1,
         "theta2": t2,
         "seed": seed,
@@ -655,12 +594,9 @@ def cmd_sample(ctx, kind, lam, n, r, theta1, theta2, count, seed, out):
 @click.option("--lambda", "lam", type=float, default=None, help="lambda for epr-marginal")
 @click.option("--cutoff", type=int, default=6, show_default=True)
 @click.option("-o", "--out", default="rho.json", show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_reconstruct(ctx, tomogram_kind, lam, cutoff, out):
+def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
     """Kernel reconstruction of a single-mode density matrix from a tomogram."""
-    p = resolve_many(ctx, {"lam": float, "cutoff": int}, dict(lam=lam, cutoff=cutoff))
-    lam, cutoff = p["lam"], p["cutoff"]
     if tomogram_kind == "vacuum":
         fn = tg.vacuum_quadrature_density
     elif tomogram_kind == "single-photon":
@@ -691,66 +627,39 @@ def cmd_reconstruct(ctx, tomogram_kind, lam, cutoff, out):
               help="angle-grid density for the curve datasets")
 @click.option("--r-sweep", default="0.5:1.5:0.01", show_default=True)
 @click.option("--cutoff", type=int, default=64, show_default=True)
-@click.pass_context
 @cli_guard
-def cmd_figures(ctx, out_dir, points, r_sweep, cutoff):
+def cmd_figures(out_dir, points, r_sweep, cutoff):
     """Regenerate all six figure datasets at the published parameters."""
-    p = resolve_many(
-        ctx,
-        {"points": int, "r_sweep": str, "cutoff": int},
-        dict(points=points, r_sweep=r_sweep, cutoff=cutoff),
-    )
-    points, r_sweep, cutoff = p["points"], p["r_sweep"], p["cutoff"]
     os.makedirs(out_dir, exist_ok=True)
     theta_grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     tu_grid = np.linspace(0.0, 2.0 * math.pi, points + 1)
     files = {}
 
+    def write(name, header, rows):
+        files[name] = os.path.join(out_dir, name)
+        write_csv(files[name], header, rows)
+
+    def calb_rows(kind, value, state, tv, tup, tvp):
+        corr = _pseudospin_correlation_fn(kind, state, cutoff)
+        curve = _calb_curve(corr, tu_grid, tv, tup, tvp)
+        return [[value, float(tu), b_val] for tu, b_val in zip(tu_grid, curve)]
+
     # fig1a / fig2a: w_pp etc. vs theta1 + theta2
-    for name, state_list, param_name in (
-        ("fig1a", [st.SqueezedVacuum(v) for v in (0.20, 0.54, 0.96)], "lambda"),
-        ("fig2a", [st.FockPairSuperposition(v) for v in (1, 3, 5)], "n"),
-    ):
-        rows = []
-        for state in state_list:
-            value = getattr(state, "lam", None) if param_name == "lambda" else state.n
-            for s in theta_grid:
-                probs = tg.sign_binned_closed_form(state, s, 0.0)
-                rows.append([float(value), probs.theta1, probs.theta2, *probs.as_tuple()])
-        path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(path, [param_name, "theta1", "theta2", "w_pp", "w_pm", "w_mp", "w_mm"], rows)
-        files[f"{name}.csv"] = path
+    for name, kind, values in (("fig1a", "epr", FIG1_LAMBDAS), ("fig2a", "fock-pair", FIG2_NS)):
+        rows = [row for value, state in make_states(kind, values)
+                for row in _prob_rows(value, state, theta_grid, 0.0)]
+        write(f"{name}.csv", [STATE_KINDS[kind][0], *PROB_COLUMNS], rows)
 
     # fig1b: pseudospin calB vs theta_u for the squeezed vacuum
     rows = []
-    for lam in (0.20, 0.54, 0.96):
-        state = st.SqueezedVacuum(lam)
-        for tu in tu_grid:
-            b_val = bell.chsh(
-                bell.closed_form_correlation(state, tu, math.pi / 4),
-                bell.closed_form_correlation(state, tu, -math.pi / 4),
-                bell.closed_form_correlation(state, -math.pi / 2, math.pi / 4),
-                bell.closed_form_correlation(state, -math.pi / 2, -math.pi / 4),
-            )
-            rows.append([lam, float(tu), b_val])
-    path = os.path.join(out_dir, "fig1b.csv")
-    write_csv(path, ["lambda", "theta_u", "B"], rows)
-    files["fig1b.csv"] = path
+    for lam, state in make_states("epr", FIG1_LAMBDAS):
+        rows += calb_rows("epr", lam, state, math.pi / 4, -math.pi / 2, -math.pi / 4)
+    write("fig1b.csv", ["lambda", "theta_u", "B"], rows)
 
     # fig2b: Fock pair n = 1, theta_v = 0, theta_u' = pi, theta_v' = pi/2
-    state = st.FockPairSuperposition(1)
-    rows = []
-    for tu in tu_grid:
-        b_val = bell.chsh(
-            bell.closed_form_correlation(state, tu, 0.0),
-            bell.closed_form_correlation(state, tu, math.pi / 2),
-            bell.closed_form_correlation(state, math.pi, 0.0),
-            bell.closed_form_correlation(state, math.pi, math.pi / 2),
-        )
-        rows.append([1, float(tu), b_val])
-    path = os.path.join(out_dir, "fig2b.csv")
-    write_csv(path, ["n", "theta_u", "B"], rows)
-    files["fig2b.csv"] = path
+    [(n, state)] = make_states("fock-pair", [1])
+    write("fig2b.csv", ["n", "theta_u", "B"],
+          calb_rows("fock-pair", n, state, 0.0, math.pi, math.pi / 2))
 
     # fig3a: tomographic B(r) at theta1 = pi/2, theta2 = -pi/4, theta1' = 0,
     # theta2' = -3 pi/4
@@ -759,34 +668,22 @@ def cmd_figures(ctx, out_dir, points, r_sweep, cutoff):
     rows = []
     fig3a_vals = []
     r_values = parse_values(r_sweep)
-    for rv in r_values:
-        state = st.PairCoherent(rv)
-        def e_tomo(a, b):
-            return bell.correlation_tomographic(tg.sign_binned_closed_form(state, a, b))
-        b_val = bell.chsh(*[e_tomo(a, b) for a, b in quad.pairs()])
+    for rv, state in make_states("pair-coherent", r_values):
+        corr = _tomographic_correlation_fn(state, 96)  # sign_binned_closed_form's default
+        b_val = bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
         rows.append([rv, t1, t2, t1p, t2p, b_val])
         fig3a_vals.append(b_val)
-    path = os.path.join(out_dir, "fig3a.csv")
-    write_csv(path, ["r", "theta1", "theta2", "theta1p", "theta2p", "B"], rows)
-    files["fig3a.csv"] = path
+    write("fig3a.csv", ["r", "theta1", "theta2", "theta1p", "theta2p", "B"], rows)
 
     # fig3b: pseudospin calB vs theta_u for r = 1.05 (Fock-oracle correlation)
     report = bell.pair_coherent_sx_report(1.05, cutoff)
-    corr = _pseudospin_correlation_fn(st.PairCoherent(1.05), cutoff)
-    rows = []
-    for tu in tu_grid:
-        b_val = bell.chsh(
-            corr(tu, 0.0), corr(tu, math.pi / 2),
-            corr(math.pi, 0.0), corr(math.pi, math.pi / 2),
-        )
-        rows.append([1.05, float(tu), b_val])
-    path = os.path.join(out_dir, "fig3b.csv")
-    write_csv(path, ["r", "theta_u", "B"], rows)
-    files["fig3b.csv"] = path
+    [(rv, state)] = make_states("pair-coherent", [1.05])
+    write("fig3b.csv", ["r", "theta_u", "B"],
+          calb_rows("pair-coherent", rv, state, 0.0, math.pi, math.pi / 2))
 
     config = {
         "points": points, "r_sweep": r_values, "cutoff": cutoff,
-        "fig1_lambdas": [0.20, 0.54, 0.96], "fig2_ns": [1, 3, 5], "fig3b_r": 1.05,
+        "fig1_lambdas": list(FIG1_LAMBDAS), "fig2_ns": list(FIG2_NS), "fig3b_r": 1.05,
     }
     manifest = {
         "command": "figures",

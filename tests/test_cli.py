@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from tomobell import cli
+from tomobell.bell import chsh, correlation_pseudospin
 from tomobell.cli import main, parse_angle, parse_named_angles, parse_values
-from tomobell.states import FockPairSuperposition, SqueezedVacuum
+from tomobell.states import FockPairSuperposition, PairCoherent, SqueezedVacuum, density_matrix
 from tomobell.tomography import sign_binned_closed_form
 
 
@@ -258,3 +260,106 @@ def test_config_file_precedence(runner, tmp_path):
     assert len(rows) == 25
     manifest = json.load(open(out + ".manifest.json"))
     assert manifest["effective_config"]["theta1"] == 0.0
+
+
+def test_probs_default_theta_sum_sweeps_a_full_turn(runner, tmp_path):
+    out = str(tmp_path / "probs.csv")
+    result = runner.invoke(main, ["probs", "--state", "epr", "--lambda", "0.54", "-o", out])
+    assert result.exit_code == 0, result.output
+    _, rows = read_csv(out)
+    assert len(rows) == 361
+    assert float(rows[0][1]) == 0.0
+    assert float(rows[-1][1]) == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", [["probs"], ["bell-scan", "--mode", "tomographic"]])
+def test_fock_pair_n_must_be_an_integer(runner, tmp_path, command):
+    result = runner.invoke(
+        main, [*command, "--state", "fock-pair", "--n", "2.7", "-o", str(tmp_path / "x.csv")]
+    )
+    assert result.exit_code == 2
+    assert "--n must be an integer, got 2.7" in result.output
+
+
+def test_single_state_command_rejects_a_value_list(runner, tmp_path):
+    result = runner.invoke(
+        main, ["tomogram", "--state", "epr", "--lambda", "0.2,0.5", "-o", str(tmp_path / "x.csv")]
+    )
+    assert result.exit_code == 2
+    assert "exactly one value" in result.output
+
+
+def test_config_file_supplies_state_and_sweep(runner, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("state = pair-coherent\nr = 1.0:1.2:0.1\nmode = tomographic\n")
+    out = str(tmp_path / "scan.csv")
+    result = runner.invoke(main, ["--config", str(cfg), "bell-scan", "-o", out])
+    assert result.exit_code == 0, result.output
+    header, rows = read_csv(out)
+    assert header[-1] == "B_tomographic"
+    assert [float(row[0]) for row in rows] == pytest.approx([1.0, 1.1, 1.2])
+    assert json.load(open(out + ".manifest.json"))["effective_config"]["state_kind"] == (
+        "pair-coherent"
+    )
+
+
+@pytest.mark.parametrize("key", ["lambda", "lam"])
+def test_config_lambda_key_and_alias(runner, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 0.3\nx_steps = 1\n")
+    out = str(tmp_path / "t.csv")
+    result = runner.invoke(main, ["--config", str(cfg), "tomogram", "--state", "epr", "-o", out])
+    assert result.exit_code == 0, result.output
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["effective_config"]["state"] == {"kind": "epr", "lambda": 0.3}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("x-stepz = 5", "x-stepz"), ("x-steps = five", "--x-steps")],
+    ids=["unknown-key", "bad-value"],
+)
+def test_config_file_errors_exit_2(runner, tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    result = runner.invoke(
+        main,
+        ["--config", str(cfg), "tomogram", "--state", "epr", "--lambda", "0.3",
+         "-o", str(tmp_path / "t.csv")],
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "state_args, state",
+    [(["--state", "pair-coherent", "--r", "1.05"], PairCoherent(1.05)),
+     (["--state", "epr", "--lambda", "0.54", "--source", "fock"], SqueezedVacuum(0.54))],
+    ids=["pair-coherent", "epr-fock"],
+)
+def test_pseudospin_fock_curve_matches_per_point_correlation(
+    runner, tmp_path, monkeypatch, state_args, state
+):
+    written = {}
+    write_csv = cli.write_csv
+
+    def capture(path, header, rows):
+        written["rows"] = rows
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", capture)
+    result = runner.invoke(
+        main, ["pseudospin", *state_args, "--cutoff", "16", "-o", str(tmp_path / "ps.csv")]
+    )
+    assert result.exit_code == 0, result.output
+    dm = density_matrix(state, 16)
+
+    def corr(tu, tv):
+        return correlation_pseudospin(dm, [math.sin(tu), 0.0, math.cos(tu)],
+                                      [math.sin(tv), 0.0, math.cos(tv)])
+
+    tv, tup, tvp = 0.0, math.pi, math.pi / 2
+    assert len(written["rows"]) == 361
+    for tu, got in written["rows"]:
+        want = chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp))
+        assert abs(got - want) <= 1e-12
