@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import states as st
 from .errors import AccuracyError, DimensionError, DomainError, UnsupportedStateError
@@ -155,6 +154,18 @@ def correlation_pseudospin(rho: st.DensityMatrix, u, v, ops: PseudospinOps | Non
     return float(val.real)
 
 
+def schmidt_xz_entries(schmidt: st.SchmidtVector) -> tuple[float, float, float, float]:
+    """(T_zz, T_xx, T_xz, T_zx) = (sum c_n^2, 2 sum c_2k c_2k+1, 0, 0) of sum_n c_n |n n>.
+
+    The cutoff must be even: whole (2k, 2k+1) pairs make the pseudospins commute
+    with the truncation, so |E_true - E| <= schmidt.deficit for every E = u . T . v.
+    """
+    c = schmidt.coefficients
+    if c.size % 2:
+        raise DomainError(f"pseudospin entries need an even cutoff, got {c.size}")
+    return float(c @ c), 2.0 * float(c[0::2] @ c[1::2]), 0.0, 0.0
+
+
 def closed_form_correlation(state, theta_u: float, theta_v: float) -> float:
     """Coplanar pseudospin correlation closed forms of the benchmark states.
 
@@ -204,10 +215,8 @@ class PairCoherentSxReport:
 
 
 def pair_coherent_sx_report(r: float, cutoff: int = 64) -> PairCoherentSxReport:
-    """Compare the Bessel-ratio c(r) with Tr[rho Sx Sx] from the density matrix."""
-    dm = st.density_matrix(st.PairCoherent(r), cutoff)
-    x_axis = np.array([1.0, 0.0, 0.0])
-    fock = correlation_pseudospin(dm, x_axis, x_axis)
+    """Compare the Bessel-ratio c(r) with Tr[rho Sx Sx] from the Schmidt vector."""
+    fock = schmidt_xz_entries(st.schmidt_coefficients(st.PairCoherent(r), cutoff))[1]
     return PairCoherentSxReport(r, cutoff, pair_coherent_bessel_coefficient(r), fock)
 
 
@@ -259,6 +268,7 @@ def maximize_chsh(
     best_val = float(flat[best])
 
     if refine:
+        from scipy.optimize import minimize
 
         def negative(x):
             return -chsh(

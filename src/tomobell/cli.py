@@ -264,26 +264,21 @@ def _tomographic_correlation_fn(state, order):
 
 
 def _pseudospin_correlation_fn(kind, state, cutoff, source="auto"):
-    """Closed form for the EPR/Fock-pair states; Fock oracle for pair-coherent.
+    """(corr, trace_deficit): closed form for EPR/Fock pair, Fock basis for pair-coherent.
 
     The pair-coherent Bessel-ratio coefficient exceeds 1 near r = 1.05, so
-    its curve is generated from the density-matrix expectation instead (the
-    discrepancy is reported by `tomobell.bell.pair_coherent_sx_report`).
-    ``source`` "closed" or "fock" overrides that choice.
+    its curve comes from the Schmidt vector truncated at ``cutoff`` instead
+    (see `tomobell.bell.pair_coherent_sx_report`).  ``source`` "closed" or
+    "fock" overrides that choice; closed forms have trace_deficit None.
     """
     if source == "fock" or (source == "auto" and kind == "pair-coherent"):
-        return _fock_correlation_fn(st.density_matrix(state, cutoff))
-    return functools.partial(bell.closed_form_correlation, state)
+        schmidt = st.schmidt_coefficients(state, cutoff)
+        return _fock_correlation_fn(*bell.schmidt_xz_entries(schmidt)), schmidt.deficit
+    return functools.partial(bell.closed_form_correlation, state), None
 
 
-def _fock_correlation_fn(dm):
-    """Coplanar E(tu, tv) = u . T . v from the x-z entries T_ij = Tr[rho S_i S_j]."""
-    x_axis, z_axis = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
-    t_zz = bell.correlation_pseudospin(dm, z_axis, z_axis)
-    t_xx = bell.correlation_pseudospin(dm, x_axis, x_axis)
-    # zero for the Schmidt-diagonal benchmark states; nonzero for a general --dm
-    t_xz = bell.correlation_pseudospin(dm, x_axis, z_axis)
-    t_zx = bell.correlation_pseudospin(dm, z_axis, x_axis)
+def _fock_correlation_fn(t_zz, t_xx, t_xz, t_zx):
+    """Coplanar E(tu, tv) = u . T . v from the x-z entries T_ij = <S_i S_j>."""
 
     def corr(tu, tv):
         cu, su, cv, sv = math.cos(tu), math.sin(tu), math.cos(tv), math.sin(tv)
@@ -391,7 +386,8 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
 @click.option("--theta-u-steps", type=int, default=361, show_default=True)
 @click.option("--cutoff", type=int, default=32, show_default=True,
               help="Fock cutoff for the pair-coherent pseudospin oracle")
-@click.option("--quad-order", type=int, default=96, show_default=True)
+@click.option("--quad-order", type=int, default=96, show_default=True,
+              help="starting number of Fock levels of the sign-binned Schmidt sum")
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
 @click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
 @cli_guard
@@ -422,7 +418,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
         header += ["B_pseudospin_max", "theta_u_argmax"]
 
     rows = []
-    tomo_series, ps_series = [], []
+    tomo_series, ps_series, deficits = [], [], []
     for value, state in states:
         row = [value, quad.theta1, quad.theta2, quad.theta1p, quad.theta2p]
         if do_tomo:
@@ -431,7 +427,8 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
             row.append(b_val)
             tomo_series.append(b_val)
         if do_ps:
-            corr = _pseudospin_correlation_fn(kind, state, cutoff)
+            corr, deficit = _pseudospin_correlation_fn(kind, state, cutoff)
+            deficits.append(deficit)  # None for the closed forms
             vals = _calb_curve(corr, tu_grid, tv, tup, tvp)
             best = int(np.argmax(vals))
             row += [float(vals[best]), float(tu_grid[best])]
@@ -451,6 +448,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
         extras["tomographic"] = _series_summary(sweep_vals, tomo_series)
     if do_ps:
         extras["pseudospin"] = _series_summary(sweep_vals, ps_series)
+        extras["pseudospin"]["trace_deficit"] = None if None in deficits else max(deficits)
     summary_path = summary or out + ".summary.json"
     write_json(summary_path, {"method": mode, "effective_config": config, **extras})
     manifest_for(out, "bell-scan", config, extras)
@@ -500,7 +498,11 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
     tv, tup, tvp = named.get("tv", 0.0), named.get("tup", math.pi), named.get("tvp", math.pi / 2)
 
     if dm_path is not None:
-        corr = _fock_correlation_fn(st.DensityMatrix.load(dm_path))
+        dm = st.DensityMatrix.load(dm_path)
+        x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]  # T_zz, T_xx, T_xz, T_zx of a general rho
+        entries = [bell.correlation_pseudospin(dm, u, v)
+                   for u, v in ((z, z), (x, x), (x, z), (z, x))]
+        corr, deficit = _fock_correlation_fn(*entries), dm.trace_deficit
         label = {"kind": "explicit-fock", "path": dm_path}
     else:
         if kind is None:
@@ -509,7 +511,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
         label = state_label(kind, value)
         if dump_dm:
             st.density_matrix(state, cutoff).save(dump_dm)
-        corr = _pseudospin_correlation_fn(kind, state, cutoff, source)
+        corr, deficit = _pseudospin_correlation_fn(kind, state, cutoff, source)
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     curve = _calb_curve(corr, tu_grid, tv, tup, tvp)
@@ -518,7 +520,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
     manifest_for(out, "pseudospin", {
         "state": label, "cutoff": cutoff, "source": source,
         "theta_v": tv, "theta_up": tup, "theta_vp": tvp, "theta_u_steps": theta_u_steps,
-    }, {"max_B": curve[best], "theta_u_argmax": float(tu_grid[best])})
+    }, {"max_B": curve[best], "theta_u_argmax": float(tu_grid[best]), "trace_deficit": deficit})
     click.echo(f"max calB = {curve[best]:.6f} at theta_u = {tu_grid[best]:.6f}")
 
 
@@ -528,7 +530,8 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
               show_default=True)
 @click.option("--cutoff", type=int, default=32, show_default=True)
 @click.option("--grid-points", type=int, default=24, show_default=True)
-@click.option("--quad-order", type=int, default=96, show_default=True)
+@click.option("--quad-order", type=int, default=96, show_default=True,
+              help="starting number of Fock levels of the sign-binned Schmidt sum")
 @click.option("-o", "--out", default="optimize.json", show_default=True)
 @cli_guard
 def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
@@ -537,7 +540,7 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     if mode == "tomographic":
         corr = _tomographic_correlation_fn(state, quad_order)
     else:
-        corr = _pseudospin_correlation_fn(kind, state, cutoff)
+        corr, _ = _pseudospin_correlation_fn(kind, state, cutoff)
     angles, best = bell.maximize_chsh(corr, grid_points=grid_points)
     reduced = angles.reduced()
     payload = {
@@ -640,7 +643,7 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
         write_csv(files[name], header, rows)
 
     def calb_rows(kind, value, state, tv, tup, tvp):
-        corr = _pseudospin_correlation_fn(kind, state, cutoff)
+        corr, _ = _pseudospin_correlation_fn(kind, state, cutoff)
         curve = _calb_curve(corr, tu_grid, tv, tup, tvp)
         return [[value, float(tu), b_val] for tu, b_val in zip(tu_grid, curve)]
 

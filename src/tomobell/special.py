@@ -1,11 +1,11 @@
 """Self-contained special functions and quadrature rules.
 
 All closed-form expressions in the library reduce to the functions collected
-here: Hermite and (associated) Laguerre polynomials, the Bessel functions
-I0 and J0, the error function of a complex argument, and two quadrature
-rules.  The function implementations are independent of any external
-special-function library; each one is checked in the test suite against a
-slow series or quadrature oracle.
+here: Hermite polynomials and functions, (associated) Laguerre polynomials,
+the Bessel functions I0 and J0, the error function of a complex argument,
+and two quadrature rules.  The function implementations are independent of
+any external special-function library; each one is checked in the test
+suite against a slow series or quadrature oracle.
 
 Validated ranges are explicit constants rather than silent truncation:
 polynomial recurrences are guarded at ``MAX_POLY_ORDER`` and the complex
@@ -26,9 +26,7 @@ MAX_POLY_ORDER = 200
 
 #: erf_complex is validated for |Re z| <= box and |Im z| <= box.
 #: Within the box the relative accuracy is ~1e-13; the absolute error is
-#: below 1e-10 wherever exp(-z^2) does not amplify rounding, which covers
-#: |z| <= 3.5 and in particular every argument produced by the
-#: pair-coherent probability integrals (|z| <= sqrt(2) * r).
+#: below 1e-10 wherever exp(-z^2) does not amplify rounding (|z| <= 3.5).
 ERF_COMPLEX_BOX = 12.0
 
 GAUSS_LEGENDRE = "gauss-legendre"
@@ -64,6 +62,19 @@ def hermite(n: int, x):
     for k in range(1, n):
         h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
     return float(h) if scalar else h
+
+
+def hermite_functions(x):
+    """Yield psi_k(x) = H_k(x) e^{-x^2/2} / sqrt(2^k k! sqrt(pi)) for k = 0, 1, ...
+
+    The three-term recurrence never forms k! or 2^k, so no order guard is needed.
+    """
+    x = np.asarray(x, dtype=float)
+    prev, cur, k = 0.0 * x, math.pi**-0.25 * np.exp(-0.5 * x * x), 0
+    while True:
+        yield cur
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        k += 1
 
 
 def laguerre(n: int, x, alpha: float = 0.0):

@@ -11,12 +11,11 @@ Closed forms, in the package convention (vacuum quadrature variance 1/4):
                     the squeezed-vacuum Wigner function produces, and the only
                     form consistent with the arctan(b/N) quadrant probabilities.
 
-  Fock pair         w = (1/pi) [1 + H_n(u1) H_n(u2) cos n(t1+t2) / (2^{n-1} n!)
-                    + H_n^2(u1) H_n^2(u2) / (2^{2n} (n!)^2)] exp(-2 X1^2 - 2 X2^2),
-                    u = sqrt(2) X.  The angle argument is the *sum* t1 + t2:
-                    every Schmidt-diagonal state sum_n c_n e^{-i n (t1+t2)}
-                    psi_n(X1) psi_n(X2) depends on the angles only through
-                    their sum, and the numeric Radon oracle confirms it.
+  Fock pair         w = |psi_0(u1) psi_0(u2) + e^{-i n (t1+t2)} psi_n(u1) psi_n(u2)|^2
+                    with u = sqrt(2) X and psi_k the normalized Hermite functions.
+                    The angle argument is the *sum* t1 + t2: every Schmidt-diagonal
+                    state sum_n c_n e^{-i n (t1+t2)} psi_n(X1) psi_n(X2) depends on
+                    the angles only through their sum, as the Radon oracle confirms.
 
   pair coherent     w = |I(sqrt(2) X1, sqrt(2) X2)|^2 exp(-2 X1^2 - 2 X2^2)
                     / (2 pi^3 I0(2 r^2)), with the angular integral I given
@@ -24,14 +23,16 @@ Closed forms, in the package convention (vacuum quadrature variance 1/4):
                     Hermite series 2 pi sum_n H_n(x1) H_n(x2) alpha^{2n} /
                     (2^n (n!)^2), alpha = r exp(-i (t1+t2)/2).
 
-Sign-binned probabilities are scale invariant, so they coincide with the
-natural-unit forms regardless of convention.
+Sign-binned probabilities are scale invariant; beyond the squeezed vacuum
+they come from a Fock-basis sum over the Schmidt vector (sign_binned_closed_form).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -43,17 +44,12 @@ from .errors import (
     NormalizationError,
     UnsupportedStateError,
 )
-from .special import (
-    bessel_i0,
-    erf_complex,
-    gauss_legendre,
-    hermite,
-    laguerre,
-    periodic_trapezoid,
-)
+from .special import bessel_i0, gauss_legendre, hermite_functions, laguerre, periodic_trapezoid
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
+#: Cap on the Fock levels of the sign-correlation Schmidt sum (an 8 MB G matrix).
+MAX_SCHMIDT_LEVELS = 1024
 
 
 @dataclass(frozen=True)
@@ -226,12 +222,9 @@ def tomogram_closed_form(state, x1, theta1, x2, theta2, *, series_tol: float = 1
             -2.0 * par.a * x1**2 - 2.0 * par.a * x2**2 - 4.0 * par.b * x1 * x2
         )
     elif isinstance(state, st.FockPairSuperposition):
-        n = state.n
-        h1 = hermite(n, math.sqrt(2.0) * x1)
-        h2 = hermite(n, math.sqrt(2.0) * x2)
-        cross = h1 * h2 * math.cos(n * (theta1 + theta2)) / (2.0 ** (n - 1) * math.factorial(n))
-        square = (h1 * h2) ** 2 / (2.0 ** (2 * n) * math.factorial(n) ** 2)
-        val = (1.0 / math.pi) * (1.0 + cross + square) * np.exp(-2.0 * (x1**2 + x2**2))
+        vac = np.exp(-(x1**2 + x2**2)) / math.sqrt(math.pi)  # psi_0(u1) psi_0(u2)
+        exc = _psi(state.n, math.sqrt(2.0) * x1) * _psi(state.n, math.sqrt(2.0) * x2)
+        val = vac**2 + 2.0 * vac * exc * math.cos(state.n * (theta1 + theta2)) + exc**2
     elif isinstance(state, st.PairCoherent):
         phi0 = 0.5 * (theta1 + theta2)
         integral = pair_coherent_integral_series(
@@ -388,70 +381,60 @@ def _tanh_half_line(scale: float, gl_order: int, panels: int):
 def sign_binned_closed_form(
     state, theta1: float, theta2: float, *, order: int = 96
 ) -> SignBinnedProbs:
-    """Closed-form sign-binned probabilities for a benchmark state.
+    """Closed-form sign-binned probabilities ((1+E)/4, (1-E)/4, (1-E)/4, (1+E)/4).
 
-    Squeezed vacuum: w_pp = w_mm = 1/4 - arctan(b/N)/(2 pi) and
-    w_pm = w_mp = 1/4 + arctan(b/N)/(2 pi), continuous in theta1 + theta2
+    Squeezed vacuum: E = -(2/pi) arctan(b/N), continuous in theta1 + theta2
     through the principal branch of arctan (b changes sign with
     cos(theta1 + theta2), so no piecewise sign bookkeeping is needed).
 
-    Fock pair: 1/4 +/- H_{n-1}(0)^2 cos n(theta1 + theta2) / (pi 2^n n!).
-
-    Pair coherent: double angular integral with two complex error-function
-    factors, evaluated on an ``order`` x ``order`` periodic trapezoid grid;
-    the quadruple shares one pair of erf evaluations.
+    Fock pair and pair coherent, sum_n c_n |n n>: the Fock-basis sum (Munro,
+    PRA 59, 4197 (1999)) E = sum_{m,n} c_m c_n G_mn^2 cos((m - n)(theta1 +
+    theta2)) with G = sign_matrix, from ``order`` Fock levels upward.
     """
     if isinstance(state, st.SqueezedVacuum):
         par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
-        shift = math.atan(par.b / par.norm) / (2.0 * math.pi)
-        same = 0.25 - shift
-        diff = 0.25 + shift
-        return SignBinnedProbs(same, diff, diff, same, theta1, theta2).validate()
-    if isinstance(state, st.FockPairSuperposition):
-        n = state.n
-        amp = hermite(n - 1, 0.0) ** 2 / (math.pi * 2.0**n * math.factorial(n))
-        osc = amp * math.cos(n * (theta1 + theta2))
-        same = 0.25 + osc
-        diff = 0.25 - osc
-        return SignBinnedProbs(same, diff, diff, same, theta1, theta2).validate()
-    if isinstance(state, st.PairCoherent):
-        return _sign_binned_pair_coherent(state.r, theta1, theta2, order)
-    raise UnsupportedStateError(
-        f"no closed-form probabilities for {type(state).__name__}"
-    )
+        corr = -2.0 * math.atan(par.b / par.norm) / math.pi
+    else:
+        h = _sign_harmonics(state, order)
+        corr = float(h @ np.cos(np.arange(h.size) * (theta1 + theta2)))
+    same, diff = 0.25 * (1.0 + corr), 0.25 * (1.0 - corr)
+    return SignBinnedProbs(same, diff, diff, same, theta1, theta2).validate()
 
 
-def _sign_binned_pair_coherent(r, theta1, theta2, order) -> SignBinnedProbs:
-    phi0 = 0.5 * (theta1 + theta2)
-    rule = periodic_trapezoid(order)
-    p1 = rule.nodes[:, None]
-    p2 = rule.nodes[None, :]
-    weight = (2.0 * math.pi / order) ** 2
+@lru_cache(maxsize=128)
+def _sign_harmonics(state, order: int):
+    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 on levels doubled from ``order`` until the next
+    as many carry Schmidt weight <= 1e-32 and twice as many lose <= 1e-12 of the norm."""
+    levels = min(order, MAX_SCHMIDT_LEVELS)
+    while True:
+        schmidt = st.schmidt_coefficients(state, 2 * levels)
+        c, tail = schmidt.coefficients[:levels], schmidt.coefficients[levels:]
+        if schmidt.deficit <= 1e-12 and tail @ tail <= 1e-32:
+            k = np.arange(levels)
+            weights = np.outer(c, c) * sign_matrix(levels) ** 2
+            return np.bincount(np.abs(np.subtract.outer(k, k)).ravel(), weights=weights.ravel())
+        if levels == MAX_SCHMIDT_LEVELS:
+            raise ConvergenceError(f"Schmidt sum of {state} not converged in {levels} levels")
+        levels = min(2 * levels, MAX_SCHMIDT_LEVELS)
 
-    z1 = (r / math.sqrt(2.0)) * (np.exp(1j * (p1 - phi0)) + np.exp(1j * (p2 + phi0)))
-    z2 = (r / math.sqrt(2.0)) * (np.exp(-1j * (p1 + phi0)) + np.exp(-1j * (p2 - phi0)))
-    e1 = erf_complex(z1)
-    e2 = erf_complex(z2)
-    kern = np.exp(2.0 * r * r * np.cos(p1 + p2))
-    # N^2 e^{-2 r^2} / 4 with N = e^{r^2} / (2 pi sqrt(I0(2 r^2)))
-    norm = 1.0 / (16.0 * math.pi**2 * bessel_i0(2.0 * r * r))
 
-    def quadrant(s1, s2):
-        val = np.sum(kern * (1.0 + s1 * e1) * (1.0 + s2 * e2)) * weight * norm
-        if abs(val.imag) > 1e-9:
-            raise AccuracyError(
-                f"pair-coherent probability has imaginary residue {val.imag:.3e}"
-            )
-        return float(val.real)
+def sign_matrix(levels: int) -> np.ndarray:
+    """G_mn = <m| sgn X |n> = (psi_n(0) psi_m'(0) - psi_m(0) psi_n'(0)) / (m - n).
 
-    # w_pp pairs with (1 - erf)(1 - erf); the (phi1, phi2) ->
-    # (phi1 + pi, phi2 + pi) symmetry makes the opposite sign choice equal,
-    # and the tests verify the quadruple against the numeric quadrants.
-    w_pp = quadrant(-1.0, -1.0)
-    w_pm = quadrant(-1.0, +1.0)
-    w_mp = quadrant(+1.0, -1.0)
-    w_mm = quadrant(+1.0, +1.0)
-    return SignBinnedProbs(w_pp, w_pm, w_mp, w_mm, theta1, theta2).validate()
+    This integrates the Wronskian identity (psi_m psi_n' - psi_n psi_m')' =
+    2 (m - n) psi_m psi_n over X > 0; psi_k'(0) = sqrt(2k) psi_{k-1}(0), and
+    the numerator vanishes for m + n even, where G_mn = 0.
+    """
+    k = np.arange(levels)
+    psi0 = np.fromiter(islice(hermite_functions(0.0), levels), float, levels)
+    dpsi0 = np.sqrt(2.0 * k) * np.concatenate(([0.0], psi0[:-1]))
+    diff = np.subtract.outer(k, k)
+    return (np.outer(dpsi0, psi0) - np.outer(psi0, dpsi0)) / np.where(diff == 0, 1, diff)
+
+
+def _psi(n: int, u):
+    """The normalized Hermite function psi_n(u)."""
+    return next(islice(hermite_functions(u), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +451,7 @@ def vacuum_quadrature_density(x, theta=0.0):
 
 def fock_quadrature_density(n, x, theta=0.0):
     """Homodyne density |psi_n(X)|^2 of the Fock state |n>, angle independent."""
-    x = np.asarray(x, dtype=float)
-    h = hermite(n, math.sqrt(2.0) * x)
-    val = (
-        math.sqrt(2.0 / math.pi)
-        * h * h
-        * np.exp(-2.0 * x**2)
-        / (2.0**n * math.factorial(n))
-    )
+    val = math.sqrt(2.0) * _psi(n, math.sqrt(2.0) * np.asarray(x, dtype=float)) ** 2
     return float(val) if val.ndim == 0 else val + 0.0 * np.asarray(theta)
 
 

@@ -16,6 +16,7 @@ from tomobell.bell import (
     pair_coherent_bessel_coefficient,
     pair_coherent_sx_report,
     pseudospin_matrices,
+    schmidt_xz_entries,
 )
 from tomobell.errors import AccuracyError, DimensionError, DomainError, NormalizationError
 from tomobell.special import bessel_i0, bessel_j0
@@ -149,6 +150,32 @@ def test_pair_coherent_sx_discrepancy_report():
     c = schmidt_coefficients(PairCoherent(1.05), 64).coefficients
     oracle = 2.0 * float(np.sum(c[0:-1:2] * c[1::2]))
     assert report.fock == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32])
+def test_schmidt_xz_entries_match_density_matrix(cutoff):
+    # T_zz, T_xx, T_xz, T_zx from c_n against the einsum on the full rho
+    for state in (SqueezedVacuum(0.9), FockPairSuperposition(3), PairCoherent(1.05)):
+        got = schmidt_xz_entries(schmidt_coefficients(state, cutoff))
+        dm = density_matrix(state, cutoff)
+        pairs = ((Z_AXIS, Z_AXIS), (X_AXIS, X_AXIS), (X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS))
+        want = [correlation_pseudospin(dm, u, v) for u, v in pairs]
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14
+
+
+def test_schmidt_xz_entries_truncation_bound():
+    # an even cutoff keeps the (2k, 2k+1) pairs whole: |E_true - E| <= deficit
+    state = SqueezedVacuum(0.96)
+    exact = 2.0 * 0.96 / (1.0 + 0.96**2)
+    for cutoff in (8, 16, 32, 64):
+        schmidt = schmidt_coefficients(state, cutoff)
+        t_zz, t_xx, _, _ = schmidt_xz_entries(schmidt)
+        assert abs(t_xx - exact) <= schmidt.deficit + 1e-15
+        assert abs(t_zz - 1.0) <= schmidt.deficit + 1e-15
+    with pytest.raises(DomainError):
+        schmidt_xz_entries(schmidt_coefficients(state, 15))
+    with pytest.raises(DomainError):
+        pair_coherent_sx_report(1.05, 63)
 
 
 def test_correlation_bounds():

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from click.testing import CliRunner
 from tomobell import cli
 from tomobell.bell import chsh, correlation_pseudospin
 from tomobell.cli import main, parse_angle, parse_named_angles, parse_values
-from tomobell.states import FockPairSuperposition, PairCoherent, SqueezedVacuum, density_matrix
+from tomobell.states import (
+    FockPairSuperposition,
+    PairCoherent,
+    SqueezedVacuum,
+    density_matrix,
+    schmidt_coefficients,
+)
 from tomobell.tomography import sign_binned_closed_form
 
 
@@ -363,3 +371,70 @@ def test_pseudospin_fock_curve_matches_per_point_correlation(
     for tu, got in written["rows"]:
         want = chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp))
         assert abs(got - want) <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize is imported inside maximize_chsh, not at startup
+    code = "import sys, tomobell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["pseudospin", "bell-scan"])
+def test_pseudospin_odd_cutoff_exit_2(runner, tmp_path, command):
+    result = runner.invoke(main, [command, "--state", "pair-coherent", "--r", "1.05",
+                                  "--cutoff", "15", "-o", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2
+    assert "even cutoff" in result.output
+
+
+def test_probs_out_of_range_pair_coherent_fails_cleanly(runner, tmp_path):
+    out = tmp_path / "p.csv"
+    result = runner.invoke(main, ["probs", "--state", "pair-coherent", "--r", "30",
+                                  "--theta-sum", "0,1", "-o", str(out)])
+    assert result.exit_code in (2, 3)
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+    for r in ("20", "30"):  # I0(2 r^2) overflows a double from r = 18.9 on
+        result = runner.invoke(main, ["pseudospin", "--state", "pair-coherent", "--r", r,
+                                      "-o", str(out)])
+        assert result.exit_code == 2 and "I0(2 r^2) finite" in result.output
+
+
+@pytest.mark.parametrize("command", ["probs", "tomogram"])
+def test_fock_pair_beyond_factorial_overflow(runner, tmp_path, command):
+    out = str(tmp_path / "x.csv")
+    result = runner.invoke(main, [command, "--state", "fock-pair", "--n", "161", "-o", out])
+    assert result.exit_code == 0, result.output
+    _, rows = read_csv(out)
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_pseudospin_manifest_reports_trace_deficit(runner, tmp_path):
+    def deficit(*args):
+        out = str(tmp_path / "ps.csv")
+        result = runner.invoke(main, ["pseudospin", *args, "--theta-u-steps", "5", "-o", out])
+        assert result.exit_code == 0, result.output
+        return json.load(open(out + ".manifest.json")).get("trace_deficit")
+
+    # |11..70 70> lies beyond cutoff 64: half the norm is lost, and reported
+    assert deficit("--state", "fock-pair", "--n", "70", "--source", "fock", "--cutoff", "64") == pytest.approx(0.5, abs=1e-15)
+    assert deficit("--state", "pair-coherent", "--r", "1.05", "--cutoff", "64") < 1e-15
+    assert deficit("--state", "epr", "--lambda", "0.5") is None  # closed form: no truncation
+    rho = str(tmp_path / "rho.json")
+    deficit("--state", "epr", "--lambda", "0.9", "--source", "fock", "--cutoff", "8",
+            "--dump-dm", rho)
+    assert deficit("--dm", rho) == pytest.approx(0.9**16, rel=1e-9)
+
+
+def test_bell_scan_summary_reports_trace_deficit(runner, tmp_path):
+    out = str(tmp_path / "scan.csv")
+    result = runner.invoke(main, ["bell-scan", "--state", "pair-coherent", "--r", "1.0,2.0",
+                                  "--mode", "pseudospin", "--cutoff", "8", "-o", out])
+    assert result.exit_code == 0, result.output
+    summary = json.load(open(out + ".summary.json"))["pseudospin"]
+    c = schmidt_coefficients(PairCoherent(2.0), 8).coefficients
+    assert summary["trace_deficit"] == pytest.approx(1.0 - float(c @ c), abs=1e-15)

@@ -7,11 +7,19 @@ import pytest
 
 from tomobell.errors import (
     AccuracyError,
+    ConvergenceError,
     DomainError,
     NormalizationError,
     UnsupportedStateError,
 )
-from tomobell.special import gauss_legendre
+from tomobell.special import (
+    bessel_i0,
+    erf_complex,
+    gauss_legendre,
+    hermite,
+    hermite_functions,
+    periodic_trapezoid,
+)
 from tomobell.states import (
     ExplicitFock,
     FockPairSuperposition,
@@ -33,6 +41,7 @@ from tomobell.tomography import (
     radon_forward_symplectic,
     sign_binned_closed_form,
     sign_binned_numeric,
+    sign_matrix,
     tomogram_closed_form,
     vacuum_quadrature_density,
 )
@@ -203,9 +212,123 @@ def test_pair_coherent_integral_order_guard():
         pair_coherent_integral_direct(0.0, 0.0, 0.0, 0.0, 1.0, order=32)
 
 
+def fock_pair_tomogram_oracle(n, x1, t1, x2, t2):
+    """The Hermite-polynomial form (1/pi) [1 + H_n H_n cos n(t1 + t2) / (2^{n-1} n!)
+    + H_n^2 H_n^2 / (2^{2n} (n!)^2)] exp(-2 X1^2 - 2 X2^2), u = sqrt(2) X."""
+    h1 = hermite(n, math.sqrt(2.0) * x1)
+    h2 = hermite(n, math.sqrt(2.0) * x2)
+    cross = h1 * h2 * math.cos(n * (t1 + t2)) / (2.0 ** (n - 1) * math.factorial(n))
+    square = (h1 * h2) ** 2 / (2.0 ** (2 * n) * math.factorial(n) ** 2)
+    return (1.0 + cross + square) * np.exp(-2.0 * (x1**2 + x2**2)) / math.pi
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_tomogram_fock_pair_matches_hermite_polynomial_form(n):
+    xs = np.linspace(-2.5, 2.5, 11)
+    got = tomogram_closed_form(FockPairSuperposition(n), xs[:, None], 0.4, xs[None, :], -1.3)
+    want = fock_pair_tomogram_oracle(n, xs[:, None], 0.4, xs[None, :], -1.3)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_tomogram_fock_pair_large_n_is_normalized():
+    # n! and 2^n overflow a double from n = 86 on (n = 171 for n! alone);
+    # the Hermite-function recurrence never forms them
+    rule = gauss_legendre(400, -14.0, 14.0)
+    vals = tomogram_closed_form(
+        FockPairSuperposition(100), rule.nodes[:, None], 0.3, rule.nodes[None, :], 0.2
+    )
+    assert np.all(np.isfinite(vals))
+    assert float(rule.weights @ vals @ rule.weights) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_hermite_functions_are_orthonormal():
+    rule = gauss_legendre(200, -12.0, 12.0)
+    psi = np.array([p for _, p in zip(range(30), hermite_functions(rule.nodes))])
+    gram = (psi * rule.weights) @ psi.T
+    assert np.max(np.abs(gram - np.eye(30))) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # sign-binned probabilities
 # ---------------------------------------------------------------------------
+
+
+def pair_coherent_sign_oracle(r, theta1, theta2, order=128):
+    """The paper's pair-coherent quadruple: a double angular integral with two
+    complex error-function factors on an order x order periodic trapezoid grid."""
+    phi0 = 0.5 * (theta1 + theta2)
+    rule = periodic_trapezoid(order)
+    p1 = rule.nodes[:, None]
+    p2 = rule.nodes[None, :]
+    z1 = (r / math.sqrt(2.0)) * (np.exp(1j * (p1 - phi0)) + np.exp(1j * (p2 + phi0)))
+    z2 = (r / math.sqrt(2.0)) * (np.exp(-1j * (p1 + phi0)) + np.exp(-1j * (p2 - phi0)))
+    e1, e2 = erf_complex(z1), erf_complex(z2)
+    kern = np.exp(2.0 * r * r * np.cos(p1 + p2))
+    # N^2 e^{-2 r^2} / 4 with N = e^{r^2} / (2 pi sqrt(I0(2 r^2))), times the grid weight;
+    # w_pp pairs with (1 - erf)(1 - erf)
+    norm = (2.0 * math.pi / order) ** 2 / (16.0 * math.pi**2 * bessel_i0(2.0 * r * r))
+    quads = [np.sum(kern * (1.0 + s1 * e1) * (1.0 + s2 * e2)) * norm
+             for s1, s2 in ((-1, -1), (-1, 1), (1, -1), (1, 1))]
+    assert max(abs(q.imag) for q in quads) < 1e-12
+    return tuple(q.real for q in quads)
+
+
+SIGN_ANGLES = ((math.pi / 2, -math.pi / 4), (0.0, -3 * math.pi / 4), (0.9, 0.4), (2.0, 2.5))
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.05, 1.4, 3.0])
+def test_sign_binned_schmidt_sum_matches_erf_integral(r):
+    for t1, t2 in SIGN_ANGLES:
+        got = sign_binned_closed_form(PairCoherent(r), t1, t2).as_tuple()
+        want = pair_coherent_sign_oracle(r, t1, t2)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sign_binned_schmidt_sum_matches_fock_pair_formula(n):
+    # 1/4 +/- H_{n-1}(0)^2 cos n(theta1 + theta2) / (pi 2^n n!)
+    amp = hermite(n - 1, 0.0) ** 2 / (math.pi * 2.0**n * math.factorial(n))
+    for t1, t2 in SIGN_ANGLES:
+        osc = amp * math.cos(n * (t1 + t2))
+        got = sign_binned_closed_form(FockPairSuperposition(n), t1, t2).as_tuple()
+        want = (0.25 + osc, 0.25 - osc, 0.25 - osc, 0.25 + osc)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-15
+
+
+def test_sign_matrix_matches_half_line_quadrature():
+    # G_mn = <m| sgn X |n> = 2 int_0^inf psi_m psi_n for m + n odd, 0 otherwise
+    rule = gauss_legendre(200, 0.0, 12.0)
+    psi = np.array([p for _, p in zip(range(21), hermite_functions(rule.nodes))])
+    half = 2.0 * (psi * rule.weights) @ psi.T
+    odd = np.add.outer(np.arange(21), np.arange(21)) % 2 == 1
+    want = np.where(odd, half, 0.0)
+    assert np.max(np.abs(sign_matrix(21) - want)) < 1e-13
+
+
+def test_sign_binned_fock_pair_beyond_factorial_overflow():
+    # n = 161 needs more than the 96 starting levels; the sum grows to fit it
+    probs = sign_binned_closed_form(FockPairSuperposition(161), 0.3, 0.0)
+    g = sign_matrix(162)[0, 161]
+    assert probs.w_pp == pytest.approx(0.25 * (1.0 + g * g * math.cos(161 * 0.3)), abs=1e-15)
+
+
+def test_sign_binned_schmidt_sum_never_truncates_silently():
+    with pytest.raises(ConvergenceError):
+        sign_binned_closed_form(FockPairSuperposition(5000), 0.0, 0.0)
+
+
+def test_sign_binned_schmidt_sum_built_once_per_state():
+    from tomobell.tomography import _sign_harmonics
+
+    state = PairCoherent(1.234)
+    sign_binned_closed_form(state, 0.1, 0.2)
+    before = _sign_harmonics.cache_info()
+    for t1 in np.linspace(0.0, 3.0, 7):
+        sign_binned_closed_form(state, t1, 0.2)
+    after = _sign_harmonics.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 7
+
+
 
 
 def test_sign_binned_numeric_product_density():
