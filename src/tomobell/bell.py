@@ -262,7 +262,9 @@ def maximize_chsh(
         - table[None, :, None, :]
     )
     flat = np.abs(combo).ravel()
-    best = int(np.argmax(flat))
+    # E often depends only on theta1 + theta2, so cells tie; take the first one
+    # within 1e-12 of the maximum rather than the one rounding happens to favour
+    best = int(np.flatnonzero(flat >= flat.max() - 1e-12)[0])
     i, j, k, l = np.unravel_index(best, combo.shape)
     start = np.array([thetas[i], thetas[j], thetas[k], thetas[l]])
     best_val = float(flat[best])

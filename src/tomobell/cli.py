@@ -255,10 +255,9 @@ def _prob_rows(value, state, sums, theta2) -> list:
     return rows
 
 
-def _tomographic_correlation_fn(state, order):
+def _tomographic_correlation_fn(state):
     def corr(theta1, theta2):
-        return bell.correlation_tomographic(
-            tg.sign_binned_closed_form(state, theta1, theta2, order=order))
+        return bell.correlation_tomographic(tg.sign_binned_closed_form(state, theta1, theta2))
 
     return corr
 
@@ -387,7 +386,7 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
 @click.option("--cutoff", type=int, default=32, show_default=True,
               help="Fock cutoff for the pair-coherent pseudospin oracle")
 @click.option("--quad-order", type=int, default=96, show_default=True,
-              help="starting number of Fock levels of the sign-binned Schmidt sum")
+              help="ignored: the sign-binned Schmidt sum picks its Fock levels from the state")
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
 @click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
 @cli_guard
@@ -422,7 +421,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
     for value, state in states:
         row = [value, quad.theta1, quad.theta2, quad.theta1p, quad.theta2p]
         if do_tomo:
-            corr = _tomographic_correlation_fn(state, quad_order)
+            corr = _tomographic_correlation_fn(state)
             b_val = bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
             row.append(b_val)
             tomo_series.append(b_val)
@@ -531,14 +530,14 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
 @click.option("--cutoff", type=int, default=32, show_default=True)
 @click.option("--grid-points", type=int, default=24, show_default=True)
 @click.option("--quad-order", type=int, default=96, show_default=True,
-              help="starting number of Fock levels of the sign-binned Schmidt sum")
+              help="ignored: the sign-binned Schmidt sum picks its Fock levels from the state")
 @click.option("-o", "--out", default="optimize.json", show_default=True)
 @cli_guard
 def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     """Maximize the CHSH value over the four measurement angles."""
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
     if mode == "tomographic":
-        corr = _tomographic_correlation_fn(state, quad_order)
+        corr = _tomographic_correlation_fn(state)
     else:
         corr, _ = _pseudospin_correlation_fn(kind, state, cutoff)
     angles, best = bell.maximize_chsh(corr, grid_points=grid_points)
@@ -672,7 +671,7 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
     fig3a_vals = []
     r_values = parse_values(r_sweep)
     for rv, state in make_states("pair-coherent", r_values):
-        corr = _tomographic_correlation_fn(state, 96)  # sign_binned_closed_form's default
+        corr = _tomographic_correlation_fn(state)
         b_val = bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
         rows.append([rv, t1, t2, t1p, t2p, b_val])
         fig3a_vals.append(b_val)

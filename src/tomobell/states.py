@@ -83,7 +83,7 @@ class PairCoherent:
     r: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and math.isfinite(bessel_i0(2.0 * self.r**2))):  # r < ~18.9
+        if not (self.r > 0.0 and math.isfinite(bessel_i0(2.0 * self.r * self.r))):  # r < ~18.9
             raise DomainError(f"pair-coherent r must be > 0 with I0(2 r^2) finite, got {self.r}")
 
 

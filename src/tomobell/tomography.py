@@ -389,33 +389,32 @@ def sign_binned_closed_form(
 
     Fock pair and pair coherent, sum_n c_n |n n>: the Fock-basis sum (Munro,
     PRA 59, 4197 (1999)) E = sum_{m,n} c_m c_n G_mn^2 cos((m - n)(theta1 +
-    theta2)) with G = sign_matrix, from ``order`` Fock levels upward.
+    theta2)) with G = sign_matrix.  The Fock levels follow from c_n alone, so
+    ``order`` is accepted and ignored.
     """
     if isinstance(state, st.SqueezedVacuum):
         par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
         corr = -2.0 * math.atan(par.b / par.norm) / math.pi
     else:
-        h = _sign_harmonics(state, order)
+        h = _sign_harmonics(state)
         corr = float(h @ np.cos(np.arange(h.size) * (theta1 + theta2)))
     same, diff = 0.25 * (1.0 + corr), 0.25 * (1.0 - corr)
     return SignBinnedProbs(same, diff, diff, same, theta1, theta2).validate()
 
 
 @lru_cache(maxsize=128)
-def _sign_harmonics(state, order: int):
-    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 on levels doubled from ``order`` until the next
-    as many carry Schmidt weight <= 1e-32 and twice as many lose <= 1e-12 of the norm."""
-    levels = min(order, MAX_SCHMIDT_LEVELS)
-    while True:
-        schmidt = st.schmidt_coefficients(state, 2 * levels)
-        c, tail = schmidt.coefficients[:levels], schmidt.coefficients[levels:]
-        if schmidt.deficit <= 1e-12 and tail @ tail <= 1e-32:
-            k = np.arange(levels)
-            weights = np.outer(c, c) * sign_matrix(levels) ** 2
-            return np.bincount(np.abs(np.subtract.outer(k, k)).ravel(), weights=weights.ravel())
-        if levels == MAX_SCHMIDT_LEVELS:
-            raise ConvergenceError(f"Schmidt sum of {state} not converged in {levels} levels")
-        levels = min(2 * levels, MAX_SCHMIDT_LEVELS)
+def _sign_harmonics(state):
+    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 over the levels with Schmidt weight c_n^2 > 1e-32."""
+    schmidt = st.schmidt_coefficients(state, MAX_SCHMIDT_LEVELS)
+    if schmidt.deficit > 1e-12:
+        raise ConvergenceError(
+            f"{MAX_SCHMIDT_LEVELS} Fock levels of {state} miss {schmidt.deficit:.3e} of the norm"
+        )
+    c = schmidt.coefficients
+    c = c[: np.flatnonzero(c * c > 1e-32)[-1] + 1]
+    k = np.arange(c.size)
+    weights = np.outer(c, c) * sign_matrix(c.size) ** 2
+    return np.bincount(np.abs(np.subtract.outer(k, k)).ravel(), weights=weights.ravel())
 
 
 def sign_matrix(levels: int) -> np.ndarray:

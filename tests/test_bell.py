@@ -263,6 +263,16 @@ def test_maximize_chsh_product_form():
     assert val == pytest.approx(2.0, abs=1e-6)
 
 
+def test_maximize_chsh_grid_ties_go_to_the_first_cell():
+    # E(theta1 + theta2) makes many grid cells tie; last-digit noise must not pick the start
+    rng = np.random.default_rng(7)
+    clean, _ = maximize_chsh(lambda t1, t2: math.cos(t1 + t2), refine=False)
+    noisy, _ = maximize_chsh(
+        lambda t1, t2: math.cos(t1 + t2) * (1.0 + 1e-15 * rng.standard_normal()), refine=False
+    )
+    assert noisy == clean and clean.theta1 == 0.0
+
+
 def test_maximize_chsh_random_product_forms_stay_local():
     # E(t1, t2) = f(t1) g(t2) with |f|, |g| <= 1 admits a local model
     rng = np.random.default_rng(20240817)

@@ -393,11 +393,12 @@ def test_pseudospin_odd_cutoff_exit_2(runner, tmp_path, command):
 
 def test_probs_out_of_range_pair_coherent_fails_cleanly(runner, tmp_path):
     out = tmp_path / "p.csv"
-    result = runner.invoke(main, ["probs", "--state", "pair-coherent", "--r", "30",
-                                  "--theta-sum", "0,1", "-o", str(out)])
-    assert result.exit_code in (2, 3)
-    assert isinstance(result.exception, SystemExit)
-    assert not out.exists()
+    for r in ("30", "1e200"):  # 2 r^2 itself overflows a double at r = 1e200
+        result = runner.invoke(main, ["probs", "--state", "pair-coherent", "--r", r,
+                                      "--theta-sum", "0,1", "-o", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
     for r in ("20", "30"):  # I0(2 r^2) overflows a double from r = 18.9 on
         result = runner.invoke(main, ["pseudospin", "--state", "pair-coherent", "--r", r,
                                       "-o", str(out)])

@@ -306,7 +306,7 @@ def test_sign_matrix_matches_half_line_quadrature():
 
 
 def test_sign_binned_fock_pair_beyond_factorial_overflow():
-    # n = 161 needs more than the 96 starting levels; the sum grows to fit it
+    # H_{n-1}(0)^2 and 2^n n! overflow a double from n = 153 on; the Schmidt sum forms neither
     probs = sign_binned_closed_form(FockPairSuperposition(161), 0.3, 0.0)
     g = sign_matrix(162)[0, 161]
     assert probs.w_pp == pytest.approx(0.25 * (1.0 + g * g * math.cos(161 * 0.3)), abs=1e-15)
@@ -327,8 +327,6 @@ def test_sign_binned_schmidt_sum_built_once_per_state():
         sign_binned_closed_form(state, t1, 0.2)
     after = _sign_harmonics.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 7
-
-
 
 
 def test_sign_binned_numeric_product_density():
