@@ -25,6 +25,8 @@ from .errors import DomainError, EnvelopeError, UnsupportedStateError
 #: Default variance inflation of the Gaussian rejection envelope.
 DEFAULT_ENVELOPE_INFLATION = 1.5
 
+_SCAN_BLOCK = 1 << 20  # grid points per block of the envelope scan
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -141,10 +143,12 @@ def sample_rejection(
     if bound_factor is None:
         half = scan_half_width if scan_half_width is not None else 6.0 * envelope_sigma
         grid = np.linspace(-half, half, scan_points)
-        ratio = tomogram(grid[:, None], grid[None, :]) / proposal_density(
-            grid[:, None], grid[None, :]
+        # rows in blocks of at most _SCAN_BLOCK grid points bound the scan's memory
+        bound_factor = 1.1 * max(
+            float(np.max(tomogram(rows[:, None], grid[None, :])
+                         / proposal_density(rows[:, None], grid[None, :])))
+            for rows in np.array_split(grid, math.ceil(grid.size**2 / _SCAN_BLOCK))
         )
-        bound_factor = 1.1 * float(np.max(ratio))
 
     rng = substream_generator(seed, substream)
     accepted = []
@@ -216,13 +220,22 @@ def sample_state(
         def tomogram(x1, x2):
             return tg.tomogram_closed_form(state, x1, theta1, x2, theta2)
 
+        sigma = default_envelope_sigma(state)
+        # The narrowest fringe: |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1))
+        # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 of the
+        # envelope gives 2n + 1 = 8 var - 1 (n is the top level of the Fock pair,
+        # twice the mean photon number of the pair-coherent state).  The scan
+        # over +/-6 sigma takes two points per lobe, and never fewer than 201.
+        var = sigma**2 / DEFAULT_ENVELOPE_INFLATION
+        lobes = 12.0 * sigma * math.sqrt(2.0 * (8.0 * var - 1.0)) / math.pi
         return sample_rejection(
             tomogram,
             theta1,
             theta2,
             count,
             seed,
-            envelope_sigma=default_envelope_sigma(state),
+            envelope_sigma=sigma,
+            scan_points=max(201, 2 * math.ceil(lobes) + 1),
             substream=substream,
             state_label=repr(state),
         )

@@ -1,11 +1,12 @@
 """Self-contained special functions and quadrature rules.
 
 All closed-form expressions in the library reduce to the functions collected
-here: Hermite polynomials and functions, (associated) Laguerre polynomials,
-the Bessel functions I0 and J0, the error function of a complex argument,
-and two quadrature rules.  The function implementations are independent of
-any external special-function library; each one is checked in the test
-suite against a slow series or quadrature oracle.
+here: Hermite polynomials and functions, (associated) Laguerre polynomials
+and the Laguerre function, the Bessel functions I0 and J0, the error
+function of a complex argument, and two quadrature rules.  The function
+implementations are independent of any external special-function library;
+each one is checked in the test suite against a slow series or quadrature
+oracle.
 
 Validated ranges are explicit constants rather than silent truncation:
 polynomial recurrences are guarded at ``MAX_POLY_ORDER`` and the complex
@@ -93,6 +94,19 @@ def laguerre(n: int, x, alpha: float = 0.0):
     for k in range(2, n + 1):
         l, l_prev = ((2.0 * k - 1.0 + alpha - x) * l - (k - 1.0 + alpha) * l_prev) / k, l
     return float(l) if scalar else l
+
+
+def laguerre_function(n: int, x):
+    """The Laguerre function e^{-x/2} L_n(x), bounded by 1 in magnitude for x >= 0.
+
+    The Laguerre recurrence is linear, so started from e^{-x/2} it carries the
+    Gaussian along and never forms L_n(x) itself; no order guard is needed.
+    """
+    x, scalar = _as_float_array(x)
+    prev, cur = 0.0 * x, np.exp(-0.5 * x)
+    for k in range(n):
+        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
+    return float(cur) if scalar else cur
 
 
 def bessel_i0(x: float) -> float:

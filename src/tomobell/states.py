@@ -29,12 +29,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, laguerre
+from .special import bessel_i0, laguerre_function
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -273,18 +273,63 @@ def partial_trace(dm: DensityMatrix, keep_mode: int = 0) -> np.ndarray:
 def wigner(state, q1, p1, q2, p2, *, angular_order: int = DEFAULT_ANGULAR_ORDER):
     """Two-mode Wigner function W(q1, p1, q2, p2), normalized to 1.
 
-    Accepts scalars or broadcastable arrays.  For the pair-coherent state
-    the two angular integrals are evaluated with a periodic trapezoid rule
-    of ``angular_order`` nodes each (>= 16).
+    Accepts scalars or broadcastable arrays.  The squeezed vacuum has its
+    Gaussian closed form.  The Fock pair and the pair-coherent state are
+    summed pointwise from their factor form (``wigner_factors``):
+
+        W = Re sum_jk C_jk F1_jk(q1, p1) F2_jk(q2, p2),
+        F_jk(q, p) = g(q, p) L_j(q, p) R_k(q, p),  g = exp(-2 (q^2 + p^2)),
+
+    with a = q - i p:
+
+        Fock pair       L = [1, L_n(4 |a|^2), (2a)^n / sqrt(n!)],  R = [1],
+                        C = (2/pi^2) [1, 1, 2];
+        pair coherent   L_j = exp(2 r a e^{+-i phi_j}),  R_k = exp(2 r a* e^{-+i phi_k}),
+                        C_jk = (2 pi/K)^2 exp(-2 r^2 cos(phi_j - phi_k)) / (pi^4 I0(2 r^2)),
+
+    the upper signs for mode 1 and the lower for mode 2.  For the pair-coherent
+    state the phi_j = 2 pi j / K are the nodes of a periodic trapezoid rule
+    for its two angular integrals, K = ``angular_order`` (>= 16).
     """
     if isinstance(state, SqueezedVacuum):
         return _wigner_squeezed_vacuum(state.s, q1, p1, q2, p2)
+    factors = wigner_factors(state, angular_order=angular_order)
+    q1, p1, q2, p2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
+    )
+    flat = [np.ravel(v) for v in (q1, p1, q2, p2)]
+    out = np.empty(flat[0].size)
+    chunk = max(1, _MAX_BLOCK // sum(factors.coupling.shape))
+    for start in range(0, out.size, chunk):
+        part = slice(start, start + chunk)
+        left1, right1 = factors.mode(0, flat[0][part], flat[1][part])
+        left2, right2 = factors.mode(1, flat[2][part], flat[3][part])
+        out[part] = np.sum(((left1 * left2) @ factors.coupling) * (right1 * right2), axis=-1).real
+    out = out.reshape(q1.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class WignerFactors:
+    """The factor form W = Re sum_jk coupling_jk F1_jk(q1, p1) F2_jk(q2, p2) of ``wigner``.
+
+    ``mode(i, q, p)`` returns the factors (left, right) of mode i = 0, 1 with
+    shapes q.shape + (J,) and q.shape + (K,), so that F_jk = left_j right_k;
+    the Gaussian g = exp(-2 (q^2 + p^2)) is folded into them.
+    """
+
+    coupling: np.ndarray  # (J, K)
+    mode: Callable
+
+
+def wigner_factors(state, *, angular_order: int = DEFAULT_ANGULAR_ORDER) -> WignerFactors:
+    """Factor form of the Fock-pair and pair-coherent Wigner functions (see ``wigner``)."""
     if isinstance(state, FockPairSuperposition):
-        return _wigner_fock_pair(state.n, q1, p1, q2, p2)
+        return _fock_pair_factors(state.n)
     if isinstance(state, PairCoherent):
-        return _wigner_pair_coherent(state.r, q1, p1, q2, p2, angular_order)
+        return _pair_coherent_factors(state.r, angular_order)
     raise UnsupportedStateError(
-        f"wigner is defined for the benchmark states, got {type(state).__name__}"
+        f"no factor form of the Wigner function for {type(state).__name__}"
     )
 
 
@@ -299,57 +344,42 @@ def _wigner_squeezed_vacuum(s, q1, p1, q2, p2):
     return float(val) if val.ndim == 0 else val
 
 
-def _wigner_fock_pair(n, q1, p1, q2, p2):
-    q1, p1, q2, p2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
-    )
-    z = (q1 - 1j * p1) * (q2 - 1j * p2)
-    cross = 2.0 * (4.0**n / math.factorial(n)) * (z**n).real
-    lag = laguerre(n, 4.0 * (q1**2 + p1**2)) * laguerre(n, 4.0 * (q2**2 + p2**2))
-    gauss = np.exp(-2.0 * (q1**2 + p1**2 + q2**2 + p2**2))
-    val = (2.0 / math.pi**2) * (1.0 + cross + lag) * gauss
-    return float(val) if val.ndim == 0 else val
+def _fock_pair_factors(n):
+    # With x = 4|a|^2 = |2a|^2, g L_n(x) is the Laguerre function and
+    # g |2a|^n / sqrt(n!) = exp((n log x - x - log n!) / 2), so neither n! nor
+    # (2a)^n is ever formed
+    log_factorial = math.lgamma(n + 1.0)
+
+    def mode(_, q, p):
+        x = 4.0 * (q * q + p * p)
+        with np.errstate(divide="ignore"):  # a = 0: log 0 = -inf and the factor is 0
+            size = np.exp(0.5 * (n * np.log(x) - x - log_factorial))
+        cross = size * np.exp(-1j * n * np.arctan2(p, q))  # arg a = -atan2(p, q)
+        left = np.stack([np.exp(-0.5 * x), laguerre_function(n, x), cross], axis=-1)
+        return left, np.ones(left.shape[:-1] + (1,))
+
+    return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)
 
 
-def _wigner_pair_coherent(r, q1, p1, q2, p2, order):
+def _pair_coherent_factors(r, order):
     if order < 16:
         raise ConfigError(
             f"pair-coherent Wigner needs angular quadrature order >= 16, got {order}"
         )
-    q1, p1, q2, p2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
-    )
-    shape = q1.shape
-    flat = [np.ravel(v) for v in (q1, p1, q2, p2)]
-    npts = flat[0].size
-
     phi = np.arange(order) * (2.0 * math.pi / order)
-    weight = (2.0 * math.pi / order) ** 2
-    circ = np.exp(-2.0 * r * r * np.cos(phi[:, None] - phi[None, :])).astype(complex)
-    eip = np.exp(1j * phi)
-    eim = eip.conj()
+    coupling = (
+        (2.0 * math.pi / order) ** 2
+        * np.exp(-2.0 * r * r * np.cos(phi[:, None] - phi[None, :]))
+        / (math.pi**4 * bessel_i0(2.0 * r * r))
+    )
+    turns = (np.exp(1j * phi), np.exp(-1j * phi))
 
-    prefactor = 1.0 / (math.pi**4 * bessel_i0(2.0 * r * r))
-    out = np.empty(npts)
-    chunk = max(1, _MAX_BLOCK // order)
-    for start in range(0, npts, chunk):
-        stop = min(start + chunk, npts)
-        a1 = flat[0][start:stop] - 1j * flat[1][start:stop]  # q1 - i p1
-        a2 = flat[2][start:stop] - 1j * flat[3][start:stop]  # q2 - i p2
-        f = np.exp(2.0 * r * (a1[:, None] * eip[None, :] + a2[:, None] * eim[None, :]))
-        g = np.exp(
-            2.0 * r * (a1.conj()[:, None] * eim[None, :] + a2.conj()[:, None] * eip[None, :])
-        )
-        angular = np.einsum("pj,pj->p", f @ circ, g) * weight
-        gauss = np.exp(
-            -2.0
-            * (
-                flat[0][start:stop] ** 2
-                + flat[1][start:stop] ** 2
-                + flat[2][start:stop] ** 2
-                + flat[3][start:stop] ** 2
-            )
-        )
-        out[start:stop] = prefactor * angular.real * gauss
-    out = out.reshape(shape)
-    return float(out) if out.ndim == 0 else out
+    def mode(i, q, p):
+        # sqrt(g) goes into each factor, which keeps both of them below exp(r^2)
+        a = (q - 1j * p)[..., None]
+        half_gauss = -(q * q + p * p)[..., None]
+        left = np.exp(half_gauss + 2.0 * r * a * turns[i])
+        right = np.exp(half_gauss + 2.0 * r * a.conj() * turns[1 - i])
+        return left, right
+
+    return WignerFactors(coupling, mode)

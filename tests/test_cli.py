@@ -96,6 +96,34 @@ def test_tomogram_radon_check_failure_exit_code(runner, tmp_path):
     assert "accuracy error" in result.output
 
 
+def test_tomogram_pair_coherent_check_radon_default_grid(runner, tmp_path):
+    out = str(tmp_path / "tomo_pc.csv")
+    result = runner.invoke(
+        main,
+        ["tomogram", "--state", "pair-coherent", "--r", "1.0", "--check-radon", "-o", out],
+    )
+    assert result.exit_code == 0, result.output
+    header, rows = read_csv(out)
+    assert header[-1] == "w_radon" and len(rows) == 81
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh)["max_abs_difference"] < 1e-12
+
+
+def test_tomogram_fock_pair_n171_check_radon_reports_without_traceback(runner, tmp_path):
+    # 4^n / n! overflowed a double here; the run now either passes or names
+    # the Radon orders it tried
+    result = runner.invoke(
+        main,
+        ["tomogram", "--state", "fock-pair", "--n", "171", "--x-steps", "3",
+         "--check-radon", "-o", str(tmp_path / "t.csv")],
+    )
+    assert result.exit_code in (0, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 3:
+        assert "accuracy error: Radon projection did not stabilize" in result.output
+        assert "orders [96, 192, 384, 768]" in result.output
+
+
 def test_tomogram_invalid_lambda_exit_code(runner, tmp_path):
     result = runner.invoke(
         main,

@@ -139,6 +139,18 @@ def test_rejection_matches_closed_form(state, theta1, theta2):
         assert abs(got - want) < 4.0 * se
 
 
+@pytest.mark.parametrize("n", [86, 161])
+def test_rejection_envelope_resolves_high_n_fringes(n):
+    # a 201-point envelope scan missed the fringes of these tomograms and the
+    # sampler stopped with "density exceeds envelope"
+    state = FockPairSuperposition(n)
+    batch = sample_state(state, 0.3, 0.2, 2000, seed=86)
+    est = estimate_probs(batch)
+    truth = sign_binned_closed_form(state, 0.3, 0.2)
+    for got, se, want in zip(est.probs.as_tuple(), est.errors(), truth.as_tuple()):
+        assert abs(got - want) < 4.0 * se
+
+
 def test_estimate_chsh_against_deterministic():
     state = SqueezedVacuum(math.tanh(1.0))
     angles = BellAnglesQuadrature(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)

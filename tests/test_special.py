@@ -15,6 +15,7 @@ from tomobell.special import (
     gauss_legendre,
     hermite,
     laguerre,
+    laguerre_function,
     make_quadrature,
     periodic_trapezoid,
 )
@@ -142,6 +143,26 @@ def test_laguerre_coefficient_oracle():
 def test_laguerre_order_guard():
     with pytest.raises(DomainError):
         laguerre(250, 1.0)
+
+
+def test_laguerre_function_matches_weighted_polynomial():
+    for n in (0, 1, 2, 5, 9):
+        for x in (0.0, 0.4, 2.2, 7.5, 30.0):
+            want = math.exp(-0.5 * x) * laguerre_coefficient_oracle(n, x)
+            assert laguerre_function(n, x) == pytest.approx(want, rel=1e-10, abs=1e-14)
+    xs = np.array([1.0, 50.0, 300.0, 590.0])
+    for n in (60, 150):
+        want = np.exp(-0.5 * xs) * laguerre(n, xs)
+        assert np.allclose(laguerre_function(n, xs), want, rtol=1e-10, atol=1e-300)
+
+
+def test_laguerre_function_is_bounded_beyond_the_polynomial_guard():
+    # |e^{-x/2} L_n(x)| <= 1 for x >= 0; L_250 itself overflows at large x
+    xs = np.linspace(0.0, 5000.0, 2001)
+    vals = laguerre_function(250, xs)
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals)) <= 1.0
+    assert vals[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tomobell.errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from tomobell.special import bessel_i0, gauss_legendre
+from tomobell.special import bessel_i0, gauss_legendre, laguerre
 from tomobell.states import (
     DensityMatrix,
     ExplicitFock,
@@ -17,6 +17,7 @@ from tomobell.states import (
     partial_trace,
     schmidt_coefficients,
     wigner,
+    wigner_factors,
 )
 
 BENCHMARKS = [
@@ -192,6 +193,64 @@ def test_wigner_fock_pair_is_real_and_finite():
     vals = wigner(state, grid[:, None], 0.3, grid[None, :], -0.7)
     assert np.all(np.isfinite(vals))
     assert vals.dtype.kind == "f"
+
+
+def fock_pair_wigner_oracle(n, q1, p1, q2, p2):
+    """(2/pi^2) [1 + L_n(4|a1|^2) L_n(4|a2|^2) + 2 (4^n / n!) Re (a1 a2)^n] g1 g2, a = q - i p."""
+    cross = 2.0 * (4.0**n / math.factorial(n)) * (((q1 - 1j * p1) * (q2 - 1j * p2)) ** n).real
+    lag = laguerre(n, 4.0 * (q1**2 + p1**2)) * laguerre(n, 4.0 * (q2**2 + p2**2))
+    gauss = np.exp(-2.0 * (q1**2 + p1**2 + q2**2 + p2**2))
+    return (2.0 / math.pi**2) * (1.0 + cross + lag) * gauss
+
+
+def pair_coherent_wigner_oracle(r, q1, p1, q2, p2, order):
+    """The pair-coherent double angular integral, each two-mode exponent formed in one exp."""
+    phi = np.arange(order) * (2.0 * math.pi / order)
+    a1 = (q1 - 1j * p1)[..., None, None]
+    a2 = (q2 - 1j * p2)[..., None, None]
+    eip, eik = np.exp(1j * phi)[:, None], np.exp(1j * phi)[None, :]
+    exponent = (
+        2.0 * r * (a1 * eip + a2 / eip + a1.conj() / eik + a2.conj() * eik)
+        - 2.0 * r * r * np.cos(phi[:, None] - phi[None, :])
+    )
+    angular = np.exp(exponent).sum(axis=(-2, -1)).real * (2.0 * math.pi / order) ** 2
+    gauss = np.exp(-2.0 * (q1**2 + p1**2 + q2**2 + p2**2))
+    return angular * gauss / (math.pi**4 * bessel_i0(2.0 * r * r))
+
+
+def test_wigner_factor_form_matches_direct_sums():
+    rng = np.random.default_rng(5)
+    q1, p1, q2, p2 = rng.normal(scale=1.0, size=(4, 40))
+    for n in (1, 3, 8, 20):
+        got = wigner(FockPairSuperposition(n), q1, p1, q2, p2)
+        assert np.max(np.abs(got - fock_pair_wigner_oracle(n, q1, p1, q2, p2))) < 1e-14
+    for r in (0.5, 1.05, 2.0):
+        got = wigner(PairCoherent(r), q1, p1, q2, p2, angular_order=32)
+        want = pair_coherent_wigner_oracle(r, q1, p1, q2, p2, 32)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_wigner_factors_shapes():
+    q = np.zeros((2, 3))
+    for state, shape in ((FockPairSuperposition(2), (3, 1)), (PairCoherent(1.0), (20, 20))):
+        factors = wigner_factors(state, angular_order=20)
+        assert factors.coupling.shape == shape
+        for mode in (0, 1):
+            left, right = factors.mode(mode, q, q)
+            assert left.shape == (2, 3, shape[0]) and right.shape == (2, 3, shape[1])
+    with pytest.raises(UnsupportedStateError):
+        wigner_factors(SqueezedVacuum(0.5))
+
+
+@pytest.mark.parametrize("n", [171, 200])
+def test_wigner_fock_pair_beyond_factorial_overflow(n):
+    # 4^n / n! overflows from n = 171 on; |W| <= (2/pi)^2 for every pure state
+    state = FockPairSuperposition(n)
+    vals = np.array([wigner(state, 0.1, 0.2, 0.3, 0.1), wigner(state, 6.0, 3.0, -5.0, 4.0)])
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals)) <= 4.0 / math.pi**2
+    far = wigner(state, 150.0, 0.0, 150.0, 0.0)
+    assert far == 0.0
 
 
 def test_wigner_pair_coherent_origin_parity():

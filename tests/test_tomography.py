@@ -173,6 +173,76 @@ def test_symplectic_setting_validation():
     assert s.scale == pytest.approx(1.0)
 
 
+RADON_GRID = np.linspace(-2.0, 2.0, 9)
+RADON_ANGLES = ((0.0, 0.0), (0.3, -0.5), (1.1, 0.7))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.05, 1.5, 3.0])
+def test_radon_pair_coherent_matches_closed_form_on_grid(r):
+    state = PairCoherent(r)
+    xs = RADON_GRID
+    for t1, t2 in RADON_ANGLES:
+        closed = tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
+        numeric = radon_forward(state, xs[:, None], t1, xs[None, :], t2)
+        assert np.max(np.abs(closed - numeric)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_radon_fock_pair_matches_closed_form_on_grid(n):
+    state = FockPairSuperposition(n)
+    xs = RADON_GRID
+    for t1, t2 in RADON_ANGLES:
+        closed = tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
+        numeric = radon_forward(state, xs[:, None], t1, xs[None, :], t2)
+        assert np.max(np.abs(closed - numeric)) < 1e-12
+
+
+@pytest.mark.parametrize("state", [FockPairSuperposition(3), PairCoherent(1.05)])
+def test_radon_factored_projection_matches_dense_wigner_sum(state):
+    # one fixed 48-node rule, so only the per-mode contraction differs from
+    # the Gauss-Legendre sum of states.wigner over the full (t1, t2) grid;
+    # the grid and paired X layouts both exercise the distinct-X indexing
+    from tomobell.states import wigner_factors
+    from tomobell.tomography import _default_half_width, _project_dense, _project_factored
+
+    half = _default_half_width(state)
+    rule = gauss_legendre(48, -half, half)
+    s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
+    factors = wigner_factors(state, angular_order=32)
+    for x1, x2 in (
+        (np.array([[-1.2], [0.0], [0.4], [1.5]]), np.array([[-0.7, 0.1, 0.9]])),
+        (np.array([0.3, -0.8, 0.3, 1.1]), np.array([0.5, 0.5, -1.0, 0.2])),
+    ):
+        x1, x2 = np.broadcast_arrays(x1, x2)
+        dense = _project_dense(state, x1, s1, x2, s2, rule, 32)
+        factored = _project_factored(factors, x1, s1, x2, s2, rule)
+        assert factored.shape == dense.shape == x1.shape
+        assert np.max(np.abs(factored - dense)) < 1e-13
+
+
+def test_radon_convergence_error_names_orders_and_residuals():
+    # a 4-node rule cannot resolve the pair-coherent lines; the error names
+    # every order tried and the change at each doubling
+    from tomobell.states import wigner_factors
+    from tomobell.tomography import _default_half_width, _project_factored
+
+    state = PairCoherent(1.0)
+    with pytest.raises(ConvergenceError) as info:
+        radon_forward(state, 0.5, 0.0, 0.5, 0.0, order=4, max_doublings=2)
+    message = str(info.value)
+    assert "orders [4, 8, 16]" in message
+    half = _default_half_width(state)
+    x = np.array([0.5])
+    setting = SymplecticSetting.from_angle(0.0)
+    values = [
+        _project_factored(wigner_factors(state), x, setting, x, setting,
+                          gauss_legendre(m, -half, half))[0]
+        for m in (4, 8, 16)
+    ]
+    for before, after in zip(values[:-1], values[1:]):
+        assert f"{abs(after - before):.3e}" in message
+
+
 # ---------------------------------------------------------------------------
 # pair-coherent angular integral
 # ---------------------------------------------------------------------------
