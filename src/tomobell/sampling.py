@@ -20,7 +20,7 @@ import numpy as np
 from . import states as st
 from . import tomography as tg
 from .bell import BellAnglesQuadrature, chsh
-from .errors import DomainError, EnvelopeError, UnsupportedStateError
+from .errors import DomainError, EnvelopeError
 
 #: Default variance inflation of the Gaussian rejection envelope.
 DEFAULT_ENVELOPE_INFLATION = 1.5
@@ -190,20 +190,14 @@ def sample_rejection(
     )
 
 
-def default_envelope_sigma(
-    state, inflation: float = DEFAULT_ENVELOPE_INFLATION, cutoff: int = 64
-) -> float:
+def default_envelope_sigma(state, inflation: float = DEFAULT_ENVELOPE_INFLATION) -> float:
     """Gaussian envelope scale: sqrt(inflation * max per-mode quadrature variance)."""
     if isinstance(state, st.SqueezedVacuum):
         var = math.cosh(2.0 * state.s) / 4.0
-    elif isinstance(state, st.FockPairSuperposition):
-        var = (state.n + 1.0) / 4.0
-    elif isinstance(state, st.PairCoherent):
-        c = st.schmidt_coefficients(state, cutoff).coefficients
-        mean_n = float(np.sum(np.arange(cutoff) * c**2))
-        var = (2.0 * mean_n + 1.0) / 4.0
     else:
-        raise UnsupportedStateError(f"no envelope default for {type(state).__name__}")
+        c = st.significant_schmidt(state).coefficients
+        mean_n = float(np.sum(np.arange(c.size) * c**2))
+        var = (2.0 * mean_n + 1.0) / 4.0
     return math.sqrt(inflation * var)
 
 
@@ -215,31 +209,23 @@ def sample_state(
         return sample_gaussian_epr(
             state.s, theta1, theta2, count, seed, substream=substream
         )
-    if isinstance(state, (st.FockPairSuperposition, st.PairCoherent)):
 
-        def tomogram(x1, x2):
-            return tg.tomogram_closed_form(state, x1, theta1, x2, theta2)
+    def tomogram(x1, x2):
+        return tg.tomogram_closed_form(state, x1, theta1, x2, theta2)
 
-        sigma = default_envelope_sigma(state)
-        # The narrowest fringe: |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1))
-        # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 of the
-        # envelope gives 2n + 1 = 8 var - 1 (n is the top level of the Fock pair,
-        # twice the mean photon number of the pair-coherent state).  The scan
-        # over +/-6 sigma takes two points per lobe, and never fewer than 201.
-        var = sigma**2 / DEFAULT_ENVELOPE_INFLATION
-        lobes = 12.0 * sigma * math.sqrt(2.0 * (8.0 * var - 1.0)) / math.pi
-        return sample_rejection(
-            tomogram,
-            theta1,
-            theta2,
-            count,
-            seed,
-            envelope_sigma=sigma,
-            scan_points=max(201, 2 * math.ceil(lobes) + 1),
-            substream=substream,
-            state_label=repr(state),
-        )
-    raise UnsupportedStateError(f"cannot sample from {type(state).__name__}")
+    sigma = default_envelope_sigma(state)
+    # The narrowest fringe: |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1))
+    # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 of the
+    # envelope gives 2n + 1 = 8 var - 1 (n is the top level of the Fock pair,
+    # twice the mean photon number of the pair-coherent state).  The scan
+    # over +/-6 sigma takes two points per lobe, and never fewer than 201.
+    var = sigma**2 / DEFAULT_ENVELOPE_INFLATION
+    lobes = 12.0 * sigma * math.sqrt(2.0 * (8.0 * var - 1.0)) / math.pi
+    return sample_rejection(
+        tomogram, theta1, theta2, count, seed, envelope_sigma=sigma,
+        scan_points=max(201, 2 * math.ceil(lobes) + 1), substream=substream,
+        state_label=repr(state),
+    )
 
 
 def estimate_probs(batch: SampleBatch) -> EstimatedProbs:

@@ -68,14 +68,24 @@ def hermite(n: int, x):
 def hermite_functions(x):
     """Yield psi_k(x) = H_k(x) e^{-x^2/2} / sqrt(2^k k! sqrt(pi)) for k = 0, 1, ...
 
-    The three-term recurrence never forms k! or 2^k, so no order guard is needed.
+    The three-term recurrence never forms k! or 2^k.  Past |x| = 34.6, where
+    e^{-x^2/2} < e^{-600} but psi_k (k > x^2/2) is of order one, it runs on
+    psi_k e^s, s = x^2/2 - 600, scaled by 2^-512 whenever it passes 2^512.
     """
     x = np.asarray(x, dtype=float)
-    prev, cur, k = 0.0 * x, math.pi**-0.25 * np.exp(-0.5 * x * x), 0
+    shift = np.maximum(0.5 * x * x - 600.0, 0.0)
+    prev, cur, k = 0.0 * x, math.pi**-0.25 * np.exp(shift - 0.5 * x * x), 0
+    wide = bool(shift.any())
+    unshift = np.exp(-shift)
     while True:
-        yield cur
+        yield cur * unshift if wide else cur
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
         k += 1
+        if wide and np.max(np.abs(cur)) > 2.0**512:
+            big = np.abs(cur) > 2.0**512
+            cur, prev = (np.where(big, v * 2.0**-512, v) for v in (cur, prev))
+            shift = shift - big * (512 * math.log(2.0))
+            unshift = np.exp(-shift)
 
 
 def laguerre(n: int, x, alpha: float = 0.0):

@@ -29,6 +29,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -236,6 +237,21 @@ def schmidt_coefficients(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> S
     raise UnsupportedStateError(
         f"schmidt_coefficients needs a pure benchmark state, got {type(state).__name__}"
     )
+
+
+@lru_cache(maxsize=128)
+def significant_schmidt(state: TwoModeState) -> SchmidtVector:
+    """c_n up to the last c_n^2 > 1e-32, from levels that miss at most 1e-12 of the norm.
+
+    The level count doubles from 64 until the last level is below 1e-32: no cap.
+    """
+    levels = DEFAULT_CUTOFF
+    while True:
+        schmidt = schmidt_coefficients(state, levels)
+        c = schmidt.coefficients
+        if schmidt.deficit <= 1e-12 and c[-1] ** 2 <= 1e-32:
+            return SchmidtVector(c[: np.flatnonzero(c * c > 1e-32)[-1] + 1])
+        levels *= 2
 
 
 def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> DensityMatrix:

@@ -11,17 +11,17 @@ Closed forms, in the package convention (vacuum quadrature variance 1/4):
                     the squeezed-vacuum Wigner function produces, and the only
                     form consistent with the arctan(b/N) quadrant probabilities.
 
-  Fock pair         w = |psi_0(u1) psi_0(u2) + e^{-i n (t1+t2)} psi_n(u1) psi_n(u2)|^2
-                    with u = sqrt(2) X and psi_k the normalized Hermite functions.
-                    The angle argument is the *sum* t1 + t2: every Schmidt-diagonal
-                    state sum_n c_n e^{-i n (t1+t2)} psi_n(X1) psi_n(X2) depends on
-                    the angles only through their sum, as the Radon oracle confirms.
+  Fock pair and     w = 2 |sum_n c_n e^{-i n (t1+t2)} psi_n(u1) psi_n(u2)|^2
+  pair coherent     over the Schmidt vector |psi> = sum_n c_n |n n>, with
+                    u = sqrt(2) X and psi_k the normalized Hermite functions.
+                    Every Schmidt-diagonal state depends on the angles only
+                    through their sum t1 + t2, as the Radon oracle confirms.
 
-  pair coherent     w = |I(sqrt(2) X1, sqrt(2) X2)|^2 exp(-2 X1^2 - 2 X2^2)
-                    / (2 pi^3 I0(2 r^2)), with the angular integral I given
-                    either by direct quadrature of its shifted form or by the
-                    Hermite series 2 pi sum_n H_n(x1) H_n(x2) alpha^{2n} /
-                    (2^n (n!)^2), alpha = r exp(-i (t1+t2)/2).
+The pair-coherent angular integral I(sqrt(2) X1, sqrt(2) X2), with
+w = |I|^2 exp(-2 X1^2 - 2 X2^2) / (2 pi^3 I0(2 r^2)), is kept as two test
+oracles of that sum: direct quadrature of its shifted form, and the Hermite
+series 2 pi sum_n H_n(x1) H_n(x2) alpha^{2n} / (2^n (n!)^2),
+alpha = r exp(-i (t1+t2)/2).
 
 Sign-binned probabilities are scale invariant; beyond the squeezed vacuum
 they come from a Fock-basis sum over the Schmidt vector (sign_binned_closed_form).
@@ -44,7 +44,7 @@ from .errors import (
     NormalizationError,
     UnsupportedStateError,
 )
-from .special import bessel_i0, gauss_legendre, hermite_functions, laguerre, periodic_trapezoid
+from .special import gauss_legendre, hermite_functions, laguerre, periodic_trapezoid
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
@@ -140,8 +140,8 @@ def _default_half_width(state) -> float:
     if isinstance(state, st.SqueezedVacuum):
         return 3.5 * math.exp(state.s) / 2.0 + 2.0
     if isinstance(state, st.FockPairSuperposition):
-        # at least 4.4, where the vacuum term exp(-2 t^2) falls below 1e-16
-        return max(4.4, 3.0 + 0.7 * state.n)
+        # past |n>'s turning point sqrt(n + 1/2); at least 4.4, where exp(-2 t^2) < 1e-16
+        return max(4.4, 3.0 + math.sqrt(state.n + 0.5))
     if isinstance(state, st.PairCoherent):
         return 4.0 + 1.7 * state.r
     raise UnsupportedStateError(f"no Wigner evaluator for {type(state).__name__}")
@@ -251,37 +251,28 @@ def radon_forward(state, x1, theta1, x2, theta2, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def tomogram_closed_form(state, x1, theta1, x2, theta2, *, series_tol: float = 1e-12):
+def tomogram_closed_form(state, x1, theta1, x2, theta2):
     """Closed-form tomogram of a benchmark state (vectorized over X1, X2)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    scalar = x1.ndim == 0 and x2.ndim == 0
-    x1, x2 = np.broadcast_arrays(x1, x2)
-
     if isinstance(state, st.SqueezedVacuum):
         par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
         val = (2.0 / math.pi) * par.norm * np.exp(
             -2.0 * par.a * x1**2 - 2.0 * par.a * x2**2 - 4.0 * par.b * x1 * x2
         )
-    elif isinstance(state, st.FockPairSuperposition):
-        vac = np.exp(-(x1**2 + x2**2)) / math.sqrt(math.pi)  # psi_0(u1) psi_0(u2)
-        exc = _psi(state.n, math.sqrt(2.0) * x1) * _psi(state.n, math.sqrt(2.0) * x2)
-        val = vac**2 + 2.0 * vac * exc * math.cos(state.n * (theta1 + theta2)) + exc**2
-    elif isinstance(state, st.PairCoherent):
-        phi0 = 0.5 * (theta1 + theta2)
-        integral = pair_coherent_integral_series(
-            math.sqrt(2.0) * x1, math.sqrt(2.0) * x2, phi0, state.r, tol=series_tol
-        )
-        val = (
-            np.abs(integral) ** 2
-            * np.exp(-2.0 * (x1**2 + x2**2))
-            / (2.0 * math.pi**3 * bessel_i0(2.0 * state.r**2))
-        )
     else:
-        raise UnsupportedStateError(
-            f"no closed-form tomogram for {type(state).__name__}"
-        )
-    return float(val) if scalar and np.ndim(val) == 0 else val
+        theta = theta1 + theta2
+        psi1 = hermite_functions(math.sqrt(2.0) * x1)
+        psi2 = hermite_functions(math.sqrt(2.0) * x2)
+        coefficients = st.significant_schmidt(state).coefficients
+        re = im = 0.0
+        for n, (c, f1, f2) in enumerate(zip(coefficients, psi1, psi2)):
+            if c != 0.0:
+                term = f1 * f2
+                re += term * (c * math.cos(n * theta))
+                im += term * (c * math.sin(n * theta))
+        val = 2.0 * (re * re + im * im)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def pair_coherent_integral_direct(x1, theta1, x2, theta2, r, order: int = 256) -> complex:
@@ -446,14 +437,13 @@ def sign_binned_closed_form(
 
 @lru_cache(maxsize=128)
 def _sign_harmonics(state):
-    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 over the levels with Schmidt weight c_n^2 > 1e-32."""
-    schmidt = st.schmidt_coefficients(state, MAX_SCHMIDT_LEVELS)
-    if schmidt.deficit > 1e-12:
+    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 over the significant Schmidt levels of the state."""
+    c = st.significant_schmidt(state).coefficients
+    if c.size > MAX_SCHMIDT_LEVELS:
+        missed = 1.0 - float(np.sum(c[:MAX_SCHMIDT_LEVELS] ** 2))
         raise ConvergenceError(
-            f"{MAX_SCHMIDT_LEVELS} Fock levels of {state} miss {schmidt.deficit:.3e} of the norm"
+            f"{MAX_SCHMIDT_LEVELS} Fock levels of {state} miss {missed:.3e} of the norm"
         )
-    c = schmidt.coefficients
-    c = c[: np.flatnonzero(c * c > 1e-32)[-1] + 1]
     k = np.arange(c.size)
     weights = np.outer(c, c) * sign_matrix(c.size) ** 2
     return np.bincount(np.abs(np.subtract.outer(k, k)).ravel(), weights=weights.ravel())
@@ -473,11 +463,6 @@ def sign_matrix(levels: int) -> np.ndarray:
     return (np.outer(dpsi0, psi0) - np.outer(psi0, dpsi0)) / np.where(diff == 0, 1, diff)
 
 
-def _psi(n: int, u):
-    """The normalized Hermite function psi_n(u)."""
-    return next(islice(hermite_functions(u), n, None))
-
-
 # ---------------------------------------------------------------------------
 # Single-mode quadrature densities (inputs to the reconstruction routines)
 # ---------------------------------------------------------------------------
@@ -492,7 +477,8 @@ def vacuum_quadrature_density(x, theta=0.0):
 
 def fock_quadrature_density(n, x, theta=0.0):
     """Homodyne density |psi_n(X)|^2 of the Fock state |n>, angle independent."""
-    val = math.sqrt(2.0) * _psi(n, math.sqrt(2.0) * np.asarray(x, dtype=float)) ** 2
+    psi = hermite_functions(math.sqrt(2.0) * np.asarray(x, dtype=float))
+    val = math.sqrt(2.0) * next(islice(psi, n, None)) ** 2
     return float(val) if val.ndim == 0 else val + 0.0 * np.asarray(theta)
 
 

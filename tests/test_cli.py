@@ -124,6 +124,15 @@ def test_tomogram_fock_pair_n171_check_radon_reports_without_traceback(runner, t
         assert "orders [96, 192, 384, 768]" in result.output
 
 
+def test_tomogram_pair_coherent_r6_runs_clean(runner, tmp_path):
+    # the Hermite series overflowed here and exited 3
+    result = runner.invoke(
+        main, ["tomogram", "--state", "pair-coherent", "--r", "6", "-o", str(tmp_path / "t.csv")]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+
+
 def test_tomogram_invalid_lambda_exit_code(runner, tmp_path):
     result = runner.invoke(
         main,

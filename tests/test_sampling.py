@@ -18,7 +18,12 @@ from tomobell.sampling import (
     sample_state,
     substream_generator,
 )
-from tomobell.states import FockPairSuperposition, PairCoherent, SqueezedVacuum
+from tomobell.states import (
+    FockPairSuperposition,
+    PairCoherent,
+    SqueezedVacuum,
+    schmidt_coefficients,
+)
 from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
 
 
@@ -111,6 +116,14 @@ def test_rejection_vacuum_acceptance_rate():
     want = 1.0 / m_bound
     se = math.sqrt(want * (1.0 - want) / batch.count)
     assert abs(batch.acceptance_rate - want) < 4.0 * se
+
+
+def test_envelope_sigma_uses_every_pair_coherent_level():
+    # the first 64 levels miss 51% of the norm at r = 8 (sigma 4.69, not 6.94)
+    c = schmidt_coefficients(PairCoherent(8.0), 512).coefficients
+    mean_n = float(np.sum(np.arange(c.size) * c**2))
+    want = math.sqrt(1.5 * (2.0 * mean_n + 1.0) / 4.0)
+    assert default_envelope_sigma(PairCoherent(8.0)) == pytest.approx(want, rel=1e-14)
 
 
 def test_rejection_envelope_violation_reported():

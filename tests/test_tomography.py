@@ -187,7 +187,7 @@ def test_radon_pair_coherent_matches_closed_form_on_grid(r):
         assert np.max(np.abs(closed - numeric)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 40, 70, 100, 120])
 def test_radon_fock_pair_matches_closed_form_on_grid(n):
     state = FockPairSuperposition(n)
     xs = RADON_GRID
@@ -277,6 +277,23 @@ def test_pair_coherent_series_vs_direct():
         assert abs(direct - series) < 1e-8
 
 
+@pytest.mark.parametrize("r", [0.5, 1.05, 3.0, 6.0, 8.0])
+def test_tomogram_pair_coherent_matches_direct_integral(r):
+    # the Hermite series overflows before it converges from r = 6 on; the
+    # Schmidt sum of the closed form does not
+    for x1, x2, theta_sum in ((0.3, -0.8, 0.4), (1.7, 2.1, 2.3), (-1.2, 0.6, -1.1)):
+        integral = pair_coherent_integral_direct(
+            math.sqrt(2.0) * x1, theta_sum, math.sqrt(2.0) * x2, 0.0, r, order=1024
+        )
+        want = (
+            abs(integral) ** 2
+            * math.exp(-2.0 * (x1**2 + x2**2))
+            / (2.0 * math.pi**3 * bessel_i0(2.0 * r * r))
+        )
+        got = tomogram_closed_form(PairCoherent(r), x1, theta_sum, x2, 0.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_pair_coherent_integral_order_guard():
     with pytest.raises(DomainError):
         pair_coherent_integral_direct(0.0, 0.0, 0.0, 0.0, 1.0, order=32)
@@ -309,6 +326,28 @@ def test_tomogram_fock_pair_large_n_is_normalized():
     )
     assert np.all(np.isfinite(vals))
     assert float(rule.weights @ vals @ rule.weights) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_tomogram_fock_pair_past_the_sign_level_cap_is_normalized():
+    # 1500 levels exceed the cap on the sign-correlation G matrix, which must
+    # not reach the tomogram; psi_1500(sqrt(2) X) extends to |X| = 38.7, where
+    # exp(-X^2) alone underflows.  The trapezoid rule on a uniform grid is
+    # spectrally accurate for these smooth, decaying integrands.
+    state = FockPairSuperposition(1500)
+    xs = np.linspace(-42.0, 42.0, 4201)
+    total = 0.0
+    for rows in np.array_split(xs, 8):
+        vals = tomogram_closed_form(state, rows[:, None], 0.3, xs[None, :], 0.2)
+        assert np.all(np.isfinite(vals))
+        total += float(vals.sum())
+    assert total * (xs[1] - xs[0]) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hermite_functions_normalized_past_the_gaussian_underflow():
+    # psi_1500 reaches |x| = 54.8, but e^{-x^2/2} alone underflows from x = 38.6 on
+    x = np.linspace(-60.0, 60.0, 4001)
+    psi = [p for _, p in zip(range(1501), hermite_functions(x))][-1]
+    assert float(np.sum(psi**2)) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hermite_functions_are_orthonormal():
