@@ -134,15 +134,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def format_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Header plus one line per row, every value as %.12g (an integer n prints as n)."""
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    body = (line * len(values)) % tuple(values.ravel().tolist())
+    atomic_write_text(path, ",".join(header) + "\n" + body)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -572,7 +569,7 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
     t2 = parse_angle(theta2)
     batch = smp.sample_state(state, t1, t2, count, seed)
     est = smp.estimate_probs(batch)
-    write_csv(out, ["X1", "X2"], [[float(a), float(b)] for a, b in batch.pairs])
+    write_csv(out, ["X1", "X2"], batch.pairs)
     sidecar = {
         "state": state_label(kind, value),
         "theta1": t1,
@@ -580,6 +577,8 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         "seed": seed,
         "count": count,
         "acceptance_rate": batch.acceptance_rate,
+        "rounds": batch.rounds,
+        "envelope_constant": batch.envelope_constant,
         "estimated_probs": {
             "w_pp": est.probs.w_pp, "w_pm": est.probs.w_pm,
             "w_mp": est.probs.w_mp, "w_mm": est.probs.w_mm,

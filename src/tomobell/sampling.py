@@ -25,7 +25,12 @@ from .errors import DomainError, EnvelopeError
 #: Default variance inflation of the Gaussian rejection envelope.
 DEFAULT_ENVELOPE_INFLATION = 1.5
 
-_SCAN_BLOCK = 1 << 20  # grid points per block of the envelope scan
+#: Points per tomogram evaluation, in the envelope scan and in each proposal
+#: block: small enough that the temporaries of the level sum stay in cache.
+_BLOCK = 1 << 14
+
+#: The sampler never gives up before this many proposal rounds.
+_MIN_ROUNDS = 400
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,8 @@ class SampleBatch:
     state_label: str
     substream: int = 0
     acceptance_rate: float | None = None
+    rounds: int | None = None  # proposal rounds of a rejection sampler
+    envelope_constant: float | None = None  # its M, with w <= M g
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=float)
@@ -120,7 +127,6 @@ def sample_rejection(
     scan_points: int = 201,
     substream: int = 0,
     state_label: str = "custom",
-    max_rounds: int = 400,
 ) -> SampleBatch:
     """Rejection sampling of a joint quadrature density w(X1, X2).
 
@@ -128,7 +134,10 @@ def sample_rejection(
     ``envelope_sigma``.  The envelope constant M (with w <= M * proposal) is
     taken from ``bound_factor`` or estimated by a grid scan with a 10%
     safety margin; any proposal where the density exceeds the envelope
-    aborts with an envelope error naming the offending point.
+    aborts with an envelope error naming the offending point.  Rounds draw
+    max(1024, 2 * remaining) proposals each; the sampler gives up after
+    ``_round_limit`` rounds at the acceptance measured so far, and never
+    before round 400.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -143,25 +152,30 @@ def sample_rejection(
     if bound_factor is None:
         half = scan_half_width if scan_half_width is not None else 6.0 * envelope_sigma
         grid = np.linspace(-half, half, scan_points)
-        # rows in blocks of at most _SCAN_BLOCK grid points bound the scan's memory
         bound_factor = 1.1 * max(
             float(np.max(tomogram(rows[:, None], grid[None, :])
                          / proposal_density(rows[:, None], grid[None, :])))
-            for rows in np.array_split(grid, math.ceil(grid.size**2 / _SCAN_BLOCK))
+            for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK))
         )
 
     rng = substream_generator(seed, substream)
     accepted = []
     n_proposed = 0
     n_accepted = 0
-    for _ in range(max_rounds):
-        remaining = count - n_accepted
-        if remaining <= 0:
-            break
+    rounds = 0
+    while n_accepted < count:
+        if rounds >= _round_limit(count, n_accepted / n_proposed if n_proposed else 0.0):
+            raise EnvelopeError(
+                f"rejection sampler produced {n_accepted}/{count} samples in {rounds} rounds"
+            )
+        rounds += 1
         # modest oversampling keeps the loop count low and deterministic
-        block = max(1024, 2 * remaining)
+        block = max(1024, 2 * (count - n_accepted))
         x = rng.normal(scale=envelope_sigma, size=(block, 2))
-        target = np.asarray(tomogram(x[:, 0], x[:, 1]), dtype=float)
+        target = np.concatenate([
+            np.asarray(tomogram(part[:, 0], part[:, 1]), dtype=float)
+            for part in np.split(x, range(_BLOCK, block, _BLOCK))
+        ])
         cap = bound_factor * proposal_density(x[:, 0], x[:, 1])
         overshoot = target > cap * (1.0 + 1e-12)
         if np.any(overshoot):
@@ -174,10 +188,6 @@ def sample_rejection(
         n_proposed += block
         n_accepted += int(np.count_nonzero(keep))
         accepted.append(x[keep])
-    else:
-        raise EnvelopeError(
-            f"rejection sampler produced {n_accepted}/{count} samples in {max_rounds} rounds"
-        )
     pairs = np.concatenate(accepted, axis=0)[:count]
     return SampleBatch(
         theta1=theta1,
@@ -187,7 +197,24 @@ def sample_rejection(
         substream=substream,
         state_label=state_label,
         acceptance_rate=n_accepted / n_proposed,
+        rounds=rounds,
+        envelope_constant=bound_factor,
     )
+
+
+def _round_limit(count: int, acceptance: float) -> int:
+    """Four times the rounds that ``count`` samples take at ``acceptance``, at least 400.
+
+    While more than 512 samples remain, a round accepts a fraction
+    2 * acceptance of them, so they fall to 512 within
+    ln(count / 512) / (2 * acceptance) rounds; the 1024-proposal rounds after
+    that take at most 1 / (2 * acceptance) more.  With nothing accepted yet
+    the limit is 400.
+    """
+    if acceptance <= 0.0:
+        return _MIN_ROUNDS
+    need = (1.0 + math.log(max(count, 512) / 512)) / (2.0 * acceptance)
+    return max(_MIN_ROUNDS, math.ceil(4.0 * need))
 
 
 def default_envelope_sigma(state, inflation: float = DEFAULT_ENVELOPE_INFLATION) -> float:

@@ -187,6 +187,60 @@ def test_sample_deterministic_artifacts(runner, tmp_path):
     assert sidecar["state"] == {"kind": "epr", "lambda": 0.54}
 
 
+# SHA-256 of the sample CSV at --count 2000: a change to the number format, to
+# the random stream or to any accept decision of the sampler shows here.
+SAMPLE_GOLDEN = [
+    (["--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2", "--theta2", "-pi/4"],
+     "825538ce0a506627abd3009557376f495146faedf362428597b8a2fe4975000b"),
+    (["--state", "fock-pair", "--n", "3"],
+     "0559e478edc662448976a10a41ed5938f8ad03076d72dd3a91d6628b7260abe4"),
+    (["--state", "epr", "--lambda", "0.54", "--seed", "77"],
+     "2fb36f67cf77c97bc5915809e8a4d63be476f50b6e18773433175e4c8954e567"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SAMPLE_GOLDEN)
+def test_sample_csv_golden_digest(runner, tmp_path, args, digest):
+    out = str(tmp_path / "batch.csv")
+    result = runner.invoke(main, ["sample", *args, "--count", "2000", "-o", out])
+    assert result.exit_code == 0, result.output
+    assert sha(out) == digest
+
+
+def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
+    out = str(tmp_path / "batch.csv")
+    args = ["sample", "--state", "fock-pair", "--n", "3", "--count", "2000", "-o", out]
+    assert runner.invoke(main, args).exit_code == 0
+    sidecar = json.load(open(str(tmp_path / "batch.json")))
+    manifest = json.load(open(out + ".manifest.json"))["effective_config"]
+    for record in (sidecar, manifest):
+        assert record["rounds"] >= 1
+        # a normalized density is accepted at the rate 1 / M
+        assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(1.0, abs=0.1)
+
+
+def _old_csv_text(header, rows):
+    """The per-value rule write_csv replaced: %.12g for floats, str() otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0.1, -0.3], [5, 2.0 / 3.0, 1e-300], [12, math.pi, -1.0]],
+    [[-0.0, 5e-324, 123456789012345.0], [1e22, 0.5, -2.5e-7]],
+    np.array([[0.1, -1.0 / 3.0], [7.0, 1e-12], [-0.0, 2.0**60]]),
+    [],
+])
+def test_write_csv_matches_per_value_rule(tmp_path, rows):
+    header = ["a", "b", "c"] if len(rows) == 0 or len(rows[0]) == 3 else ["a", "b"]
+    path = str(tmp_path / "t.csv")
+    cli.write_csv(path, header, rows)
+    with open(path) as fh:
+        assert fh.read() == _old_csv_text(header, rows)
+
+
 def test_bell_scan_summary(runner, tmp_path):
     out = str(tmp_path / "scan.csv")
     result = runner.invoke(

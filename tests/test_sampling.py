@@ -136,6 +136,47 @@ def test_rejection_envelope_violation_reported():
         )
 
 
+def test_rejection_low_acceptance_runs_past_400_rounds():
+    # a narrow Gaussian under a unit envelope with the exact bound M = 1 / s0^2
+    # accepts s0^2 = 0.09% of proposals: about 930 rounds for 1000 samples
+    s0 = 0.03
+
+    def narrow_density(x1, x2):
+        return np.exp(-0.5 * (x1**2 + x2**2) / s0**2) / (2.0 * math.pi * s0**2)
+
+    m_bound = 1.0 / s0**2
+    batch = sample_rejection(
+        narrow_density, 0.0, 0.0, 1000, seed=5, envelope_sigma=1.0, bound_factor=m_bound
+    )
+    assert batch.count == 1000
+    assert batch.rounds > 400
+    assert batch.envelope_constant == m_bound
+    proposals = batch.count / batch.acceptance_rate
+    assert abs(batch.acceptance_rate - s0**2) < 4.0 * math.sqrt(s0**2 / proposals)
+    assert np.std(batch.pairs, axis=0) == pytest.approx([s0, s0], rel=0.1)
+
+
+def test_rejection_without_acceptance_gives_up_at_400_rounds():
+    def empty_density(x1, x2):
+        return np.zeros_like(x1)
+
+    with pytest.raises(EnvelopeError, match=r"produced 0/10 samples in 400 rounds"):
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, envelope_sigma=1.0, bound_factor=1.0)
+
+
+def test_rejection_batch_records_rounds_and_envelope_constant():
+    state = FockPairSuperposition(3)
+    batch = sample_state(state, 0.3, 0.2, 3000, seed=8)
+    assert batch.rounds >= 1
+    # the scanned bound has a 10% margin over the density / proposal ratio
+    sigma = default_envelope_sigma(state)
+    x = batch.pairs
+    proposal = np.exp(-0.5 * (x[:, 0] ** 2 + x[:, 1] ** 2) / sigma**2) / (2.0 * math.pi * sigma**2)
+    ratio = tomogram_closed_form(state, x[:, 0], 0.3, x[:, 1], 0.2) / proposal
+    assert np.max(ratio) <= batch.envelope_constant
+    assert sample_gaussian_epr(1.0, 0.0, 0.0, 10, seed=1).rounds is None
+
+
 @pytest.mark.parametrize(
     "state,theta1,theta2",
     [
