@@ -231,6 +231,119 @@ def chsh(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
     return abs(e_ab + e_abp + e_apb - e_apbp)
 
 
+@dataclass(frozen=True)
+class NelderMeadResult:
+    """Where a Nelder-Mead run ended and what it spent getting there.
+
+    ``converged`` is False when ``max_iter`` evaluations or iterations ran out
+    before the ``xatol``/``fatol`` test passed.
+    """
+
+    x: np.ndarray
+    fun: float
+    evaluations: int
+    iterations: int
+    converged: bool
+
+
+class _BudgetSpent(Exception):
+    """The objective was asked for one evaluation past the budget."""
+
+
+def _nelder_mead(func, x0, xatol: float, fatol: float, max_iter: int) -> NelderMeadResult:
+    """Minimize ``func`` by the simplex method of Nelder & Mead, Comput. J. 7, 308 (1965).
+
+    The non-adaptive variant, step for step as the usual reference
+    ``minimize(method="Nelder-Mead")`` takes it with ``maxiter = maxfev =
+    max_iter``, so both return the same floats (``tests/test_bell.py`` checks
+    this bit for bit): the initial simplex x_k -> 1.05 x_k, or 0.00025 where
+    x_k == 0; reflection 1, expansion 2, contraction 1/2 and shrink 1/2, as
+    the same float products; an argsort reordering after every iteration;
+    and the stopping test max |x_j - x_0| <= xatol and max |f_j - f_0| <=
+    fatol.  An exhausted evaluation budget ends the run partway through an
+    iteration.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        if evaluations >= max_iter:
+            raise _BudgetSpent
+        evaluations += 1
+        return func(x)
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return sim[order], fsim[order]
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as the reference does: argsort need not leave tied values in place
+    sim, fsim = by_value(*by_value(sim, fsim))
+
+    iterations = 1
+    while evaluations < max_iter and iterations < max_iter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+
+    converged = evaluations < max_iter and iterations < max_iter
+    return NelderMeadResult(sim[0], float(np.min(fsim)), evaluations, iterations, converged)
+
+
+@dataclass(frozen=True)
+class ChshMaximum:
+    """The best angles and CHSH value; unpacks as ``(angles, value)``.
+
+    ``refine`` is the Nelder-Mead record, or None when no refinement ran.
+    """
+
+    angles: BellAnglesQuadrature
+    value: float
+    refine: NelderMeadResult | None
+
+    def __iter__(self):
+        return iter((self.angles, self.value))
+
+
 def maximize_chsh(
     correlation,
     *,
@@ -239,13 +352,14 @@ def maximize_chsh(
     xatol: float = 1e-9,
     fatol: float = 1e-13,
     max_iter: int = 4000,
-):
+) -> ChshMaximum:
     """Maximize the CHSH value over four angles for E(theta1, theta2).
 
     A coarse deterministic search tabulates E on a ``grid_points``^2 angle
     grid (so the full grid_points^4 CHSH lattice costs only grid_points^2
     correlation evaluations) and the best cell seeds a Nelder-Mead
-    refinement.  Returns (BellAnglesQuadrature, value).
+    refinement.  Returns a ``ChshMaximum``, which unpacks as
+    (BellAnglesQuadrature, value).
     """
     thetas = np.arange(grid_points) * (TWO_PI / grid_points)
     table = np.empty((grid_points, grid_points))
@@ -269,8 +383,8 @@ def maximize_chsh(
     start = np.array([thetas[i], thetas[j], thetas[k], thetas[l]])
     best_val = float(flat[best])
 
+    result = None
     if refine:
-        from scipy.optimize import minimize
 
         def negative(x):
             return -chsh(
@@ -280,20 +394,10 @@ def maximize_chsh(
                 correlation(x[1], x[3]),
             )
 
-        res = minimize(
-            negative,
-            start,
-            method="Nelder-Mead",
-            options={
-                "xatol": xatol,
-                "fatol": fatol,
-                "maxiter": max_iter,
-                "maxfev": max_iter,
-            },
-        )
-        if -res.fun >= best_val:
-            best_val = float(-res.fun)
-            start = np.asarray(res.x, dtype=float)
+        result = _nelder_mead(negative, start, xatol, fatol, max_iter)
+        if -result.fun >= best_val:
+            best_val = float(-result.fun)
+            start = result.x
 
     angles = BellAnglesQuadrature(start[0], start[1], start[2], start[3])
-    return angles, best_val
+    return ChshMaximum(angles, best_val, result)

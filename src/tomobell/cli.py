@@ -537,8 +537,9 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
         corr = _tomographic_correlation_fn(state)
     else:
         corr, _ = _pseudospin_correlation_fn(kind, state, cutoff)
-    angles, best = bell.maximize_chsh(corr, grid_points=grid_points)
-    reduced = angles.reduced()
+    found = bell.maximize_chsh(corr, grid_points=grid_points)
+    best, refine = found.value, found.refine
+    reduced = found.angles.reduced()
     payload = {
         "method": mode,
         "state": state_label(kind, value),
@@ -549,6 +550,8 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
         },
         "effective_config": {"grid_points": grid_points, "cutoff": cutoff,
                              "quad_order": quad_order},
+        "refine": {"evaluations": refine.evaluations, "iterations": refine.iterations,
+                   "converged": refine.converged},
     }
     write_json(out, payload)
     click.echo(f"max B = {best:.8f}")

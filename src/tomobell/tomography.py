@@ -147,6 +147,18 @@ def _default_half_width(state) -> float:
     raise UnsupportedStateError(f"no Wigner evaluator for {type(state).__name__}")
 
 
+def _fringe_doublings(state, half_width: float, order: int) -> int:
+    """Doublings that take ``order`` to 8 nodes per fringe, never fewer than 3.
+
+    The top Schmidt level n of the state makes about half_width * sqrt(n)
+    fringes along a line of that half-width.  8 nodes per fringe is where
+    the Fock pair at n = 140 first converges (1536 nodes).
+    """
+    top = st.significant_schmidt(state).coefficients.size - 1
+    nodes = 8.0 * half_width * math.sqrt(top)
+    return max(3, math.ceil(math.log2(max(1.0, nodes / order))))
+
+
 def radon_forward_symplectic(
     state,
     x1,
@@ -156,7 +168,7 @@ def radon_forward_symplectic(
     *,
     half_width: float | None = None,
     order: int = 96,
-    max_doublings: int = 3,
+    max_doublings: int | None = None,
     tol: float = 1e-8,
     angular_order: int = st.DEFAULT_ANGULAR_ORDER,
 ):
@@ -166,7 +178,9 @@ def radon_forward_symplectic(
     q = mu X / r^2 - (nu / r) t, p = nu X / r^2 + (mu / r) t with
     r = sqrt(mu^2 + nu^2); the tomogram is the double line integral of the
     Wigner function divided by r1 r2.  The Gauss-Legendre order is doubled
-    until two successive estimates agree to ``tol``.
+    until two successive estimates agree to ``tol``, at most ``max_doublings``
+    times; by default 3 for the Gaussian squeezed vacuum and, for the other
+    states, enough to reach 8 nodes per fringe (``_fringe_doublings``).
 
     The Fock pair and the pair-coherent state are projected through the
     factor form of their Wigner function (``states.wigner_factors``): each
@@ -184,6 +198,8 @@ def radon_forward_symplectic(
         None if isinstance(state, st.SqueezedVacuum)
         else st.wigner_factors(state, angular_order=angular_order)
     )
+    if max_doublings is None:
+        max_doublings = 3 if factors is None else _fringe_doublings(state, half_width, order)
 
     prev = None
     residuals = []

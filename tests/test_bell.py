@@ -8,6 +8,7 @@ import pytest
 from tomobell.bell import (
     BellAnglesQuadrature,
     PseudospinSettings,
+    _nelder_mead,
     chsh,
     closed_form_correlation,
     correlation_pseudospin,
@@ -295,6 +296,76 @@ def test_maximize_chsh_random_product_forms_stay_local():
 def test_maximize_chsh_rejects_non_finite():
     with pytest.raises(AccuracyError):
         maximize_chsh(lambda t1, t2: math.nan, grid_points=4)
+
+
+def _pair_coherent_chsh_objective(x):
+    state = PairCoherent(1.1)
+
+    def corr(t1, t2):
+        return correlation_tomographic(sign_binned_closed_form(state, t1, t2))
+
+    return -chsh(corr(x[0], x[2]), corr(x[0], x[3]), corr(x[1], x[2]), corr(x[1], x[3]))
+
+
+def _scipy_nelder_mead(func, x0, max_iter, callback=None):
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.minimize(
+        func, x0, method="Nelder-Mead", callback=callback,
+        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": max_iter, "maxfev": max_iter},
+    )
+
+
+def _assert_same_run(func, x0, max_iter):
+    want = _scipy_nelder_mead(func, x0, max_iter)
+    got = _nelder_mead(func, x0, 1e-9, 1e-13, max_iter)
+    assert np.array_equal(got.x, want.x) and got.fun == want.fun
+    assert (got.evaluations, got.iterations) == (want.nfev, want.nit)
+    assert got.converged == (want.status == 0)
+    return got
+
+
+# the 24-point grid cell that maximize_chsh starts from for PairCoherent(1.1)
+CHSH_START = list(np.array([0, 6, 9, 15]) * (2.0 * math.pi / 24))
+
+
+@pytest.mark.parametrize("func, x0", [
+    ("rosen", [1.3, 0.7, 0.8, 1.9]),
+    ("rosen", [0.0, 0.7, 0.0, 1.9]),  # zero coordinates take the 0.00025 step
+    ("chsh", CHSH_START),
+])
+def test_nelder_mead_matches_scipy_bit_for_bit(func, x0):
+    if func == "rosen":
+        func = pytest.importorskip("scipy.optimize").rosen
+    else:
+        func = _pair_coherent_chsh_objective
+    got = _assert_same_run(func, np.array(x0), 4000)
+    assert got.converged
+
+
+def test_nelder_mead_budget_ends_partway_through_a_shrink():
+    # evaluation counts at each iteration's end locate the first shrink (2 + 4 calls)
+    calls, marks = [0], []
+
+    def counted(x):
+        calls[0] += 1
+        return _pair_coherent_chsh_objective(x)
+
+    _scipy_nelder_mead(counted, np.array(CHSH_START), 4000,
+                       callback=lambda intermediate_result: marks.append(calls[0]))
+    k = next(k for k in range(1, len(marks)) if marks[k] - marks[k - 1] > 2)
+    assert marks[k] - marks[k - 1] == 6
+    # one reflection, one contraction and one shrunk vertex; the next vertex is refused
+    got = _assert_same_run(_pair_coherent_chsh_objective, np.array(CHSH_START), marks[k - 1] + 3)
+    assert not got.converged and got.evaluations == marks[k - 1] + 3
+
+
+def test_maximize_chsh_reports_its_refinement():
+    found = maximize_chsh(lambda t1, t2: math.cos(t1 - t2), max_iter=20)
+    angles, value = found
+    assert (angles, value) == (found.angles, found.value)
+    assert found.refine.evaluations == 20 and not found.refine.converged
+    assert maximize_chsh(lambda t1, t2: math.cos(t1 - t2)).refine.converged
+    assert maximize_chsh(lambda t1, t2: math.cos(t1 - t2), refine=False).refine is None
 
 
 def test_bell_angles_reduced():

@@ -1,5 +1,6 @@
 """CLI commands: artifacts, determinism, exit codes, config precedence."""
 
+import functools
 import hashlib
 import json
 import math
@@ -117,11 +118,20 @@ def test_tomogram_fock_pair_n171_check_radon_reports_without_traceback(runner, t
         ["tomogram", "--state", "fock-pair", "--n", "171", "--x-steps", "3",
          "--check-radon", "-o", str(tmp_path / "t.csv")],
     )
-    assert result.exit_code in (0, 3), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    if result.exit_code == 3:
-        assert "accuracy error: Radon projection did not stabilize" in result.output
-        assert "orders [96, 192, 384, 768]" in result.output
+    # the doubling budget follows the fringe count, so the check now passes
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+
+
+def test_tomogram_fock_pair_n140_check_radon_default_grid(runner, tmp_path):
+    # 768 nodes left changes [8.8e-3, 6.6e-3, 3.4e-8] and exit 3; the fringe budget reaches 1536
+    out = str(tmp_path / "t.csv")
+    result = runner.invoke(
+        main, ["tomogram", "--state", "fock-pair", "--n", "140", "--check-radon", "-o", out]
+    )
+    assert result.exit_code == 0, result.output
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh)["max_abs_difference"] < 1e-12
 
 
 def test_tomogram_pair_coherent_r6_runs_clean(runner, tmp_path):
@@ -464,14 +474,40 @@ def test_pseudospin_fock_curve_matches_per_point_correlation(
         assert abs(got - want) <= 1e-12
 
 
-def test_import_loads_no_scipy():
-    # scipy.optimize is imported inside maximize_chsh, not at startup
-    code = "import sys, tomobell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_import_loads_no_scipy(tmp_path):
+    # the CHSH optimizer is tomobell's own Nelder-Mead: neither startup nor optimize loads scipy
+    code = (
+        "import sys, tomobell.cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(scipy())\n"
+        "for mode in ('tomographic', 'pseudospin'):\n"
+        "    tomobell.cli.main(['optimize', '--state', 'pair-coherent', '--r', '1.1', '--mode', mode,\n"
+        "                       '-o', sys.argv[1] + mode + '.json'], standalone_mode=False)\n"
+        "print(scipy())\n"
+    )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "opt_")],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and lines[0] == lines[-1] == "[]"
+
+
+def test_optimize_reports_whether_the_refinement_converged(runner, tmp_path, monkeypatch):
+    out = str(tmp_path / "opt.json")
+    args = ["optimize", "--state", "pair-coherent", "--r", "1.1", "-o", out]
+    assert runner.invoke(main, args).exit_code == 0
+    refine = json.load(open(out))["refine"]
+    assert refine["converged"] is True
+    assert refine["evaluations"] > refine["iterations"] > 1
+    # a budget of 50 evaluations stops Nelder-Mead before its xatol/fatol test passes
+    monkeypatch.setattr(cli.bell, "maximize_chsh",
+                        functools.partial(cli.bell.maximize_chsh, max_iter=50))
+    assert runner.invoke(main, args).exit_code == 0
+    refine = json.load(open(out))["refine"]
+    assert refine["converged"] is False
+    assert refine["evaluations"] == 50 and refine["iterations"] < 50
 
 
 @pytest.mark.parametrize("command", ["pseudospin", "bell-scan"])

@@ -187,7 +187,7 @@ def test_radon_pair_coherent_matches_closed_form_on_grid(r):
         assert np.max(np.abs(closed - numeric)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 40, 70, 100, 120])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 40, 70, 100, 120, 140])
 def test_radon_fock_pair_matches_closed_form_on_grid(n):
     state = FockPairSuperposition(n)
     xs = RADON_GRID
@@ -195,6 +195,21 @@ def test_radon_fock_pair_matches_closed_form_on_grid(n):
         closed = tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
         numeric = radon_forward(state, xs[:, None], t1, xs[None, :], t2)
         assert np.max(np.abs(closed - numeric)) < 1e-12
+
+
+def test_radon_doubling_budget_follows_the_fringe_count():
+    from tomobell.tomography import _default_half_width, _fringe_doublings
+
+    def budget(state):
+        return _fringe_doublings(state, _default_half_width(state), 96)
+
+    # never below the old fixed 3; one more for n = 140 (1536 nodes), two for n = 300
+    assert [budget(FockPairSuperposition(n)) for n in (3, 120, 140, 300)] == [3, 4, 4, 5]
+    assert budget(PairCoherent(1.1)) == 3
+    # an explicit budget still wins: three doublings leave n = 140 unresolved
+    with pytest.raises(ConvergenceError, match=r"orders \[96, 192, 384, 768\]"):
+        radon_forward(FockPairSuperposition(140), RADON_GRID[:, None], 0.0, RADON_GRID[None, :], 0.0,
+                      max_doublings=3)
 
 
 @pytest.mark.parametrize("state", [FockPairSuperposition(3), PairCoherent(1.05)])
