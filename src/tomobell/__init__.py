@@ -46,7 +46,6 @@ from .special import (
     erf_complex,
     hermite,
     laguerre,
-    make_quadrature,
 )
 from .states import (
     DensityMatrix,

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import states as st
-from .errors import AccuracyError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, bessel_j0
+from .errors import AccuracyError, DimensionError, DomainError
+from .states import pair_coherent_bessel_coefficient
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,34 +167,11 @@ def schmidt_xz_entries(schmidt: st.SchmidtVector) -> tuple[float, float, float, 
 
 
 def closed_form_correlation(state, theta_u: float, theta_v: float) -> float:
-    """Coplanar pseudospin correlation closed forms of the benchmark states.
+    """Coplanar pseudospin correlation closed form of a benchmark state.
 
-    Squeezed vacuum:  cos tu cos tv + (2 lam / (1 + lam^2)) sin tu sin tv.
-    Fock pair:        cos(tu - tv) for n = 1, cos tu cos tv for n > 1.
-    Pair coherent:    cos tu cos tv + r^2 (1 - J0(2 r^2)/I0(2 r^2))
-                      sin tu sin tv; see pair_coherent_sx_report for its
-                      Fock-basis check.
+    Each state gives its own (``TwoModeState.pseudospin_closed_form``).
     """
-    cu, su = math.cos(theta_u), math.sin(theta_u)
-    cv, sv = math.cos(theta_v), math.sin(theta_v)
-    if isinstance(state, st.SqueezedVacuum):
-        k = 2.0 * state.lam / (1.0 + state.lam**2)
-        return cu * cv + k * su * sv
-    if isinstance(state, st.FockPairSuperposition):
-        if state.n == 1:
-            return math.cos(theta_u - theta_v)
-        return cu * cv
-    if isinstance(state, st.PairCoherent):
-        return cu * cv + pair_coherent_bessel_coefficient(state.r) * su * sv
-    raise UnsupportedStateError(
-        f"no closed-form correlation for {type(state).__name__}"
-    )
-
-
-def pair_coherent_bessel_coefficient(r: float) -> float:
-    """The Bessel-ratio x-x coefficient c(r) = r^2 (1 - J0/I0)(2 r^2)."""
-    x = 2.0 * r * r
-    return r * r * (1.0 - bessel_j0(x) / bessel_i0(x))
+    return state.pseudospin_closed_form(theta_u, theta_v)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,6 @@ def sample_rejection(
     *,
     envelope_sigma: float,
     bound_factor: float | None = None,
-    scan_half_width: float | None = None,
     scan_points: int = 201,
     substream: int = 0,
     state_label: str = "custom",
@@ -132,12 +131,12 @@ def sample_rejection(
 
     The proposal is an isotropic Gaussian with per-axis standard deviation
     ``envelope_sigma``.  The envelope constant M (with w <= M * proposal) is
-    taken from ``bound_factor`` or estimated by a grid scan with a 10%
-    safety margin; any proposal where the density exceeds the envelope
-    aborts with an envelope error naming the offending point.  Rounds draw
-    max(1024, 2 * remaining) proposals each; the sampler gives up after
-    ``_round_limit`` rounds at the acceptance measured so far, and never
-    before round 400.
+    taken from ``bound_factor`` or estimated with a 10% safety margin by a
+    scan of ``scan_points`` per axis over +/-6 ``envelope_sigma``; any
+    proposal where the density exceeds the envelope aborts with an envelope
+    error naming the offending point.  Rounds draw max(1024, 2 * remaining)
+    proposals each; the sampler gives up after ``_round_limit`` rounds at the
+    acceptance measured so far, and never before round 400.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -150,8 +149,7 @@ def sample_rejection(
         )
 
     if bound_factor is None:
-        half = scan_half_width if scan_half_width is not None else 6.0 * envelope_sigma
-        grid = np.linspace(-half, half, scan_points)
+        grid = np.linspace(-6.0 * envelope_sigma, 6.0 * envelope_sigma, scan_points)
         bound_factor = 1.1 * max(
             float(np.max(tomogram(rows[:, None], grid[None, :])
                          / proposal_density(rows[:, None], grid[None, :])))
@@ -219,7 +217,7 @@ def _round_limit(count: int, acceptance: float) -> int:
 
 def default_envelope_sigma(state, inflation: float = DEFAULT_ENVELOPE_INFLATION) -> float:
     """Gaussian envelope scale: sqrt(inflation * max per-mode quadrature variance)."""
-    if isinstance(state, st.SqueezedVacuum):
+    if state.gaussian:
         var = math.cosh(2.0 * state.s) / 4.0
     else:
         c = st.significant_schmidt(state).coefficients
@@ -232,7 +230,7 @@ def sample_state(
     state, theta1: float, theta2: float, count: int, seed: int, *, substream: int = 0
 ) -> SampleBatch:
     """Sample homodyne pairs from a benchmark state (exact or rejection)."""
-    if isinstance(state, st.SqueezedVacuum):
+    if state.gaussian:
         return sample_gaussian_epr(
             state.s, theta1, theta2, count, seed, substream=substream
         )

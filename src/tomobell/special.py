@@ -30,9 +30,6 @@ MAX_POLY_ORDER = 200
 #: below 1e-10 wherever exp(-z^2) does not amplify rounding (|z| <= 3.5).
 ERF_COMPLEX_BOX = 12.0
 
-GAUSS_LEGENDRE = "gauss-legendre"
-PERIODIC_TRAPEZOID = "periodic-trapezoid"
-
 
 def _check_poly_order(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -244,7 +241,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -259,41 +255,21 @@ class QuadratureRule:
         return np.sum(self.weights * np.asarray(f(self.nodes)), axis=-1)
 
 
-def make_quadrature(kind: str, order: int, interval=None) -> QuadratureRule:
-    """Build a quadrature rule.
-
-    kind:
-        "gauss-legendre"     with interval = (a, b), a < b finite
-        "periodic-trapezoid" on [0, 2 pi) (interval optional; must match)
-    """
+def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
+    """The ``order``-point Gauss-Legendre rule on [a, b], a < b finite."""
     if order < 2:
         raise DomainError(f"quadrature order must be >= 2, got {order}")
-    if kind == GAUSS_LEGENDRE:
-        if interval is None:
-            raise DomainError("gauss-legendre rule needs an (a, b) interval")
-        a, b = float(interval[0]), float(interval[1])
-        if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-            raise DomainError(f"invalid gauss-legendre interval ({a}, {b})")
-        x, w = np.polynomial.legendre.leggauss(order)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return QuadratureRule(mid + half * x, half * w, kind)
-    if kind == PERIODIC_TRAPEZOID:
-        two_pi = 2.0 * math.pi
-        if interval is not None:
-            a, b = float(interval[0]), float(interval[1])
-            if abs(a) > 1e-12 or abs(b - two_pi) > 1e-12:
-                raise DomainError("periodic-trapezoid rule is defined on [0, 2 pi)")
-        nodes = np.arange(order) * (two_pi / order)
-        weights = np.full(order, two_pi / order)
-        return QuadratureRule(nodes, weights, kind)
-    raise DomainError(f"unknown quadrature kind {kind!r}")
-
-
-def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
-    """Shorthand for make_quadrature("gauss-legendre", order, (a, b))."""
-    return make_quadrature(GAUSS_LEGENDRE, order, (a, b))
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
+        raise DomainError(f"invalid gauss-legendre interval ({a}, {b})")
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return QuadratureRule(mid + half * x, half * w)
 
 
 def periodic_trapezoid(order: int) -> QuadratureRule:
-    """Shorthand for the uniform rule on [0, 2 pi)."""
-    return make_quadrature(PERIODIC_TRAPEZOID, order)
+    """The uniform ``order``-point rule on [0, 2 pi)."""
+    if order < 2:
+        raise DomainError(f"quadrature order must be >= 2, got {order}")
+    two_pi = 2.0 * math.pi
+    return QuadratureRule(np.arange(order) * (two_pi / order), np.full(order, two_pi / order))

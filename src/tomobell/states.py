@@ -30,12 +30,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, laguerre_function
+from .special import bessel_i0, bessel_j0, laguerre_function
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -50,11 +50,44 @@ DEFAULT_ANGULAR_ORDER = 128
 _MAX_BLOCK = 1 << 22  # complex workspace cap for chunked evaluations
 
 
+class TwoModeState:
+    """A two-mode state, and the facts about it that the package's formulas need.
+
+    Each fact defaults to an ``UnsupportedStateError``; a benchmark state
+    overrides the ones it has.  ``gaussian`` marks the squeezed vacuum, whose
+    tomograms, sign-binned probabilities and samples have Gaussian closed forms.
+    """
+
+    gaussian = False
+
+    def schmidt(self, levels: int) -> np.ndarray:
+        """The first ``levels`` Schmidt coefficients c_n of sum_n c_n |n n>."""
+        raise UnsupportedStateError(
+            f"schmidt_coefficients needs a pure benchmark state, got {type(self).__name__}"
+        )
+
+    @property
+    def half_width(self) -> float:
+        """Half-width of the Radon projection's lines, past where W is negligible."""
+        raise UnsupportedStateError(f"no Wigner evaluator for {type(self).__name__}")
+
+    def wigner_factors(self, order: int = DEFAULT_ANGULAR_ORDER) -> "WignerFactors":
+        """Factor form of the Wigner function (see ``wigner``)."""
+        raise UnsupportedStateError(
+            f"no factor form of the Wigner function for {type(self).__name__}"
+        )
+
+    def pseudospin_closed_form(self, theta_u: float, theta_v: float) -> float:
+        """Coplanar pseudospin correlation E(u, v), u and v at angles from the z axis."""
+        raise UnsupportedStateError(f"no closed-form correlation for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class SqueezedVacuum:
+class SqueezedVacuum(TwoModeState):
     """Two-mode squeezed vacuum with lam = tanh(s) in [0, 1)."""
 
     lam: float
+    gaussian = True
 
     def __post_init__(self):
         if not (0.0 <= self.lam < 1.0):
@@ -65,9 +98,21 @@ class SqueezedVacuum:
         """Squeezing parameter s = atanh(lambda)."""
         return math.atanh(self.lam)
 
+    def schmidt(self, levels):
+        return math.sqrt(1.0 - self.lam**2) * self.lam ** np.arange(levels)
+
+    @property
+    def half_width(self):
+        return 3.5 * math.exp(self.s) / 2.0 + 2.0
+
+    def pseudospin_closed_form(self, theta_u, theta_v):
+        """cos tu cos tv + (2 lam / (1 + lam^2)) sin tu sin tv."""
+        k = 2.0 * self.lam / (1.0 + self.lam**2)
+        return math.cos(theta_u) * math.cos(theta_v) + k * math.sin(theta_u) * math.sin(theta_v)
+
 
 @dataclass(frozen=True)
-class FockPairSuperposition:
+class FockPairSuperposition(TwoModeState):
     """The superposition (|00> + |nn>)/sqrt(2) with n >= 1."""
 
     n: int
@@ -76,9 +121,44 @@ class FockPairSuperposition:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DomainError(f"Fock pair superposition requires integer n >= 1, got {self.n}")
 
+    def schmidt(self, levels):
+        coeffs = np.zeros(levels)
+        coeffs[0] = 1.0 / math.sqrt(2.0)
+        if self.n < levels:
+            coeffs[self.n] = 1.0 / math.sqrt(2.0)
+        return coeffs
+
+    @property
+    def half_width(self):
+        # past |n>'s turning point sqrt(n + 1/2); at least 4.4, where exp(-2 t^2) < 1e-16
+        return max(4.4, 3.0 + math.sqrt(self.n + 0.5))
+
+    def wigner_factors(self, order=DEFAULT_ANGULAR_ORDER):
+        # With x = 4|a|^2 = |2a|^2, g L_n(x) is the Laguerre function and
+        # g |2a|^n / sqrt(n!) = exp((n log x - x - log n!) / 2), so neither n! nor
+        # (2a)^n is ever formed
+        n = self.n
+        log_factorial = math.lgamma(n + 1.0)
+
+        def mode(_, q, p):
+            x = 4.0 * (q * q + p * p)
+            with np.errstate(divide="ignore"):  # a = 0: log 0 = -inf and the factor is 0
+                size = np.exp(0.5 * (n * np.log(x) - x - log_factorial))
+            cross = size * np.exp(-1j * n * np.arctan2(p, q))  # arg a = -atan2(p, q)
+            left = np.stack([np.exp(-0.5 * x), laguerre_function(n, x), cross], axis=-1)
+            return left, np.ones(left.shape[:-1] + (1,))
+
+        return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)
+
+    def pseudospin_closed_form(self, theta_u, theta_v):
+        """cos(tu - tv) for n = 1, cos tu cos tv for n > 1."""
+        if self.n == 1:
+            return math.cos(theta_u - theta_v)
+        return math.cos(theta_u) * math.cos(theta_v)
+
 
 @dataclass(frozen=True)
-class PairCoherent:
+class PairCoherent(TwoModeState):
     """Phase-averaged pair of equal-amplitude coherent states, r > 0."""
 
     r: float
@@ -86,6 +166,57 @@ class PairCoherent:
     def __post_init__(self):
         if not (self.r > 0.0 and math.isfinite(bessel_i0(2.0 * self.r * self.r))):  # r < ~18.9
             raise DomainError(f"pair-coherent r must be > 0 with I0(2 r^2) finite, got {self.r}")
+
+    def schmidt(self, levels):
+        coeffs = np.empty(levels)
+        term = 1.0
+        coeffs[0] = term
+        for n in range(1, levels):
+            term *= self.r**2 / n
+            coeffs[n] = term
+        return coeffs / math.sqrt(bessel_i0(2.0 * self.r**2))
+
+    @property
+    def half_width(self):
+        return 4.0 + 1.7 * self.r
+
+    def wigner_factors(self, order=DEFAULT_ANGULAR_ORDER):
+        if order < 16:
+            raise ConfigError(
+                f"pair-coherent Wigner needs angular quadrature order >= 16, got {order}"
+            )
+        r = self.r
+        phi = np.arange(order) * (2.0 * math.pi / order)
+        coupling = (
+            (2.0 * math.pi / order) ** 2
+            * np.exp(-2.0 * r * r * np.cos(phi[:, None] - phi[None, :]))
+            / (math.pi**4 * bessel_i0(2.0 * r * r))
+        )
+        turns = (np.exp(1j * phi), np.exp(-1j * phi))
+
+        def mode(i, q, p):
+            # sqrt(g) goes into each factor, which keeps both of them below exp(r^2)
+            a = (q - 1j * p)[..., None]
+            half_gauss = -(q * q + p * p)[..., None]
+            left = np.exp(half_gauss + 2.0 * r * a * turns[i])
+            right = np.exp(half_gauss + 2.0 * r * a.conj() * turns[1 - i])
+            return left, right
+
+        return WignerFactors(coupling, mode)
+
+    def pseudospin_closed_form(self, theta_u, theta_v):
+        """cos tu cos tv + r^2 (1 - J0(2 r^2)/I0(2 r^2)) sin tu sin tv.
+
+        See ``bell.pair_coherent_sx_report`` for its Fock-basis check.
+        """
+        return (math.cos(theta_u) * math.cos(theta_v)
+                + pair_coherent_bessel_coefficient(self.r) * math.sin(theta_u) * math.sin(theta_v))
+
+
+def pair_coherent_bessel_coefficient(r: float) -> float:
+    """The Bessel-ratio x-x coefficient c(r) = r^2 (1 - J0/I0)(2 r^2)."""
+    x = 2.0 * r * r
+    return r * r * (1.0 - bessel_j0(x) / bessel_i0(x))
 
 
 class DensityMatrix:
@@ -171,13 +302,10 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class ExplicitFock:
+class ExplicitFock(TwoModeState):
     """A generic two-mode state given directly by its Fock density matrix."""
 
     dm: DensityMatrix
-
-
-TwoModeState = Union[SqueezedVacuum, FockPairSuperposition, PairCoherent, ExplicitFock]
 
 
 @dataclass(frozen=True)
@@ -215,28 +343,7 @@ def schmidt_coefficients(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> S
     """Schmidt coefficients of a benchmark state, truncated at ``cutoff``."""
     if cutoff < 2:
         raise DomainError(f"cutoff must be >= 2, got {cutoff}")
-    if isinstance(state, SqueezedVacuum):
-        n = np.arange(cutoff)
-        coeffs = math.sqrt(1.0 - state.lam**2) * state.lam**n
-        return SchmidtVector(coeffs)
-    if isinstance(state, FockPairSuperposition):
-        coeffs = np.zeros(cutoff)
-        coeffs[0] = 1.0 / math.sqrt(2.0)
-        if state.n < cutoff:
-            coeffs[state.n] = 1.0 / math.sqrt(2.0)
-        return SchmidtVector(coeffs)
-    if isinstance(state, PairCoherent):
-        norm = math.sqrt(bessel_i0(2.0 * state.r**2))
-        coeffs = np.empty(cutoff)
-        term = 1.0
-        coeffs[0] = term
-        for n in range(1, cutoff):
-            term *= state.r**2 / n
-            coeffs[n] = term
-        return SchmidtVector(coeffs / norm)
-    raise UnsupportedStateError(
-        f"schmidt_coefficients needs a pure benchmark state, got {type(state).__name__}"
-    )
+    return SchmidtVector(state.schmidt(cutoff))
 
 
 @lru_cache(maxsize=128)
@@ -291,7 +398,7 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int = DEFAULT_ANGULAR_ORDER)
 
     Accepts scalars or broadcastable arrays.  The squeezed vacuum has its
     Gaussian closed form.  The Fock pair and the pair-coherent state are
-    summed pointwise from their factor form (``wigner_factors``):
+    summed pointwise from their factor form (``TwoModeState.wigner_factors``):
 
         W = Re sum_jk C_jk F1_jk(q1, p1) F2_jk(q2, p2),
         F_jk(q, p) = g(q, p) L_j(q, p) R_k(q, p),  g = exp(-2 (q^2 + p^2)),
@@ -307,9 +414,9 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int = DEFAULT_ANGULAR_ORDER)
     state the phi_j = 2 pi j / K are the nodes of a periodic trapezoid rule
     for its two angular integrals, K = ``angular_order`` (>= 16).
     """
-    if isinstance(state, SqueezedVacuum):
+    if state.gaussian:
         return _wigner_squeezed_vacuum(state.s, q1, p1, q2, p2)
-    factors = wigner_factors(state, angular_order=angular_order)
+    factors = state.wigner_factors(angular_order)
     q1, p1, q2, p2 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
     )
@@ -338,17 +445,6 @@ class WignerFactors:
     mode: Callable
 
 
-def wigner_factors(state, *, angular_order: int = DEFAULT_ANGULAR_ORDER) -> WignerFactors:
-    """Factor form of the Fock-pair and pair-coherent Wigner functions (see ``wigner``)."""
-    if isinstance(state, FockPairSuperposition):
-        return _fock_pair_factors(state.n)
-    if isinstance(state, PairCoherent):
-        return _pair_coherent_factors(state.r, angular_order)
-    raise UnsupportedStateError(
-        f"no factor form of the Wigner function for {type(state).__name__}"
-    )
-
-
 def _wigner_squeezed_vacuum(s, q1, p1, q2, p2):
     em, ep = math.exp(-2.0 * s), math.exp(2.0 * s)
     q1, p1, q2, p2 = np.broadcast_arrays(
@@ -358,44 +454,3 @@ def _wigner_squeezed_vacuum(s, q1, p1, q2, p2):
         -em * ((q1 - q2) ** 2 + (p1 + p2) ** 2) - ep * ((q1 + q2) ** 2 + (p1 - p2) ** 2)
     )
     return float(val) if val.ndim == 0 else val
-
-
-def _fock_pair_factors(n):
-    # With x = 4|a|^2 = |2a|^2, g L_n(x) is the Laguerre function and
-    # g |2a|^n / sqrt(n!) = exp((n log x - x - log n!) / 2), so neither n! nor
-    # (2a)^n is ever formed
-    log_factorial = math.lgamma(n + 1.0)
-
-    def mode(_, q, p):
-        x = 4.0 * (q * q + p * p)
-        with np.errstate(divide="ignore"):  # a = 0: log 0 = -inf and the factor is 0
-            size = np.exp(0.5 * (n * np.log(x) - x - log_factorial))
-        cross = size * np.exp(-1j * n * np.arctan2(p, q))  # arg a = -atan2(p, q)
-        left = np.stack([np.exp(-0.5 * x), laguerre_function(n, x), cross], axis=-1)
-        return left, np.ones(left.shape[:-1] + (1,))
-
-    return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)
-
-
-def _pair_coherent_factors(r, order):
-    if order < 16:
-        raise ConfigError(
-            f"pair-coherent Wigner needs angular quadrature order >= 16, got {order}"
-        )
-    phi = np.arange(order) * (2.0 * math.pi / order)
-    coupling = (
-        (2.0 * math.pi / order) ** 2
-        * np.exp(-2.0 * r * r * np.cos(phi[:, None] - phi[None, :]))
-        / (math.pi**4 * bessel_i0(2.0 * r * r))
-    )
-    turns = (np.exp(1j * phi), np.exp(-1j * phi))
-
-    def mode(i, q, p):
-        # sqrt(g) goes into each factor, which keeps both of them below exp(r^2)
-        a = (q - 1j * p)[..., None]
-        half_gauss = -(q * q + p * p)[..., None]
-        left = np.exp(half_gauss + 2.0 * r * a * turns[i])
-        right = np.exp(half_gauss + 2.0 * r * a.conj() * turns[1 - i])
-        return left, right
-
-    return WignerFactors(coupling, mode)

@@ -42,7 +42,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NormalizationError,
-    UnsupportedStateError,
 )
 from .special import gauss_legendre, hermite_functions, laguerre, periodic_trapezoid
 
@@ -136,17 +135,6 @@ class GaussianTomogramParams:
 # ---------------------------------------------------------------------------
 
 
-def _default_half_width(state) -> float:
-    if isinstance(state, st.SqueezedVacuum):
-        return 3.5 * math.exp(state.s) / 2.0 + 2.0
-    if isinstance(state, st.FockPairSuperposition):
-        # past |n>'s turning point sqrt(n + 1/2); at least 4.4, where exp(-2 t^2) < 1e-16
-        return max(4.4, 3.0 + math.sqrt(state.n + 0.5))
-    if isinstance(state, st.PairCoherent):
-        return 4.0 + 1.7 * state.r
-    raise UnsupportedStateError(f"no Wigner evaluator for {type(state).__name__}")
-
-
 def _fringe_doublings(state, half_width: float, order: int) -> int:
     """Doublings that take ``order`` to 8 nodes per fringe, never fewer than 3.
 
@@ -183,7 +171,7 @@ def radon_forward_symplectic(
     states, enough to reach 8 nodes per fringe (``_fringe_doublings``).
 
     The Fock pair and the pair-coherent state are projected through the
-    factor form of their Wigner function (``states.wigner_factors``): each
+    factor form of their Wigner function (``TwoModeState.wigner_factors``): each
     mode's factors are integrated along its own line first, once per distinct
     X value.  The squeezed vacuum, whose Gaussian cross term does not factor,
     is summed on the full (t1, t2) grid.
@@ -193,11 +181,8 @@ def radon_forward_symplectic(
     scalar = x1.ndim == 0 and x2.ndim == 0
     x1, x2 = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(x2))
     if half_width is None:
-        half_width = _default_half_width(state)
-    factors = (
-        None if isinstance(state, st.SqueezedVacuum)
-        else st.wigner_factors(state, angular_order=angular_order)
-    )
+        half_width = state.half_width
+    factors = None if state.gaussian else state.wigner_factors(angular_order)
     if max_doublings is None:
         max_doublings = 3 if factors is None else _fringe_doublings(state, half_width, order)
 
@@ -271,7 +256,7 @@ def tomogram_closed_form(state, x1, theta1, x2, theta2):
     """Closed-form tomogram of a benchmark state (vectorized over X1, X2)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if isinstance(state, st.SqueezedVacuum):
+    if state.gaussian:
         par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
         val = (2.0 / math.pi) * par.norm * np.exp(
             -2.0 * par.a * x1**2 - 2.0 * par.a * x2**2 - 4.0 * par.b * x1 * x2
@@ -427,9 +412,7 @@ def _tanh_half_line(scale: float, gl_order: int, panels: int):
     return nodes, weights
 
 
-def sign_binned_closed_form(
-    state, theta1: float, theta2: float, *, order: int = 96
-) -> SignBinnedProbs:
+def sign_binned_closed_form(state, theta1: float, theta2: float) -> SignBinnedProbs:
     """Closed-form sign-binned probabilities ((1+E)/4, (1-E)/4, (1-E)/4, (1+E)/4).
 
     Squeezed vacuum: E = -(2/pi) arctan(b/N), continuous in theta1 + theta2
@@ -438,10 +421,9 @@ def sign_binned_closed_form(
 
     Fock pair and pair coherent, sum_n c_n |n n>: the Fock-basis sum (Munro,
     PRA 59, 4197 (1999)) E = sum_{m,n} c_m c_n G_mn^2 cos((m - n)(theta1 +
-    theta2)) with G = sign_matrix.  The Fock levels follow from c_n alone, so
-    ``order`` is accepted and ignored.
+    theta2)) with G = sign_matrix, over the Fock levels that c_n needs.
     """
-    if isinstance(state, st.SqueezedVacuum):
+    if state.gaussian:
         par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
         corr = -2.0 * math.atan(par.b / par.norm) / math.pi
     else:
@@ -658,27 +640,12 @@ def kernel_reconstruct_density(
     ang = np.exp(1j * np.outer(d_vals, theta))  # (nd, ntheta)
     a_dk = dtheta * (chi @ ang.T)  # (nk, nd)
 
-    def assemble(eta: float) -> np.ndarray:
-        damp = np.exp(-0.5 * (eta * k) ** 2)
-        rho = np.zeros((cutoff, cutoff), dtype=complex)
-        for m in range(cutoff):
-            for n in range(cutoff):
-                d = m - n
-                p_low = min(m, n)
-                radial = (
-                    k_rule.weights
-                    * k
-                    * damp
-                    * np.exp(-0.125 * k * k)
-                    * (-0.5j * k) ** abs(d)
-                    * laguerre(p_low, 0.25 * k * k, alpha=float(abs(d)))
-                    * math.sqrt(math.factorial(p_low) / math.factorial(p_low + abs(d)))
-                )
-                rho[m, n] = np.sum(radial * a_dk[:, d + cutoff - 1]) / (4.0 * math.pi)
-        return rho
-
+    # kernel[m, n] = k <m|D|n> A_{m-n}(k) / 4 pi; each width adds its regularizer
+    levels = range(cutoff)
+    kernel = np.array([[kernel_fock_matrix_element(m, n, k, 0.0) for n in levels] for m in levels])
+    kernel *= k * a_dk.T[np.subtract.outer(levels, levels) + cutoff - 1] / (4.0 * math.pi)
     widths = sorted((float(w) for w in reg_widths), reverse=True)
-    estimates = [assemble(eta) for eta in widths]
+    estimates = [kernel @ (k_rule.weights * np.exp(-0.5 * (eta * k) ** 2)) for eta in widths]
     steps = [
         float(np.max(np.abs(b - a))) for a, b in zip(estimates[:-1], estimates[1:])
     ]

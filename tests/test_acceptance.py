@@ -42,11 +42,9 @@ def _report(num, description):
     return _Reporter()
 
 
-def _tomographic_b(state, angles, order=128):
+def _tomographic_b(state, angles):
     def corr(t1, t2):
-        return bell.correlation_tomographic(
-            tg.sign_binned_closed_form(state, t1, t2, order=order)
-        )
+        return bell.correlation_tomographic(tg.sign_binned_closed_form(state, t1, t2))
 
     return bell.chsh(*[corr(a, b) for a, b in angles.pairs()])
 

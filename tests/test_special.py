@@ -7,8 +7,6 @@ import pytest
 
 from tomobell.errors import DomainError
 from tomobell.special import (
-    GAUSS_LEGENDRE,
-    PERIODIC_TRAPEZOID,
     bessel_i0,
     bessel_j0,
     erf_complex,
@@ -16,7 +14,6 @@ from tomobell.special import (
     hermite,
     laguerre,
     laguerre_function,
-    make_quadrature,
     periodic_trapezoid,
 )
 
@@ -292,15 +289,13 @@ def test_weights_sum_to_interval_length():
 
 def test_quadrature_validation():
     with pytest.raises(DomainError):
-        make_quadrature(GAUSS_LEGENDRE, 1, (0.0, 1.0))
+        gauss_legendre(1, 0.0, 1.0)
     with pytest.raises(DomainError):
-        make_quadrature(GAUSS_LEGENDRE, 8, (2.0, 2.0))
+        gauss_legendre(8, 2.0, 2.0)
     with pytest.raises(DomainError):
-        make_quadrature(GAUSS_LEGENDRE, 8, None)
+        gauss_legendre(8, 0.0, math.inf)
     with pytest.raises(DomainError):
-        make_quadrature(PERIODIC_TRAPEZOID, 8, (0.0, 1.0))
-    with pytest.raises(DomainError):
-        make_quadrature("chebyshev", 8, (0.0, 1.0))
+        periodic_trapezoid(1)
 
 
 def test_quadrature_rules_are_immutable():

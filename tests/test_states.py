@@ -1,10 +1,14 @@
 """Benchmark states: Schmidt vectors, density matrices, Wigner functions."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import tomobell
+from tomobell.bell import closed_form_correlation
 from tomobell.errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
 from tomobell.special import bessel_i0, gauss_legendre, laguerre
 from tomobell.states import (
@@ -13,12 +17,13 @@ from tomobell.states import (
     FockPairSuperposition,
     PairCoherent,
     SqueezedVacuum,
+    TwoModeState,
     density_matrix,
     partial_trace,
     schmidt_coefficients,
     wigner,
-    wigner_factors,
 )
+from tomobell.tomography import radon_forward, tomogram_closed_form
 
 BENCHMARKS = [
     SqueezedVacuum(math.tanh(0.5)),
@@ -233,13 +238,13 @@ def test_wigner_factor_form_matches_direct_sums():
 def test_wigner_factors_shapes():
     q = np.zeros((2, 3))
     for state, shape in ((FockPairSuperposition(2), (3, 1)), (PairCoherent(1.0), (20, 20))):
-        factors = wigner_factors(state, angular_order=20)
+        factors = state.wigner_factors(20)
         assert factors.coupling.shape == shape
         for mode in (0, 1):
             left, right = factors.mode(mode, q, q)
             assert left.shape == (2, 3, shape[0]) and right.shape == (2, 3, shape[1])
     with pytest.raises(UnsupportedStateError):
-        wigner_factors(SqueezedVacuum(0.5))
+        SqueezedVacuum(0.5).wigner_factors()
 
 
 @pytest.mark.parametrize("n", [171, 200])
@@ -287,3 +292,37 @@ def test_wigner_rejects_explicit_fock_and_low_order():
         wigner(ExplicitFock(dm), 0, 0, 0, 0)
     with pytest.raises(ConfigError):
         wigner(PairCoherent(1.0), 0, 0, 0, 0, angular_order=8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state: schmidt_coefficients(state, 4),
+        lambda state: wigner(state, 0.0, 0.0, 0.0, 0.0),
+        lambda state: radon_forward(state, 0.0, 0.0, 0.0, 0.0),
+        lambda state: tomogram_closed_form(state, 0.0, 0.0, 0.0, 0.0),
+        lambda state: closed_form_correlation(state, 0.0, 0.0),
+    ],
+    ids=["schmidt_coefficients", "wigner", "radon_forward", "tomogram_closed_form",
+         "closed_form_correlation"],
+)
+def test_explicit_fock_lacks_the_benchmark_facts(call):
+    with pytest.raises(UnsupportedStateError):
+        call(ExplicitFock(density_matrix(SqueezedVacuum(0.0), 4)))
+
+
+def test_only_states_py_tells_the_state_classes_apart():
+    # the state kinds' facts live on the classes; the one type test left is
+    # density_matrix passing an explicit density matrix through
+    state_classes = {cls.__name__ for cls in TwoModeState.__subclasses__()} | {"TwoModeState"}
+    sites = []
+    for path in sorted(pathlib.Path(tomobell.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and len(node.args) == 2):
+                    named = {getattr(n, "id", getattr(n, "attr", None))
+                             for n in ast.walk(node.args[1])}
+                    if named & state_classes:
+                        sites.append((path.name, getattr(top, "name", None)))
+    assert sites == [("states.py", "density_matrix")]

@@ -198,10 +198,10 @@ def test_radon_fock_pair_matches_closed_form_on_grid(n):
 
 
 def test_radon_doubling_budget_follows_the_fringe_count():
-    from tomobell.tomography import _default_half_width, _fringe_doublings
+    from tomobell.tomography import _fringe_doublings
 
     def budget(state):
-        return _fringe_doublings(state, _default_half_width(state), 96)
+        return _fringe_doublings(state, state.half_width, 96)
 
     # never below the old fixed 3; one more for n = 140 (1536 nodes), two for n = 300
     assert [budget(FockPairSuperposition(n)) for n in (3, 120, 140, 300)] == [3, 4, 4, 5]
@@ -217,13 +217,12 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
     # one fixed 48-node rule, so only the per-mode contraction differs from
     # the Gauss-Legendre sum of states.wigner over the full (t1, t2) grid;
     # the grid and paired X layouts both exercise the distinct-X indexing
-    from tomobell.states import wigner_factors
-    from tomobell.tomography import _default_half_width, _project_dense, _project_factored
+    from tomobell.tomography import _project_dense, _project_factored
 
-    half = _default_half_width(state)
+    half = state.half_width
     rule = gauss_legendre(48, -half, half)
     s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
-    factors = wigner_factors(state, angular_order=32)
+    factors = state.wigner_factors(32)
     for x1, x2 in (
         (np.array([[-1.2], [0.0], [0.4], [1.5]]), np.array([[-0.7, 0.1, 0.9]])),
         (np.array([0.3, -0.8, 0.3, 1.1]), np.array([0.5, 0.5, -1.0, 0.2])),
@@ -238,19 +237,18 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
 def test_radon_convergence_error_names_orders_and_residuals():
     # a 4-node rule cannot resolve the pair-coherent lines; the error names
     # every order tried and the change at each doubling
-    from tomobell.states import wigner_factors
-    from tomobell.tomography import _default_half_width, _project_factored
+    from tomobell.tomography import _project_factored
 
     state = PairCoherent(1.0)
     with pytest.raises(ConvergenceError) as info:
         radon_forward(state, 0.5, 0.0, 0.5, 0.0, order=4, max_doublings=2)
     message = str(info.value)
     assert "orders [4, 8, 16]" in message
-    half = _default_half_width(state)
+    half = state.half_width
     x = np.array([0.5])
     setting = SymplecticSetting.from_angle(0.0)
     values = [
-        _project_factored(wigner_factors(state), x, setting, x, setting,
+        _project_factored(state.wigner_factors(), x, setting, x, setting,
                           gauss_legendre(m, -half, half))[0]
         for m in (4, 8, 16)
     ]
