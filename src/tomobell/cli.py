@@ -322,7 +322,8 @@ def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, t
     header = ["x1", "x2", "theta1", "theta2", "w_closed"]
     radon = None
     if check_radon:
-        radon = tg.radon_forward(state, xs[:, None], t1, xs[None, :], t2)
+        record = {}
+        radon = tg.radon_forward(state, xs[:, None], t1, xs[None, :], t2, record=record)
         header.append("w_radon")
     rows = []
     for i, x1 in enumerate(xs):
@@ -340,6 +341,7 @@ def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, t
     extras = {}
     if check_radon:
         extras["max_abs_difference"] = float(np.max(np.abs(closed - radon)))
+        extras["radon"] = record
         click.echo(f"max |closed - radon| = {extras['max_abs_difference']:.3e}")
     manifest_for(out, "tomogram", config, extras)
     if check_radon and extras["max_abs_difference"] >= tol:

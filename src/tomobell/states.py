@@ -47,7 +47,10 @@ DEFAULT_CUTOFF = 64
 #: Default node count for each angular integral of the pair-coherent Wigner.
 DEFAULT_ANGULAR_ORDER = 128
 
-_MAX_BLOCK = 1 << 22  # complex workspace cap for chunked evaluations
+#: Elements per evaluation block (1 MB of complex): the grid points of one
+#: ``wigner`` call in the squeezed vacuum's Radon projection, and the entries
+#: of each (points, J) or (points, K) factor array inside ``wigner``.
+MAX_BLOCK = 1 << 16
 
 
 class TwoModeState:
@@ -422,7 +425,7 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int = DEFAULT_ANGULAR_ORDER)
     )
     flat = [np.ravel(v) for v in (q1, p1, q2, p2)]
     out = np.empty(flat[0].size)
-    chunk = max(1, _MAX_BLOCK // sum(factors.coupling.shape))
+    chunk = max(1, MAX_BLOCK // sum(factors.coupling.shape))
     for start in range(0, out.size, chunk):
         part = slice(start, start + chunk)
         left1, right1 = factors.mode(0, flat[0][part], flat[1][part])

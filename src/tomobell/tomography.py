@@ -159,6 +159,7 @@ def radon_forward_symplectic(
     max_doublings: int | None = None,
     tol: float = 1e-8,
     angular_order: int = st.DEFAULT_ANGULAR_ORDER,
+    record: dict | None = None,
 ):
     """Symplectic tomogram w(X1, mu1, nu1, X2, mu2, nu2) by line projection.
 
@@ -174,7 +175,14 @@ def radon_forward_symplectic(
     factor form of their Wigner function (``TwoModeState.wigner_factors``): each
     mode's factors are integrated along its own line first, once per distinct
     X value.  The squeezed vacuum, whose Gaussian cross term does not factor,
-    is summed on the full (t1, t2) grid.
+    is summed on each X pair's full (t1, t2) grid, with ``states.wigner``
+    evaluated in blocks of at most ``states.MAX_BLOCK`` points
+    (``_project_dense``), so its workspace stays near 1 MB per array at
+    every order.
+
+    A ``record`` dict receives what the check ran, whether or not it
+    converges: ``orders``, the Gauss-Legendre orders, and ``changes``, the
+    largest change at each doubling.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -187,35 +195,56 @@ def radon_forward_symplectic(
         max_doublings = 3 if factors is None else _fringe_doublings(state, half_width, order)
 
     prev = None
-    residuals = []
-    m = order
-    for _ in range(max_doublings + 1):
-        rule = gauss_legendre(m, -half_width, half_width)
+    orders, changes = [], []
+    if record is not None:
+        record.update(orders=orders, changes=changes)  # filled in as the orders run
+    for k in range(max_doublings + 1):
+        orders.append(order * 2**k)
+        rule = gauss_legendre(orders[-1], -half_width, half_width)
         if factors is None:
             cur = _project_dense(state, x1, setting1, x2, setting2, rule, angular_order)
         else:
             cur = _project_factored(factors, x1, setting1, x2, setting2, rule)
         if prev is not None:
-            residuals.append(float(np.max(np.abs(cur - prev))))
-            if residuals[-1] <= tol * max(1.0, float(np.max(np.abs(cur)))):
+            changes.append(float(np.max(np.abs(cur - prev))))
+            if changes[-1] <= tol * max(1.0, float(np.max(np.abs(cur)))):
                 return float(cur[0]) if scalar else cur
         prev = cur
-        m *= 2
     raise ConvergenceError(
         f"Radon projection did not stabilize to {tol} within {max_doublings} grid doublings: "
-        f"Gauss-Legendre orders {[order * 2**k for k in range(max_doublings + 1)]}, "
+        f"Gauss-Legendre orders {orders}, "
         f"max |change| at each doubling "
-        f"[{', '.join(f'{res:.3e}' for res in residuals)}]"
+        f"[{', '.join(f'{change:.3e}' for change in changes)}]"
     )
 
 
 def _project_dense(state, x1, setting1, x2, setting2, rule, angular_order):
-    """Line integrals of ``states.wigner`` on the full (X, t1, t2) grid of one rule."""
-    q1, p1 = setting1.line(x1[..., None, None], rule.nodes[:, None])
-    q2, p2 = setting2.line(x2[..., None, None], rule.nodes[None, :])
-    wig = st.wigner(state, q1, p1, q2, p2, angular_order=angular_order)
+    """Line integrals of ``states.wigner`` on the full (t1, t2) grid of each X pair.
+
+    ``states.wigner`` sees at most about ``states.MAX_BLOCK`` points per call:
+    whole X pairs while one pair's m x m grid is smaller, else row blocks of
+    one pair's grid.  Each pair's weighted (m, m) grid is then reduced by the
+    same sum as a single call on the whole (X, t1, t2) grid would be, so the
+    result does not depend on the blocking, bit for bit.
+    """
+    t = rule.nodes
+    m = t.size
+    pairs = max(1, st.MAX_BLOCK // (m * m))
+    rows = min(m, max(1, st.MAX_BLOCK // (pairs * m)))
     w2d = rule.weights[:, None] * rule.weights[None, :]
-    return np.sum(wig * w2d, axis=(-2, -1)) / (setting1.scale * setting2.scale)
+    xs1, xs2 = x1.ravel(), x2.ravel()
+    out = np.empty(xs1.size)
+    grid = np.empty((min(pairs, out.size), m, m))
+    for start in range(0, out.size, pairs):
+        stop = min(start + pairs, out.size)
+        block = grid[: stop - start]
+        q2, p2 = setting2.line(xs2[start:stop, None, None], t[None, :])
+        for row in range(0, m, rows):
+            q1, p1 = setting1.line(xs1[start:stop, None, None], t[row : row + rows, None])
+            wig = st.wigner(state, q1, p1, q2, p2, angular_order=angular_order)
+            np.multiply(wig, w2d[row : row + rows], out=block[:, row : row + rows])
+        out[start:stop] = np.sum(block, axis=(-2, -1))
+    return out.reshape(x1.shape) / (setting1.scale * setting2.scale)
 
 
 def _project_factored(factors, x1, setting1, x2, setting2, rule):

@@ -1,6 +1,7 @@
 """Smoke test of the benchmark harness: every workload at its tiny sizes, no timing gate."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,3 +25,6 @@ def test_bench_tiny_run_has_no_failed_op(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, proc.stderr
     assert result["attempted"] > 0
+    for name in ("wall_s", "setup_s", "peak_rss_mb"):
+        value = result["metrics"][name]["value"]
+        assert math.isfinite(value) and value > 0, (name, value)

@@ -84,6 +84,11 @@ def test_tomogram_check_radon_passes(runner, tmp_path):
     header, rows = read_csv(out)
     assert header == ["x1", "x2", "theta1", "theta2", "w_closed", "w_radon"]
     assert len(rows) == 81
+    with open(out + ".manifest.json") as fh:
+        radon = json.load(fh)["radon"]
+    # lambda = 0.54 converges at the first doubling
+    assert radon["orders"] == [96, 192]
+    assert len(radon["changes"]) == 1 and radon["changes"][0] <= 1e-8
 
 
 def test_tomogram_radon_check_failure_exit_code(runner, tmp_path):
@@ -131,7 +136,9 @@ def test_tomogram_fock_pair_n140_check_radon_default_grid(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     with open(out + ".manifest.json") as fh:
-        assert json.load(fh)["max_abs_difference"] < 1e-12
+        manifest = json.load(fh)
+    assert manifest["max_abs_difference"] < 1e-12
+    assert manifest["radon"]["orders"] == [96, 192, 384, 768, 1536]
 
 
 def test_tomogram_pair_coherent_r6_runs_clean(runner, tmp_path):

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,22 @@ def test_wigner_factor_form_matches_direct_sums():
         got = wigner(PairCoherent(r), q1, p1, q2, p2, angular_order=32)
         want = pair_coherent_wigner_oracle(r, q1, p1, q2, p2, 32)
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_wigner_workspace_is_bounded():
+    # the factor arrays are built a block of MAX_BLOCK complex entries at a
+    # time; with blocks of 2^22 entries this call peaked at 225 MiB
+    state = PairCoherent(1.05)
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, (4, 40_000))
+    tracemalloc.start()
+    try:
+        vals = wigner(state, *points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    spot = [wigner(state, *point) for point in points[:, ::9999].T]
+    assert np.max(np.abs(vals[::9999] - spot)) < 1e-15
 
 
 def test_wigner_factors_shapes():

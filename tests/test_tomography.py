@@ -1,6 +1,7 @@
 """Forward/inverse transforms, closed forms, quadrant probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from tomobell.special import (
     periodic_trapezoid,
 )
 from tomobell.states import (
+    MAX_BLOCK,
     ExplicitFock,
     FockPairSuperposition,
     PairCoherent,
     SqueezedVacuum,
     density_matrix,
+    wigner,
 )
 from tomobell.tomography import (
     GaussianTomogramParams,
@@ -133,8 +136,6 @@ def test_wigner_marginal_is_tomogram_marginal():
     # integrating the squeezed-vacuum Wigner function over (p1, q2, p2)
     # must reproduce the X2-marginal of the tomogram at theta1 = 0: a
     # Gaussian of variance cosh(2s)/4
-    from tomobell.states import wigner
-
     s = 0.5
     state = SqueezedVacuum(math.tanh(s))
     rule = gauss_legendre(64, -5.0, 5.0)
@@ -234,16 +235,70 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
         assert np.max(np.abs(factored - dense)) < 1e-13
 
 
+def test_radon_dense_blocks_match_the_one_shot_grid_sum():
+    # order 96 evaluates a few X pairs per states.wigner call, order 384 a few
+    # rows of one pair's grid; either way each pair's sum is the one that a
+    # single call on the whole (X, t1, t2) grid gives, bit for bit
+    from tomobell.tomography import _project_dense
+
+    assert 1 < MAX_BLOCK // 96**2 < 9 and 384**2 > MAX_BLOCK
+    state = SqueezedVacuum(0.5)
+    s1, s2 = SymplecticSetting.from_angle(0.7), SymplecticSetting.from_angle(0.4)
+    xs = np.linspace(-1.5, 1.5, 3)
+    x1, x2 = np.broadcast_arrays(xs[:, None], xs[None, :])
+    half = state.half_width
+    for order in (96, 384):
+        rule = gauss_legendre(order, -half, half)
+        q1, p1 = s1.line(x1[..., None, None], rule.nodes[:, None])
+        q2, p2 = s2.line(x2[..., None, None], rule.nodes[None, :])
+        w2d = rule.weights[:, None] * rule.weights[None, :]
+        one_shot = np.sum(wigner(state, q1, p1, q2, p2) * w2d, axis=(-2, -1))
+        blocked = _project_dense(state, x1, s1, x2, s2, rule, 128)
+        assert np.array_equal(blocked, one_shot / (s1.scale * s2.scale))
+
+
+def _traced(func):
+    """``func()`` and tracemalloc's peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        value = func()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_radon_squeezed_check_memory_stays_bounded_as_lambda_grows():
+    # the whole (81, m, m) grid at once peaked at 274.5 MiB (lambda = 0.9)
+    # and 1095.5 MiB (lambda = 0.96)
+    xs = RADON_GRID
+
+    def check(lam):
+        return radon_forward(SqueezedVacuum(lam), xs[:, None], 0.0, xs[None, :], 0.0)
+
+    numeric, peak = _traced(lambda: check(0.9))
+    assert peak <= 32 * 2**20
+    closed = tomogram_closed_form(SqueezedVacuum(0.9), xs[:, None], 0.0, xs[None, :], 0.0)
+    assert np.max(np.abs(closed - numeric)) < 1e-9
+
+    def too_narrow():
+        with pytest.raises(ConvergenceError, match=r"orders \[96, 192, 384, 768\]"):
+            check(0.96)
+
+    assert _traced(too_narrow)[1] <= 64 * 2**20
+
+
 def test_radon_convergence_error_names_orders_and_residuals():
     # a 4-node rule cannot resolve the pair-coherent lines; the error names
-    # every order tried and the change at each doubling
+    # every order tried and the change at each doubling, and so does the record
     from tomobell.tomography import _project_factored
 
     state = PairCoherent(1.0)
+    record = {}
     with pytest.raises(ConvergenceError) as info:
-        radon_forward(state, 0.5, 0.0, 0.5, 0.0, order=4, max_doublings=2)
+        radon_forward(state, 0.5, 0.0, 0.5, 0.0, order=4, max_doublings=2, record=record)
     message = str(info.value)
     assert "orders [4, 8, 16]" in message
+    assert record["orders"] == [4, 8, 16]
     half = state.half_width
     x = np.array([0.5])
     setting = SymplecticSetting.from_angle(0.0)
@@ -254,6 +309,7 @@ def test_radon_convergence_error_names_orders_and_residuals():
     ]
     for before, after in zip(values[:-1], values[1:]):
         assert f"{abs(after - before):.3e}" in message
+    assert record["changes"] == [abs(after - before) for before, after in zip(values, values[1:])]
 
 
 # ---------------------------------------------------------------------------
