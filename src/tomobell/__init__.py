@@ -49,7 +49,6 @@ from .special import (
 )
 from .states import (
     DensityMatrix,
-    ExplicitFock,
     FockPairSuperposition,
     PairCoherent,
     SchmidtVector,

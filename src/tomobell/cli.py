@@ -508,7 +508,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
         [(value, state)] = parse_states(kind, lam, n, r, single=True)
         label = state_label(kind, value)
         if dump_dm:
-            st.density_matrix(state, cutoff).save(dump_dm)
+            atomic_write_text(dump_dm, json.dumps(st.density_matrix(state, cutoff).to_json_dict()))
         corr, deficit = _pseudospin_correlation_fn(kind, state, cutoff, source)
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -284,31 +282,10 @@ class DensityMatrix:
             entries[int(i), int(j)] = complex(re, im)
         return cls(cutoff, entries, float(payload["trace_deficit"]))
 
-    def save(self, path: str) -> None:
-        """Atomic JSON write (temp file + rename)."""
-        payload = json.dumps(self.to_json_dict())
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     @classmethod
     def load(cls, path: str) -> "DensityMatrix":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class ExplicitFock(TwoModeState):
-    """A generic two-mode state given directly by its Fock density matrix."""
-
-    dm: DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -365,13 +342,7 @@ def significant_schmidt(state: TwoModeState) -> SchmidtVector:
 
 
 def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> DensityMatrix:
-    """Truncated |psi><psi| of a benchmark state (or pass-through for ExplicitFock)."""
-    if isinstance(state, ExplicitFock):
-        if state.dm.cutoff != cutoff:
-            raise DimensionError(
-                f"explicit density matrix has cutoff {state.dm.cutoff}, requested {cutoff}"
-            )
-        return state.dm
+    """Truncated |psi><psi| of a benchmark state."""
     schmidt = schmidt_coefficients(state, cutoff)
     psi = np.zeros(cutoff * cutoff)
     idx = np.arange(cutoff)

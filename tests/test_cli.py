@@ -320,8 +320,20 @@ def test_reconstruct_vacuum(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.load(open(out))
     rho00 = [e for e in payload["entries"] if e[0] == 0 and e[1] == 0][0]
-    assert rho00[2] == pytest.approx(1.0, abs=0.02)
-    assert abs(payload["trace_deficit"]) < 0.01
+    assert rho00[2] == pytest.approx(1.0, abs=1e-9)
+    assert abs(payload["trace_deficit"]) < 1e-12
+
+
+def test_reconstruct_single_photon_cutoff_2_keeps_the_trace(runner, tmp_path):
+    out = str(tmp_path / "rho.json")
+    result = runner.invoke(main, ["reconstruct", "--tomogram", "single-photon",
+                                  "--cutoff", "2", "-o", out])
+    assert result.exit_code == 0, result.output
+    payload = json.load(open(out))
+    assert abs(payload["trace_deficit"]) < 1e-12
+    assert set(payload["diagnostics"]) == {"k_tail", "trace"}
+    assert payload["diagnostics"]["k_tail"] < 1e-15
+    assert payload["diagnostics"]["trace"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reconstruct_cutoff_guard(runner, tmp_path):
