@@ -10,10 +10,13 @@ from .bell import (
     BellAnglesQuadrature,
     PseudospinOps,
     PseudospinSettings,
+    calb_curve,
     chsh,
     closed_form_correlation,
     correlation_pseudospin,
     correlation_tomographic,
+    correlation_xz,
+    direction,
     maximize_chsh,
     pair_coherent_bessel_coefficient,
     pair_coherent_sx_report,

@@ -7,6 +7,13 @@ Both formulations share the same combination
 with E either the sign-binned expectation w_pp - w_pm - w_mp + w_mm or the
 pseudospin correlation Tr[rho (u . S^(1)) (v . S^(2))].
 
+Every coplanar pseudospin correlation (u, v in the x-z plane) is carried by
+one x-z block T = (T_zz, T_xx, T_xz, T_zx), T_ab = <S_a^(1) S_b^(2)>: a
+density matrix gives it through ``density_xz_entries``, a Schmidt vector
+through ``schmidt_xz_entries`` and a benchmark state's closed form through
+``TwoModeState.pseudospin_xz``.  ``correlation_xz`` evaluates E from it on
+floats or on whole angle grids, and ``calb_curve`` a whole calB curve.
+
 The pair-coherent Bessel-ratio coefficient c(r) = r^2 (1 -
 J0(2 r^2)/I0(2 r^2)) exceeds 1 for r near 1.05, which is impossible for
 unit-norm dichotomic observables; ``pair_coherent_sx_report`` exposes it
@@ -166,12 +173,54 @@ def schmidt_xz_entries(schmidt: st.SchmidtVector) -> tuple[float, float, float, 
     return float(c @ c), 2.0 * float(c[0::2] @ c[1::2]), 0.0, 0.0
 
 
-def closed_form_correlation(state, theta_u: float, theta_v: float) -> float:
-    """Coplanar pseudospin correlation closed form of a benchmark state.
+def density_xz_entries(rho: st.DensityMatrix) -> tuple[float, float, float, float]:
+    """(T_zz, T_xx, T_xz, T_zx) = Tr[rho (a . S^(1)) (b . S^(2))] for a, b along z and x."""
+    x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+    return tuple(correlation_pseudospin(rho, a, b) for a, b in ((z, z), (x, x), (x, z), (z, x)))
 
-    Each state gives its own (``TwoModeState.pseudospin_closed_form``).
+
+def direction(theta):
+    """(cos theta, sin theta) of an x-z direction theta from the z axis.
+
+    A float gives floats; an array gives arrays, tabulated entry by entry with
+    the same ``math.cos`` and ``math.sin``, so both forms agree bit for bit on
+    any numpy build.
     """
-    return state.pseudospin_closed_form(theta_u, theta_v)
+    if np.ndim(theta) == 0:
+        return math.cos(theta), math.sin(theta)
+    flat = np.asarray(theta, dtype=float).tolist()
+    return np.array([math.cos(t) for t in flat]), np.array([math.sin(t) for t in flat])
+
+
+def correlation_xz(t, u, v):
+    """Coplanar E(u, v) = T_zz cu cv + T_xx su sv + T_xz su cv + T_zx cu sv.
+
+    ``t`` is the x-z block (T_zz, T_xx, T_xz, T_zx); ``u`` and ``v`` are
+    ``direction`` pairs (cos, sin) of floats or of arrays, which broadcast.
+    """
+    t_zz, t_xx, t_xz, t_zx = t
+    (cu, su), (cv, sv) = u, v
+    return t_zz * cu * cv + t_xx * su * sv + t_xz * su * cv + t_zx * cu * sv
+
+
+def calb_curve(t, grid, tv: float, tup: float, tvp: float) -> np.ndarray:
+    """calB(theta_u) at fixed theta_v, theta_u', theta_v' for every theta_u of ``grid``.
+
+    ``grid`` is ``direction(theta_u values)``, tabulated once for any number of
+    blocks ``t``.  Each value equals the scalar ``chsh`` of four
+    ``correlation_xz`` calls bit for bit.
+    """
+    v, up, vp = direction(tv), direction(tup), direction(tvp)
+    return chsh(correlation_xz(t, grid, v), correlation_xz(t, grid, vp),
+                correlation_xz(t, up, v), correlation_xz(t, up, vp))
+
+
+def closed_form_correlation(state, theta_u: float, theta_v: float) -> float:
+    """Coplanar pseudospin correlation of a benchmark state from its closed-form block.
+
+    Each state gives its own (``TwoModeState.pseudospin_xz``).
+    """
+    return correlation_xz(state.pseudospin_xz, direction(theta_u), direction(theta_v))
 
 
 @dataclass(frozen=True)
@@ -203,8 +252,8 @@ def correlation_tomographic(probs) -> float:
     return probs.w_pp - probs.w_pm - probs.w_mp + probs.w_mm
 
 
-def chsh(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
-    """The CHSH combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')|."""
+def chsh(e_ab, e_abp, e_apb, e_apbp):
+    """The CHSH combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| of floats or arrays."""
     return abs(e_ab + e_abp + e_apb - e_apbp)
 
 

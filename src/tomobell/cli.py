@@ -259,34 +259,19 @@ def _tomographic_correlation_fn(state):
     return corr
 
 
-def _pseudospin_correlation_fn(kind, state, cutoff, source="auto"):
-    """(corr, trace_deficit): closed form for EPR/Fock pair, Fock basis for pair-coherent.
+def _pseudospin_xz(kind, state, cutoff, source="auto"):
+    """(T, trace_deficit): the x-z block T = (T_zz, T_xx, T_xz, T_zx) of a benchmark state.
 
-    The pair-coherent Bessel-ratio coefficient exceeds 1 near r = 1.05, so
-    its curve comes from the Schmidt vector truncated at ``cutoff`` instead
-    (see `tomobell.bell.pair_coherent_sx_report`).  ``source`` "closed" or
-    "fock" overrides that choice; closed forms have trace_deficit None.
+    EPR and the Fock pair use their closed forms.  The pair-coherent
+    Bessel-ratio coefficient exceeds 1 near r = 1.05, so its block comes from
+    the Schmidt vector truncated at ``cutoff`` instead (see
+    `tomobell.bell.pair_coherent_sx_report`).  ``source`` "closed" or "fock"
+    overrides that choice; closed forms have trace_deficit None.
     """
     if source == "fock" or (source == "auto" and kind == "pair-coherent"):
         schmidt = st.schmidt_coefficients(state, cutoff)
-        return _fock_correlation_fn(*bell.schmidt_xz_entries(schmidt)), schmidt.deficit
-    return functools.partial(bell.closed_form_correlation, state), None
-
-
-def _fock_correlation_fn(t_zz, t_xx, t_xz, t_zx):
-    """Coplanar E(tu, tv) = u . T . v from the x-z entries T_ij = <S_i S_j>."""
-
-    def corr(tu, tv):
-        cu, su, cv, sv = math.cos(tu), math.sin(tu), math.cos(tv), math.sin(tv)
-        return t_zz * cu * cv + t_xx * su * sv + t_xz * su * cv + t_zx * cu * sv
-
-    return corr
-
-
-def _calb_curve(corr, tu_grid, tv, tup, tvp) -> list[float]:
-    """calB(theta_u) at fixed theta_v, theta_u', theta_v' for each theta_u in the grid."""
-    return [bell.chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp))
-            for tu in tu_grid]
+        return bell.schmidt_xz_entries(schmidt), schmidt.deficit
+    return state.pseudospin_xz, None
 
 
 @click.group()
@@ -406,6 +391,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
     ps = parse_named_angles(ps_angles, {"tv", "tup", "tvp"})
     tv, tup, tvp = ps.get("tv", math.pi / 4), ps.get("tup", -math.pi / 2), ps.get("tvp", -math.pi / 4)
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
+    grid = bell.direction(tu_grid)
 
     do_tomo = mode in ("tomographic", "both")
     do_ps = mode in ("pseudospin", "both")
@@ -425,9 +411,9 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
             row.append(b_val)
             tomo_series.append(b_val)
         if do_ps:
-            corr, deficit = _pseudospin_correlation_fn(kind, state, cutoff)
+            t, deficit = _pseudospin_xz(kind, state, cutoff)
             deficits.append(deficit)  # None for the closed forms
-            vals = _calb_curve(corr, tu_grid, tv, tup, tvp)
+            vals = bell.calb_curve(t, grid, tv, tup, tvp)
             best = int(np.argmax(vals))
             row += [float(vals[best]), float(tu_grid[best])]
             ps_series.append(float(vals[best]))
@@ -497,10 +483,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
 
     if dm_path is not None:
         dm = st.DensityMatrix.load(dm_path)
-        x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]  # T_zz, T_xx, T_xz, T_zx of a general rho
-        entries = [bell.correlation_pseudospin(dm, u, v)
-                   for u, v in ((z, z), (x, x), (x, z), (z, x))]
-        corr, deficit = _fock_correlation_fn(*entries), dm.trace_deficit
+        t, deficit = bell.density_xz_entries(dm), dm.trace_deficit
         label = {"kind": "explicit-fock", "path": dm_path}
     else:
         if kind is None:
@@ -509,16 +492,17 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
         label = state_label(kind, value)
         if dump_dm:
             atomic_write_text(dump_dm, json.dumps(st.density_matrix(state, cutoff).to_json_dict()))
-        corr, deficit = _pseudospin_correlation_fn(kind, state, cutoff, source)
+        t, deficit = _pseudospin_xz(kind, state, cutoff, source)
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
-    curve = _calb_curve(corr, tu_grid, tv, tup, tvp)
-    write_csv(out, ["theta_u", "B"], [[float(tu), b_val] for tu, b_val in zip(tu_grid, curve)])
+    curve = bell.calb_curve(t, bell.direction(tu_grid), tv, tup, tvp)
+    write_csv(out, ["theta_u", "B"], np.column_stack((tu_grid, curve)))
     best = int(np.argmax(curve))
     manifest_for(out, "pseudospin", {
         "state": label, "cutoff": cutoff, "source": source,
         "theta_v": tv, "theta_up": tup, "theta_vp": tvp, "theta_u_steps": theta_u_steps,
-    }, {"max_B": curve[best], "theta_u_argmax": float(tu_grid[best]), "trace_deficit": deficit})
+    }, {"max_B": float(curve[best]), "theta_u_argmax": float(tu_grid[best]),
+        "trace_deficit": deficit})
     click.echo(f"max calB = {curve[best]:.6f} at theta_u = {tu_grid[best]:.6f}")
 
 
@@ -538,7 +522,10 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     if mode == "tomographic":
         corr = _tomographic_correlation_fn(state)
     else:
-        corr, _ = _pseudospin_correlation_fn(kind, state, cutoff)
+        t, _ = _pseudospin_xz(kind, state, cutoff)
+
+        def corr(theta1, theta2):
+            return bell.correlation_xz(t, bell.direction(theta1), bell.direction(theta2))
     found = bell.maximize_chsh(corr, grid_points=grid_points)
     best, refine = found.value, found.refine
     reduced = found.angles.reduced()
@@ -639,6 +626,7 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
     os.makedirs(out_dir, exist_ok=True)
     theta_grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     tu_grid = np.linspace(0.0, 2.0 * math.pi, points + 1)
+    grid = bell.direction(tu_grid)
     files = {}
 
     def write(name, header, rows):
@@ -646,9 +634,9 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
         write_csv(files[name], header, rows)
 
     def calb_rows(kind, value, state, tv, tup, tvp):
-        corr, _ = _pseudospin_correlation_fn(kind, state, cutoff)
-        curve = _calb_curve(corr, tu_grid, tv, tup, tvp)
-        return [[value, float(tu), b_val] for tu, b_val in zip(tu_grid, curve)]
+        t, _ = _pseudospin_xz(kind, state, cutoff)
+        curve = bell.calb_curve(t, grid, tv, tup, tvp)
+        return np.column_stack((np.full_like(tu_grid, value), tu_grid, curve))
 
     # fig1a / fig2a: w_pp etc. vs theta1 + theta2
     for name, kind, values in (("fig1a", "epr", FIG1_LAMBDAS), ("fig2a", "fock-pair", FIG2_NS)):
@@ -657,10 +645,9 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
         write(f"{name}.csv", [STATE_KINDS[kind][0], *PROB_COLUMNS], rows)
 
     # fig1b: pseudospin calB vs theta_u for the squeezed vacuum
-    rows = []
-    for lam, state in make_states("epr", FIG1_LAMBDAS):
-        rows += calb_rows("epr", lam, state, math.pi / 4, -math.pi / 2, -math.pi / 4)
-    write("fig1b.csv", ["lambda", "theta_u", "B"], rows)
+    write("fig1b.csv", ["lambda", "theta_u", "B"], np.concatenate([
+        calb_rows("epr", lam, state, math.pi / 4, -math.pi / 2, -math.pi / 4)
+        for lam, state in make_states("epr", FIG1_LAMBDAS)]))
 
     # fig2b: Fock pair n = 1, theta_v = 0, theta_u' = pi, theta_v' = pi/2
     [(n, state)] = make_states("fock-pair", [1])

@@ -16,7 +16,9 @@ error function at ``ERF_COMPLEX_BOX`` per axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,16 +105,34 @@ def laguerre(n: int, x, alpha: float = 0.0):
     return float(l) if scalar else l
 
 
+#: log of the smallest normal double: e^{-x/2} is subnormal past x ~ 1416.8.
+_LOG_TINY = math.log(sys.float_info.min)
+
+
 def laguerre_function(n: int, x):
     """The Laguerre function e^{-x/2} L_n(x), bounded by 1 in magnitude for x >= 0.
 
     The Laguerre recurrence is linear, so started from e^{-x/2} it carries the
     Gaussian along and never forms L_n(x) itself; no order guard is needed.
+    Where e^{-x/2} would be subnormal it runs on e^{s} e^{-x/2} L_k(x),
+    s = x/2 - 600, scaled by 2^-512 whenever it passes 2^512, as
+    ``hermite_functions`` does; everywhere else the shift is 0.
     """
     x, scalar = _as_float_array(x)
-    prev, cur = 0.0 * x, np.exp(-0.5 * x)
+    exponent = -0.5 * x
+    wide = x.size > 0 and np.min(exponent) < _LOG_TINY
+    if wide:
+        shift = np.where(exponent < _LOG_TINY, -600.0 - exponent, 0.0)
+        exponent = exponent + shift
+    prev, cur = 0.0 * x, np.exp(exponent)
     for k in range(n):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
+        if wide and np.max(np.abs(cur)) > 2.0**512:
+            big = np.abs(cur) > 2.0**512
+            cur, prev = (np.where(big, v * 2.0**-512, v) for v in (cur, prev))
+            shift = shift - big * (512 * math.log(2.0))
+    if wide:
+        cur = cur * np.exp(-shift)
     return float(cur) if scalar else cur
 
 
@@ -262,9 +282,18 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise DomainError(f"invalid gauss-legendre interval ({a}, {b})")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return QuadratureRule(mid + half * x, half * w)
+
+
+@lru_cache(maxsize=64)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def periodic_trapezoid(order: int) -> QuadratureRule:

@@ -78,8 +78,9 @@ class TwoModeState:
             f"no factor form of the Wigner function for {type(self).__name__}"
         )
 
-    def pseudospin_closed_form(self, theta_u: float, theta_v: float) -> float:
-        """Coplanar pseudospin correlation E(u, v), u and v at angles from the z axis."""
+    @property
+    def pseudospin_xz(self) -> tuple[float, float, float, float]:
+        """The closed-form pseudospin block (T_zz, T_xx, T_xz, T_zx) of ``bell.correlation_xz``."""
         raise UnsupportedStateError(f"no closed-form correlation for {type(self).__name__}")
 
 
@@ -106,10 +107,10 @@ class SqueezedVacuum(TwoModeState):
     def half_width(self):
         return 3.5 * math.exp(self.s) / 2.0 + 2.0
 
-    def pseudospin_closed_form(self, theta_u, theta_v):
-        """cos tu cos tv + (2 lam / (1 + lam^2)) sin tu sin tv."""
-        k = 2.0 * self.lam / (1.0 + self.lam**2)
-        return math.cos(theta_u) * math.cos(theta_v) + k * math.sin(theta_u) * math.sin(theta_v)
+    @property
+    def pseudospin_xz(self):
+        """(1, 2 lam / (1 + lam^2), 0, 0)."""
+        return 1.0, 2.0 * self.lam / (1.0 + self.lam**2), 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,10 @@ class FockPairSuperposition(TwoModeState):
 
         return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)
 
-    def pseudospin_closed_form(self, theta_u, theta_v):
-        """cos(tu - tv) for n = 1, cos tu cos tv for n > 1."""
-        if self.n == 1:
-            return math.cos(theta_u - theta_v)
-        return math.cos(theta_u) * math.cos(theta_v)
+    @property
+    def pseudospin_xz(self):
+        """(1, 1, 0, 0) for n = 1, (1, 0, 0, 0) for n > 1."""
+        return 1.0, 1.0 if self.n == 1 else 0.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -205,13 +205,13 @@ class PairCoherent(TwoModeState):
 
         return WignerFactors(coupling, mode)
 
-    def pseudospin_closed_form(self, theta_u, theta_v):
-        """cos tu cos tv + r^2 (1 - J0(2 r^2)/I0(2 r^2)) sin tu sin tv.
+    @property
+    def pseudospin_xz(self):
+        """(1, r^2 (1 - J0(2 r^2)/I0(2 r^2)), 0, 0).
 
         See ``bell.pair_coherent_sx_report`` for its Fock-basis check.
         """
-        return (math.cos(theta_u) * math.cos(theta_v)
-                + pair_coherent_bessel_coefficient(self.r) * math.sin(theta_u) * math.sin(theta_v))
+        return 1.0, pair_coherent_bessel_coefficient(self.r), 0.0, 0.0
 
 
 def pair_coherent_bessel_coefficient(r: float) -> float:

@@ -1,5 +1,6 @@
 """Pseudospin operators, CHSH functionals, Bell-angle optimization."""
 
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,14 @@ from tomobell.bell import (
     BellAnglesQuadrature,
     PseudospinSettings,
     _nelder_mead,
+    calb_curve,
     chsh,
     closed_form_correlation,
     correlation_pseudospin,
     correlation_tomographic,
+    correlation_xz,
+    density_xz_entries,
+    direction,
     maximize_chsh,
     pair_coherent_bessel_coefficient,
     pair_coherent_sx_report,
@@ -22,6 +27,7 @@ from tomobell.bell import (
 from tomobell.errors import AccuracyError, DimensionError, DomainError, NormalizationError
 from tomobell.special import bessel_i0, bessel_j0
 from tomobell.states import (
+    DensityMatrix,
     FockPairSuperposition,
     PairCoherent,
     SqueezedVacuum,
@@ -138,6 +144,106 @@ def test_closed_form_correlation_values():
     assert want == pytest.approx(
         r * r * (1.0 - bessel_j0(2 * r * r) / bessel_i0(2 * r * r)), rel=1e-13
     )
+
+
+def test_pseudospin_xz_blocks():
+    lam, r = 0.54, 1.05
+    assert SqueezedVacuum(lam).pseudospin_xz == (1.0, 2.0 * lam / (1.0 + lam * lam), 0.0, 0.0)
+    assert FockPairSuperposition(1).pseudospin_xz == (1.0, 1.0, 0.0, 0.0)
+    assert FockPairSuperposition(3).pseudospin_xz == (1.0, 0.0, 0.0, 0.0)
+    assert PairCoherent(r).pseudospin_xz == (1.0, pair_coherent_bessel_coefficient(r), 0.0, 0.0)
+
+
+def test_density_xz_entries_match_the_schmidt_block():
+    state = PairCoherent(1.0)
+    want = schmidt_xz_entries(schmidt_coefficients(state, 8))
+    got = density_xz_entries(density_matrix(state, 8))
+    assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_direction_tabulates_with_the_scalar_trig_calls():
+    thetas = np.linspace(-7.0, 7.0, 1001)
+    cos, sin = direction(thetas)
+    assert cos.tolist() == [math.cos(t) for t in thetas.tolist()]
+    assert sin.tolist() == [math.sin(t) for t in thetas.tolist()]
+    assert direction(0.3) == (math.cos(0.3), math.sin(0.3))
+
+
+def _scalar_calb(corr, thetas, tv, tup, tvp):
+    """The per-angle loop of four scalar correlations that ``calb_curve`` replaces."""
+    return [chsh(corr(tu, tv), corr(tu, tvp), corr(tup, tv), corr(tup, tvp)) for tu in thetas]
+
+
+def _block_corr(t_zz, t_xx, t_xz, t_zx):
+    """The scalar E = u . T . v of an x-z block, as the CLI evaluated it per angle."""
+
+    def corr(tu, tv):
+        cu, su, cv, sv = math.cos(tu), math.sin(tu), math.cos(tv), math.sin(tv)
+        return t_zz * cu * cv + t_xx * su * sv + t_xz * su * cv + t_zx * cu * sv
+
+    return corr
+
+
+def _epr_closed_form(lam):
+    k = 2.0 * lam / (1.0 + lam**2)
+    return lambda tu, tv: math.cos(tu) * math.cos(tv) + k * math.sin(tu) * math.sin(tv)
+
+
+def _pair_coherent_closed_form(r):
+    c = pair_coherent_bessel_coefficient(r)
+    return lambda tu, tv: math.cos(tu) * math.cos(tv) + c * math.sin(tu) * math.sin(tv)
+
+
+def _with_block_corr(t):
+    return t, _block_corr(*t)
+
+
+def _dm_file_block(tmp_path):
+    path = tmp_path / "dm.json"
+    path.write_text(json.dumps(density_matrix(SqueezedVacuum(0.5), 6).to_json_dict()))
+    return density_xz_entries(DensityMatrix.load(str(path)))
+
+
+_CALB_SOURCES = {
+    # name -> (the block, the scalar correlation each curve point used to call)
+    "epr": lambda tmp: (SqueezedVacuum(0.54).pseudospin_xz, _epr_closed_form(0.54)),
+    "fock-pair-3": lambda tmp: (FockPairSuperposition(3).pseudospin_xz,
+                                lambda tu, tv: math.cos(tu) * math.cos(tv)),
+    "pair-coherent-closed": lambda tmp: (PairCoherent(1.05).pseudospin_xz,
+                                         _pair_coherent_closed_form(1.05)),
+    "pair-coherent-fock-32": lambda tmp: _with_block_corr(
+        schmidt_xz_entries(schmidt_coefficients(PairCoherent(1.05), 32))),
+    "pair-coherent-fock-64": lambda tmp: _with_block_corr(
+        schmidt_xz_entries(schmidt_coefficients(PairCoherent(1.05), 64))),
+    "dm-file": lambda tmp: _with_block_corr(_dm_file_block(tmp)),
+}
+
+
+@pytest.mark.parametrize("steps", [19, 361])
+@pytest.mark.parametrize("source", sorted(_CALB_SOURCES))
+@pytest.mark.parametrize("angles", [(0.0, math.pi, math.pi / 2),
+                                    (math.pi / 4, -math.pi / 2, -math.pi / 4)])
+def test_calb_curve_matches_the_scalar_loop_bit_for_bit(tmp_path, source, steps, angles):
+    t, corr = _CALB_SOURCES[source](tmp_path)
+    thetas = np.linspace(0.0, 2.0 * math.pi, steps)
+    curve = calb_curve(t, direction(thetas), *angles)
+    assert curve.tolist() == _scalar_calb(corr, thetas, *angles)
+
+
+def test_calb_curve_of_the_fock_pair_n1_is_its_closed_form():
+    # the block (1, 1, 0, 0) gives cu cv + su sv where the closed form was cos(tu - tv)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 361)
+    angles = (0.0, math.pi, math.pi / 2)
+    curve = calb_curve(FockPairSuperposition(1).pseudospin_xz, direction(thetas), *angles)
+    want = _scalar_calb(lambda tu, tv: math.cos(tu - tv), thetas, *angles)
+    assert np.max(np.abs(curve - want)) <= 1e-15
+
+
+def test_correlation_xz_broadcasts_floats_against_arrays():
+    t = (0.9, 0.4, -0.2, 0.1)
+    thetas = np.linspace(-3.0, 3.0, 7)
+    got = correlation_xz(t, direction(thetas), direction(0.5))
+    assert got.tolist() == [correlation_xz(t, direction(tu), direction(0.5)) for tu in thetas]
 
 
 def test_pair_coherent_sx_discrepancy_report():

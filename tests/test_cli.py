@@ -493,6 +493,39 @@ def test_pseudospin_fock_curve_matches_per_point_correlation(
         assert abs(got - want) <= 1e-12
 
 
+def test_pseudospin_scan_cost_grows_with_states_not_with_curve_points(
+    runner, tmp_path, monkeypatch
+):
+    # calB curves are whole arrays: per state a fixed handful of correlation and
+    # trig calls, and the theta_u grid's cos and sin are tabulated once per command
+    calls = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli.bell, "correlation_xz", counted(cli.bell.correlation_xz))
+    monkeypatch.setattr(math, "cos", counted(math.cos))
+    monkeypatch.setattr(math, "sin", counted(math.sin))
+
+    def scan(sweep, steps):
+        calls["n"] = 0
+        result = runner.invoke(main, [
+            "bell-scan", "--state", "pair-coherent", "--r", sweep, "--mode", "pseudospin",
+            "--theta-u-steps", str(steps), "-o", str(tmp_path / "scan.csv")])
+        assert result.exit_code == 0, result.output
+        return calls["n"]
+
+    many = scan("0.5:1.5:0.01", 361)
+    few = scan("0.5:1.5:0.1", 361)
+    few_short = scan("0.5:1.5:0.1", 19)
+    assert (many - few) / (101 - 11) <= 16
+    assert (few - few_short) / (361 - 19) <= 2
+
+
 def test_import_loads_no_scipy(tmp_path):
     # the CHSH optimizer is tomobell's own Nelder-Mead: neither startup nor optimize loads scipy
     code = (

@@ -1,10 +1,12 @@
 """Special functions against slow, independent series/quadrature oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from tomobell import special
 from tomobell.errors import DomainError
 from tomobell.special import (
     bessel_i0,
@@ -15,6 +17,12 @@ from tomobell.special import (
     laguerre,
     laguerre_function,
     periodic_trapezoid,
+)
+from tomobell.tomography import (
+    KERNEL_K_ORDER,
+    KERNEL_X_ORDER,
+    kernel_reconstruct_density,
+    vacuum_quadrature_density,
 )
 
 # ---------------------------------------------------------------------------
@@ -44,6 +52,17 @@ def laguerre_coefficient_oracle(n, x, alpha=0.0):
             binom *= (alpha + k + 1 + j) / (j + 1)
         total += (-1) ** k * binom * x**k / math.factorial(k)
     return total
+
+
+def laguerre_function_decimal_oracle(n, x):
+    """e^{-x/2} L_n(x) from the same recurrence in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(float(x))
+        prev, cur = Decimal(0), (-x / 2).exp()
+        for k in range(n):
+            prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        return float(cur)
 
 
 def i0_series_oracle(x, terms=60):
@@ -160,6 +179,25 @@ def test_laguerre_function_is_bounded_beyond_the_polynomial_guard():
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) <= 1.0
     assert vals[0] == 1.0
+
+
+@pytest.mark.parametrize("n", [100, 300, 400, 500])
+def test_laguerre_function_matches_a_60_digit_recurrence(n):
+    # past x ~ 1417 the start value e^{-x/2} is subnormal; n = 400 and 500 oscillate
+    # out to x = 4n + 2, where the function used to underflow to 0
+    xs = np.concatenate([np.linspace(0.0, 4.0 * n + 40.0, 161), [1416.0, 1417.0, 1584.0]])
+    want = np.array([laguerre_function_decimal_oracle(n, x) for x in xs])
+    assert np.max(np.abs(laguerre_function(n, xs) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 50, 300])
+def test_laguerre_function_is_unchanged_where_the_start_is_normal(n):
+    # the log-scale shift only acts where e^{-x/2} would be subnormal
+    xs = np.linspace(0.0, 4.0 * n + 40.0, 997)
+    prev, cur = 0.0 * xs, np.exp(-0.5 * xs)
+    for k in range(n):
+        prev, cur = cur, ((2.0 * k + 1.0 - xs) * cur - k * prev) / (k + 1.0)
+    assert laguerre_function(n, xs).tobytes() == cur.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +340,19 @@ def test_quadrature_rules_are_immutable():
     rule = gauss_legendre(4, 0.0, 1.0)
     with pytest.raises(ValueError):
         rule.nodes[0] = 99.0
+
+
+def test_gauss_legendre_builds_each_rule_once(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(order):
+        built.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    special._legendre_rule.cache_clear()
+    first, _ = kernel_reconstruct_density(vacuum_quadrature_density, 6)
+    second, _ = kernel_reconstruct_density(vacuum_quadrature_density, 6)
+    assert sorted(built) == sorted({KERNEL_K_ORDER, KERNEL_X_ORDER})
+    assert first.tobytes() == second.tobytes()
