@@ -34,6 +34,10 @@ from .errors import AccuracyError, DimensionError, DomainError
 from .states import pair_coherent_bessel_coefficient
 
 TWO_PI = 2.0 * math.pi
+#: Stopping test of maximize_chsh's Nelder-Mead refinement: the simplex
+#: spread in angle and in CHSH value.
+NELDER_MEAD_XATOL = 1e-9
+NELDER_MEAD_FATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,6 @@ class PseudospinOps:
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
-    cutoff: int
 
     def dotted(self, vec) -> np.ndarray:
         """The matrix vec . S for a unit 3-vector."""
@@ -138,17 +141,12 @@ def pseudospin_matrices(cutoff: int) -> PseudospinOps:
     sz = np.diag((-1.0 + 0j) ** np.arange(cutoff))
     for m in (sx, sy, sz):
         m.setflags(write=False)
-    return PseudospinOps(sx, sy, sz, cutoff)
+    return PseudospinOps(sx, sy, sz)
 
 
-def correlation_pseudospin(rho: st.DensityMatrix, u, v, ops: PseudospinOps | None = None) -> float:
+def correlation_pseudospin(rho: st.DensityMatrix, u, v) -> float:
     """E(u, v) = Tr[rho (u . S^(1)) (v . S^(2))] on the truncated Fock space."""
-    if ops is None:
-        ops = pseudospin_matrices(rho.cutoff)
-    if ops.cutoff != rho.cutoff:
-        raise DimensionError(
-            f"operator cutoff {ops.cutoff} does not match density matrix cutoff {rho.cutoff}"
-        )
+    ops = pseudospin_matrices(rho.cutoff)
     a = ops.dotted(u)
     b = ops.dotted(v)
     n = rho.cutoff
@@ -375,8 +373,6 @@ def maximize_chsh(
     *,
     grid_points: int = 24,
     refine: bool = True,
-    xatol: float = 1e-9,
-    fatol: float = 1e-13,
     max_iter: int = 4000,
 ) -> ChshMaximum:
     """Maximize the CHSH value over four angles for E(theta1, theta2).
@@ -384,8 +380,9 @@ def maximize_chsh(
     A coarse deterministic search tabulates E on a ``grid_points``^2 angle
     grid (so the full grid_points^4 CHSH lattice costs only grid_points^2
     correlation evaluations) and the best cell seeds a Nelder-Mead
-    refinement.  Returns a ``ChshMaximum``, which unpacks as
-    (BellAnglesQuadrature, value).
+    refinement, which stops at ``NELDER_MEAD_XATOL`` and ``NELDER_MEAD_FATOL``
+    or after ``max_iter`` evaluations.  Returns a ``ChshMaximum``, which
+    unpacks as (BellAnglesQuadrature, value).
     """
     thetas = np.arange(grid_points) * (TWO_PI / grid_points)
     table = np.empty((grid_points, grid_points))
@@ -420,7 +417,7 @@ def maximize_chsh(
                 correlation(x[1], x[3]),
             )
 
-        result = _nelder_mead(negative, start, xatol, fatol, max_iter)
+        result = _nelder_mead(negative, start, NELDER_MEAD_XATOL, NELDER_MEAD_FATOL, max_iter)
         if -result.fun >= best_val:
             best_val = float(-result.fun)
             start = result.x

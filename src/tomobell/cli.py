@@ -154,21 +154,18 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def cli_guard(func):
-    """Map package exceptions to the documented exit codes."""
+class ExitCodeGroup(click.Group):
+    """A command group that maps package exceptions to the documented exit codes."""
 
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return func(*args, **kwargs)
+            return super().invoke(ctx)
         except (DomainError, ConfigError) as exc:
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(2)
         except AccuracyError as exc:
             click.echo(f"accuracy error: {exc}", err=True)
             sys.exit(3)
-
-    return wrapper
 
 
 def manifest_for(out_path: str, command: str, config: dict, extras: dict | None = None) -> None:
@@ -240,6 +237,16 @@ def state_options(required=True):
     return decorate
 
 
+def angles_option(flag, default, **kwargs):
+    """A name=angle,... option parsed to a dict; a name it leaves out keeps its ``default``."""
+    names = {item.split("=")[0] for item in default.split(",")}
+
+    def merge(ctx, param, text):
+        return {**parse_named_angles(default, names), **parse_named_angles(text, names)}
+
+    return click.option(flag, default=default, show_default=True, callback=merge, **kwargs)
+
+
 PROB_COLUMNS = ["theta1", "theta2", "w_pp", "w_pm", "w_mp", "w_mm"]
 
 
@@ -259,6 +266,12 @@ def _tomographic_correlation_fn(state):
     return corr
 
 
+def _tomographic_b(state, quad: bell.BellAnglesQuadrature) -> float:
+    """The tomographic CHSH value B at the four settings of ``quad``."""
+    corr = _tomographic_correlation_fn(state)
+    return bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
+
+
 def _pseudospin_xz(kind, state, cutoff, source="auto"):
     """(T, trace_deficit): the x-z block T = (T_zz, T_xx, T_xz, T_zx) of a benchmark state.
 
@@ -274,12 +287,11 @@ def _pseudospin_xz(kind, state, cutoff, source="auto"):
     return state.pseudospin_xz, None
 
 
-@click.group()
+@click.group(cls=ExitCodeGroup)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="key = value file; flags override it")
 @click.version_option()
 @click.pass_context
-@cli_guard
 def main(ctx, config_path):
     """Tomographic and pseudospin CHSH tests for two-mode states."""
     if config_path:
@@ -295,7 +307,6 @@ def main(ctx, config_path):
 @click.option("--check-radon", is_flag=True, help="cross-check against the numeric Radon projection")
 @click.option("--tol", type=float, default=1e-6, help="pass threshold for --check-radon")
 @click.option("-o", "--out", default="tomogram.csv", show_default=True)
-@cli_guard
 def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, tol, out):
     """Closed-form tomogram on an (X1, X2) grid, optional Radon cross-check."""
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
@@ -305,29 +316,22 @@ def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, t
 
     closed = tg.tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
     header = ["x1", "x2", "theta1", "theta2", "w_closed"]
-    radon = None
+    columns = [xs[:, None], xs[None, :], t1, t2, closed]
+    extras = {}
     if check_radon:
         record = {}
         radon = tg.radon_forward(state, xs[:, None], t1, xs[None, :], t2, record=record)
         header.append("w_radon")
-    rows = []
-    for i, x1 in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            row = [float(x1), float(x2), t1, t2, float(closed[i, j])]
-            if radon is not None:
-                row.append(float(radon[i, j]))
-            rows.append(row)
-    write_csv(out, header, rows)
+        columns.append(radon)
+        extras["max_abs_difference"] = float(np.max(np.abs(closed - radon)))
+        extras["radon"] = record
+        click.echo(f"max |closed - radon| = {extras['max_abs_difference']:.3e}")
+    write_csv(out, header, np.stack(np.broadcast_arrays(*columns), axis=-1))
 
     config = {
         "state": state_label(kind, value), "theta1": t1, "theta2": t2,
         "x_max": x_max, "x_steps": x_steps, "check_radon": check_radon, "tol": tol,
     }
-    extras = {}
-    if check_radon:
-        extras["max_abs_difference"] = float(np.max(np.abs(closed - radon)))
-        extras["radon"] = record
-        click.echo(f"max |closed - radon| = {extras['max_abs_difference']:.3e}")
     manifest_for(out, "tomogram", config, extras)
     if check_radon and extras["max_abs_difference"] >= tol:
         click.echo(f"accuracy error: Radon cross-check exceeds {tol}", err=True)
@@ -340,7 +344,6 @@ def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, t
               show_default=True, help="theta1+theta2 grid as start:stop:step or a comma list")
 @click.option("--theta2", default="0", help="fixed theta2 (theta1 carries the sweep)")
 @click.option("-o", "--out", default="probs.csv", show_default=True)
-@cli_guard
 def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
     """Sign-binned probabilities w_pp, w_pm, w_mp, w_mm along an angle sweep.
 
@@ -362,20 +365,16 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
 @state_options()
 @click.option("--mode", type=click.Choice(["tomographic", "pseudospin", "both"]), default="both",
               show_default=True)
-@click.option("--angles", default="t1=pi/2,t2=-pi/4,t1p=0,t2p=-3pi/4", show_default=True,
-              help="homodyne angles for the tomographic CHSH")
-@click.option("--ps-angles", default="tv=pi/4,tup=-pi/2,tvp=-pi/4", show_default=True,
-              help="fixed pseudospin angles; theta_u is maximized over a grid")
+@angles_option("--angles", "t1=pi/2,t2=-pi/4,t1p=0,t2p=-3pi/4",
+               help="homodyne angles for the tomographic CHSH")
+@angles_option("--ps-angles", "tv=pi/4,tup=-pi/2,tvp=-pi/4",
+               help="fixed pseudospin angles; theta_u is maximized over a grid")
 @click.option("--theta-u-steps", type=int, default=361, show_default=True)
 @click.option("--cutoff", type=int, default=32, show_default=True,
               help="Fock cutoff for the pair-coherent pseudospin oracle")
-@click.option("--quad-order", type=int, default=96, show_default=True,
-              help="ignored: the sign-binned Schmidt sum picks its Fock levels from the state")
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
 @click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
-@cli_guard
-def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
-                  cutoff, quad_order, out, summary):
+def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutoff, out, summary):
     """B (tomographic) and calB (pseudospin) along a state-parameter sweep.
 
     The sweep rides the state parameter flag as start:stop:step or a comma
@@ -383,13 +382,8 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
     """
     states = parse_states(kind, lam, n, r)
     sweep_vals = [value for value, _ in states]
-    named = parse_named_angles(angles, {"t1", "t2", "t1p", "t2p"})
-    quad = bell.BellAnglesQuadrature(
-        named.get("t1", math.pi / 2), named.get("t1p", 0.0),
-        named.get("t2", -math.pi / 4), named.get("t2p", -3 * math.pi / 4),
-    )
-    ps = parse_named_angles(ps_angles, {"tv", "tup", "tvp"})
-    tv, tup, tvp = ps.get("tv", math.pi / 4), ps.get("tup", -math.pi / 2), ps.get("tvp", -math.pi / 4)
+    quad = bell.BellAnglesQuadrature(angles["t1"], angles["t1p"], angles["t2"], angles["t2p"])
+    tv, tup, tvp = ps_angles["tv"], ps_angles["tup"], ps_angles["tvp"]
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     grid = bell.direction(tu_grid)
 
@@ -406,8 +400,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
     for value, state in states:
         row = [value, quad.theta1, quad.theta2, quad.theta1p, quad.theta2p]
         if do_tomo:
-            corr = _tomographic_correlation_fn(state)
-            b_val = bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
+            b_val = _tomographic_b(state, quad)
             row.append(b_val)
             tomo_series.append(b_val)
         if do_ps:
@@ -425,7 +418,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps,
         "angles": {"theta1": quad.theta1, "theta2": quad.theta2,
                    "theta1p": quad.theta1p, "theta2p": quad.theta2p},
         "ps_angles": {"theta_v": tv, "theta_up": tup, "theta_vp": tvp},
-        "cutoff": cutoff, "quad_order": quad_order,
+        "cutoff": cutoff,
     }
     extras = {}
     if do_tomo:
@@ -468,18 +461,16 @@ def _series_summary(params, values) -> dict:
 @click.option("--dm", "dm_path", type=click.Path(exists=True), default=None,
               help="two-mode density-matrix JSON instead of --state")
 @click.option("--cutoff", type=int, default=64, show_default=True)
-@click.option("--angles", default="tv=0,tup=pi,tvp=pi/2", show_default=True)
+@angles_option("--angles", "tv=0,tup=pi,tvp=pi/2")
 @click.option("--theta-u-steps", type=int, default=361, show_default=True)
 @click.option("--source", type=click.Choice(["auto", "closed", "fock"]), default="auto",
               show_default=True, help="correlation source for benchmark states")
 @click.option("--dump-dm", default=None, help="write the density matrix used to this JSON path")
 @click.option("-o", "--out", default="pseudospin.csv", show_default=True)
-@cli_guard
 def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, source,
                    dump_dm, out):
     """calB(theta_u) curve at fixed theta_v, theta_u', theta_v'."""
-    named = parse_named_angles(angles, {"tv", "tup", "tvp"})
-    tv, tup, tvp = named.get("tv", 0.0), named.get("tup", math.pi), named.get("tvp", math.pi / 2)
+    tv, tup, tvp = angles["tv"], angles["tup"], angles["tvp"]
 
     if dm_path is not None:
         dm = st.DensityMatrix.load(dm_path)
@@ -515,7 +506,6 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
 @click.option("--quad-order", type=int, default=96, show_default=True,
               help="ignored: the sign-binned Schmidt sum picks its Fock levels from the state")
 @click.option("-o", "--out", default="optimize.json", show_default=True)
-@cli_guard
 def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     """Maximize the CHSH value over the four measurement angles."""
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
@@ -553,7 +543,6 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
 @click.option("--count", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=20240901, show_default=True)
 @click.option("-o", "--out", default="batch.csv", show_default=True)
-@cli_guard
 def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
     """Seeded Monte Carlo homodyne batch; CSV (X1, X2) plus JSON sidecar."""
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
@@ -587,7 +576,6 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
 @click.option("--lambda", "lam", type=float, default=None, help="lambda for epr-marginal")
 @click.option("--cutoff", type=int, default=6, show_default=True)
 @click.option("-o", "--out", default="rho.json", show_default=True)
-@cli_guard
 def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
     """Kernel reconstruction of a single-mode density matrix from a tomogram."""
     if tomogram_kind == "vacuum":
@@ -620,7 +608,6 @@ def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
               help="angle-grid density for the curve datasets")
 @click.option("--r-sweep", default="0.5:1.5:0.01", show_default=True)
 @click.option("--cutoff", type=int, default=64, show_default=True)
-@cli_guard
 def cmd_figures(out_dir, points, r_sweep, cutoff):
     """Regenerate all six figure datasets at the published parameters."""
     os.makedirs(out_dir, exist_ok=True)
@@ -662,8 +649,7 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
     fig3a_vals = []
     r_values = parse_values(r_sweep)
     for rv, state in make_states("pair-coherent", r_values):
-        corr = _tomographic_correlation_fn(state)
-        b_val = bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
+        b_val = _tomographic_b(state, quad)
         rows.append([rv, t1, t2, t1p, t2p, b_val])
         fig3a_vals.append(b_val)
     write("fig3a.csv", ["r", "theta1", "theta2", "theta1p", "theta2p", "B"], rows)

@@ -22,8 +22,8 @@ from . import tomography as tg
 from .bell import BellAnglesQuadrature, chsh
 from .errors import DomainError, EnvelopeError
 
-#: Default variance inflation of the Gaussian rejection envelope.
-DEFAULT_ENVELOPE_INFLATION = 1.5
+#: Variance inflation of the Gaussian rejection envelope.
+ENVELOPE_INFLATION = 1.5
 
 #: Points per tomogram evaluation, in the envelope scan and in each proposal
 #: block: small enough that the temporaries of the level sum stay in cache.
@@ -40,9 +40,6 @@ class SampleBatch:
     theta1: float
     theta2: float
     pairs: np.ndarray  # shape (count, 2)
-    seed: int
-    state_label: str
-    substream: int = 0
     acceptance_rate: float | None = None
     rounds: int | None = None  # proposal rounds of a rejection sampler
     envelope_constant: float | None = None  # its M, with w <= M g
@@ -104,14 +101,7 @@ def sample_gaussian_epr(
     chol = np.linalg.cholesky(cov)
     rng = substream_generator(seed, substream)
     z = rng.standard_normal((count, 2))
-    return SampleBatch(
-        theta1=theta1,
-        theta2=theta2,
-        pairs=z @ chol.T,
-        seed=seed,
-        substream=substream,
-        state_label=f"squeezed-vacuum s={s}",
-    )
+    return SampleBatch(theta1=theta1, theta2=theta2, pairs=z @ chol.T)
 
 
 def sample_rejection(
@@ -125,7 +115,6 @@ def sample_rejection(
     bound_factor: float | None = None,
     scan_points: int = 201,
     substream: int = 0,
-    state_label: str = "custom",
 ) -> SampleBatch:
     """Rejection sampling of a joint quadrature density w(X1, X2).
 
@@ -191,9 +180,6 @@ def sample_rejection(
         theta1=theta1,
         theta2=theta2,
         pairs=pairs,
-        seed=seed,
-        substream=substream,
-        state_label=state_label,
         acceptance_rate=n_accepted / n_proposed,
         rounds=rounds,
         envelope_constant=bound_factor,
@@ -215,15 +201,15 @@ def _round_limit(count: int, acceptance: float) -> int:
     return max(_MIN_ROUNDS, math.ceil(4.0 * need))
 
 
-def default_envelope_sigma(state, inflation: float = DEFAULT_ENVELOPE_INFLATION) -> float:
-    """Gaussian envelope scale: sqrt(inflation * max per-mode quadrature variance)."""
+def default_envelope_sigma(state) -> float:
+    """Gaussian envelope scale: sqrt(ENVELOPE_INFLATION * max per-mode quadrature variance)."""
     if state.gaussian:
         var = math.cosh(2.0 * state.s) / 4.0
     else:
         c = st.significant_schmidt(state).coefficients
         mean_n = float(np.sum(np.arange(c.size) * c**2))
         var = (2.0 * mean_n + 1.0) / 4.0
-    return math.sqrt(inflation * var)
+    return math.sqrt(ENVELOPE_INFLATION * var)
 
 
 def sample_state(
@@ -244,12 +230,11 @@ def sample_state(
     # envelope gives 2n + 1 = 8 var - 1 (n is the top level of the Fock pair,
     # twice the mean photon number of the pair-coherent state).  The scan
     # over +/-6 sigma takes two points per lobe, and never fewer than 201.
-    var = sigma**2 / DEFAULT_ENVELOPE_INFLATION
+    var = sigma**2 / ENVELOPE_INFLATION
     lobes = 12.0 * sigma * math.sqrt(2.0 * (8.0 * var - 1.0)) / math.pi
     return sample_rejection(
         tomogram, theta1, theta2, count, seed, envelope_sigma=sigma,
         scan_points=max(201, 2 * math.ceil(lobes) + 1), substream=substream,
-        state_label=repr(state),
     )
 
 

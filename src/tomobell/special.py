@@ -185,8 +185,7 @@ def bessel_j0(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"bessel_j0 requires finite x, got {x!r}")
     ax = abs(x)
-    order = int(max(160, 3.0 * ax + 60.0))
-    t = np.arange(order) * (2.0 * math.pi / order)
+    t = periodic_trapezoid(int(max(160, 3.0 * ax + 60.0))).nodes
     return float(np.mean(np.cos(x * np.sin(t))))
 
 
@@ -265,10 +264,6 @@ class QuadratureRule:
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
 
     def integrate(self, f):
         """Apply the rule to a vectorized callable."""

@@ -33,11 +33,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, bessel_j0, laguerre_function
+from .special import bessel_i0, bessel_j0, laguerre_function, periodic_trapezoid
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 TRACE_TOL = 1e-9
+#: Rows per block of the hermiticity check, which bounds its peak memory.
+HERMITICITY_BLOCK = 256
 
 #: Default per-mode Fock cutoff for density matrices.
 DEFAULT_CUTOFF = 64
@@ -187,9 +189,10 @@ class PairCoherent(TwoModeState):
                 f"pair-coherent Wigner needs angular quadrature order >= 16, got {order}"
             )
         r = self.r
-        phi = np.arange(order) * (2.0 * math.pi / order)
+        rule = periodic_trapezoid(order)
+        phi = rule.nodes
         coupling = (
-            (2.0 * math.pi / order) ** 2
+            np.outer(rule.weights, rule.weights)
             * np.exp(-2.0 * r * r * np.cos(phi[:, None] - phi[None, :]))
             / (math.pi**4 * bessel_i0(2.0 * r * r))
         )
@@ -308,12 +311,12 @@ class SchmidtVector:
         return max(0.0, 1.0 - float(np.sum(self.coefficients**2)))
 
 
-def _hermiticity_defect(entries: np.ndarray, block: int = 256) -> float:
-    """max |rho - rho^dagger| computed in row blocks to bound peak memory."""
+def _hermiticity_defect(entries: np.ndarray) -> float:
+    """max |rho - rho^dagger| computed in blocks of ``HERMITICITY_BLOCK`` rows."""
     worst = 0.0
     n = entries.shape[0]
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, HERMITICITY_BLOCK):
+        stop = min(start + HERMITICITY_BLOCK, n)
         diff = entries[start:stop, :] - entries[:, start:stop].conj().T
         worst = max(worst, float(np.abs(diff).max()))
     return worst

@@ -62,6 +62,25 @@ KERNEL_K_ORDER = 96
 KERNEL_THETA_ORDER = 64
 KERNEL_X_HALF = 8.0
 KERNEL_X_ORDER = 160
+#: Node cap of the squeezed vacuum's Radon check: each X pair's (m, m) weight
+#: grid and Wigner buffer take 72 MiB at m = 3072.
+MAX_DENSE_ORDER = 3072
+#: Rules of sign_binned_numeric: Gauss-Legendre nodes per panel, the starting
+#: panel count, the stability tolerance and the most panel doublings.
+NUMERIC_GL_ORDER = 24
+NUMERIC_PANELS = 4
+NUMERIC_TOL = 1e-10
+NUMERIC_MAX_DOUBLINGS = 6
+#: Relative tail below which pair_coherent_integral_series stops.
+SERIES_TOL = 1e-12
+#: Rules of inverse_fourier_wigner: the Gaussian window of the |k| filter, the
+#: k range and node count, and the bounds on the surface's integral and on its
+#: imaginary residue.
+INVERSE_DAMPING_WIDTH = 0.02
+INVERSE_K_MAX = 12.0
+INVERSE_K_ORDER = 256
+INVERSE_NORM_TOL = 0.05
+INVERSE_IMAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,13 +120,13 @@ class SignBinnedProbs:
     theta1: float
     theta2: float
 
-    def validate(self, sum_tol: float = PROB_SUM_TOL) -> "SignBinnedProbs":
+    def validate(self) -> "SignBinnedProbs":
         vals = (self.w_pp, self.w_pm, self.w_mp, self.w_mm)
         for name, v in zip(("w_pp", "w_pm", "w_mp", "w_mm"), vals):
             if not (-PROB_RANGE_TOL <= v <= 1.0 + PROB_RANGE_TOL):
                 raise NormalizationError(f"{name} = {v} outside [0, 1]")
         total = sum(vals)
-        if abs(total - 1.0) > sum_tol:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise NormalizationError(
                 f"sign-binned probabilities sum to {total:.12f} (deviation {total - 1.0:.3e})"
             )
@@ -160,6 +179,17 @@ def _fringe_doublings(state, half_width: float, order: int) -> int:
     return max(3, math.ceil(math.log2(max(1.0, nodes / order))))
 
 
+def _squeezing_doublings(state, order: int) -> int:
+    """Doublings that take ``order`` to 32 e^{2s} nodes: at least 3, at most MAX_DENSE_ORDER nodes.
+
+    The squeezed vacuum's Wigner function is e^{-s} narrow across lines that
+    grow as e^{s}; its check converges at 384 nodes for lambda = 0.9, 768 for
+    0.94, and 1536 for 0.96 and 0.97.
+    """
+    need = math.ceil(math.log2(32.0 * math.exp(2.0 * state.s) / order))
+    return max(3, min(need, int(math.log2(MAX_DENSE_ORDER / order))))
+
+
 def radon_forward_symplectic(
     state,
     x1,
@@ -167,11 +197,9 @@ def radon_forward_symplectic(
     x2,
     setting2: SymplecticSetting,
     *,
-    half_width: float | None = None,
     order: int = 96,
     max_doublings: int | None = None,
     tol: float = 1e-8,
-    angular_order: int = st.DEFAULT_ANGULAR_ORDER,
     record: dict | None = None,
 ):
     """Symplectic tomogram w(X1, mu1, nu1, X2, mu2, nu2) by line projection.
@@ -181,8 +209,10 @@ def radon_forward_symplectic(
     r = sqrt(mu^2 + nu^2); the tomogram is the double line integral of the
     Wigner function divided by r1 r2.  The Gauss-Legendre order is doubled
     until two successive estimates agree to ``tol``, at most ``max_doublings``
-    times; by default 3 for the Gaussian squeezed vacuum and, for the other
-    states, enough to reach 8 nodes per fringe (``_fringe_doublings``).
+    times; by default, for the squeezed vacuum, enough to reach 32 e^{2s}
+    nodes but no more than ``MAX_DENSE_ORDER`` (``_squeezing_doublings``)
+    and, for the other states, enough to reach 8 nodes per fringe
+    (``_fringe_doublings``).  Each line spans +/- ``state.half_width``.
 
     The Fock pair and the pair-coherent state are projected through the
     factor form of their Wigner function (``TwoModeState.wigner_factors``): each
@@ -190,8 +220,8 @@ def radon_forward_symplectic(
     X value.  The squeezed vacuum, whose Gaussian cross term does not factor,
     is summed on each X pair's full (t1, t2) grid, with ``states.wigner``
     evaluated in blocks of at most ``states.MAX_BLOCK`` points
-    (``_project_dense``), so its workspace stays near 1 MB per array at
-    every order.
+    (``_project_dense``); its (m, m) weight grid and pair buffer take
+    8 m^2 bytes each.
 
     A ``record`` dict receives what the check ran, whether or not it
     converges: ``orders``, the Gauss-Legendre orders, and ``changes``, the
@@ -201,11 +231,13 @@ def radon_forward_symplectic(
     x2 = np.asarray(x2, dtype=float)
     scalar = x1.ndim == 0 and x2.ndim == 0
     x1, x2 = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(x2))
-    if half_width is None:
-        half_width = state.half_width
-    factors = None if state.gaussian else state.wigner_factors(angular_order)
+    half_width = state.half_width
+    factors = None if state.gaussian else state.wigner_factors()
     if max_doublings is None:
-        max_doublings = 3 if factors is None else _fringe_doublings(state, half_width, order)
+        if factors is None:
+            max_doublings = _squeezing_doublings(state, order)
+        else:
+            max_doublings = _fringe_doublings(state, half_width, order)
 
     prev = None
     orders, changes = [], []
@@ -215,7 +247,8 @@ def radon_forward_symplectic(
         orders.append(order * 2**k)
         rule = gauss_legendre(orders[-1], -half_width, half_width)
         if factors is None:
-            cur = _project_dense(state, x1, setting1, x2, setting2, rule, angular_order)
+            cur = _project_dense(state, x1, setting1, x2, setting2, rule,
+                                 st.DEFAULT_ANGULAR_ORDER)
         else:
             cur = _project_factored(factors, x1, setting1, x2, setting2, rule)
         if prev is not None:
@@ -223,11 +256,13 @@ def radon_forward_symplectic(
             if changes[-1] <= tol * max(1.0, float(np.max(np.abs(cur)))):
                 return float(cur[0]) if scalar else cur
         prev = cur
+    capped = factors is None and orders[-1] >= MAX_DENSE_ORDER
     raise ConvergenceError(
         f"Radon projection did not stabilize to {tol} within {max_doublings} grid doublings: "
         f"Gauss-Legendre orders {orders}, "
         f"max |change| at each doubling "
         f"[{', '.join(f'{change:.3e}' for change in changes)}]"
+        + (f"; {MAX_DENSE_ORDER} nodes is the squeezed vacuum's cap" if capped else "")
     )
 
 
@@ -344,14 +379,13 @@ def pair_coherent_integral_direct(x1, theta1, x2, theta2, r, order: int = 256) -
     return complex(np.sum(rule.weights * integrand))
 
 
-def pair_coherent_integral_series(
-    x1, x2, phi0, r, *, terms: int | None = None, tol: float = 1e-12
-):
+def pair_coherent_integral_series(x1, x2, phi0, r, *, terms: int | None = None):
     """Hermite-series form of the pair-coherent angular integral.
 
     I = 2 pi sum_n H_n(x1) H_n(x2) alpha^{2n} / (2^n (n!)^2),
-    alpha = r exp(-i phi0).  Truncated when the term ratio test certifies a
-    relative tail below ``tol``; vectorized over x1, x2.
+    alpha = r exp(-i phi0).  Truncated after ``terms`` terms or, by default,
+    when the term ratio test certifies a relative tail below ``SERIES_TOL``;
+    vectorized over x1, x2.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -376,7 +410,7 @@ def pair_coherent_integral_series(
             ratio = float(np.max(np.abs(term))) / scale
             # Cramer's bound makes the term ratio <= |alpha|^2 / (n + 1), so
             # past n ~ 8 |alpha|^2 the tail is geometric with ratio < 1/8.
-            if ratio < 0.5 * tol and n > 8.0 * abs(alpha2) + 8:
+            if ratio < 0.5 * SERIES_TOL and n > 8.0 * abs(alpha2) + 8:
                 converged = True
                 break
         if n < cap:
@@ -396,30 +430,22 @@ def pair_coherent_integral_series(
 
 
 def sign_binned_numeric(
-    density,
-    theta1: float,
-    theta2: float,
-    *,
-    scale: float = 1.0,
-    gl_order: int = 24,
-    initial_panels: int = 4,
-    tol: float = 1e-10,
-    max_doublings: int = 6,
-    sum_tol: float = PROB_SUM_TOL,
+    density, theta1: float, theta2: float, *, scale: float = 1.0
 ) -> SignBinnedProbs:
     """Quadrant integrals of a normalized joint density w(X1, X2).
 
     ``density`` is a vectorized callable already bound to the angles; the
     angles are only recorded in the result.  Each half line is mapped to
-    (0, 1) by X = scale * atanh(t) and integrated with ``gl_order``-point
-    Gauss-Legendre panels; the panel count doubles until the quadruple is
-    stable to ``tol``.  Deviation of the sum from 1 beyond ``sum_tol`` is
-    treated as an error signal, never renormalized away.
+    (0, 1) by X = scale * atanh(t) and integrated with ``NUMERIC_GL_ORDER``-point
+    Gauss-Legendre panels; the panel count doubles from ``NUMERIC_PANELS``
+    until the quadruple is stable to ``NUMERIC_TOL``.  Deviation of the sum
+    from 1 beyond ``PROB_SUM_TOL`` is treated as an error signal, never
+    renormalized away.
     """
     prev = None
-    panels = initial_panels
-    for _ in range(max_doublings + 1):
-        nodes, weights = _tanh_half_line(scale, gl_order, panels)
+    panels = NUMERIC_PANELS
+    for _ in range(NUMERIC_MAX_DOUBLINGS + 1):
+        nodes, weights = _tanh_half_line(scale, panels)
         xp = nodes[:, None]
         yp = nodes[None, :]
         w2 = weights[:, None] * weights[None, :]
@@ -431,22 +457,22 @@ def sign_binned_numeric(
                 np.sum(w2 * density(-xp, -yp)),
             ]
         )
-        if prev is not None and np.max(np.abs(quads - prev)) <= tol:
+        if prev is not None and np.max(np.abs(quads - prev)) <= NUMERIC_TOL:
             break
         prev = quads
         panels *= 2
     else:
         raise ConvergenceError(
-            f"quadrant integrals did not stabilize to {tol} within {max_doublings} panel doublings"
+            f"quadrant integrals did not stabilize to {NUMERIC_TOL} "
+            f"within {NUMERIC_MAX_DOUBLINGS} panel doublings"
         )
-    probs = SignBinnedProbs(*quads, theta1=theta1, theta2=theta2)
-    return probs.validate(sum_tol)
+    return SignBinnedProbs(*quads, theta1=theta1, theta2=theta2).validate()
 
 
-def _tanh_half_line(scale: float, gl_order: int, panels: int):
+def _tanh_half_line(scale: float, panels: int):
     """Nodes/weights for int_0^inf f(X) dX via X = scale * atanh(t), t in (0,1)."""
     edges = np.linspace(0.0, 1.0, panels + 1)
-    base = gauss_legendre(gl_order, 0.0, 1.0)
+    base = gauss_legendre(NUMERIC_GL_ORDER, 0.0, 1.0)
     t = (edges[:-1, None] + np.diff(edges)[:, None] * base.nodes[None, :]).ravel()
     wt = (np.diff(edges)[:, None] * base.weights[None, :]).ravel()
     nodes = scale * np.arctanh(t)
@@ -535,19 +561,7 @@ def epr_marginal_density(lam, x, theta=0.0):
 # ---------------------------------------------------------------------------
 
 
-def inverse_fourier_wigner(
-    tomogram_values,
-    x_nodes,
-    theta_nodes,
-    q_nodes,
-    p_nodes,
-    *,
-    damping_width: float = 0.02,
-    k_max: float = 12.0,
-    k_order: int = 256,
-    norm_tol: float = 0.05,
-    imag_tol: float = 1e-8,
-):
+def inverse_fourier_wigner(tomogram_values, x_nodes, theta_nodes, q_nodes, p_nodes):
     """Single-mode Wigner function from homodyne tomogram samples.
 
     ``tomogram_values[i, j] = w(X_i, theta_j)`` on a uniform X grid and a
@@ -558,14 +572,14 @@ def inverse_fourier_wigner(
                 e^{i k (X - q cos theta - p sin theta)},
 
     where the 1/(2 pi)^2 factor is the normalization that makes the vacuum
-    reconstruct to a unit-mass Wigner surface and the Gaussian window of
-    width ``damping_width`` regularizes the |k| filter.  The raw surface
-    must integrate to 1 within ``norm_tol`` and be real within ``imag_tol``
-    (relative); it is then renormalized exactly.
+    reconstruct to a unit-mass Wigner surface, K = ``INVERSE_K_MAX`` and the
+    Gaussian window of width sigma = ``INVERSE_DAMPING_WIDTH`` regularizes
+    the |k| filter.  The surface must integrate to 1 within
+    ``INVERSE_NORM_TOL`` and be real within ``INVERSE_IMAG_TOL`` (relative);
+    it is never renormalized.
 
-    Returns (wigner_grid, raw_integral): the renormalized real surface of
-    shape (q_nodes.size, p_nodes.size) and the integral before
-    renormalization.
+    Returns (wigner_grid, integral): the real surface of shape
+    (q_nodes.size, p_nodes.size) as computed, and its trapezoid integral.
     """
     w = np.asarray(tomogram_values, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -578,10 +592,10 @@ def inverse_fourier_wigner(
     dtheta = float(theta_nodes[1] - theta_nodes[0]) if theta_nodes.size > 1 else math.pi
 
     # mirrored half-line rules keep the |k| kink at the panel boundary
-    half = gauss_legendre(max(2, k_order // 2), 0.0, k_max)
+    half = gauss_legendre(INVERSE_K_ORDER // 2, 0.0, INVERSE_K_MAX)
     k = np.concatenate([-half.nodes[::-1], half.nodes])
     k_weights = np.concatenate([half.weights[::-1], half.weights])
-    filt = k_weights * np.abs(k) * np.exp(-0.5 * (damping_width * k) ** 2)
+    filt = k_weights * np.abs(k) * np.exp(-0.5 * (INVERSE_DAMPING_WIDTH * k) ** 2)
 
     x_weights = np.full(x_nodes.size, dx)
     x_weights[0] *= 0.5
@@ -599,17 +613,18 @@ def inverse_fourier_wigner(
     surface = (dtheta / (4.0 * math.pi**2)) * acc.reshape(qq.shape)
 
     scale = float(np.max(np.abs(surface.real))) or 1.0
-    if float(np.max(np.abs(surface.imag))) > imag_tol * scale:
+    if float(np.max(np.abs(surface.imag))) > INVERSE_IMAG_TOL * scale:
         raise AccuracyError(
             f"reconstructed Wigner surface has imaginary residue {np.max(np.abs(surface.imag)):.3e}"
         )
     wig = surface.real
-    raw = float(np.trapezoid(np.trapezoid(wig, p, axis=1), q))
-    if abs(raw - 1.0) > norm_tol:
+    integral = float(np.trapezoid(np.trapezoid(wig, p, axis=1), q))
+    if abs(integral - 1.0) > INVERSE_NORM_TOL:
         raise AccuracyError(
-            f"reconstructed Wigner integrates to {raw:.4f}; deviation exceeds {norm_tol:.0%}"
+            f"reconstructed Wigner integrates to {integral:.4f}; "
+            f"deviation exceeds {INVERSE_NORM_TOL:.0%}"
         )
-    return wig / raw, raw
+    return wig, integral
 
 
 def kernel_fock_matrix_element(m: int, n: int, k, theta):
@@ -658,7 +673,7 @@ def kernel_reconstruct_density(tomogram, cutoff: int):
             f"input tomogram integrates to {norm_probe:.6f} at theta = 0; expected 1"
         )
 
-    theta = np.arange(KERNEL_THETA_ORDER) * (2.0 * math.pi / KERNEL_THETA_ORDER)
+    theta = periodic_trapezoid(KERNEL_THETA_ORDER).nodes
     dtheta = 2.0 * math.pi / KERNEL_THETA_ORDER
     k_rule = gauss_legendre(KERNEL_K_ORDER, 0.0, KERNEL_K_MAX)
     k = k_rule.nodes

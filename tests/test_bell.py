@@ -24,7 +24,7 @@ from tomobell.bell import (
     pseudospin_matrices,
     schmidt_xz_entries,
 )
-from tomobell.errors import AccuracyError, DimensionError, DomainError, NormalizationError
+from tomobell.errors import AccuracyError, DomainError, NormalizationError
 from tomobell.special import bessel_i0, bessel_j0
 from tomobell.states import (
     DensityMatrix,
@@ -113,13 +113,6 @@ def test_correlation_matches_closed_form_fock_pair():
         for tu, tv in ((0.3, 1.0), (2.2, -0.5)):
             fock = correlation_pseudospin(dm, xz(tu), xz(tv))
             assert fock == pytest.approx(closed_form_correlation(state, tu, tv), abs=1e-12)
-
-
-def test_correlation_dimension_guard():
-    dm = density_matrix(SqueezedVacuum(0.3), 8)
-    ops = pseudospin_matrices(4)
-    with pytest.raises(DimensionError):
-        correlation_pseudospin(dm, X_AXIS, X_AXIS, ops=ops)
 
 
 def test_pseudospin_settings_validation():

@@ -618,3 +618,45 @@ def test_bell_scan_summary_reports_trace_deficit(runner, tmp_path):
     summary = json.load(open(out + ".summary.json"))["pseudospin"]
     c = schmidt_coefficients(PairCoherent(2.0), 8).coefficients
     assert summary["trace_deficit"] == pytest.approx(1.0 - float(c @ c), abs=1e-15)
+
+
+def test_bell_scan_has_no_quad_order(runner, tmp_path):
+    out = str(tmp_path / "scan.csv")
+    args = ["bell-scan", "--state", "pair-coherent", "--r", "1.0", "--mode", "tomographic"]
+    result = runner.invoke(main, [*args, "--quad-order", "48", "-o", out])
+    assert result.exit_code == 2
+    assert "--quad-order" in result.output
+    assert runner.invoke(main, [*args, "-o", out]).exit_code == 0
+    for path in (out + ".manifest.json", out + ".summary.json"):
+        assert "quad_order" not in json.load(open(path))["effective_config"]
+    # the benchmark's tiny ops still pass it to optimize
+    result = runner.invoke(main, ["optimize", "--state", "pair-coherent", "--r", "1.0",
+                                  "--grid-points", "8", "--quad-order", "48",
+                                  "-o", str(tmp_path / "opt.json")])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("command, option, given, kept", [
+    (["bell-scan", "--mode", "tomographic"], "--angles", "t1=0.3",
+     {"theta1": 0.3, "theta1p": 0.0, "theta2": -math.pi / 4, "theta2p": -3 * math.pi / 4}),
+    (["pseudospin"], "--angles", "tup=0.3",
+     {"theta_v": 0.0, "theta_up": 0.3, "theta_vp": math.pi / 2}),
+])
+def test_partial_angles_keep_the_other_defaults(runner, tmp_path, command, option, given, kept):
+    out = str(tmp_path / "out.csv")
+    result = runner.invoke(main, [*command, "--state", "fock-pair", "--n", "1",
+                                  option, given, "-o", out])
+    assert result.exit_code == 0, result.output
+    config = json.load(open(out + ".manifest.json"))["effective_config"]
+    angles = config.get("angles", config)  # bell-scan nests its angles
+    assert {key: angles[key] for key in kept} == kept
+
+
+def test_tomogram_epr_lambda_096_check_radon_converges(runner, tmp_path):
+    # a fixed 768-node budget left this at a change of 3.2e-7 and exit 3
+    out = str(tmp_path / "t.csv")
+    result = runner.invoke(main, ["tomogram", "--state", "epr", "--lambda", "0.96",
+                                  "--x-steps", "3", "--check-radon", "-o", out])
+    assert result.exit_code == 0, result.output
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh)["radon"]["orders"][-1] == 1536

@@ -72,27 +72,25 @@ def test_strong_squeezing_sign_agreement():
 
 def test_batch_validation():
     with pytest.raises(DomainError):
-        SampleBatch(0.0, 0.0, np.zeros((0, 2)), 1, "x")
+        SampleBatch(0.0, 0.0, np.zeros((0, 2)))
     with pytest.raises(DomainError):
-        SampleBatch(0.0, 0.0, np.array([[np.inf, 0.0]]), 1, "x")
+        SampleBatch(0.0, 0.0, np.array([[np.inf, 0.0]]))
     with pytest.raises(DomainError):
         sample_gaussian_epr(0.5, 0.0, 0.0, 0, seed=1)
 
 
 def test_estimate_probs_quadrants():
-    batch = SampleBatch(
-        0.0, 0.0, np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), 0, "x"
-    )
+    batch = SampleBatch(0.0, 0.0, np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
     est = estimate_probs(batch)
     assert est.probs.as_tuple() == (0.25, 0.25, 0.25, 0.25)
-    all_pp = SampleBatch(0.0, 0.0, np.ones((8, 2)), 0, "x")
+    all_pp = SampleBatch(0.0, 0.0, np.ones((8, 2)))
     est2 = estimate_probs(all_pp)
     assert est2.probs.w_pp == 1.0
     assert est2.se_pp == 0.0
 
 
 def test_estimate_probs_zero_counts_as_plus():
-    batch = SampleBatch(0.0, 0.0, np.array([[0.0, 0.0], [0.0, -1.0]]), 0, "x")
+    batch = SampleBatch(0.0, 0.0, np.array([[0.0, 0.0], [0.0, -1.0]]))
     est = estimate_probs(batch)
     assert est.probs.w_pp == 0.5
     assert est.probs.w_pm == 0.5

@@ -272,18 +272,34 @@ def test_radon_squeezed_check_memory_stays_bounded_as_lambda_grows():
     xs = RADON_GRID
 
     def check(lam):
-        return radon_forward(SqueezedVacuum(lam), xs[:, None], 0.0, xs[None, :], 0.0)
+        record = {}
+        numeric = radon_forward(SqueezedVacuum(lam), xs[:, None], 0.0, xs[None, :], 0.0,
+                                record=record)
+        closed = tomogram_closed_form(SqueezedVacuum(lam), xs[:, None], 0.0, xs[None, :], 0.0)
+        return float(np.max(np.abs(closed - numeric))), record["orders"][-1]
 
-    numeric, peak = _traced(lambda: check(0.9))
+    (diff, nodes), peak = _traced(lambda: check(0.9))
     assert peak <= 32 * 2**20
-    closed = tomogram_closed_form(SqueezedVacuum(0.9), xs[:, None], 0.0, xs[None, :], 0.0)
-    assert np.max(np.abs(closed - numeric)) < 1e-9
+    assert diff < 1e-9 and nodes == 384
 
-    def too_narrow():
-        with pytest.raises(ConvergenceError, match=r"orders \[96, 192, 384, 768\]"):
-            check(0.96)
+    # the budget follows e^{2s}: 768 nodes left lambda = 0.96 short by 3.2e-7
+    (diff, nodes), peak = _traced(lambda: check(0.96))
+    assert peak <= 64 * 2**20
+    assert diff < 1e-8 and nodes == 1536
 
-    assert _traced(too_narrow)[1] <= 64 * 2**20
+
+def test_radon_squeezed_budget_follows_the_squeezing(monkeypatch):
+    from tomobell import tomography
+    from tomobell.tomography import _squeezing_doublings
+
+    # 96 nodes doubled up to 32 e^{2s}, never fewer than 3 times nor past 3072 nodes
+    budgets = [_squeezing_doublings(SqueezedVacuum(lam), 96) for lam in (0.2, 0.9, 0.96, 0.99)]
+    assert budgets == [3, 3, 5, 5]
+    assert tomography.MAX_DENSE_ORDER == 96 * 2**5
+    # a check that stops at the cap names it
+    monkeypatch.setattr(tomography, "MAX_DENSE_ORDER", 192)
+    with pytest.raises(ConvergenceError, match="192 nodes is the squeezed vacuum's cap"):
+        radon_forward(SqueezedVacuum(0.5), 0.5, 0.0, 0.5, 0.0, max_doublings=1, tol=0.0)
 
 
 def test_radon_convergence_error_names_orders_and_residuals():
