@@ -9,7 +9,6 @@ Monte Carlo sampling and Bell-angle optimization.
 from .bell import (
     BellAnglesQuadrature,
     PseudospinOps,
-    PseudospinSettings,
     calb_curve,
     chsh,
     closed_form_correlation,
@@ -63,7 +62,6 @@ from .states import (
     wigner,
 )
 from .tomography import (
-    GaussianTomogramParams,
     SignBinnedProbs,
     SymplecticSetting,
     inverse_fourier_wigner,

@@ -9,10 +9,10 @@ pseudospin correlation Tr[rho (u . S^(1)) (v . S^(2))].
 
 Every coplanar pseudospin correlation (u, v in the x-z plane) is carried by
 one x-z block T = (T_zz, T_xx, T_xz, T_zx), T_ab = <S_a^(1) S_b^(2)>: a
-density matrix gives it through ``density_xz_entries``, a Schmidt vector
-through ``schmidt_xz_entries`` and a benchmark state's closed form through
-``TwoModeState.pseudospin_xz``.  ``correlation_xz`` evaluates E from it on
-floats or on whole angle grids, and ``calb_curve`` a whole calB curve.
+density matrix gives it through ``density_xz_entries`` and a benchmark state
+through ``TwoModeState.pseudospin_xz``, from its closed form or its Schmidt
+vector (``SchmidtVector.xz_block``).  ``correlation_xz`` evaluates E from it
+on floats or on whole angle grids, and ``calb_curve`` a whole calB curve.
 
 The pair-coherent Bessel-ratio coefficient c(r) = r^2 (1 -
 J0(2 r^2)/I0(2 r^2)) exceeds 1 for r near 1.05, which is impossible for
@@ -83,31 +83,6 @@ def _unit_vector(v, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PseudospinSettings:
-    """Four unit vectors in R^3 for the pseudospin CHSH test."""
-
-    u: np.ndarray
-    up: np.ndarray
-    v: np.ndarray
-    vp: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "up", "v", "vp"):
-            object.__setattr__(self, name, _unit_vector(getattr(self, name), name))
-
-    @classmethod
-    def coplanar(cls, theta_u, theta_up, theta_v, theta_vp) -> "PseudospinSettings":
-        """Vectors in the x-z plane; theta is the angle from the z axis."""
-        return cls(
-            _xz_vector(theta_u), _xz_vector(theta_up), _xz_vector(theta_v), _xz_vector(theta_vp)
-        )
-
-
-def _xz_vector(theta: float) -> np.ndarray:
-    return np.array([math.sin(theta), 0.0, math.cos(theta)])
-
-
-@dataclass(frozen=True)
 class PseudospinOps:
     """Per-mode pseudospin matrices on an even Fock truncation."""
 
@@ -159,18 +134,6 @@ def correlation_pseudospin(rho: st.DensityMatrix, u, v) -> float:
     return float(val.real)
 
 
-def schmidt_xz_entries(schmidt: st.SchmidtVector) -> tuple[float, float, float, float]:
-    """(T_zz, T_xx, T_xz, T_zx) = (sum c_n^2, 2 sum c_2k c_2k+1, 0, 0) of sum_n c_n |n n>.
-
-    The cutoff must be even: whole (2k, 2k+1) pairs make the pseudospins commute
-    with the truncation, so |E_true - E| <= schmidt.deficit for every E = u . T . v.
-    """
-    c = schmidt.coefficients
-    if c.size % 2:
-        raise DomainError(f"pseudospin entries need an even cutoff, got {c.size}")
-    return float(c @ c), 2.0 * float(c[0::2] @ c[1::2]), 0.0, 0.0
-
-
 def density_xz_entries(rho: st.DensityMatrix) -> tuple[float, float, float, float]:
     """(T_zz, T_xx, T_xz, T_zx) = Tr[rho (a . S^(1)) (b . S^(2))] for a, b along z and x."""
     x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
@@ -214,11 +177,12 @@ def calb_curve(t, grid, tv: float, tup: float, tvp: float) -> np.ndarray:
 
 
 def closed_form_correlation(state, theta_u: float, theta_v: float) -> float:
-    """Coplanar pseudospin correlation of a benchmark state from its closed-form block.
+    """Coplanar pseudospin correlation of a benchmark state from its x-z block.
 
-    Each state gives its own (``TwoModeState.pseudospin_xz``).
+    Each state gives its own (``TwoModeState.pseudospin_xz`` at ``states.DEFAULT_CUTOFF``).
     """
-    return correlation_xz(state.pseudospin_xz, direction(theta_u), direction(theta_v))
+    t, _ = state.pseudospin_xz(st.DEFAULT_CUTOFF)
+    return correlation_xz(t, direction(theta_u), direction(theta_v))
 
 
 @dataclass(frozen=True)
@@ -240,7 +204,7 @@ class PairCoherentSxReport:
 
 def pair_coherent_sx_report(r: float, cutoff: int = 64) -> PairCoherentSxReport:
     """Compare the Bessel-ratio c(r) with Tr[rho Sx Sx] from the Schmidt vector."""
-    fock = schmidt_xz_entries(st.schmidt_coefficients(st.PairCoherent(r), cutoff))[1]
+    fock = st.PairCoherent(r).pseudospin_xz(cutoff)[0][1]
     return PairCoherentSxReport(r, cutoff, pair_coherent_bessel_coefficient(r), fock)
 
 

@@ -272,21 +272,6 @@ def _tomographic_b(state, quad: bell.BellAnglesQuadrature) -> float:
     return bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
 
 
-def _pseudospin_xz(kind, state, cutoff, source="auto"):
-    """(T, trace_deficit): the x-z block T = (T_zz, T_xx, T_xz, T_zx) of a benchmark state.
-
-    EPR and the Fock pair use their closed forms.  The pair-coherent
-    Bessel-ratio coefficient exceeds 1 near r = 1.05, so its block comes from
-    the Schmidt vector truncated at ``cutoff`` instead (see
-    `tomobell.bell.pair_coherent_sx_report`).  ``source`` "closed" or "fock"
-    overrides that choice; closed forms have trace_deficit None.
-    """
-    if source == "fock" or (source == "auto" and kind == "pair-coherent"):
-        schmidt = st.schmidt_coefficients(state, cutoff)
-        return bell.schmidt_xz_entries(schmidt), schmidt.deficit
-    return state.pseudospin_xz, None
-
-
 @click.group(cls=ExitCodeGroup)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="key = value file; flags override it")
@@ -303,7 +288,7 @@ def main(ctx, config_path):
 @click.option("--theta1", default="0", help="homodyne angle of mode 1")
 @click.option("--theta2", default="0", help="homodyne angle of mode 2")
 @click.option("--x-max", type=float, default=2.0)
-@click.option("--x-steps", type=int, default=9)
+@click.option("--x-steps", type=click.IntRange(min=1), default=9)
 @click.option("--check-radon", is_flag=True, help="cross-check against the numeric Radon projection")
 @click.option("--tol", type=float, default=1e-6, help="pass threshold for --check-radon")
 @click.option("-o", "--out", default="tomogram.csv", show_default=True)
@@ -369,9 +354,9 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
                help="homodyne angles for the tomographic CHSH")
 @angles_option("--ps-angles", "tv=pi/4,tup=-pi/2,tvp=-pi/4",
                help="fixed pseudospin angles; theta_u is maximized over a grid")
-@click.option("--theta-u-steps", type=int, default=361, show_default=True)
+@click.option("--theta-u-steps", type=click.IntRange(min=1), default=361, show_default=True)
 @click.option("--cutoff", type=int, default=32, show_default=True,
-              help="Fock cutoff for the pair-coherent pseudospin oracle")
+              help="Fock cutoff of a pseudospin block from the Schmidt vector")
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
 @click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
 def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutoff, out, summary):
@@ -404,7 +389,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutof
             row.append(b_val)
             tomo_series.append(b_val)
         if do_ps:
-            t, deficit = _pseudospin_xz(kind, state, cutoff)
+            t, deficit = state.pseudospin_xz(cutoff)
             deficits.append(deficit)  # None for the closed forms
             vals = bell.calb_curve(t, grid, tv, tup, tvp)
             best = int(np.argmax(vals))
@@ -462,19 +447,16 @@ def _series_summary(params, values) -> dict:
               help="two-mode density-matrix JSON instead of --state")
 @click.option("--cutoff", type=int, default=64, show_default=True)
 @angles_option("--angles", "tv=0,tup=pi,tvp=pi/2")
-@click.option("--theta-u-steps", type=int, default=361, show_default=True)
-@click.option("--source", type=click.Choice(["auto", "closed", "fock"]), default="auto",
-              show_default=True, help="correlation source for benchmark states")
+@click.option("--theta-u-steps", type=click.IntRange(min=1), default=361, show_default=True)
 @click.option("--dump-dm", default=None, help="write the density matrix used to this JSON path")
 @click.option("-o", "--out", default="pseudospin.csv", show_default=True)
-def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, source,
-                   dump_dm, out):
+def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump_dm, out):
     """calB(theta_u) curve at fixed theta_v, theta_u', theta_v'."""
     tv, tup, tvp = angles["tv"], angles["tup"], angles["tvp"]
 
     if dm_path is not None:
         dm = st.DensityMatrix.load(dm_path)
-        t, deficit = bell.density_xz_entries(dm), dm.trace_deficit
+        t, deficit, cutoff = bell.density_xz_entries(dm), dm.trace_deficit, dm.cutoff
         label = {"kind": "explicit-fock", "path": dm_path}
     else:
         if kind is None:
@@ -483,14 +465,14 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
         label = state_label(kind, value)
         if dump_dm:
             atomic_write_text(dump_dm, json.dumps(st.density_matrix(state, cutoff).to_json_dict()))
-        t, deficit = _pseudospin_xz(kind, state, cutoff, source)
+        t, deficit = state.pseudospin_xz(cutoff)
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     curve = bell.calb_curve(t, bell.direction(tu_grid), tv, tup, tvp)
     write_csv(out, ["theta_u", "B"], np.column_stack((tu_grid, curve)))
     best = int(np.argmax(curve))
     manifest_for(out, "pseudospin", {
-        "state": label, "cutoff": cutoff, "source": source,
+        "state": label, "cutoff": cutoff,
         "theta_v": tv, "theta_up": tup, "theta_vp": tvp, "theta_u_steps": theta_u_steps,
     }, {"max_B": float(curve[best]), "theta_u_argmax": float(tu_grid[best]),
         "trace_deficit": deficit})
@@ -502,7 +484,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, sour
 @click.option("--mode", type=click.Choice(["tomographic", "pseudospin"]), default="tomographic",
               show_default=True)
 @click.option("--cutoff", type=int, default=32, show_default=True)
-@click.option("--grid-points", type=int, default=24, show_default=True)
+@click.option("--grid-points", type=click.IntRange(min=1), default=24, show_default=True)
 @click.option("--quad-order", type=int, default=96, show_default=True,
               help="ignored: the sign-binned Schmidt sum picks its Fock levels from the state")
 @click.option("-o", "--out", default="optimize.json", show_default=True)
@@ -512,7 +494,7 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     if mode == "tomographic":
         corr = _tomographic_correlation_fn(state)
     else:
-        t, _ = _pseudospin_xz(kind, state, cutoff)
+        t, _ = state.pseudospin_xz(cutoff)
 
         def corr(theta1, theta2):
             return bell.correlation_xz(t, bell.direction(theta1), bell.direction(theta2))
@@ -604,7 +586,7 @@ def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
 
 @main.command("figures")
 @click.option("--out-dir", default="figures", show_default=True)
-@click.option("--points", type=int, default=360, show_default=True,
+@click.option("--points", type=click.IntRange(min=1), default=360, show_default=True,
               help="angle-grid density for the curve datasets")
 @click.option("--r-sweep", default="0.5:1.5:0.01", show_default=True)
 @click.option("--cutoff", type=int, default=64, show_default=True)
@@ -620,8 +602,8 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
         files[name] = os.path.join(out_dir, name)
         write_csv(files[name], header, rows)
 
-    def calb_rows(kind, value, state, tv, tup, tvp):
-        t, _ = _pseudospin_xz(kind, state, cutoff)
+    def calb_rows(value, state, tv, tup, tvp):
+        t, _ = state.pseudospin_xz(cutoff)
         curve = bell.calb_curve(t, grid, tv, tup, tvp)
         return np.column_stack((np.full_like(tu_grid, value), tu_grid, curve))
 
@@ -633,13 +615,13 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
 
     # fig1b: pseudospin calB vs theta_u for the squeezed vacuum
     write("fig1b.csv", ["lambda", "theta_u", "B"], np.concatenate([
-        calb_rows("epr", lam, state, math.pi / 4, -math.pi / 2, -math.pi / 4)
+        calb_rows(lam, state, math.pi / 4, -math.pi / 2, -math.pi / 4)
         for lam, state in make_states("epr", FIG1_LAMBDAS)]))
 
     # fig2b: Fock pair n = 1, theta_v = 0, theta_u' = pi, theta_v' = pi/2
     [(n, state)] = make_states("fock-pair", [1])
     write("fig2b.csv", ["n", "theta_u", "B"],
-          calb_rows("fock-pair", n, state, 0.0, math.pi, math.pi / 2))
+          calb_rows(n, state, 0.0, math.pi, math.pi / 2))
 
     # fig3a: tomographic B(r) at theta1 = pi/2, theta2 = -pi/4, theta1' = 0,
     # theta2' = -3 pi/4
@@ -658,7 +640,7 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
     report = bell.pair_coherent_sx_report(1.05, cutoff)
     [(rv, state)] = make_states("pair-coherent", [1.05])
     write("fig3b.csv", ["r", "theta_u", "B"],
-          calb_rows("pair-coherent", rv, state, 0.0, math.pi, math.pi / 2))
+          calb_rows(rv, state, 0.0, math.pi, math.pi / 2))
 
     config = {
         "points": points, "r_sweep": r_values, "cutoff": cutoff,

@@ -79,26 +79,14 @@ def substream_generator(seed: int, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def epr_covariance(s: float, theta_sum: float) -> np.ndarray:
-    """Covariance of (X1, X2) for the squeezed vacuum at the given angle sum."""
-    c = math.cosh(2.0 * s)
-    t = math.sinh(2.0 * s)
-    off = -t * math.cos(theta_sum)
-    if abs(off) >= c:
-        raise DomainError(
-            f"non-positive-definite quadrature covariance (|b| >= a) at s={s}"
-        )
-    return 0.25 * np.array([[c, off], [off, c]])
-
-
 def sample_gaussian_epr(
     s: float, theta1: float, theta2: float, count: int, seed: int, *, substream: int = 0
 ) -> SampleBatch:
     """Exact bivariate-normal homodyne samples of the squeezed vacuum."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    cov = epr_covariance(s, theta1 + theta2)
-    chol = np.linalg.cholesky(cov)
+    c, b, _ = st.squeezed_homodyne(s, theta1 + theta2)
+    chol = np.linalg.cholesky(0.25 * np.array([[c, -b], [-b, c]]))
     rng = substream_generator(seed, substream)
     z = rng.standard_normal((count, 2))
     return SampleBatch(theta1=theta1, theta2=theta2, pairs=z @ chol.T)
@@ -204,7 +192,7 @@ def _round_limit(count: int, acceptance: float) -> int:
 def default_envelope_sigma(state) -> float:
     """Gaussian envelope scale: sqrt(ENVELOPE_INFLATION * max per-mode quadrature variance)."""
     if state.gaussian:
-        var = math.cosh(2.0 * state.s) / 4.0
+        var = st.squeezed_homodyne(state.s, 0.0)[0] / 4.0
     else:
         c = st.significant_schmidt(state).coefficients
         mean_n = float(np.sum(np.arange(c.size) * c**2))

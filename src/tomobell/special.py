@@ -81,10 +81,19 @@ def hermite_functions(x):
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
         k += 1
         if wide and np.max(np.abs(cur)) > 2.0**512:
-            big = np.abs(cur) > 2.0**512
-            cur, prev = (np.where(big, v * 2.0**-512, v) for v in (cur, prev))
-            shift = shift - big * (512 * math.log(2.0))
+            cur, prev, shift = _rescale(cur, prev, shift)
             unshift = np.exp(-shift)
+
+
+def _rescale(cur, prev, shift):
+    """Scale the entries of ``cur`` past 2^512, and the same entries of ``prev``, by 2^-512.
+
+    The recurrences of ``hermite_functions`` and ``laguerre_function`` carry
+    a value times e^{shift}; ``shift`` drops by 512 log 2 where they scale.
+    """
+    big = np.abs(cur) > 2.0**512
+    cur, prev = (np.where(big, v * 2.0**-512, v) for v in (cur, prev))
+    return cur, prev, shift - big * (512 * math.log(2.0))
 
 
 def laguerre(n: int, x, alpha: float = 0.0):
@@ -128,9 +137,7 @@ def laguerre_function(n: int, x):
     for k in range(n):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
         if wide and np.max(np.abs(cur)) > 2.0**512:
-            big = np.abs(cur) > 2.0**512
-            cur, prev = (np.where(big, v * 2.0**-512, v) for v in (cur, prev))
-            shift = shift - big * (512 * math.log(2.0))
+            cur, prev, shift = _rescale(cur, prev, shift)
     if wide:
         cur = cur * np.exp(-shift)
     return float(cur) if scalar else cur

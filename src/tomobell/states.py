@@ -56,9 +56,10 @@ MAX_BLOCK = 1 << 16
 class TwoModeState:
     """A two-mode state, and the facts about it that the package's formulas need.
 
-    Each fact defaults to an ``UnsupportedStateError``; a benchmark state
-    overrides the ones it has.  ``gaussian`` marks the squeezed vacuum, whose
-    tomograms, sign-binned probabilities and samples have Gaussian closed forms.
+    Each fact but ``pseudospin_xz``, which reads ``schmidt``, defaults to an
+    ``UnsupportedStateError``; a benchmark state overrides the ones it has.
+    ``gaussian`` marks the squeezed vacuum, whose tomograms, sign-binned
+    probabilities and samples have Gaussian closed forms (``squeezed_homodyne``).
     """
 
     gaussian = False
@@ -80,10 +81,15 @@ class TwoModeState:
             f"no factor form of the Wigner function for {type(self).__name__}"
         )
 
-    @property
-    def pseudospin_xz(self) -> tuple[float, float, float, float]:
-        """The closed-form pseudospin block (T_zz, T_xx, T_xz, T_zx) of ``bell.correlation_xz``."""
-        raise UnsupportedStateError(f"no closed-form correlation for {type(self).__name__}")
+    def pseudospin_xz(self, cutoff: int) -> tuple[tuple[float, float, float, float], float | None]:
+        """(T, trace_deficit): the x-z block T = (T_zz, T_xx, T_xz, T_zx) of ``bell.correlation_xz``.
+
+        By default T comes from the Schmidt vector truncated at ``cutoff``, and
+        its deficit bounds |E_true - E|.  A closed form is exact at every cutoff
+        and has deficit None.
+        """
+        schmidt = schmidt_coefficients(self, cutoff)
+        return schmidt.xz_block(), schmidt.deficit
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,9 @@ class SqueezedVacuum(TwoModeState):
     def half_width(self):
         return 3.5 * math.exp(self.s) / 2.0 + 2.0
 
-    @property
-    def pseudospin_xz(self):
-        """(1, 2 lam / (1 + lam^2), 0, 0)."""
-        return 1.0, 2.0 * self.lam / (1.0 + self.lam**2), 0.0, 0.0
+    def pseudospin_xz(self, cutoff):
+        """((1, 2 lam / (1 + lam^2), 0, 0), None) at every cutoff."""
+        return (1.0, 2.0 * self.lam / (1.0 + self.lam**2), 0.0, 0.0), None
 
 
 @dataclass(frozen=True)
@@ -154,10 +159,9 @@ class FockPairSuperposition(TwoModeState):
 
         return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)
 
-    @property
-    def pseudospin_xz(self):
-        """(1, 1, 0, 0) for n = 1, (1, 0, 0, 0) for n > 1."""
-        return 1.0, 1.0 if self.n == 1 else 0.0, 0.0, 0.0
+    def pseudospin_xz(self, cutoff):
+        """((1, 1, 0, 0), None) for n = 1, ((1, 0, 0, 0), None) for n > 1, at every cutoff."""
+        return (1.0, 1.0 if self.n == 1 else 0.0, 0.0, 0.0), None
 
 
 @dataclass(frozen=True)
@@ -208,13 +212,19 @@ class PairCoherent(TwoModeState):
 
         return WignerFactors(coupling, mode)
 
-    @property
-    def pseudospin_xz(self):
-        """(1, r^2 (1 - J0(2 r^2)/I0(2 r^2)), 0, 0).
 
-        See ``bell.pair_coherent_sx_report`` for its Fock-basis check.
-        """
-        return 1.0, pair_coherent_bessel_coefficient(self.r), 0.0, 0.0
+def squeezed_homodyne(s: float, theta_sum: float) -> tuple[float, float, float]:
+    """(cosh 2s, sinh 2s cos Theta, d) of the squeezed vacuum's homodyne Gaussian.
+
+    At angle sum Theta = theta1 + theta2, (X1, X2) has variances cosh(2s)/4
+    and covariance -sinh(2s) cos(Theta)/4; ``tomography`` writes its
+    tomogram and quadrant correlation with a = cosh(2s)/d, b = sinh(2s)
+    cos(Theta)/d and N = 1/sqrt(d).  d = cosh^2(2s) - sinh^2(2s) cos^2 Theta
+    is taken as 1 + sinh^2(2s) sin^2 Theta, which avoids the catastrophic
+    cancellation of the direct difference at large s.
+    """
+    t = math.sinh(2.0 * s)
+    return math.cosh(2.0 * s), t * math.cos(theta_sum), 1.0 + (t * math.sin(theta_sum)) ** 2
 
 
 def pair_coherent_bessel_coefficient(r: float) -> float:
@@ -309,6 +319,17 @@ class SchmidtVector:
     def deficit(self) -> float:
         """Probability mass beyond the truncation, 1 - sum c_n^2."""
         return max(0.0, 1.0 - float(np.sum(self.coefficients**2)))
+
+    def xz_block(self) -> tuple[float, float, float, float]:
+        """(T_zz, T_xx, T_xz, T_zx) = (sum c_n^2, 2 sum c_2k c_2k+1, 0, 0).
+
+        The cutoff must be even: whole (2k, 2k+1) pairs make the pseudospins commute
+        with the truncation, so |E_true - E| <= deficit for every E = u . T . v.
+        """
+        c = self.coefficients
+        if c.size % 2:
+            raise DomainError(f"pseudospin entries need an even cutoff, got {c.size}")
+        return float(c @ c), 2.0 * float(c[0::2] @ c[1::2]), 0.0, 0.0
 
 
 def _hermiticity_defect(entries: np.ndarray) -> float:

@@ -6,7 +6,8 @@ Closed forms, in the package convention (vacuum quadrature variance 1/4):
 
   squeezed vacuum   w = (2/pi) N exp(-2 a X1^2 - 2 a X2^2 - 4 b X1 X2)
                     a = cosh(2s)/D, b = sinh(2s) cos(t1+t2)/D,
-                    D = cosh^2(2s) - sinh^2(2s) cos^2(t1+t2), N = sqrt(a^2-b^2).
+                    D = cosh^2(2s) - sinh^2(2s) cos^2(t1+t2), N = sqrt(a^2-b^2)
+                    = 1/sqrt(D), all read from states.squeezed_homodyne.
                     The cross term is -4b: it is what the Radon projection of
                     the squeezed-vacuum Wigner function produces, and the only
                     form consistent with the arctan(b/N) quadrant probabilities.
@@ -134,32 +135,6 @@ class SignBinnedProbs:
 
     def as_tuple(self):
         return (self.w_pp, self.w_pm, self.w_mp, self.w_mm)
-
-
-@dataclass(frozen=True)
-class GaussianTomogramParams:
-    """(a, b, N) of the squeezed-vacuum tomogram Gaussian."""
-
-    a: float
-    b: float
-    norm: float
-
-    def __post_init__(self):
-        if not (self.a > 0.0):
-            raise DomainError(f"Gaussian tomogram requires a > 0, got {self.a}")
-        if abs(self.b) >= self.a:
-            raise DomainError(f"Gaussian tomogram requires |b| < a, got a={self.a}, b={self.b}")
-
-    @classmethod
-    def from_squeezing(cls, s: float, theta_sum: float) -> "GaussianTomogramParams":
-        c, t = math.cosh(2.0 * s), math.sinh(2.0 * s)
-        # cosh^2(2s) - sinh^2(2s) cos^2 = 1 + sinh^2(2s) sin^2, which avoids
-        # the catastrophic cancellation of the direct difference at large s;
-        # the same identity gives N = sqrt(a^2 - b^2) = 1/sqrt(D) exactly
-        d = 1.0 + (t * math.sin(theta_sum)) ** 2
-        a = c / d
-        b = t * math.cos(theta_sum) / d
-        return cls(a, b, 1.0 / math.sqrt(d))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +309,10 @@ def tomogram_closed_form(state, x1, theta1, x2, theta2):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if state.gaussian:
-        par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
-        val = (2.0 / math.pi) * par.norm * np.exp(
-            -2.0 * par.a * x1**2 - 2.0 * par.a * x2**2 - 4.0 * par.b * x1 * x2
+        c, b, d = st.squeezed_homodyne(state.s, theta1 + theta2)
+        a, b = c / d, b / d
+        val = (2.0 / math.pi) * (1.0 / math.sqrt(d)) * np.exp(
+            -2.0 * a * x1**2 - 2.0 * a * x2**2 - 4.0 * b * x1 * x2
         )
     else:
         theta = theta1 + theta2
@@ -492,8 +468,8 @@ def sign_binned_closed_form(state, theta1: float, theta2: float) -> SignBinnedPr
     theta2)) with G = sign_matrix, over the Fock levels that c_n needs.
     """
     if state.gaussian:
-        par = GaussianTomogramParams.from_squeezing(state.s, theta1 + theta2)
-        corr = -2.0 * math.atan(par.b / par.norm) / math.pi
+        _, b, d = st.squeezed_homodyne(state.s, theta1 + theta2)
+        corr = -2.0 * math.atan((b / d) / (1.0 / math.sqrt(d))) / math.pi  # b/N of the tomogram
     else:
         h = _sign_harmonics(state)
         corr = float(h @ np.cos(np.arange(h.size) * (theta1 + theta2)))
@@ -550,7 +526,7 @@ def fock_quadrature_density(n, x, theta=0.0):
 
 def epr_marginal_density(lam, x, theta=0.0):
     """Single-mode marginal of the squeezed vacuum: a Gaussian of variance cosh(2s)/4."""
-    var = math.cosh(2.0 * math.atanh(lam)) / 4.0
+    var = st.squeezed_homodyne(math.atanh(lam), 0.0)[0] / 4.0
     x = np.asarray(x, dtype=float)
     val = np.exp(-0.5 * x**2 / var) / math.sqrt(2.0 * math.pi * var)
     return float(val) if val.ndim == 0 else val + 0.0 * np.asarray(theta)

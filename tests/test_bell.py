@@ -8,7 +8,6 @@ import pytest
 
 from tomobell.bell import (
     BellAnglesQuadrature,
-    PseudospinSettings,
     _nelder_mead,
     calb_curve,
     chsh,
@@ -22,9 +21,8 @@ from tomobell.bell import (
     pair_coherent_bessel_coefficient,
     pair_coherent_sx_report,
     pseudospin_matrices,
-    schmidt_xz_entries,
 )
-from tomobell.errors import AccuracyError, DomainError, NormalizationError
+from tomobell.errors import AccuracyError, DimensionError, DomainError, NormalizationError
 from tomobell.special import bessel_i0, bessel_j0
 from tomobell.states import (
     DensityMatrix,
@@ -96,6 +94,11 @@ def test_pseudospin_odd_cutoff_rejected():
 def test_correlation_vacuum_zz():
     dm = density_matrix(SqueezedVacuum(0.0), 4)
     assert correlation_pseudospin(dm, Z_AXIS, Z_AXIS) == pytest.approx(1.0, abs=1e-14)
+    # directions must be unit 3-vectors
+    with pytest.raises(DomainError):
+        correlation_pseudospin(dm, [1.0, 1.0, 0.0], Z_AXIS)
+    with pytest.raises(DimensionError):
+        correlation_pseudospin(dm, Z_AXIS, [0.0, 1.0])
 
 
 def test_correlation_matches_closed_form_squeezed():
@@ -115,41 +118,56 @@ def test_correlation_matches_closed_form_fock_pair():
             assert fock == pytest.approx(closed_form_correlation(state, tu, tv), abs=1e-12)
 
 
-def test_pseudospin_settings_validation():
-    with pytest.raises(DomainError):
-        PseudospinSettings([1, 1, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0])
-    settings = PseudospinSettings.coplanar(0.3, 1.0, -0.5, 2.0)
-    for vec in (settings.u, settings.up, settings.v, settings.vp):
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert vec[1] == 0.0
-
-
 def test_closed_form_correlation_values():
     assert closed_form_correlation(SqueezedVacuum(0.0), math.pi / 2, math.pi / 2) == pytest.approx(0.0)
     assert closed_form_correlation(FockPairSuperposition(1), 0.7, 0.7) == pytest.approx(1.0)
     assert closed_form_correlation(FockPairSuperposition(3), 0.7, 0.2) == pytest.approx(
         math.cos(0.7) * math.cos(0.2)
     )
+    # the pair-coherent block is its Schmidt vector's, not the Bessel ratio, which exceeds 1
     r = 1.05
-    want = pair_coherent_bessel_coefficient(r)
     got = closed_form_correlation(PairCoherent(r), math.pi / 2, math.pi / 2)
-    assert got == pytest.approx(want, rel=1e-12)
-    assert want == pytest.approx(
+    assert got == pytest.approx(schmidt_coefficients(PairCoherent(r), 64).xz_block()[1], rel=1e-12)
+    assert pair_coherent_bessel_coefficient(r) == pytest.approx(
         r * r * (1.0 - bessel_j0(2 * r * r) / bessel_i0(2 * r * r)), rel=1e-13
     )
+    assert pair_coherent_bessel_coefficient(r) > 1.0 > got
 
 
 def test_pseudospin_xz_blocks():
     lam, r = 0.54, 1.05
-    assert SqueezedVacuum(lam).pseudospin_xz == (1.0, 2.0 * lam / (1.0 + lam * lam), 0.0, 0.0)
-    assert FockPairSuperposition(1).pseudospin_xz == (1.0, 1.0, 0.0, 0.0)
-    assert FockPairSuperposition(3).pseudospin_xz == (1.0, 0.0, 0.0, 0.0)
-    assert PairCoherent(r).pseudospin_xz == (1.0, pair_coherent_bessel_coefficient(r), 0.0, 0.0)
+    sv = (1.0, 2.0 * lam / (1.0 + lam * lam), 0.0, 0.0)
+    assert SqueezedVacuum(lam).pseudospin_xz(8) == (sv, None)
+    assert FockPairSuperposition(1).pseudospin_xz(8) == ((1.0, 1.0, 0.0, 0.0), None)
+    assert FockPairSuperposition(3).pseudospin_xz(8) == ((1.0, 0.0, 0.0, 0.0), None)
+    schmidt = schmidt_coefficients(PairCoherent(r), 32)
+    assert PairCoherent(r).pseudospin_xz(32) == (schmidt.xz_block(), schmidt.deficit)
+
+
+@pytest.mark.parametrize("state, cutoff", [
+    (SqueezedVacuum(0.2), 2048), (SqueezedVacuum(0.54), 2048), (SqueezedVacuum(0.96), 2048),
+    (FockPairSuperposition(1), 8), (FockPairSuperposition(3), 8),
+])
+def test_closed_form_blocks_match_the_schmidt_vector(state, cutoff):
+    block, deficit = state.pseudospin_xz(cutoff)
+    assert deficit is None
+    assert block == pytest.approx(schmidt_coefficients(state, cutoff).xz_block(), abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.05, 1.5])
+def test_pair_coherent_block_matches_bessel_functions(r):
+    # T_xx = 2 sum c_2k c_2k+1 = (I1 + J1)(2 r^2) / I0(2 r^2), term by term
+    special = pytest.importorskip("scipy.special")
+    x = 2.0 * r * r
+    block, deficit = PairCoherent(r).pseudospin_xz(64)
+    want = (1.0, (special.i1(x) + special.j1(x)) / special.i0(x), 0.0, 0.0)
+    assert block == pytest.approx(want, abs=1e-12, rel=0)
+    assert deficit <= 1e-15
 
 
 def test_density_xz_entries_match_the_schmidt_block():
     state = PairCoherent(1.0)
-    want = schmidt_xz_entries(schmidt_coefficients(state, 8))
+    want = schmidt_coefficients(state, 8).xz_block()
     got = density_xz_entries(density_matrix(state, 8))
     assert got == pytest.approx(want, abs=1e-14)
 
@@ -182,7 +200,7 @@ def _epr_closed_form(lam):
     return lambda tu, tv: math.cos(tu) * math.cos(tv) + k * math.sin(tu) * math.sin(tv)
 
 
-def _pair_coherent_closed_form(r):
+def _pair_coherent_bessel_form(r):
     c = pair_coherent_bessel_coefficient(r)
     return lambda tu, tv: math.cos(tu) * math.cos(tv) + c * math.sin(tu) * math.sin(tv)
 
@@ -199,15 +217,14 @@ def _dm_file_block(tmp_path):
 
 _CALB_SOURCES = {
     # name -> (the block, the scalar correlation each curve point used to call)
-    "epr": lambda tmp: (SqueezedVacuum(0.54).pseudospin_xz, _epr_closed_form(0.54)),
-    "fock-pair-3": lambda tmp: (FockPairSuperposition(3).pseudospin_xz,
+    "epr": lambda tmp: (SqueezedVacuum(0.54).pseudospin_xz(64)[0], _epr_closed_form(0.54)),
+    "fock-pair-3": lambda tmp: (FockPairSuperposition(3).pseudospin_xz(64)[0],
                                 lambda tu, tv: math.cos(tu) * math.cos(tv)),
-    "pair-coherent-closed": lambda tmp: (PairCoherent(1.05).pseudospin_xz,
-                                         _pair_coherent_closed_form(1.05)),
-    "pair-coherent-fock-32": lambda tmp: _with_block_corr(
-        schmidt_xz_entries(schmidt_coefficients(PairCoherent(1.05), 32))),
-    "pair-coherent-fock-64": lambda tmp: _with_block_corr(
-        schmidt_xz_entries(schmidt_coefficients(PairCoherent(1.05), 64))),
+    # the paper's Bessel-ratio block, which no state gives: T_xx > 1
+    "pair-coherent-closed": lambda tmp: ((1.0, pair_coherent_bessel_coefficient(1.05), 0.0, 0.0),
+                                         _pair_coherent_bessel_form(1.05)),
+    "pair-coherent-fock-32": lambda tmp: _with_block_corr(PairCoherent(1.05).pseudospin_xz(32)[0]),
+    "pair-coherent-fock-64": lambda tmp: _with_block_corr(PairCoherent(1.05).pseudospin_xz(64)[0]),
     "dm-file": lambda tmp: _with_block_corr(_dm_file_block(tmp)),
 }
 
@@ -227,7 +244,7 @@ def test_calb_curve_of_the_fock_pair_n1_is_its_closed_form():
     # the block (1, 1, 0, 0) gives cu cv + su sv where the closed form was cos(tu - tv)
     thetas = np.linspace(0.0, 2.0 * math.pi, 361)
     angles = (0.0, math.pi, math.pi / 2)
-    curve = calb_curve(FockPairSuperposition(1).pseudospin_xz, direction(thetas), *angles)
+    curve = calb_curve(FockPairSuperposition(1).pseudospin_xz(8)[0], direction(thetas), *angles)
     want = _scalar_calb(lambda tu, tv: math.cos(tu - tv), thetas, *angles)
     assert np.max(np.abs(curve - want)) <= 1e-15
 
@@ -256,7 +273,7 @@ def test_pair_coherent_sx_discrepancy_report():
 def test_schmidt_xz_entries_match_density_matrix(cutoff):
     # T_zz, T_xx, T_xz, T_zx from c_n against the einsum on the full rho
     for state in (SqueezedVacuum(0.9), FockPairSuperposition(3), PairCoherent(1.05)):
-        got = schmidt_xz_entries(schmidt_coefficients(state, cutoff))
+        got = schmidt_coefficients(state, cutoff).xz_block()
         dm = density_matrix(state, cutoff)
         pairs = ((Z_AXIS, Z_AXIS), (X_AXIS, X_AXIS), (X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS))
         want = [correlation_pseudospin(dm, u, v) for u, v in pairs]
@@ -269,11 +286,11 @@ def test_schmidt_xz_entries_truncation_bound():
     exact = 2.0 * 0.96 / (1.0 + 0.96**2)
     for cutoff in (8, 16, 32, 64):
         schmidt = schmidt_coefficients(state, cutoff)
-        t_zz, t_xx, _, _ = schmidt_xz_entries(schmidt)
+        t_zz, t_xx, _, _ = schmidt.xz_block()
         assert abs(t_xx - exact) <= schmidt.deficit + 1e-15
         assert abs(t_zz - 1.0) <= schmidt.deficit + 1e-15
     with pytest.raises(DomainError):
-        schmidt_xz_entries(schmidt_coefficients(state, 15))
+        schmidt_coefficients(state, 15).xz_block()
     with pytest.raises(DomainError):
         pair_coherent_sx_report(1.05, 63)
 

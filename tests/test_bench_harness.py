@@ -1,5 +1,7 @@
 """Smoke test of the benchmark harness: every workload at its tiny sizes, no timing gate."""
 
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -28,3 +30,14 @@ def test_bench_tiny_run_has_no_failed_op(workload):
     for name in ("wall_s", "setup_s", "peak_rss_mb"):
         value = result["metrics"][name]["value"]
         assert math.isfinite(value) and value > 0, (name, value)
+
+
+def test_every_traced_name_exists():
+    # a traced run looks each name up with getattr; untraced runs would not notice one gone
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.TARGETS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"tomobell.{module}"), name, None))]
+    assert missing == []

@@ -460,14 +460,20 @@ def test_config_file_errors_exit_2(runner, tmp_path, line, message):
 
 
 @pytest.mark.parametrize(
-    "state_args, state",
-    [(["--state", "pair-coherent", "--r", "1.05"], PairCoherent(1.05)),
-     (["--state", "epr", "--lambda", "0.54", "--source", "fock"], SqueezedVacuum(0.54))],
+    "state_args, state, via_file",
+    [(["--state", "pair-coherent", "--r", "1.05"], PairCoherent(1.05), False),
+     (["--state", "epr", "--lambda", "0.54"], SqueezedVacuum(0.54), True)],
     ids=["pair-coherent", "epr-fock"],
 )
 def test_pseudospin_fock_curve_matches_per_point_correlation(
-    runner, tmp_path, monkeypatch, state_args, state
+    runner, tmp_path, monkeypatch, state_args, state, via_file
 ):
+    if via_file:  # the state's own block is its closed form; its Fock one comes from --dump-dm
+        rho = str(tmp_path / "rho.json")
+        result = runner.invoke(main, ["pseudospin", *state_args, "--cutoff", "16",
+                                      "--dump-dm", rho, "-o", str(tmp_path / "closed.csv")])
+        assert result.exit_code == 0, result.output
+        state_args = ["--dm", rho]
     written = {}
     write_csv = cli.write_csv
 
@@ -594,20 +600,46 @@ def test_fock_pair_beyond_factorial_overflow(runner, tmp_path, command):
 
 
 def test_pseudospin_manifest_reports_trace_deficit(runner, tmp_path):
-    def deficit(*args):
+    def manifest(*args):
         out = str(tmp_path / "ps.csv")
         result = runner.invoke(main, ["pseudospin", *args, "--theta-u-steps", "5", "-o", out])
         assert result.exit_code == 0, result.output
-        return json.load(open(out + ".manifest.json")).get("trace_deficit")
+        return json.load(open(out + ".manifest.json"))
 
-    # |11..70 70> lies beyond cutoff 64: half the norm is lost, and reported
-    assert deficit("--state", "fock-pair", "--n", "70", "--source", "fock", "--cutoff", "64") == pytest.approx(0.5, abs=1e-15)
+    def deficit(*args):
+        return manifest(*args).get("trace_deficit")
+
     assert deficit("--state", "pair-coherent", "--r", "1.05", "--cutoff", "64") < 1e-15
     assert deficit("--state", "epr", "--lambda", "0.5") is None  # closed form: no truncation
     rho = str(tmp_path / "rho.json")
-    deficit("--state", "epr", "--lambda", "0.9", "--source", "fock", "--cutoff", "8",
-            "--dump-dm", rho)
+    # |99> lies beyond cutoff 8: half the norm is lost, and reported
+    deficit("--state", "fock-pair", "--n", "9", "--cutoff", "8", "--dump-dm", rho)
+    assert deficit("--dm", rho) == pytest.approx(0.5, abs=1e-15)
+    deficit("--state", "epr", "--lambda", "0.9", "--cutoff", "8", "--dump-dm", rho)
+    # the manifest records the file's cutoff, not the --cutoff default
+    assert manifest("--dm", rho)["effective_config"]["cutoff"] == 8
     assert deficit("--dm", rho) == pytest.approx(0.9**16, rel=1e-9)
+
+
+_EPR = ["--state", "epr", "--lambda", "0.5"]
+_FOCK = ["--state", "fock-pair", "--n", "1"]
+
+
+@pytest.mark.parametrize("args, option, value", [
+    (["tomogram", *_EPR, "--check-radon"], "--x-steps", "0"),
+    (["tomogram", *_EPR], "--x-steps", "-1"),
+    (["pseudospin", *_FOCK], "--theta-u-steps", "0"),
+    (["bell-scan", *_FOCK], "--theta-u-steps", "0"),
+    (["optimize", *_FOCK], "--grid-points", "0"),
+    (["figures"], "--points", "-3"),
+], ids=["x-steps-0", "x-steps-negative", "pseudospin-theta-u-steps", "bell-scan-theta-u-steps",
+        "grid-points", "points"])
+def test_count_options_below_one_exit_2(runner, tmp_path, monkeypatch, args, option, value):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, option, value])
+    assert result.exit_code == 2, result.output
+    assert option in result.output
+    assert os.listdir(tmp_path) == []
 
 
 def test_bell_scan_summary_reports_trace_deficit(runner, tmp_path):

@@ -10,7 +10,6 @@ from tomobell.errors import DomainError, EnvelopeError
 from tomobell.sampling import (
     SampleBatch,
     default_envelope_sigma,
-    epr_covariance,
     estimate_chsh,
     estimate_probs,
     sample_gaussian_epr,
@@ -28,11 +27,13 @@ from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
 
 
 def test_epr_covariance_structure():
-    cov = epr_covariance(1.0, 0.0)
-    assert cov[0, 0] == pytest.approx(math.cosh(2.0) / 4.0)
-    assert cov[0, 1] == pytest.approx(-math.sinh(2.0) / 4.0)
-    # |b| >= a cannot occur for real s; the guard still exists
-    assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+    # exact samples are z L^T, L the Cholesky factor of
+    # (1/4) [[cosh 2s, -sinh 2s cos(t1 + t2)], [-sinh 2s cos(t1 + t2), cosh 2s]]
+    off = -math.sinh(2.0) * math.cos(0.4 - 0.1)
+    cov = 0.25 * np.array([[math.cosh(2.0), off], [off, math.cosh(2.0)]])
+    z = substream_generator(11).standard_normal((500, 2))
+    batch = sample_gaussian_epr(1.0, 0.4, -0.1, 500, seed=11)
+    assert np.array_equal(batch.pairs, z @ np.linalg.cholesky(cov).T)
 
 
 def test_batch_determinism_and_substreams():

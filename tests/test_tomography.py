@@ -28,10 +28,10 @@ from tomobell.states import (
     PairCoherent,
     SqueezedVacuum,
     TwoModeState,
+    squeezed_homodyne,
     wigner,
 )
 from tomobell.tomography import (
-    GaussianTomogramParams,
     SignBinnedProbs,
     SymplecticSetting,
     epr_marginal_density,
@@ -55,13 +55,13 @@ from tomobell.tomography import (
 # ---------------------------------------------------------------------------
 
 
-def test_gaussian_params_validation():
-    par = GaussianTomogramParams.from_squeezing(0.5, 0.3)
-    assert par.norm == pytest.approx(math.sqrt(par.a**2 - par.b**2))
-    with pytest.raises(DomainError):
-        GaussianTomogramParams(1.0, 1.5, 0.1)
-    with pytest.raises(DomainError):
-        GaussianTomogramParams(-1.0, 0.0, 1.0)
+def test_squeezed_homodyne_determinant_identity():
+    # d = 1 + sinh^2(2s) sin^2 is cosh^2(2s) - sinh^2(2s) cos^2, so N = 1/sqrt(d) = sqrt(a^2 - b^2)
+    c, t_cos, d = squeezed_homodyne(0.5, 0.3)
+    assert (c, t_cos) == (math.cosh(1.0), math.sinh(1.0) * math.cos(0.3))
+    assert d == pytest.approx(c * c - t_cos * t_cos, rel=1e-14)
+    a, b = c / d, t_cos / d
+    assert 1.0 / math.sqrt(d) == pytest.approx(math.sqrt(a * a - b * b), rel=1e-14)
 
 
 def test_tomogram_vacuum_angle_independent():
