@@ -122,13 +122,12 @@ def pseudospin_matrices(cutoff: int) -> PseudospinOps:
 def correlation_pseudospin(rho: st.DensityMatrix, u, v) -> float:
     """E(u, v) = Tr[rho (u . S^(1)) (v . S^(2))] on the truncated Fock space."""
     ops = pseudospin_matrices(rho.cutoff)
-    a = ops.dotted(u)
-    b = ops.dotted(v)
-    n = rho.cutoff
-    rho4 = rho.entries.reshape(n, n, n, n)
-    # Tr[rho (A x B)] = sum rho[(n1 n2), (m1 m2)] A[m1, n1] B[m2, n2]
-    partial = np.einsum("abcd,ca->bd", rho4, a)
-    val = complex(np.einsum("bd,db->", partial, b))
+    a, b = ops.dotted(u), ops.dotted(v)
+    m1, m2 = np.divmod(rho.rows, rho.cutoff)
+    n1, n2 = np.divmod(rho.cols, rho.cutoff)
+    # Tr[rho (A x B)] = sum rho[(m1 m2), (n1 n2)] A[n1, m1] B[n2, m2], summed in row-major
+    # order: unlike np.sum's pairwise tree, its bits do not depend on where zeros fall
+    val = complex(np.cumsum(np.append(0j, rho.values * a[n1, m1] * b[n2, m2]))[-1])
     if abs(val.imag) > 1e-10:
         raise AccuracyError(f"pseudospin correlation has imaginary residue {val.imag:.3e}")
     return float(val.real)

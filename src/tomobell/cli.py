@@ -463,9 +463,10 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
             raise ConfigError("pseudospin needs either --state or --dm")
         [(value, state)] = parse_states(kind, lam, n, r, single=True)
         label = state_label(kind, value)
-        if dump_dm:
-            atomic_write_text(dump_dm, json.dumps(st.density_matrix(state, cutoff).to_json_dict()))
+        dm = st.density_matrix(state, cutoff) if dump_dm else None
         t, deficit = state.pseudospin_xz(cutoff)
+    if dump_dm:
+        atomic_write_text(dump_dm, json.dumps(dm.to_json_dict()))
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     curve = bell.calb_curve(t, bell.direction(tu_grid), tv, tup, tvp)

@@ -38,8 +38,6 @@ from .special import bessel_i0, bessel_j0, laguerre_function, periodic_trapezoid
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 TRACE_TOL = 1e-9
-#: Rows per block of the hermiticity check, which bounds its peak memory.
-HERMITICITY_BLOCK = 256
 
 #: Default per-mode Fock cutoff for density matrices.
 DEFAULT_CUTOFF = 64
@@ -234,26 +232,35 @@ def pair_coherent_bessel_coefficient(r: float) -> float:
 
 
 class DensityMatrix:
-    """Truncated two-mode Fock-basis density matrix.
+    """Truncated two-mode Fock-basis density matrix, held as its nonzero entries.
 
-    ``entries`` has shape (cutoff^2, cutoff^2) with flat index
-    i = n1 * cutoff + n2 (row-major, kron-compatible).  Construction
-    validates hermiticity, nonnegative diagonal, and trace + trace_deficit
+    Entry k is rho[rows[k], cols[k]] = values[k], with flat index
+    i = n1 * cutoff + n2 (row-major, kron-compatible); unlisted entries are 0.
+    Construction sorts the entries into row-major order and validates the
+    indices, hermiticity, nonnegative diagonal, and trace + trace_deficit
     = 1 within fixed tolerances.
     """
 
-    def __init__(self, cutoff: int, entries: np.ndarray, trace_deficit: float):
-        entries = np.asarray(entries, dtype=complex)
+    def __init__(self, cutoff: int, rows, cols, values, trace_deficit: float):
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values, dtype=complex)
+        if not rows.shape == cols.shape == values.shape == (rows.size,):
+            raise DimensionError("rows, cols and values must be 1-D arrays of one length")
         dim = cutoff * cutoff
-        if entries.shape != (dim, dim):
-            raise DimensionError(
-                f"entries shape {entries.shape} does not match cutoff {cutoff} (expected {(dim, dim)})"
-            )
-        defect = _hermiticity_defect(entries)
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            raise DimensionError(f"entry index outside [0, {dim}) for cutoff {cutoff}")
+        keys, order = np.unique(rows * dim + cols, return_index=True)
+        if keys.size < rows.size:
+            raise DomainError(f"density matrix repeats {rows.size - keys.size} of its (i, j) entries")
+        rows, cols, values = rows[order], cols[order], values[order]
+        mirror = cols * dim + rows
+        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        mirrored = np.where(keys[at] == mirror, values[at].conj(), 0.0)
+        defect = float(np.abs(values - mirrored).max(initial=0.0))
         if defect > HERMITICITY_TOL:
             raise DomainError(f"density matrix not hermitian: max defect {defect:.3e}")
-        diag = entries.diagonal().real
-        if diag.min() < -DIAGONAL_TOL:
+        diag = values[rows == cols].real
+        if diag.min(initial=0.0) < -DIAGONAL_TOL:
             raise DomainError(f"density matrix has negative diagonal entry {diag.min():.3e}")
         trace = float(diag.sum())
         if abs(trace + trace_deficit - 1.0) > TRACE_TOL:
@@ -261,44 +268,38 @@ class DensityMatrix:
                 f"trace {trace:.12f} + deficit {trace_deficit:.3e} deviates from 1"
             )
         self.cutoff = int(cutoff)
-        self.entries = entries
+        self.rows, self.cols, self.values = rows, cols, values
         self.trace_deficit = float(trace_deficit)
-        self.entries.setflags(write=False)
+        for a in (rows, cols, values):
+            a.setflags(write=False)
 
     def trace(self) -> float:
-        return float(self.entries.diagonal().real.sum())
+        return float(self.values[self.rows == self.cols].real.sum())
 
     def to_json_dict(self) -> dict:
         """Serialize as {cutoff, entries: [(i, j, re, im), ...], trace_deficit}.
 
-        Only nonzero entries are written; the full matrix is recovered by
-        zero-filling.
+        Entries that are exactly 0 are skipped; the rest are written in
+        row-major order.
         """
-        i_idx, j_idx = np.nonzero(self.entries)
-        vals = self.entries[i_idx, j_idx]
-        quads = [
-            [int(i), int(j), float(v.real), float(v.imag)]
-            for i, j, v in zip(i_idx, j_idx, vals)
-        ]
-        return {
-            "cutoff": self.cutoff,
-            "entries": quads,
-            "trace_deficit": self.trace_deficit,
-        }
+        keep = self.values != 0
+        rows, cols, values = (a[keep].tolist() for a in (self.rows, self.cols, self.values))
+        entries = [[i, j, v.real, v.imag] for i, j, v in zip(rows, cols, values)]
+        return {"cutoff": self.cutoff, "entries": entries, "trace_deficit": self.trace_deficit}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
-        cutoff = int(payload["cutoff"])
-        dim = cutoff * cutoff
-        entries = np.zeros((dim, dim), dtype=complex)
-        for i, j, re, im in payload["entries"]:
-            entries[int(i), int(j)] = complex(re, im)
-        return cls(cutoff, entries, float(payload["trace_deficit"]))
+        quads = np.array(payload["entries"], dtype=float).reshape(len(payload["entries"]), 4)
+        values = quads[:, 2:].copy().view(complex)[:, 0]  # the (re, im) pairs, bit for bit
+        return cls(int(payload["cutoff"]), *quads[:, :2].T, values, float(payload["trace_deficit"]))
 
     @classmethod
     def load(cls, path: str) -> "DensityMatrix":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                return cls.from_json_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError too
+            raise ConfigError(f"{path}: not a valid density-matrix file ({exc!r})") from None
 
 
 @dataclass(frozen=True)
@@ -332,17 +333,6 @@ class SchmidtVector:
         return float(c @ c), 2.0 * float(c[0::2] @ c[1::2]), 0.0, 0.0
 
 
-def _hermiticity_defect(entries: np.ndarray) -> float:
-    """max |rho - rho^dagger| computed in blocks of ``HERMITICITY_BLOCK`` rows."""
-    worst = 0.0
-    n = entries.shape[0]
-    for start in range(0, n, HERMITICITY_BLOCK):
-        stop = min(start + HERMITICITY_BLOCK, n)
-        diff = entries[start:stop, :] - entries[:, start:stop].conj().T
-        worst = max(worst, float(np.abs(diff).max()))
-    return worst
-
-
 def schmidt_coefficients(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> SchmidtVector:
     """Schmidt coefficients of a benchmark state, truncated at ``cutoff``."""
     if cutoff < 2:
@@ -366,24 +356,24 @@ def significant_schmidt(state: TwoModeState) -> SchmidtVector:
 
 
 def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> DensityMatrix:
-    """Truncated |psi><psi| of a benchmark state."""
+    """Truncated |psi><psi| of a benchmark state: c_m c_n at (m (cutoff + 1), n (cutoff + 1))."""
     schmidt = schmidt_coefficients(state, cutoff)
-    psi = np.zeros(cutoff * cutoff)
-    idx = np.arange(cutoff)
-    psi[idx * cutoff + idx] = schmidt.coefficients
-    entries = np.outer(psi, psi).astype(complex)
-    return DensityMatrix(cutoff, entries, schmidt.deficit)
+    c_mn = np.outer(schmidt.coefficients, schmidt.coefficients)
+    m, n = np.nonzero(c_mn)
+    return DensityMatrix(cutoff, m * (cutoff + 1), n * (cutoff + 1), c_mn[m, n], schmidt.deficit)
 
 
 def partial_trace(dm: DensityMatrix, keep_mode: int = 0) -> np.ndarray:
     """Single-mode reduced density matrix (plain cutoff x cutoff array)."""
+    if keep_mode not in (0, 1):
+        raise DomainError(f"keep_mode must be 0 or 1, got {keep_mode}")
     n = dm.cutoff
-    rho4 = dm.entries.reshape(n, n, n, n)
-    if keep_mode == 0:
-        return np.einsum("abcb->ac", rho4)
-    if keep_mode == 1:
-        return np.einsum("abad->bd", rho4)
-    raise DomainError(f"keep_mode must be 0 or 1, got {keep_mode}")
+    row_modes, col_modes = np.divmod(dm.rows, n), np.divmod(dm.cols, n)
+    traced = row_modes[1 - keep_mode] == col_modes[1 - keep_mode]
+    reduced = np.zeros((n, n), dtype=complex)
+    np.add.at(reduced, (row_modes[keep_mode][traced], col_modes[keep_mode][traced]),
+              dm.values[traced])
+    return reduced
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from tomobell.states import (
     PairCoherent,
     SqueezedVacuum,
     density_matrix,
+    partial_trace,
     schmidt_coefficients,
 )
 from tomobell.tomography import SignBinnedProbs, sign_binned_closed_form
@@ -99,6 +100,24 @@ def test_correlation_vacuum_zz():
         correlation_pseudospin(dm, [1.0, 1.0, 0.0], Z_AXIS)
     with pytest.raises(DimensionError):
         correlation_pseudospin(dm, Z_AXIS, [0.0, 1.0])
+
+
+def test_correlation_and_partial_trace_match_a_dense_oracle():
+    # a mixed state with every entry nonzero, against Tr[rho (A x B)] and the
+    # einsum partial traces of the dense (16, 16) array
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    rows, cols = np.indices(rho.shape).reshape(2, -1)
+    dm = DensityMatrix(4, cols, rows, rho.T.ravel(), 0.0)  # entries in column-major order
+    ops = pseudospin_matrices(4)
+    for u, v in ((X_AXIS, Z_AXIS), ([0.0, 1.0, 0.0], xz(0.7)), (xz(2.1), [0.6, 0.8, 0.0])):
+        want = np.trace(rho @ np.kron(ops.dotted(u), ops.dotted(v))).real
+        assert correlation_pseudospin(dm, u, v) == pytest.approx(want, abs=1e-15)
+    rho4 = rho.reshape(4, 4, 4, 4)
+    assert np.allclose(partial_trace(dm, 0), np.einsum("abcb->ac", rho4), rtol=0, atol=1e-15)
+    assert np.allclose(partial_trace(dm, 1), np.einsum("abad->bd", rho4), rtol=0, atol=1e-15)
 
 
 def test_correlation_matches_closed_form_squeezed():
@@ -271,7 +290,7 @@ def test_pair_coherent_sx_discrepancy_report():
 
 @pytest.mark.parametrize("cutoff", [8, 16, 32])
 def test_schmidt_xz_entries_match_density_matrix(cutoff):
-    # T_zz, T_xx, T_xz, T_zx from c_n against the einsum on the full rho
+    # T_zz, T_xx, T_xz, T_zx from c_n against correlation_pseudospin on the Fock rho
     for state in (SqueezedVacuum(0.9), FockPairSuperposition(3), PairCoherent(1.05)):
         got = schmidt_coefficients(state, cutoff).xz_block()
         dm = density_matrix(state, cutoff)

@@ -285,14 +285,30 @@ def test_pseudospin_dm_roundtrip(runner, tmp_path):
          "--theta-u-steps", "25", "--dump-dm", rho, "-o", ps1],
     )
     assert r1.exit_code == 0, r1.output
+    again = str(tmp_path / "again.json")
     r2 = runner.invoke(
-        main, ["pseudospin", "--dm", rho, "--theta-u-steps", "25", "-o", ps2]
+        main, ["pseudospin", "--dm", rho, "--theta-u-steps", "25", "--dump-dm", again, "-o", ps2]
     )
     assert r2.exit_code == 0, r2.output
     assert sha(ps1) == sha(ps2)
+    assert sha(again) == sha(rho)  # --dump-dm writes the matrix --dm read, in canonical order
     payload = json.load(open(rho))
     assert payload["cutoff"] == 16
     assert all(len(entry) == 4 for entry in payload["entries"])
+
+
+@pytest.mark.parametrize("text", [
+    '{"cutoff": 2, "entries": [[0, 0, 1.0, 0.0]]}',
+    '{"cutoff": 2, "entries": [[0, 0, 1.0, 0.0]',
+    '{"cutoff": 2, "entries": [[0, 0, 1.0]], "trace_deficit": 0.0}',
+], ids=["no-trace-deficit", "invalid-json", "three-numbers"])
+def test_pseudospin_malformed_dm_file_exits_2(runner, tmp_path, text):
+    rho = tmp_path / "rho.json"
+    rho.write_text(text)
+    result = runner.invoke(main, ["pseudospin", "--dm", str(rho),
+                                  "-o", str(tmp_path / "ps.csv")])
+    assert result.exit_code == 2
+    assert f"configuration error: {rho}: not a valid density-matrix file" in result.stderr
 
 
 def test_pseudospin_needs_state_or_dm(runner, tmp_path):

@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import tomobell
-from tomobell.bell import closed_form_correlation
+from tomobell.bell import closed_form_correlation, density_xz_entries
+from tomobell.cli import main
 from tomobell.errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
 from tomobell.special import bessel_i0, gauss_legendre, laguerre
 from tomobell.states import (
@@ -100,31 +102,39 @@ def test_squeezed_vacuum_truncation_tail():
 # ---------------------------------------------------------------------------
 
 
+def dense(dm):
+    """The (cutoff^2, cutoff^2) array of a small density matrix."""
+    dim = dm.cutoff**2
+    out = np.zeros((dim, dim), dtype=complex)
+    out[dm.rows, dm.cols] = dm.values
+    return out
+
+
 def test_density_matrix_vacuum_projector():
     dm = density_matrix(SqueezedVacuum(0.0), 4)
     want = np.zeros((16, 16))
     want[0, 0] = 1.0
-    assert np.allclose(dm.entries, want)
+    assert np.allclose(dense(dm), want)
     assert dm.trace_deficit == 0.0
 
 
 def test_density_matrix_fock_pair_projector():
     dm = density_matrix(FockPairSuperposition(1), 3)
-    nz = np.abs(dm.entries) > 1e-15
-    assert np.count_nonzero(nz) == 4
+    assert np.count_nonzero(np.abs(dm.values) > 1e-15) == 4
     idx = [0 * 3 + 0, 1 * 3 + 1]
     for i in idx:
         for j in idx:
-            assert dm.entries[i, j] == pytest.approx(0.5)
+            assert dense(dm)[i, j] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("state", BENCHMARKS)
 @pytest.mark.parametrize("cutoff", [4, 8, 16])
 def test_density_matrix_invariants(state, cutoff):
     dm = density_matrix(state, cutoff)
-    herm = np.max(np.abs(dm.entries - dm.entries.conj().T))
+    rho = dense(dm)
+    herm = np.max(np.abs(rho - rho.conj().T))
     assert herm <= 1e-12
-    eigs = np.linalg.eigvalsh(dm.entries)
+    eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() >= -1e-10
     assert dm.trace() + dm.trace_deficit == pytest.approx(1.0, abs=1e-9)
 
@@ -137,18 +147,25 @@ def test_density_matrix_deficit_matches_schmidt():
     )
 
 
-def test_density_matrix_validation_errors():
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[0, 1] = 1.0  # not hermitian
-    bad[0, 0] = 1.0
-    with pytest.raises(DomainError):
-        DensityMatrix(2, bad, 0.0)
-    ok = np.zeros((4, 4), dtype=complex)
-    ok[0, 0] = 0.5
-    with pytest.raises(DomainError):
-        DensityMatrix(2, ok, 0.0)  # trace + deficit != 1
+def test_density_matrix_validation_errors(tmp_path):
+    cases = [
+        ([[0, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]], DomainError),  # not hermitian
+        ([[0, 0, 0.5, 0.0]], DomainError),  # trace + deficit != 1
+        ([[-1, -1, 1.0, 0.0]], DimensionError),  # index below 0
+        ([[7, 7, 1.0, 0.0]], DimensionError),  # index past cutoff^2 = 4
+        ([[0, 0, 0.5, 0.0], [0, 0, 1.0, 0.0]], DomainError),  # (0, 0) listed twice
+    ]
+    path, out = tmp_path / "rho.json", str(tmp_path / "ps.csv")
+    for entries, error in cases:
+        rows, cols, re, im = np.array(entries).T
+        with pytest.raises(error):
+            DensityMatrix(2, rows, cols, re + 1j * im, 0.0)
+        path.write_text(json.dumps({"cutoff": 2, "entries": entries, "trace_deficit": 0.0}))
+        result = CliRunner().invoke(main, ["pseudospin", "--dm", str(path), "-o", out])
+        assert result.exit_code == 2, entries
+        assert "configuration error:" in result.stderr
     with pytest.raises(DimensionError):
-        DensityMatrix(3, ok, 0.5)  # wrong shape for cutoff
+        DensityMatrix(2, [0, 0], [0], [0.5], 0.5)  # rows, cols and values differ in length
 
 
 def test_density_matrix_json_roundtrip(tmp_path):
@@ -158,7 +175,20 @@ def test_density_matrix_json_roundtrip(tmp_path):
     back = DensityMatrix.load(str(path))
     assert back.cutoff == dm.cutoff
     assert back.trace_deficit == pytest.approx(dm.trace_deficit)
-    assert np.allclose(back.entries, dm.entries)
+    assert np.array_equal(back.rows, dm.rows) and np.array_equal(back.cols, dm.cols)
+    assert np.allclose(back.values, dm.values)
+
+
+def test_density_matrix_workspace_is_bounded():
+    # the matrix holds only its nonzero entries; the dense (4096, 4096) complex
+    # array it replaced peaked at 384 MiB here
+    tracemalloc.start()
+    try:
+        density_xz_entries(density_matrix(PairCoherent(1.05), 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_partial_trace_thermal_weights():
