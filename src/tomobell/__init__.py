@@ -57,21 +57,17 @@ from .states import (
     SqueezedVacuum,
     TwoModeState,
     density_matrix,
-    partial_trace,
     schmidt_coefficients,
     wigner,
 )
 from .tomography import (
     SignBinnedProbs,
     SymplecticSetting,
-    inverse_fourier_wigner,
     kernel_reconstruct_density,
-    pair_coherent_integral_direct,
     pair_coherent_integral_series,
     radon_forward,
     radon_forward_symplectic,
     sign_binned_closed_form,
-    sign_binned_numeric,
     tomogram_closed_form,
 )
 

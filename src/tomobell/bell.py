@@ -197,9 +197,6 @@ class PairCoherentSxReport:
     def difference(self) -> float:
         return self.bessel - self.fock
 
-    def agrees(self, tol: float = 1e-6) -> bool:
-        return abs(self.difference) <= tol
-
 
 def pair_coherent_sx_report(r: float, cutoff: int = 64) -> PairCoherentSxReport:
     """Compare the Bessel-ratio c(r) with Tr[rho Sx Sx] from the Schmidt vector."""

@@ -38,36 +38,43 @@ _ANGLE_RE = re.compile(
 
 
 def parse_angle(text) -> float:
-    """Parse '0.7', 'pi', '-pi/2', '3pi/4', '-3*pi/4' into radians."""
+    """Parse '0.7', 'pi', '-pi/2', '3pi/4', '-3*pi/4' into finite radians."""
     text = str(text).strip()
     m = _ANGLE_RE.match(text)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            num = float(m.group(2)) if m.group(2) else 1.0
+            den = float(m.group(3)) if m.group(3) else 1.0
+            value = sign * num * math.pi / den
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def parse_values(text) -> list[float]:
-    """Parse '0.2,0.54,0.96' (braces tolerated) or 'a:b:step' into a list."""
+    """Parse '0.2,0.54,0.96' (braces tolerated) or 'a:b:step' into a list of finite values."""
     text = str(text).strip().strip("{}")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range spec must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad range spec {text!r}")
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
+    parts = text.split(":") if ":" in text else [p for p in text.split(",") if p.strip()]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"cannot parse values {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"values must be finite, got {text!r}")
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"range spec must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ConfigError(f"bad range spec {text!r}")
+    n = int(round((stop - start) / step))
+    return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
 
 
 def parse_named_angles(text, names) -> dict[str, float]:
@@ -215,6 +222,20 @@ def parse_states(kind, lam, n, r, *, single=False) -> list:
     return make_states(kind, values)
 
 
+def finite(ctx, param, value):
+    """A float option without nan or +-inf, which click's float types let through."""
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{param.opts[0]} must be finite, got {value}")
+    return value
+
+
+def even_cutoff(ctx, param, value: int) -> int:
+    """A --cutoff of pseudospin blocks: whole (2k, 2k+1) pairs, so even and >= 2."""
+    if value < 2 or value % 2:
+        raise ConfigError(f"pseudospin blocks need an even cutoff >= 2, got {value}")
+    return value
+
+
 def state_label(kind, value) -> dict:
     return {"kind": kind, STATE_KINDS[kind][0]: value}
 
@@ -287,10 +308,11 @@ def main(ctx, config_path):
 @state_options()
 @click.option("--theta1", default="0", help="homodyne angle of mode 1")
 @click.option("--theta2", default="0", help="homodyne angle of mode 2")
-@click.option("--x-max", type=float, default=2.0)
+@click.option("--x-max", type=float, default=2.0, callback=finite)
 @click.option("--x-steps", type=click.IntRange(min=1), default=9)
 @click.option("--check-radon", is_flag=True, help="cross-check against the numeric Radon projection")
-@click.option("--tol", type=float, default=1e-6, help="pass threshold for --check-radon")
+@click.option("--tol", type=float, default=1e-6, callback=finite,
+              help="pass threshold for --check-radon")
 @click.option("-o", "--out", default="tomogram.csv", show_default=True)
 def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, tol, out):
     """Closed-form tomogram on an (X1, X2) grid, optional Radon cross-check."""
@@ -355,7 +377,7 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
 @angles_option("--ps-angles", "tv=pi/4,tup=-pi/2,tvp=-pi/4",
                help="fixed pseudospin angles; theta_u is maximized over a grid")
 @click.option("--theta-u-steps", type=click.IntRange(min=1), default=361, show_default=True)
-@click.option("--cutoff", type=int, default=32, show_default=True,
+@click.option("--cutoff", type=int, default=32, show_default=True, callback=even_cutoff,
               help="Fock cutoff of a pseudospin block from the Schmidt vector")
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
 @click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
@@ -445,7 +467,7 @@ def _series_summary(params, values) -> dict:
 @state_options(required=False)
 @click.option("--dm", "dm_path", type=click.Path(exists=True), default=None,
               help="two-mode density-matrix JSON instead of --state")
-@click.option("--cutoff", type=int, default=64, show_default=True)
+@click.option("--cutoff", type=int, default=64, show_default=True, callback=even_cutoff)
 @angles_option("--angles", "tv=0,tup=pi,tvp=pi/2")
 @click.option("--theta-u-steps", type=click.IntRange(min=1), default=361, show_default=True)
 @click.option("--dump-dm", default=None, help="write the density matrix used to this JSON path")
@@ -484,7 +506,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
 @state_options()
 @click.option("--mode", type=click.Choice(["tomographic", "pseudospin"]), default="tomographic",
               show_default=True)
-@click.option("--cutoff", type=int, default=32, show_default=True)
+@click.option("--cutoff", type=int, default=32, show_default=True, callback=even_cutoff)
 @click.option("--grid-points", type=click.IntRange(min=1), default=24, show_default=True)
 @click.option("--quad-order", type=int, default=96, show_default=True,
               help="ignored: the sign-binned Schmidt sum picks its Fock levels from the state")
@@ -524,7 +546,7 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
 @click.option("--theta1", default="0")
 @click.option("--theta2", default="0")
 @click.option("--count", type=int, default=100000, show_default=True)
-@click.option("--seed", type=int, default=20240901, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=20240901, show_default=True)
 @click.option("-o", "--out", default="batch.csv", show_default=True)
 def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
     """Seeded Monte Carlo homodyne batch; CSV (X1, X2) plus JSON sidecar."""
@@ -556,7 +578,8 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
 @main.command("reconstruct")
 @click.option("--tomogram", "tomogram_kind",
               type=click.Choice(["vacuum", "single-photon", "epr-marginal"]), required=True)
-@click.option("--lambda", "lam", type=float, default=None, help="lambda for epr-marginal")
+@click.option("--lambda", "lam", type=click.FloatRange(0.0, 1.0, max_open=True), default=None,
+              callback=finite, help="lambda for epr-marginal")
 @click.option("--cutoff", type=int, default=6, show_default=True)
 @click.option("-o", "--out", default="rho.json", show_default=True)
 def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
@@ -590,7 +613,7 @@ def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
 @click.option("--points", type=click.IntRange(min=1), default=360, show_default=True,
               help="angle-grid density for the curve datasets")
 @click.option("--r-sweep", default="0.5:1.5:0.01", show_default=True)
-@click.option("--cutoff", type=int, default=64, show_default=True)
+@click.option("--cutoff", type=int, default=64, show_default=True, callback=even_cutoff)
 def cmd_figures(out_dir, points, r_sweep, cutoff):
     """Regenerate all six figure datasets at the published parameters."""
     os.makedirs(out_dir, exist_ok=True)

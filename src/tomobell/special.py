@@ -272,10 +272,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, f):
-        """Apply the rule to a vectorized callable."""
-        return np.sum(self.weights * np.asarray(f(self.nodes)), axis=-1)
-
 
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     """The ``order``-point Gauss-Legendre rule on [a, b], a < b finite."""

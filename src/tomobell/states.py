@@ -242,13 +242,16 @@ class DensityMatrix:
     """
 
     def __init__(self, cutoff: int, rows, cols, values, trace_deficit: float):
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=complex)
+        rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values, dtype=complex)
         if not rows.shape == cols.shape == values.shape == (rows.size,):
             raise DimensionError("rows, cols and values must be 1-D arrays of one length")
         dim = cutoff * cutoff
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
-            raise DimensionError(f"entry index outside [0, {dim}) for cutoff {cutoff}")
+        for index in (rows, cols):
+            if not np.all(np.isfinite(index) & (index == np.floor(index))):
+                raise DomainError("density-matrix entry indices must be finite integers")
+            if index.size and (index.min() < 0 or index.max() >= dim):
+                raise DimensionError(f"entry index outside [0, {dim}) for cutoff {cutoff}")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         keys, order = np.unique(rows * dim + cols, return_index=True)
         if keys.size < rows.size:
             raise DomainError(f"density matrix repeats {rows.size - keys.size} of its (i, j) entries")
@@ -361,19 +364,6 @@ def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> Density
     c_mn = np.outer(schmidt.coefficients, schmidt.coefficients)
     m, n = np.nonzero(c_mn)
     return DensityMatrix(cutoff, m * (cutoff + 1), n * (cutoff + 1), c_mn[m, n], schmidt.deficit)
-
-
-def partial_trace(dm: DensityMatrix, keep_mode: int = 0) -> np.ndarray:
-    """Single-mode reduced density matrix (plain cutoff x cutoff array)."""
-    if keep_mode not in (0, 1):
-        raise DomainError(f"keep_mode must be 0 or 1, got {keep_mode}")
-    n = dm.cutoff
-    row_modes, col_modes = np.divmod(dm.rows, n), np.divmod(dm.cols, n)
-    traced = row_modes[1 - keep_mode] == col_modes[1 - keep_mode]
-    reduced = np.zeros((n, n), dtype=complex)
-    np.add.at(reduced, (row_modes[keep_mode][traced], col_modes[keep_mode][traced]),
-              dm.values[traced])
-    return reduced
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ Closed forms, in the package convention (vacuum quadrature variance 1/4):
                     through their sum t1 + t2, as the Radon oracle confirms.
 
 The pair-coherent angular integral I(sqrt(2) X1, sqrt(2) X2), with
-w = |I|^2 exp(-2 X1^2 - 2 X2^2) / (2 pi^3 I0(2 r^2)), is kept as two test
-oracles of that sum: direct quadrature of its shifted form, and the Hermite
-series 2 pi sum_n H_n(x1) H_n(x2) alpha^{2n} / (2^n (n!)^2),
-alpha = r exp(-i (t1+t2)/2).
+w = |I|^2 exp(-2 X1^2 - 2 X2^2) / (2 pi^3 I0(2 r^2)), is kept as a test
+oracle of that sum: the Hermite series 2 pi sum_n H_n(x1) H_n(x2)
+alpha^{2n} / (2^n (n!)^2), alpha = r exp(-i (t1+t2)/2)
+(pair_coherent_integral_series).
 
 Sign-binned probabilities are scale invariant; beyond the squeezed vacuum
 they come from a Fock-basis sum over the Schmidt vector (sign_binned_closed_form).
@@ -44,12 +44,7 @@ from itertools import islice
 import numpy as np
 
 from . import states as st
-from .errors import (
-    AccuracyError,
-    ConvergenceError,
-    DomainError,
-    NormalizationError,
-)
+from .errors import ConvergenceError, DomainError, NormalizationError
 from .special import gauss_legendre, hermite_functions, laguerre, periodic_trapezoid
 
 PROB_SUM_TOL = 1e-6
@@ -66,22 +61,8 @@ KERNEL_X_ORDER = 160
 #: Node cap of the squeezed vacuum's Radon check: each X pair's (m, m) weight
 #: grid and Wigner buffer take 72 MiB at m = 3072.
 MAX_DENSE_ORDER = 3072
-#: Rules of sign_binned_numeric: Gauss-Legendre nodes per panel, the starting
-#: panel count, the stability tolerance and the most panel doublings.
-NUMERIC_GL_ORDER = 24
-NUMERIC_PANELS = 4
-NUMERIC_TOL = 1e-10
-NUMERIC_MAX_DOUBLINGS = 6
 #: Relative tail below which pair_coherent_integral_series stops.
 SERIES_TOL = 1e-12
-#: Rules of inverse_fourier_wigner: the Gaussian window of the |k| filter, the
-#: k range and node count, and the bounds on the surface's integral and on its
-#: imaginary residue.
-INVERSE_DAMPING_WIDTH = 0.02
-INVERSE_K_MAX = 12.0
-INVERSE_K_ORDER = 256
-INVERSE_NORM_TOL = 0.05
-INVERSE_IMAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -329,32 +310,6 @@ def tomogram_closed_form(state, x1, theta1, x2, theta2):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def pair_coherent_integral_direct(x1, theta1, x2, theta2, r, order: int = 256) -> complex:
-    """The pair-coherent angular integral I(X1, theta1, X2, theta2).
-
-    Quadrature of the shifted integrand: with phi0 = (theta1 + theta2)/2 and
-    alpha = r exp(-i phi0),
-
-      I = int_0^{2 pi} exp[-(alpha^2/2)(e^{2 i phi} + e^{-2 i phi})
-                           + sqrt(2) alpha (X1 e^{i phi} + X2 e^{-i phi})] dphi.
-
-    Arguments are in natural units (vacuum variance 1/2), matching the
-    Hermite-series form; the closed-form tomogram feeds it sqrt(2) X.
-    """
-    if order < 64:
-        raise DomainError(f"pair-coherent integral needs order >= 64, got {order}")
-    phi0 = 0.5 * (theta1 + theta2)
-    alpha = r * np.exp(-1j * phi0)
-    rule = periodic_trapezoid(order)
-    eip = np.exp(1j * rule.nodes)
-    eim = eip.conj()
-    integrand = np.exp(
-        -0.5 * alpha**2 * (eip**2 + eim**2)
-        + math.sqrt(2.0) * alpha * (x1 * eip + x2 * eim)
-    )
-    return complex(np.sum(rule.weights * integrand))
-
-
 def pair_coherent_integral_series(x1, x2, phi0, r, *, terms: int | None = None):
     """Hermite-series form of the pair-coherent angular integral.
 
@@ -403,57 +358,6 @@ def pair_coherent_integral_series(x1, x2, phi0, r, *, terms: int | None = None):
 # ---------------------------------------------------------------------------
 # Sign-binned probabilities
 # ---------------------------------------------------------------------------
-
-
-def sign_binned_numeric(
-    density, theta1: float, theta2: float, *, scale: float = 1.0
-) -> SignBinnedProbs:
-    """Quadrant integrals of a normalized joint density w(X1, X2).
-
-    ``density`` is a vectorized callable already bound to the angles; the
-    angles are only recorded in the result.  Each half line is mapped to
-    (0, 1) by X = scale * atanh(t) and integrated with ``NUMERIC_GL_ORDER``-point
-    Gauss-Legendre panels; the panel count doubles from ``NUMERIC_PANELS``
-    until the quadruple is stable to ``NUMERIC_TOL``.  Deviation of the sum
-    from 1 beyond ``PROB_SUM_TOL`` is treated as an error signal, never
-    renormalized away.
-    """
-    prev = None
-    panels = NUMERIC_PANELS
-    for _ in range(NUMERIC_MAX_DOUBLINGS + 1):
-        nodes, weights = _tanh_half_line(scale, panels)
-        xp = nodes[:, None]
-        yp = nodes[None, :]
-        w2 = weights[:, None] * weights[None, :]
-        quads = np.array(
-            [
-                np.sum(w2 * density(xp, yp)),
-                np.sum(w2 * density(xp, -yp)),
-                np.sum(w2 * density(-xp, yp)),
-                np.sum(w2 * density(-xp, -yp)),
-            ]
-        )
-        if prev is not None and np.max(np.abs(quads - prev)) <= NUMERIC_TOL:
-            break
-        prev = quads
-        panels *= 2
-    else:
-        raise ConvergenceError(
-            f"quadrant integrals did not stabilize to {NUMERIC_TOL} "
-            f"within {NUMERIC_MAX_DOUBLINGS} panel doublings"
-        )
-    return SignBinnedProbs(*quads, theta1=theta1, theta2=theta2).validate()
-
-
-def _tanh_half_line(scale: float, panels: int):
-    """Nodes/weights for int_0^inf f(X) dX via X = scale * atanh(t), t in (0,1)."""
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    base = gauss_legendre(NUMERIC_GL_ORDER, 0.0, 1.0)
-    t = (edges[:-1, None] + np.diff(edges)[:, None] * base.nodes[None, :]).ravel()
-    wt = (np.diff(edges)[:, None] * base.weights[None, :]).ravel()
-    nodes = scale * np.arctanh(t)
-    weights = wt * scale / (1.0 - t * t)
-    return nodes, weights
 
 
 def sign_binned_closed_form(state, theta1: float, theta2: float) -> SignBinnedProbs:
@@ -535,72 +439,6 @@ def epr_marginal_density(lam, x, theta=0.0):
 # ---------------------------------------------------------------------------
 # Inverse transforms
 # ---------------------------------------------------------------------------
-
-
-def inverse_fourier_wigner(tomogram_values, x_nodes, theta_nodes, q_nodes, p_nodes):
-    """Single-mode Wigner function from homodyne tomogram samples.
-
-    ``tomogram_values[i, j] = w(X_i, theta_j)`` on a uniform X grid and a
-    uniform theta grid covering [0, pi).  Filtered back-projection:
-
-      W(q, p) = (1/4 pi^2) int_0^pi dtheta int_{-K}^{K} dk |k|
-                e^{-k^2 sigma^2 / 2} int dX w(X, theta)
-                e^{i k (X - q cos theta - p sin theta)},
-
-    where the 1/(2 pi)^2 factor is the normalization that makes the vacuum
-    reconstruct to a unit-mass Wigner surface, K = ``INVERSE_K_MAX`` and the
-    Gaussian window of width sigma = ``INVERSE_DAMPING_WIDTH`` regularizes
-    the |k| filter.  The surface must integrate to 1 within
-    ``INVERSE_NORM_TOL`` and be real within ``INVERSE_IMAG_TOL`` (relative);
-    it is never renormalized.
-
-    Returns (wigner_grid, integral): the real surface of shape
-    (q_nodes.size, p_nodes.size) as computed, and its trapezoid integral.
-    """
-    w = np.asarray(tomogram_values, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    theta_nodes = np.asarray(theta_nodes, dtype=float)
-    if w.shape != (x_nodes.size, theta_nodes.size):
-        raise DomainError(
-            f"tomogram grid shape {w.shape} does not match ({x_nodes.size}, {theta_nodes.size})"
-        )
-    dx = float(x_nodes[1] - x_nodes[0])
-    dtheta = float(theta_nodes[1] - theta_nodes[0]) if theta_nodes.size > 1 else math.pi
-
-    # mirrored half-line rules keep the |k| kink at the panel boundary
-    half = gauss_legendre(INVERSE_K_ORDER // 2, 0.0, INVERSE_K_MAX)
-    k = np.concatenate([-half.nodes[::-1], half.nodes])
-    k_weights = np.concatenate([half.weights[::-1], half.weights])
-    filt = k_weights * np.abs(k) * np.exp(-0.5 * (INVERSE_DAMPING_WIDTH * k) ** 2)
-
-    x_weights = np.full(x_nodes.size, dx)
-    x_weights[0] *= 0.5
-    x_weights[-1] *= 0.5
-    chi = np.exp(1j * np.outer(k, x_nodes)) @ (x_weights[:, None] * w)  # (nk, ntheta)
-    coef = filt[:, None] * chi
-
-    q = np.asarray(q_nodes, dtype=float)
-    p = np.asarray(p_nodes, dtype=float)
-    qq, pp = np.meshgrid(q, p, indexing="ij")
-    acc = np.zeros(qq.size, dtype=complex)
-    for j, th in enumerate(theta_nodes):
-        x0 = qq.ravel() * math.cos(th) + pp.ravel() * math.sin(th)
-        acc += np.exp(-1j * np.outer(x0, k)) @ coef[:, j]
-    surface = (dtheta / (4.0 * math.pi**2)) * acc.reshape(qq.shape)
-
-    scale = float(np.max(np.abs(surface.real))) or 1.0
-    if float(np.max(np.abs(surface.imag))) > INVERSE_IMAG_TOL * scale:
-        raise AccuracyError(
-            f"reconstructed Wigner surface has imaginary residue {np.max(np.abs(surface.imag)):.3e}"
-        )
-    wig = surface.real
-    integral = float(np.trapezoid(np.trapezoid(wig, p, axis=1), q))
-    if abs(integral - 1.0) > INVERSE_NORM_TOL:
-        raise AccuracyError(
-            f"reconstructed Wigner integrates to {integral:.4f}; "
-            f"deviation exceeds {INVERSE_NORM_TOL:.0%}"
-        )
-    return wig, integral
 
 
 def kernel_fock_matrix_element(m: int, n: int, k, theta):

@@ -62,6 +62,11 @@ def test_parse_angle_forms():
 def test_parse_values_forms():
     assert parse_values("{0.2,0.54,0.96}") == [0.2, 0.54, 0.96]
     assert parse_values("1:2:0.5") == [1.0, 1.5, 2.0]
+    from tomobell.errors import ConfigError
+
+    for text in ("nan", "0.5,inf", "0:inf:0.5", "0:1:nan"):
+        with pytest.raises(ConfigError):
+            parse_values(text)
     assert parse_named_angles("tv=0,tup=pi", {"tv", "tup", "tvp"}) == {
         "tv": 0.0,
         "tup": pytest.approx(math.pi),
@@ -584,12 +589,19 @@ def test_optimize_reports_whether_the_refinement_converged(runner, tmp_path, mon
     assert refine["evaluations"] == 50 and refine["iterations"] < 50
 
 
-@pytest.mark.parametrize("command", ["pseudospin", "bell-scan"])
-def test_pseudospin_odd_cutoff_exit_2(runner, tmp_path, command):
-    result = runner.invoke(main, [command, "--state", "pair-coherent", "--r", "1.05",
-                                  "--cutoff", "15", "-o", str(tmp_path / "x.csv")])
-    assert result.exit_code == 2
-    assert "even cutoff" in result.output
+@pytest.mark.parametrize("command", ["pseudospin", "bell-scan", "optimize", "figures"])
+def test_pseudospin_odd_cutoff_exit_2(runner, tmp_path, monkeypatch, command):
+    # one rule for every state, the closed forms included: a cutoff-3 --dump-dm
+    # file would fail its own --dm read
+    monkeypatch.chdir(tmp_path)
+    states = [[]] if command == "figures" else [
+        ["--state", "pair-coherent", "--r", "1.05"], _EPR, _FOCK]
+    for state_args in states:
+        for cutoff in ("15", "3", "0"):
+            result = runner.invoke(main, [command, *state_args, "--cutoff", cutoff])
+            assert result.exit_code == 2, (state_args, cutoff)
+            assert "even cutoff" in result.output
+    assert os.listdir(tmp_path) == []
 
 
 def test_probs_out_of_range_pair_coherent_fails_cleanly(runner, tmp_path):
@@ -654,6 +666,37 @@ def test_count_options_below_one_exit_2(runner, tmp_path, monkeypatch, args, opt
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, [*args, option, value])
     assert result.exit_code == 2, result.output
+    assert option in result.output
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["tomogram", *_EPR, "--x-max", "nan"],
+    ["probs", *_EPR, "--theta-sum", "inf"],
+    ["tomogram", "--state", "pair-coherent", "--r", "1", "--theta1", "inf"],
+    ["sample", "--state", "pair-coherent", "--r", "1", "--count", "10", "--theta1", "nan"],
+], ids=["x-max-nan", "theta-sum-inf", "theta1-inf", "sample-theta1-nan"])
+def test_non_finite_values_exit_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "must be finite" in result.output
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args, option", [
+    (["reconstruct", "--tomogram", "epr-marginal", "--lambda", "1.0"], "--lambda"),
+    (["reconstruct", "--tomogram", "epr-marginal", "--lambda", "2"], "--lambda"),
+    (["reconstruct", "--tomogram", "epr-marginal", "--lambda", "-0.5"], "--lambda"),
+    (["reconstruct", "--tomogram", "epr-marginal", "--lambda", "nan"], "--lambda"),
+    (["sample", *_EPR, "--count", "10", "--seed", "-1"], "--seed"),
+], ids=["lambda-1", "lambda-2", "lambda-negative", "lambda-nan", "seed-negative"])
+def test_option_ranges_exit_2(runner, tmp_path, monkeypatch, args, option):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
     assert option in result.output
     assert os.listdir(tmp_path) == []
 

@@ -36,18 +36,17 @@ from tomobell.tomography import (
     SymplecticSetting,
     epr_marginal_density,
     fock_quadrature_density,
-    inverse_fourier_wigner,
     kernel_reconstruct_density,
-    pair_coherent_integral_direct,
     pair_coherent_integral_series,
     radon_forward,
     radon_forward_symplectic,
     sign_binned_closed_form,
-    sign_binned_numeric,
     sign_matrix,
     tomogram_closed_form,
     vacuum_quadrature_density,
 )
+
+from oracles import inverse_fourier_wigner, pair_coherent_integral_direct, sign_binned_numeric
 
 
 # ---------------------------------------------------------------------------
