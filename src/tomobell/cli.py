@@ -30,6 +30,8 @@ from .errors import AccuracyError, ConfigError, DomainError
 FIG3A_ANGLES = ("pi/2", "-pi/4", "0", "-3pi/4")  # theta1, theta2, theta1p, theta2p
 FIG1_LAMBDAS = (0.20, 0.54, 0.96)
 FIG2_NS = (1, 3, 5)
+#: Most points a start:stop:step range may expand to.
+MAX_RANGE_POINTS = 10**6
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -73,8 +75,10 @@ def parse_values(text) -> list[float]:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise ConfigError(f"bad range spec {text!r}")
-    n = int(round((stop - start) / step))
-    return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
+    n = (stop - start) / step
+    if n >= MAX_RANGE_POINTS:
+        raise ConfigError(f"range spec {text!r} spans more than {MAX_RANGE_POINTS} points")
+    return [start + i * step for i in range(round(n) + 1) if start + i * step <= stop + 1e-12]
 
 
 def parse_named_angles(text, names) -> dict[str, float]:

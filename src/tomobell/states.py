@@ -45,9 +45,8 @@ DEFAULT_CUTOFF = 64
 #: Default node count for each angular integral of the pair-coherent Wigner.
 DEFAULT_ANGULAR_ORDER = 128
 
-#: Elements per evaluation block (1 MB of complex): the grid points of one
-#: ``wigner`` call in the squeezed vacuum's Radon projection, and the entries
-#: of each (points, J) or (points, K) factor array inside ``wigner``.
+#: Elements per evaluation block (1 MB of complex): the entries of each
+#: (points, J) or (points, K) factor array inside ``wigner``.
 MAX_BLOCK = 1 << 16
 
 
@@ -70,7 +69,7 @@ class TwoModeState:
 
     @property
     def half_width(self) -> float:
-        """Half-width of the Radon projection's lines, past where W is negligible."""
+        """Half-width of the factored Radon projection's lines, past where W is negligible."""
         raise UnsupportedStateError(f"no Wigner evaluator for {type(self).__name__}")
 
     def wigner_factors(self, order: int = DEFAULT_ANGULAR_ORDER) -> "WignerFactors":
@@ -108,10 +107,6 @@ class SqueezedVacuum(TwoModeState):
 
     def schmidt(self, levels):
         return math.sqrt(1.0 - self.lam**2) * self.lam ** np.arange(levels)
-
-    @property
-    def half_width(self):
-        return 3.5 * math.exp(self.s) / 2.0 + 2.0
 
     def pseudospin_xz(self, cutoff):
         """((1, 2 lam / (1 + lam^2), 0, 0), None) at every cutoff."""
@@ -237,15 +232,17 @@ class DensityMatrix:
     Entry k is rho[rows[k], cols[k]] = values[k], with flat index
     i = n1 * cutoff + n2 (row-major, kron-compatible); unlisted entries are 0.
     Construction sorts the entries into row-major order and validates the
-    indices, hermiticity, nonnegative diagonal, and trace + trace_deficit
-    = 1 within fixed tolerances.
+    cutoff, the indices, hermiticity, nonnegative diagonal, and trace +
+    trace_deficit = 1 within fixed tolerances.
     """
 
     def __init__(self, cutoff: int, rows, cols, values, trace_deficit: float):
         rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values, dtype=complex)
         if not rows.shape == cols.shape == values.shape == (rows.size,):
             raise DimensionError("rows, cols and values must be 1-D arrays of one length")
-        dim = cutoff * cutoff
+        if not (math.isfinite(cutoff) and cutoff == math.floor(cutoff) and cutoff >= 1):
+            raise DomainError(f"density-matrix cutoff must be a finite integer >= 1, got {cutoff}")
+        dim = int(cutoff) ** 2
         for index in (rows, cols):
             if not np.all(np.isfinite(index) & (index == np.floor(index))):
                 raise DomainError("density-matrix entry indices must be finite integers")
@@ -292,9 +289,11 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
+        if sorted(payload) != ["cutoff", "entries", "trace_deficit"]:
+            raise KeyError(f"keys {sorted(payload)}, expected cutoff, entries, trace_deficit")
         quads = np.array(payload["entries"], dtype=float).reshape(len(payload["entries"]), 4)
         values = quads[:, 2:].copy().view(complex)[:, 0]  # the (re, im) pairs, bit for bit
-        return cls(int(payload["cutoff"]), *quads[:, :2].T, values, float(payload["trace_deficit"]))
+        return cls(payload["cutoff"], *quads[:, :2].T, values, float(payload["trace_deficit"]))
 
     @classmethod
     def load(cls, path: str) -> "DensityMatrix":

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -58,9 +58,10 @@ KERNEL_K_ORDER = 96
 KERNEL_THETA_ORDER = 64
 KERNEL_X_HALF = 8.0
 KERNEL_X_ORDER = 160
-#: Node cap of the squeezed vacuum's Radon check: each X pair's (m, m) weight
-#: grid and Wigner buffer take 72 MiB at m = 3072.
-MAX_DENSE_ORDER = 3072
+#: Half-width of the squeezed vacuum's Radon grid in its integrand's
+#: principal-axis coordinates, where the integrand is exp(-xi^2 - eta^2):
+#: each axis leaves out erfc(6) < 3e-17 of its mass.
+GAUSSIAN_HALF_WIDTH = 6.0
 #: Relative tail below which pair_coherent_integral_series stops.
 SERIES_TOL = 1e-12
 
@@ -135,17 +136,6 @@ def _fringe_doublings(state, half_width: float, order: int) -> int:
     return max(3, math.ceil(math.log2(max(1.0, nodes / order))))
 
 
-def _squeezing_doublings(state, order: int) -> int:
-    """Doublings that take ``order`` to 32 e^{2s} nodes: at least 3, at most MAX_DENSE_ORDER nodes.
-
-    The squeezed vacuum's Wigner function is e^{-s} narrow across lines that
-    grow as e^{s}; its check converges at 384 nodes for lambda = 0.9, 768 for
-    0.94, and 1536 for 0.96 and 0.97.
-    """
-    need = math.ceil(math.log2(32.0 * math.exp(2.0 * state.s) / order))
-    return max(3, min(need, int(math.log2(MAX_DENSE_ORDER / order))))
-
-
 def radon_forward_symplectic(
     state,
     x1,
@@ -165,19 +155,16 @@ def radon_forward_symplectic(
     r = sqrt(mu^2 + nu^2); the tomogram is the double line integral of the
     Wigner function divided by r1 r2.  The Gauss-Legendre order is doubled
     until two successive estimates agree to ``tol``, at most ``max_doublings``
-    times; by default, for the squeezed vacuum, enough to reach 32 e^{2s}
-    nodes but no more than ``MAX_DENSE_ORDER`` (``_squeezing_doublings``)
-    and, for the other states, enough to reach 8 nodes per fringe
-    (``_fringe_doublings``).  Each line spans +/- ``state.half_width``.
+    times; by default once for the squeezed vacuum and, for the other
+    states, enough to reach 8 nodes per fringe (``_fringe_doublings``).
 
     The Fock pair and the pair-coherent state are projected through the
     factor form of their Wigner function (``TwoModeState.wigner_factors``): each
     mode's factors are integrated along its own line first, once per distinct
-    X value.  The squeezed vacuum, whose Gaussian cross term does not factor,
-    is summed on each X pair's full (t1, t2) grid, with ``states.wigner``
-    evaluated in blocks of at most ``states.MAX_BLOCK`` points
-    (``_project_dense``); its (m, m) weight grid and pair buffer take
-    8 m^2 bytes each.
+    X value, on lines that span +/- ``state.half_width``.  The squeezed
+    vacuum, whose Gaussian cross term does not factor, is summed with one
+    ``states.wigner`` call per X pair, on a grid along its integrand's
+    principal axes (``_gaussian_axes``) that spans +/- ``GAUSSIAN_HALF_WIDTH``.
 
     A ``record`` dict receives what the check ran, whether or not it
     converges: ``orders``, the Gauss-Legendre orders, and ``changes``, the
@@ -187,68 +174,75 @@ def radon_forward_symplectic(
     x2 = np.asarray(x2, dtype=float)
     scalar = x1.ndim == 0 and x2.ndim == 0
     x1, x2 = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(x2))
-    half_width = state.half_width
-    factors = None if state.gaussian else state.wigner_factors()
-    if max_doublings is None:
-        if factors is None:
-            max_doublings = _squeezing_doublings(state, order)
-        else:
-            max_doublings = _fringe_doublings(state, half_width, order)
-
-    prev = None
     orders, changes = [], []
     if record is not None:
         record.update(orders=orders, changes=changes)  # filled in as the orders run
+    if state.gaussian:
+        half_width = GAUSSIAN_HALF_WIDTH
+        project = partial(_project_gaussian, state, *_gaussian_axes(state, setting1, setting2))
+    else:
+        half_width = state.half_width
+        project = partial(_project_factored, state.wigner_factors())
+    if max_doublings is None:
+        max_doublings = 1 if state.gaussian else _fringe_doublings(state, half_width, order)
+
+    prev = None
     for k in range(max_doublings + 1):
         orders.append(order * 2**k)
         rule = gauss_legendre(orders[-1], -half_width, half_width)
-        if factors is None:
-            cur = _project_dense(state, x1, setting1, x2, setting2, rule,
-                                 st.DEFAULT_ANGULAR_ORDER)
-        else:
-            cur = _project_factored(factors, x1, setting1, x2, setting2, rule)
+        cur = project(x1, setting1, x2, setting2, rule)
         if prev is not None:
             changes.append(float(np.max(np.abs(cur - prev))))
             if changes[-1] <= tol * max(1.0, float(np.max(np.abs(cur)))):
                 return float(cur[0]) if scalar else cur
         prev = cur
-    capped = factors is None and orders[-1] >= MAX_DENSE_ORDER
     raise ConvergenceError(
         f"Radon projection did not stabilize to {tol} within {max_doublings} grid doublings: "
-        f"Gauss-Legendre orders {orders}, "
-        f"max |change| at each doubling "
+        f"Gauss-Legendre orders {orders}, max |change| at each doubling "
         f"[{', '.join(f'{change:.3e}' for change in changes)}]"
-        + (f"; {MAX_DENSE_ORDER} nodes is the squeezed vacuum's cap" if capped else "")
     )
 
 
-def _project_dense(state, x1, setting1, x2, setting2, rule, angular_order):
-    """Line integrals of ``states.wigner`` on the full (t1, t2) grid of each X pair.
+def _gaussian_axes(state, setting1, setting2):
+    """Centre and principal axes of a Gaussian Wigner function's integrand along the two lines.
 
-    ``states.wigner`` sees at most about ``states.MAX_BLOCK`` points per call:
-    whole X pairs while one pair's m x m grid is smaller, else row blocks of
-    one pair's grid.  Each pair's weighted (m, m) grid is then reduced by the
-    same sum as a single call on the whole (X, t1, t2) grid would be, so the
-    result does not depend on the blocking, bit for bit.
+    -log W is an exact quadratic c + g.z + z.H.z / 2 in z = (t1, t2, X1, X2),
+    so a forward-difference stencil of ``states.wigner`` at the origin, where
+    W is largest, gives g and H exactly up to rounding.  At fixed X the
+    integrand peaks at t0 = -H_tt^-1 (g_t + H_tX X); with t = t0 + A (xi, eta),
+    A = V diag(sqrt(2 / h)) from H_tt = V diag(h) V^T, it is
+    W(t0) exp(-xi^2 - eta^2).  Returns (centre, A), t0 = centre @ (1, X1, X2).
+    The two line directions are orthonormal in (q1, p1, q2, p2), so the
+    eigenvalues h lie within those of -log W's own Hessian and are positive.
     """
-    t = rule.nodes
-    m = t.size
-    pairs = max(1, st.MAX_BLOCK // (m * m))
-    rows = min(m, max(1, st.MAX_BLOCK // (pairs * m)))
-    w2d = rule.weights[:, None] * rule.weights[None, :]
-    xs1, xs2 = x1.ravel(), x2.ravel()
-    out = np.empty(xs1.size)
-    grid = np.empty((min(pairs, out.size), m, m))
-    for start in range(0, out.size, pairs):
-        stop = min(start + pairs, out.size)
-        block = grid[: stop - start]
-        q2, p2 = setting2.line(xs2[start:stop, None, None], t[None, :])
-        for row in range(0, m, rows):
-            q1, p1 = setting1.line(xs1[start:stop, None, None], t[row : row + rows, None])
-            wig = st.wigner(state, q1, p1, q2, p2, angular_order=angular_order)
-            np.multiply(wig, w2d[row : row + rows], out=block[:, row : row + rows])
-        out[start:stop] = np.sum(block, axis=(-2, -1))
-    return out.reshape(x1.shape) / (setting1.scale * setting2.scale)
+    step = 1e-2
+    i, j = np.triu_indices(4)
+    eye = np.eye(4)
+    z = step * np.vstack([np.zeros(4), eye, eye[i] + eye[j]])
+    w = st.wigner(state, *setting1.line(z[:, 2], z[:, 0]), *setting2.line(z[:, 3], z[:, 1]))
+    if not np.all(w > 0.0):
+        raise ConvergenceError(f"W underflows on the Radon finite-difference stencil ({step} step)")
+    f = -np.log(w)
+    hess = np.empty((4, 4))
+    hess[i, j] = hess[j, i] = (f[5:] - f[1 + i] - f[1 + j] + f[0]) / step**2
+    grad = (f[1:5] - f[0]) / step - 0.5 * step * hess.diagonal()
+    curvatures, vectors = np.linalg.eigh(hess[:2, :2])
+    centre = -np.linalg.solve(hess[:2, :2], np.column_stack([grad[:2], hess[:2, 2:]]))
+    return centre, vectors * np.sqrt(2.0 / curvatures)
+
+
+def _project_gaussian(state, centre, axes, x1, setting1, x2, setting2, rule):
+    """Line integrals of ``states.wigner`` on each X pair's grid along ``_gaussian_axes``."""
+    shifts = np.tensordot(axes, np.meshgrid(rule.nodes, rule.nodes, indexing="ij"), 1)
+    # line() is affine in t: each pair's (q, p) grid is its peak's point plus these offsets
+    (dq1, dp1), (dq2, dp2) = setting1.line(0.0, shifts[0]), setting2.line(0.0, shifts[1])
+    peaks = centre @ np.stack([np.ones(x1.size), x1.ravel(), x2.ravel()])
+    out = np.empty(x1.size)
+    for k, (a, b, t1, t2) in enumerate(zip(x1.flat, x2.flat, *peaks)):
+        (q1, p1), (q2, p2) = setting1.line(a, t1), setting2.line(b, t2)
+        wig = st.wigner(state, q1 + dq1, p1 + dp1, q2 + dq2, p2 + dp2)
+        out[k] = rule.weights @ wig @ rule.weights
+    return abs(np.linalg.det(axes)) * out.reshape(x1.shape) / (setting1.scale * setting2.scale)
 
 
 def _project_factored(factors, x1, setting1, x2, setting2, rule):

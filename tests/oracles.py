@@ -9,6 +9,8 @@ different route.
   ``tomography.sign_binned_closed_form``.
 - ``inverse_fourier_wigner``: filtered back-projection of a single-mode
   tomogram, against the Wigner function at the origin.
+- ``radon_wigner_grid_sum``: the Radon projection as one ``states.wigner``
+  call on the whole (X, t1, t2) grid, against the factored projection.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 
 import numpy as np
 
+from tomobell import states
 from tomobell.errors import AccuracyError, ConvergenceError, DomainError
 from tomobell.special import gauss_legendre, periodic_trapezoid
 from tomobell.tomography import SignBinnedProbs
@@ -178,3 +181,18 @@ def inverse_fourier_wigner(tomogram_values, x_nodes, theta_nodes, q_nodes, p_nod
             f"deviation exceeds {INVERSE_NORM_TOL:.0%}"
         )
     return wig, integral
+
+
+def radon_wigner_grid_sum(state, x1, setting1, x2, setting2, rule, angular_order):
+    """Line integrals of ``states.wigner`` by one Gauss-Legendre sum over the whole grid.
+
+    Both lines of every (X1, X2) pair are laid on ``rule``'s nodes, as in
+    ``tomography.radon_forward_symplectic``, and ``states.wigner`` is called
+    once on the (X, t1, t2) grid.
+    """
+    t = rule.nodes
+    q1, p1 = setting1.line(x1[..., None, None], t[:, None])
+    q2, p2 = setting2.line(x2[..., None, None], t[None, :])
+    wig = states.wigner(state, q1, p1, q2, p2, angular_order=angular_order)
+    grid_sum = np.sum(wig * np.outer(rule.weights, rule.weights), axis=(-2, -1))
+    return grid_sum / (setting1.scale * setting2.scale)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -312,6 +313,17 @@ def test_pseudospin_malformed_dm_file_exits_2(runner, tmp_path, text):
     rho.write_text(text)
     result = runner.invoke(main, ["pseudospin", "--dm", str(rho),
                                   "-o", str(tmp_path / "ps.csv")])
+    assert result.exit_code == 2
+    assert f"configuration error: {rho}: not a valid density-matrix file" in result.stderr
+
+
+def test_pseudospin_rejects_a_reconstruct_output(runner, tmp_path):
+    # a single-mode rho from reconstruct was once read as |0><0| (x) rho, with max calB = 2
+    rho = str(tmp_path / "rho1.json")
+    result = runner.invoke(main, ["reconstruct", "--tomogram", "single-photon", "--cutoff", "4",
+                                  "-o", rho])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["pseudospin", "--dm", rho, "-o", str(tmp_path / "ps.csv")])
     assert result.exit_code == 2
     assert f"configuration error: {rho}: not a valid density-matrix file" in result.stderr
 
@@ -685,6 +697,21 @@ def test_non_finite_values_exit_2(runner, tmp_path, monkeypatch, args):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("spec", ["0:1:1e-300", "0:1:1e-320"], ids=["tiny-step", "infinite-count"])
+def test_range_spec_past_the_point_bound_exits_2(runner, tmp_path, monkeypatch, spec):
+    # the first built its list until memory ran out, the second raised OverflowError
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["probs", *_EPR, "--theta-sum", spec])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.splitlines() == [
+        f"configuration error: range spec {spec!r} spans more than 1000000 points"
+    ]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("args, option", [
     (["reconstruct", "--tomogram", "epr-marginal", "--lambda", "1.0"], "--lambda"),
     (["reconstruct", "--tomogram", "epr-marginal", "--lambda", "2"], "--lambda"),
@@ -744,10 +771,20 @@ def test_partial_angles_keep_the_other_defaults(runner, tmp_path, command, optio
 
 
 def test_tomogram_epr_lambda_096_check_radon_converges(runner, tmp_path):
-    # a fixed 768-node budget left this at a change of 3.2e-7 and exit 3
+    # a fixed 768-node axis-aligned grid left this at a change of 3.2e-7 and exit 3;
+    # the principal-axis grid converges at 192 nodes for every lambda
     out = str(tmp_path / "t.csv")
     result = runner.invoke(main, ["tomogram", "--state", "epr", "--lambda", "0.96",
                                   "--x-steps", "3", "--check-radon", "-o", out])
     assert result.exit_code == 0, result.output
     with open(out + ".manifest.json") as fh:
-        assert json.load(fh)["radon"]["orders"][-1] == 1536
+        assert json.load(fh)["radon"]["orders"][-1] == 192
+
+
+def test_tomogram_epr_past_the_radon_stencil_exits_3(runner, tmp_path):
+    # W underflows on the Radon check's finite-difference stencil at lambda = 0.999999
+    result = runner.invoke(main, ["tomogram", "--state", "epr", "--lambda", "0.999999",
+                                  "--check-radon", "-o", str(tmp_path / "t.csv")])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("accuracy error: W underflows on the Radon finite-difference")

@@ -149,19 +149,20 @@ def test_density_matrix_deficit_matches_schmidt():
 
 def test_density_matrix_validation_errors(tmp_path):
     cases = [
-        ([[0, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]], DomainError),  # not hermitian
-        ([[0, 0, 0.5, 0.0]], DomainError),  # trace + deficit != 1
-        ([[-1, -1, 1.0, 0.0]], DimensionError),  # index below 0
-        ([[7, 7, 1.0, 0.0]], DimensionError),  # index past cutoff^2 = 4
-        ([[0, 0, 0.5, 0.0], [0, 0, 1.0, 0.0]], DomainError),  # (0, 0) listed twice
-        ([[1.5, 1.5, 1.0, 0.0]], DomainError),  # fractional index, once truncated to (1, 1)
+        (2, [[0, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]], DomainError),  # not hermitian
+        (2, [[0, 0, 0.5, 0.0]], DomainError),  # trace + deficit != 1
+        (2, [[-1, -1, 1.0, 0.0]], DimensionError),  # index below 0
+        (2, [[7, 7, 1.0, 0.0]], DimensionError),  # index past cutoff^2 = 4
+        (2, [[0, 0, 0.5, 0.0], [0, 0, 1.0, 0.0]], DomainError),  # (0, 0) listed twice
+        (2, [[1.5, 1.5, 1.0, 0.0]], DomainError),  # fractional index, once truncated to (1, 1)
+        (2.7, [[0, 0, 1.0, 0.0]], DomainError),  # fractional cutoff, once truncated to 2
     ]
     path, out = tmp_path / "rho.json", str(tmp_path / "ps.csv")
-    for entries, error in cases:
+    for cutoff, entries, error in cases:
         rows, cols, re, im = np.array(entries).T
         with pytest.raises(error):
-            DensityMatrix(2, rows, cols, re + 1j * im, 0.0)
-        path.write_text(json.dumps({"cutoff": 2, "entries": entries, "trace_deficit": 0.0}))
+            DensityMatrix(cutoff, rows, cols, re + 1j * im, 0.0)
+        path.write_text(json.dumps({"cutoff": cutoff, "entries": entries, "trace_deficit": 0.0}))
         result = CliRunner().invoke(main, ["pseudospin", "--dm", str(path), "-o", out])
         assert result.exit_code == 2, entries
         assert "configuration error:" in result.stderr

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,12 @@ from tomobell.tomography import (
     vacuum_quadrature_density,
 )
 
-from oracles import inverse_fourier_wigner, pair_coherent_integral_direct, sign_binned_numeric
+from oracles import (
+    inverse_fourier_wigner,
+    pair_coherent_integral_direct,
+    radon_wigner_grid_sum,
+    sign_binned_numeric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,7 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
     # one fixed 48-node rule, so only the per-mode contraction differs from
     # the Gauss-Legendre sum of states.wigner over the full (t1, t2) grid;
     # the grid and paired X layouts both exercise the distinct-X indexing
-    from tomobell.tomography import _project_dense, _project_factored
+    from tomobell.tomography import _project_factored
 
     half = state.half_width
     rule = gauss_legendre(48, -half, half)
@@ -227,32 +233,27 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
         (np.array([0.3, -0.8, 0.3, 1.1]), np.array([0.5, 0.5, -1.0, 0.2])),
     ):
         x1, x2 = np.broadcast_arrays(x1, x2)
-        dense = _project_dense(state, x1, s1, x2, s2, rule, 32)
+        dense = radon_wigner_grid_sum(state, x1, s1, x2, s2, rule, 32)
         factored = _project_factored(factors, x1, s1, x2, s2, rule)
         assert factored.shape == dense.shape == x1.shape
         assert np.max(np.abs(factored - dense)) < 1e-13
 
 
-def test_radon_dense_blocks_match_the_one_shot_grid_sum():
-    # order 96 evaluates a few X pairs per states.wigner call, order 384 a few
-    # rows of one pair's grid; either way each pair's sum is the one that a
-    # single call on the whole (X, t1, t2) grid gives, bit for bit
-    from tomobell.tomography import _project_dense
+def test_radon_squeezed_wigner_calls_stay_within_max_block(monkeypatch):
+    # one states.wigner call per X pair and order: the stencil, then 96^2 and 192^2 points
+    from tomobell import states
 
-    assert 1 < MAX_BLOCK // 96**2 < 9 and 384**2 > MAX_BLOCK
-    state = SqueezedVacuum(0.5)
-    s1, s2 = SymplecticSetting.from_angle(0.7), SymplecticSetting.from_angle(0.4)
+    sizes = []
+
+    def counted(state, *args, **kwargs):
+        sizes.append(np.broadcast(*args).size)
+        return wigner(state, *args, **kwargs)
+
+    monkeypatch.setattr(states, "wigner", counted)
     xs = np.linspace(-1.5, 1.5, 3)
-    x1, x2 = np.broadcast_arrays(xs[:, None], xs[None, :])
-    half = state.half_width
-    for order in (96, 384):
-        rule = gauss_legendre(order, -half, half)
-        q1, p1 = s1.line(x1[..., None, None], rule.nodes[:, None])
-        q2, p2 = s2.line(x2[..., None, None], rule.nodes[None, :])
-        w2d = rule.weights[:, None] * rule.weights[None, :]
-        one_shot = np.sum(wigner(state, q1, p1, q2, p2) * w2d, axis=(-2, -1))
-        blocked = _project_dense(state, x1, s1, x2, s2, rule, 128)
-        assert np.array_equal(blocked, one_shot / (s1.scale * s2.scale))
+    radon_forward(SqueezedVacuum(0.96), xs[:, None], 0.7, xs[None, :], 0.4)
+    assert len(sizes) == 1 + 2 * 9
+    assert max(sizes) == 192**2 <= MAX_BLOCK
 
 
 def _traced(func):
@@ -279,26 +280,48 @@ def test_radon_squeezed_check_memory_stays_bounded_as_lambda_grows():
 
     (diff, nodes), peak = _traced(lambda: check(0.9))
     assert peak <= 32 * 2**20
-    assert diff < 1e-9 and nodes == 384
+    assert diff < 1e-9 and nodes == 192
 
-    # the budget follows e^{2s}: 768 nodes left lambda = 0.96 short by 3.2e-7
-    (diff, nodes), peak = _traced(lambda: check(0.96))
-    assert peak <= 64 * 2**20
-    assert diff < 1e-8 and nodes == 1536
+    # the principal-axis grid does not grow with the squeezing: an axis-aligned
+    # grid needed 1536 nodes at lambda = 0.96 and could not resolve 0.99 at 3072
+    for lam in (0.96, 0.99):
+        (diff, nodes), peak = _traced(lambda: check(lam))
+        assert peak <= 64 * 2**20
+        assert diff < 1e-8 and nodes == 192
 
 
-def test_radon_squeezed_budget_follows_the_squeezing(monkeypatch):
-    from tomobell import tomography
-    from tomobell.tomography import _squeezing_doublings
+@pytest.mark.parametrize("lam", [0.99, 0.995, 0.9999])
+def test_radon_squeezed_matches_closed_form_at_strong_squeezing(lam):
+    state = SqueezedVacuum(lam)
+    xs = RADON_GRID
+    for t1, t2 in RADON_ANGLES:
+        record = {}
+        numeric = radon_forward(state, xs[:, None], t1, xs[None, :], t2, record=record)
+        closed = tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
+        assert np.max(np.abs(closed - numeric)) < 1e-9
+        assert record["orders"] == [96, 192]
+    # w(X, mu, nu) = w(X / r, theta) / r per mode, with (mu, nu) = r (cos theta, sin theta)
+    s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
+    record = {}
+    numeric = radon_forward_symplectic(state, xs[:, None], s1, xs[None, :], s2, record=record)
+    closed = tomogram_closed_form(
+        state, xs[:, None] / s1.scale, math.atan2(s1.nu, s1.mu),
+        xs[None, :] / s2.scale, math.atan2(s2.nu, s2.mu),
+    ) / (s1.scale * s2.scale)
+    assert np.max(np.abs(closed - numeric)) < 1e-9
+    assert record["orders"] == [96, 192]
 
-    # 96 nodes doubled up to 32 e^{2s}, never fewer than 3 times nor past 3072 nodes
-    budgets = [_squeezing_doublings(SqueezedVacuum(lam), 96) for lam in (0.2, 0.9, 0.96, 0.99)]
-    assert budgets == [3, 3, 5, 5]
-    assert tomography.MAX_DENSE_ORDER == 96 * 2**5
-    # a check that stops at the cap names it
-    monkeypatch.setattr(tomography, "MAX_DENSE_ORDER", 192)
-    with pytest.raises(ConvergenceError, match="192 nodes is the squeezed vacuum's cap"):
-        radon_forward(SqueezedVacuum(0.5), 0.5, 0.0, 0.5, 0.0, max_doublings=1, tol=0.0)
+
+def test_radon_squeezed_past_the_stencil_raises_convergence_error():
+    # at lambda = 0.999999 W underflows on the finite-difference stencil at the
+    # origin; the check says so instead of returning nan
+    record = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="underflows on the Radon finite-difference"):
+            radon_forward(SqueezedVacuum(0.999999), RADON_GRID, 0.0, RADON_GRID, 0.0,
+                          record=record)
+    assert record == {"orders": [], "changes": []}
 
 
 def test_radon_convergence_error_names_orders_and_residuals():
