@@ -6,6 +6,8 @@ reconstructed Fock-basis state) for three benchmark two-mode states, plus
 Monte Carlo sampling and Bell-angle optimization.
 """
 
+__version__ = "0.1.0"
+
 from .bell import (
     BellAnglesQuadrature,
     PseudospinOps,
@@ -13,7 +15,6 @@ from .bell import (
     chsh,
     closed_form_correlation,
     correlation_pseudospin,
-    correlation_tomographic,
     correlation_xz,
     direction,
     maximize_chsh,
@@ -68,7 +69,6 @@ from .tomography import (
     radon_forward,
     radon_forward_symplectic,
     sign_binned_closed_form,
+    sign_correlation,
     tomogram_closed_form,
 )
-
-__version__ = "0.1.0"

@@ -204,12 +204,6 @@ def pair_coherent_sx_report(r: float, cutoff: int = 64) -> PairCoherentSxReport:
     return PairCoherentSxReport(r, cutoff, pair_coherent_bessel_coefficient(r), fock)
 
 
-def correlation_tomographic(probs) -> float:
-    """E = w_pp - w_pm - w_mp + w_mm from validated sign-binned probabilities."""
-    probs.validate()
-    return probs.w_pp - probs.w_pm - probs.w_mp + probs.w_mm
-
-
 def chsh(e_ab, e_abp, e_apb, e_apbp):
     """The CHSH combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| of floats or arrays."""
     return abs(e_ab + e_abp + e_apb - e_apbp)
@@ -352,13 +346,10 @@ def maximize_chsh(
     if not np.all(np.isfinite(table)):
         raise AccuracyError("correlation returned non-finite values on the search grid")
 
-    combo = (
-        table[:, None, :, None]
-        + table[:, None, None, :]
-        + table[None, :, :, None]
-        - table[None, :, None, :]
-    )
-    flat = np.abs(combo).ravel()
+    # chsh over the lattice, summed in its order into one grid_points^4 buffer
+    combo = (table[:, None, :, None] + table[:, None, None, :]) + table[None, :, :, None]
+    combo -= table[None, :, None, :]
+    flat = np.abs(combo, out=combo).ravel()
     # E often depends only on theta1 + theta2, so cells tie; take the first one
     # within 1e-12 of the maximum rather than the one rounding happens to favour
     best = int(np.flatnonzero(flat >= flat.max() - 1e-12)[0])

@@ -21,7 +21,7 @@ import tempfile
 import click
 import numpy as np
 
-from . import bell
+from . import __version__, bell
 from . import sampling as smp
 from . import states as st
 from . import tomography as tg
@@ -284,23 +284,16 @@ def _prob_rows(value, state, sums, theta2) -> list:
     return rows
 
 
-def _tomographic_correlation_fn(state):
-    def corr(theta1, theta2):
-        return bell.correlation_tomographic(tg.sign_binned_closed_form(state, theta1, theta2))
-
-    return corr
-
-
 def _tomographic_b(state, quad: bell.BellAnglesQuadrature) -> float:
     """The tomographic CHSH value B at the four settings of ``quad``."""
-    corr = _tomographic_correlation_fn(state)
+    corr = tg.sign_correlation(state)
     return bell.chsh(*[corr(a, b) for a, b in quad.pairs()])
 
 
 @click.group(cls=ExitCodeGroup)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="key = value file; flags override it")
-@click.version_option()
+@click.version_option(version=__version__)
 @click.pass_context
 def main(ctx, config_path):
     """Tomographic and pseudospin CHSH tests for two-mode states."""
@@ -519,7 +512,7 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     """Maximize the CHSH value over the four measurement angles."""
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
     if mode == "tomographic":
-        corr = _tomographic_correlation_fn(state)
+        corr = tg.sign_correlation(state)
     else:
         t, _ = state.pseudospin_xz(cutoff)
 

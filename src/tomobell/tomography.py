@@ -26,6 +26,8 @@ alpha^{2n} / (2^n (n!)^2), alpha = r exp(-i (t1+t2)/2)
 
 Sign-binned probabilities are scale invariant; beyond the squeezed vacuum
 they come from a Fock-basis sum over the Schmidt vector (sign_binned_closed_form).
+sign_correlation sets that sum up once per state and returns the correlation
+E(theta1, theta2) that the CHSH searches call.
 
 The kernel reconstruction of a single-mode density matrix
 (kernel_reconstruct_density) sums its k integral directly on [0, 20], with
@@ -104,19 +106,23 @@ class SignBinnedProbs:
     theta2: float
 
     def validate(self) -> "SignBinnedProbs":
-        vals = (self.w_pp, self.w_pm, self.w_mp, self.w_mm)
-        for name, v in zip(("w_pp", "w_pm", "w_mp", "w_mm"), vals):
-            if not (-PROB_RANGE_TOL <= v <= 1.0 + PROB_RANGE_TOL):
-                raise NormalizationError(f"{name} = {v} outside [0, 1]")
-        total = sum(vals)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise NormalizationError(
-                f"sign-binned probabilities sum to {total:.12f} (deviation {total - 1.0:.3e})"
-            )
+        _check_quadrants(self.as_tuple())
         return self
 
     def as_tuple(self):
         return (self.w_pp, self.w_pm, self.w_mp, self.w_mm)
+
+
+def _check_quadrants(probs) -> None:
+    """Raise NormalizationError unless (w_pp, w_pm, w_mp, w_mm) lie in [0, 1] and sum to 1."""
+    for name, v in zip(("w_pp", "w_pm", "w_mp", "w_mm"), probs):
+        if not (-PROB_RANGE_TOL <= v <= 1.0 + PROB_RANGE_TOL):
+            raise NormalizationError(f"{name} = {v} outside [0, 1]")
+    total = sum(probs)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise NormalizationError(
+            f"sign-binned probabilities sum to {total:.12f} (deviation {total - 1.0:.3e})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +363,60 @@ def pair_coherent_integral_series(x1, x2, phi0, r, *, terms: int | None = None):
 def sign_binned_closed_form(state, theta1: float, theta2: float) -> SignBinnedProbs:
     """Closed-form sign-binned probabilities ((1+E)/4, (1-E)/4, (1-E)/4, (1+E)/4).
 
+    E is the state's sign correlation at theta1 + theta2 (``_sign_series``).
+    """
+    probs = _quadrants(_sign_series(state)(theta1 + theta2))
+    return SignBinnedProbs(*probs, theta1, theta2).validate()
+
+
+def sign_correlation(state):
+    """The tomographic correlation E(theta1, theta2) = w_pp - w_pm - w_mp + w_mm of a state.
+
+    The state's series is set up once, and each call of the returned function
+    checks its probabilities as ``SignBinnedProbs.validate`` does, raising the
+    same ``NormalizationError``: E equals the difference taken from
+    ``sign_binned_closed_form``, bit for bit.
+    """
+    series = _sign_series(state)
+
+    def correlation(theta1, theta2):
+        w_pp, w_pm, w_mp, w_mm = probs = _quadrants(series(theta1 + theta2))
+        _check_quadrants(probs)
+        return w_pp - w_pm - w_mp + w_mm
+
+    return correlation
+
+
+def _quadrants(corr: float) -> tuple[float, float, float, float]:
+    same, diff = 0.25 * (1.0 + corr), 0.25 * (1.0 - corr)
+    return same, diff, diff, same
+
+
+def _sign_series(state):
+    """The sign-binned correlation E of a state as a function of theta1 + theta2.
+
     Squeezed vacuum: E = -(2/pi) arctan(b/N), continuous in theta1 + theta2
     through the principal branch of arctan (b changes sign with
     cos(theta1 + theta2), so no piecewise sign bookkeeping is needed).
 
     Fock pair and pair coherent, sum_n c_n |n n>: the Fock-basis sum (Munro,
     PRA 59, 4197 (1999)) E = sum_{m,n} c_m c_n G_mn^2 cos((m - n)(theta1 +
-    theta2)) with G = sign_matrix, over the Fock levels that c_n needs.
+    theta2)) with G = sign_matrix, over the Fock levels that c_n needs,
+    gathered once into the harmonics h_d of ``_sign_harmonics``.
     """
     if state.gaussian:
-        _, b, d = st.squeezed_homodyne(state.s, theta1 + theta2)
-        corr = -2.0 * math.atan((b / d) / (1.0 / math.sqrt(d))) / math.pi  # b/N of the tomogram
-    else:
-        h = _sign_harmonics(state)
-        corr = float(h @ np.cos(np.arange(h.size) * (theta1 + theta2)))
-    same, diff = 0.25 * (1.0 + corr), 0.25 * (1.0 - corr)
-    return SignBinnedProbs(same, diff, diff, same, theta1, theta2).validate()
+        def series(theta):
+            _, b, d = st.squeezed_homodyne(state.s, theta)
+            return -2.0 * math.atan((b / d) / (1.0 / math.sqrt(d))) / math.pi  # b/N of the tomogram
+
+        return series
+    h = _sign_harmonics(state)
+    levels = np.arange(h.size)
+
+    def series(theta):
+        return float(h @ np.cos(levels * theta))
+
+    return series
 
 
 @lru_cache(maxsize=128)

@@ -7,6 +7,8 @@ different route.
   angular integral, against its Hermite series and the closed-form tomogram.
 - ``sign_binned_numeric``: quadrant integrals of a joint density, against
   ``tomography.sign_binned_closed_form``.
+- ``correlation_tomographic``: E from a validated ``SignBinnedProbs``,
+  against ``tomography.sign_correlation``.
 - ``inverse_fourier_wigner``: filtered back-projection of a single-mode
   tomogram, against the Wigner function at the origin.
 - ``radon_wigner_grid_sum``: the Radon projection as one ``states.wigner``
@@ -104,6 +106,12 @@ def sign_binned_numeric(
             f"within {NUMERIC_MAX_DOUBLINGS} panel doublings"
         )
     return SignBinnedProbs(*quads, theta1=theta1, theta2=theta2).validate()
+
+
+def correlation_tomographic(probs) -> float:
+    """E = w_pp - w_pm - w_mp + w_mm from validated sign-binned probabilities."""
+    probs.validate()
+    return probs.w_pp - probs.w_pm - probs.w_mp + probs.w_mm
 
 
 def _tanh_half_line(scale: float, panels: int):

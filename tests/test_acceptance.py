@@ -45,9 +45,7 @@ def _report(num, description):
 
 
 def _tomographic_b(state, angles):
-    def corr(t1, t2):
-        return bell.correlation_tomographic(tg.sign_binned_closed_form(state, t1, t2))
-
+    corr = tg.sign_correlation(state)
     return bell.chsh(*[corr(a, b) for a, b in angles.pairs()])
 
 
@@ -98,12 +96,7 @@ def test_criterion_04_tomographic_chsh_never_violated():
             st.FockPairSuperposition(1),
             st.FockPairSuperposition(3),
         ):
-            def corr(t1, t2, state=state):
-                return bell.correlation_tomographic(
-                    tg.sign_binned_closed_form(state, t1, t2)
-                )
-
-            _, value = bell.maximize_chsh(corr)
+            _, value = bell.maximize_chsh(tg.sign_correlation(state))
             assert value <= 2.0 + 1e-6
 
 

@@ -13,7 +13,6 @@ from tomobell.bell import (
     chsh,
     closed_form_correlation,
     correlation_pseudospin,
-    correlation_tomographic,
     correlation_xz,
     density_xz_entries,
     direction,
@@ -33,6 +32,8 @@ from tomobell.states import (
     schmidt_coefficients,
 )
 from tomobell.tomography import SignBinnedProbs, sign_binned_closed_form
+
+from oracles import correlation_tomographic
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -403,6 +404,22 @@ def test_maximize_chsh_grid_ties_go_to_the_first_cell():
         lambda t1, t2: math.cos(t1 + t2) * (1.0 + 1e-15 * rng.standard_normal()), refine=False
     )
     assert noisy == clean and clean.theta1 == 0.0
+
+
+def test_maximize_chsh_grid_value_is_the_scalar_chsh_maximum():
+    # the lattice sums E(a,b) + E(a,b') + E(a',b) - E(a',b') in chsh's order, so the
+    # grid maximum is the largest scalar chsh value bit for bit, on random tables
+    # (cosines: uniform draws on a 2^-52 grid would add exactly in any order)
+    rng = np.random.default_rng(11)
+    g = 6
+    step = 2.0 * math.pi / g
+    for _ in range(20):
+        table = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=(g, g)))
+        want = max(chsh(table[i, k], table[i, m], table[j, k], table[j, m])
+                   for i in range(g) for j in range(g) for k in range(g) for m in range(g))
+        found = maximize_chsh(lambda t1, t2: table[round(t1 / step), round(t2 / step)],
+                              grid_points=g, refine=False)
+        assert found.value == want
 
 
 def test_maximize_chsh_random_product_forms_stay_local():

@@ -230,6 +230,26 @@ def test_sample_csv_golden_digest(runner, tmp_path, args, digest):
     assert sha(out) == digest
 
 
+# SHA-256 of the tomographic optimize JSON of the benchmark's seed-1 states: the
+# grid search and Nelder-Mead both read E, so any change in its last bit shows here.
+OPTIMIZE_GOLDEN = [
+    (["--state", "pair-coherent", "--r", "1.14"],
+     "c9e0f18762b3730a02af70d78278dca0d6cd4d86a8c408c9937dea34bd6a8252"),
+    (["--state", "fock-pair", "--n", "1"],
+     "6d345366fd56857f18d19fb6c5bdd600a98e7769dd7afd1578735bb2bd8e17d5"),
+    (["--state", "epr", "--lambda", "0.8894"],
+     "02d565daf52dd5bcd4493e9960c856f4b0f3d924bee6dd7b66ae14ea3df33b95"),
+]
+
+
+@pytest.mark.parametrize("args,digest", OPTIMIZE_GOLDEN)
+def test_optimize_tomographic_golden_digest(runner, tmp_path, args, digest):
+    out = str(tmp_path / "opt.json")
+    result = runner.invoke(main, ["optimize", *args, "--mode", "tomographic", "-o", out])
+    assert result.exit_code == 0, result.output
+    assert sha(out) == digest
+
+
 def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
     out = str(tmp_path / "batch.csv")
     args = ["sample", "--state", "fock-pair", "--n", "3", "--count", "2000", "-o", out]
@@ -583,6 +603,16 @@ def test_import_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 4 and lines[0] == lines[-1] == "[]"
+
+
+def test_version_runs_from_a_source_checkout():
+    # no installed package metadata: the version comes from tomobell.__version__
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "tomobell.cli", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "0.1.0"
 
 
 def test_optimize_reports_whether_the_refinement_converged(runner, tmp_path, monkeypatch):

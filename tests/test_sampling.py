@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tomobell.bell import BellAnglesQuadrature, chsh, correlation_tomographic
+from tomobell.bell import BellAnglesQuadrature, chsh
 from tomobell.errors import DomainError, EnvelopeError
 from tomobell.sampling import (
     SampleBatch,
@@ -24,6 +24,8 @@ from tomobell.states import (
     schmidt_coefficients,
 )
 from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
+
+from oracles import correlation_tomographic
 
 
 def test_epr_covariance_structure():

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -42,12 +43,14 @@ from tomobell.tomography import (
     radon_forward,
     radon_forward_symplectic,
     sign_binned_closed_form,
+    sign_correlation,
     sign_matrix,
     tomogram_closed_form,
     vacuum_quadrature_density,
 )
 
 from oracles import (
+    correlation_tomographic,
     inverse_fourier_wigner,
     pair_coherent_integral_direct,
     radon_wigner_grid_sum,
@@ -542,6 +545,53 @@ def test_sign_binned_schmidt_sum_built_once_per_state():
         sign_binned_closed_form(state, t1, 0.2)
     after = _sign_harmonics.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 7
+
+
+# the states of the tomographic benchmark ops, and the four fig3a settings
+SIGN_STATES = [PairCoherent(1.14), FockPairSuperposition(1), SqueezedVacuum(0.8894)]
+FIG3A_PAIRS = [(math.pi / 2, -math.pi / 4), (math.pi / 2, -3 * math.pi / 4),
+               (0.0, -math.pi / 4), (0.0, -3 * math.pi / 4)]
+
+
+@pytest.mark.parametrize("state", SIGN_STATES, ids=repr)
+def test_sign_correlation_is_the_oracle_bit_for_bit(state):
+    # maximize_chsh's 24 x 24 grid (numpy floats), fig3a and 200 seeded pairs (Python floats)
+    grid = np.arange(24) * (2.0 * math.pi / 24)
+    pairs = [(t1, t2) for t1 in grid for t2 in grid] + FIG3A_PAIRS
+    pairs += np.random.default_rng(17).uniform(-7.0, 7.0, size=(200, 2)).tolist()
+    corr = sign_correlation(state)
+    for t1, t2 in pairs:
+        assert corr(t1, t2) == correlation_tomographic(sign_binned_closed_form(state, t1, t2))
+
+
+def test_sign_correlation_raises_where_validate_does(monkeypatch):
+    # doubled harmonics push |E| past 1 on part of the circle: both paths must
+    # raise the same NormalizationError at the same angles, and agree elsewhere
+    import tomobell.tomography as tg
+
+    harmonics = tg._sign_harmonics
+    monkeypatch.setattr(tg, "_sign_harmonics", lambda state: 2.0 * harmonics(state))
+    state = PairCoherent(1.14)
+    corr = sign_correlation(state)
+    raised = 0
+    for theta in np.linspace(0.0, 2.0 * math.pi, 90):
+        try:
+            want = correlation_tomographic(sign_binned_closed_form(state, theta, 0.3))
+        except NormalizationError as exc:
+            raised += 1
+            with pytest.raises(NormalizationError, match=f"^{re.escape(str(exc))}$"):
+                corr(theta, 0.3)
+        else:
+            assert corr(theta, 0.3) == want
+    assert 0 < raised < 90
+
+
+@pytest.mark.parametrize("state", SIGN_STATES, ids=repr)
+def test_sign_correlation_rejects_a_nan_angle(state):
+    with pytest.raises(NormalizationError):
+        sign_binned_closed_form(state, math.nan, 0.0)
+    with pytest.raises(NormalizationError):
+        sign_correlation(state)(math.nan, 0.0)
 
 
 def test_sign_binned_numeric_product_density():
