@@ -562,6 +562,7 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         "acceptance_rate": batch.acceptance_rate,
         "rounds": batch.rounds,
         "envelope_constant": batch.envelope_constant,
+        "envelope_sigmas": batch.envelope_sigmas,
         "estimated_probs": {
             "w_pp": est.probs.w_pp, "w_pm": est.probs.w_pm,
             "w_mp": est.probs.w_mp, "w_mm": est.probs.w_mm,

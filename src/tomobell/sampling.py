@@ -25,8 +25,17 @@ from .errors import DomainError, EnvelopeError
 #: Variance inflation of the Gaussian rejection envelope.
 ENVELOPE_INFLATION = 1.5
 
+#: Weight of the Gaussian fitted to the state's covariance in the envelope
+#: mixture.  The isotropic Gaussian keeps the rest, so that w / g is at most
+#: 1 / (1 - ENVELOPE_WEIGHT) times its value under the isotropic one alone
+#: (a defensive mixture, Hesterberg, Technometrics 37, 185 (1995)).
+ENVELOPE_WEIGHT = 0.9
+
+#: Floor on the fitted variances along u and v: the vacuum's quadrature variance.
+ENVELOPE_FLOOR = 0.25
+
 #: Points per tomogram evaluation, in the envelope scan and in each proposal
-#: block: small enough that the temporaries of the level sum stay in cache.
+#: chunk: small enough that the temporaries of the level sum stay in cache.
 _BLOCK = 1 << 14
 
 #: The sampler never gives up before this many proposal rounds.
@@ -43,6 +52,7 @@ class SampleBatch:
     acceptance_rate: float | None = None
     rounds: int | None = None  # proposal rounds of a rejection sampler
     envelope_constant: float | None = None  # its M, with w <= M g
+    envelope_sigmas: tuple[float, float, float] | None = None  # its g: sigma_plus, _minus, _iso
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=float)
@@ -99,39 +109,65 @@ def sample_rejection(
     count: int,
     seed: int,
     *,
-    envelope_sigma: float,
+    envelope_sigmas: tuple[float, float, float],
     bound_factor: float | None = None,
-    scan_points: int = 201,
+    lobe_width: float = math.inf,
     substream: int = 0,
 ) -> SampleBatch:
     """Rejection sampling of a joint quadrature density w(X1, X2).
 
-    The proposal is an isotropic Gaussian with per-axis standard deviation
-    ``envelope_sigma``.  The envelope constant M (with w <= M * proposal) is
-    taken from ``bound_factor`` or estimated with a 10% safety margin by a
-    scan of ``scan_points`` per axis over +/-6 ``envelope_sigma``; any
-    proposal where the density exceeds the envelope aborts with an envelope
-    error naming the offending point.  Rounds draw max(1024, 2 * remaining)
-    proposals each; the sampler gives up after ``_round_limit`` rounds at the
-    acceptance measured so far, and never before round 400.
+    The proposal g is a mixture on the axes u = (X1 + X2) / sqrt(2) and
+    v = (X1 - X2) / sqrt(2).  With ``envelope_sigmas`` = (sigma_plus,
+    sigma_minus, sigma_iso), weight ``ENVELOPE_WEIGHT`` goes to a Gaussian
+    with standard deviations sigma_plus along u and sigma_minus along v, and
+    the rest to an isotropic Gaussian with sigma_iso per axis.  The envelope
+    constant M (with w <= M * g) is taken from ``bound_factor`` or estimated
+    with a 10% safety margin by a scan of the square in X1 and X2 that holds
+    the 6-sigma ellipse of both components, with two points per
+    ``lobe_width`` (the narrowest fringe of w) and never fewer than 201 per
+    axis; any proposal where the density exceeds the envelope aborts with an
+    envelope error naming the offending point.  Rounds draw
+    max(1024, 2 * remaining) proposals each, in chunks of ``_BLOCK``; the
+    sampler gives up after ``_round_limit`` rounds at the acceptance measured
+    so far, and never before round 400.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    if envelope_sigma <= 0.0:
-        raise DomainError(f"envelope sigma must be positive, got {envelope_sigma}")
+    if min(envelope_sigmas) <= 0.0:
+        raise DomainError(f"envelope sigmas must be positive, got {envelope_sigmas}")
+    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
+    fit_norm = ENVELOPE_WEIGHT / (2.0 * math.pi * sigma_plus * sigma_minus)
+    iso_norm = (1.0 - ENVELOPE_WEIGHT) / (2.0 * math.pi * sigma_iso**2)
+    half = math.sqrt(0.5)
 
-    def proposal_density(x1, x2):
-        return np.exp(-0.5 * (x1**2 + x2**2) / envelope_sigma**2) / (
-            2.0 * math.pi * envelope_sigma**2
-        )
+    # The sampler works on p = u / sqrt(2) and q = v / sqrt(2), so that
+    # X1 = p + q, X2 = p - q, and u^2 / (2 sigma^2) = p^2 / sigma^2.  In place,
+    # as every temporary of a proposal chunk costs about as much as its exp.
+    def proposal_density(p, q):
+        pp, qq = p * p, q * q
+        fit = pp * (-1.0 / sigma_plus**2)
+        fit -= qq / sigma_minus**2
+        np.exp(fit, out=fit)
+        fit *= fit_norm
+        pp += qq
+        pp *= -1.0 / sigma_iso**2
+        np.exp(pp, out=pp)
+        pp *= iso_norm
+        fit += pp
+        return fit
 
     if bound_factor is None:
-        grid = np.linspace(-6.0 * envelope_sigma, 6.0 * envelope_sigma, scan_points)
-        bound_factor = 1.1 * max(
-            float(np.max(tomogram(rows[:, None], grid[None, :])
-                         / proposal_density(rows[:, None], grid[None, :])))
-            for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK))
-        )
+        # The grid is a product in X1 and X2, so that a Schmidt-sum tomogram runs
+        # its level recurrences along the two axes and only its sum on the grid.
+        half_width = 6.0 * max(math.hypot(sigma_plus, sigma_minus) * half, sigma_iso)
+        lobes = 2.0 * half_width / lobe_width
+        grid = np.linspace(-half_width, half_width, max(201, 2 * math.ceil(lobes) + 1))
+        ratio = 0.0
+        for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK)):
+            x1, x2 = rows[:, None], grid[None, :]
+            ratio = max(ratio, float(np.max(
+                tomogram(x1, x2) / proposal_density(0.5 * (x1 + x2), 0.5 * (x1 - x2)))))
+        bound_factor = 1.1 * ratio
 
     rng = substream_generator(seed, substream)
     accepted = []
@@ -146,23 +182,28 @@ def sample_rejection(
         rounds += 1
         # modest oversampling keeps the loop count low and deterministic
         block = max(1024, 2 * (count - n_accepted))
-        x = rng.normal(scale=envelope_sigma, size=(block, 2))
-        target = np.concatenate([
-            np.asarray(tomogram(part[:, 0], part[:, 1]), dtype=float)
-            for part in np.split(x, range(_BLOCK, block, _BLOCK))
-        ])
-        cap = bound_factor * proposal_density(x[:, 0], x[:, 1])
-        overshoot = target > cap * (1.0 + 1e-12)
-        if np.any(overshoot):
-            bad = x[np.argmax(overshoot)]
-            raise EnvelopeError(
-                f"density exceeds envelope at X = ({bad[0]:.6f}, {bad[1]:.6f}): "
-                f"w = {target[np.argmax(overshoot)]:.6e} > M g = {cap[np.argmax(overshoot)]:.6e}"
-            )
-        keep = rng.random(block) * cap < target
+        for start in range(0, block, _BLOCK):
+            size = min(_BLOCK, block - start)
+            fitted = rng.random(size) < ENVELOPE_WEIGHT
+            p, q = rng.standard_normal((2, size))
+            p *= np.where(fitted, half * sigma_plus, half * sigma_iso)
+            q *= np.where(fitted, half * sigma_minus, half * sigma_iso)
+            x = np.empty((size, 2))
+            np.add(p, q, out=x[:, 0])
+            np.subtract(p, q, out=x[:, 1])
+            target = np.asarray(tomogram(x[:, 0], x[:, 1]), dtype=float)
+            cap = bound_factor * proposal_density(p, q)
+            overshoot = target > cap * (1.0 + 1e-12)
+            if np.any(overshoot):
+                i = np.argmax(overshoot)
+                raise EnvelopeError(
+                    f"density exceeds envelope at X = ({x[i, 0]:.6f}, {x[i, 1]:.6f}): "
+                    f"w = {target[i]:.6e} > M g = {cap[i]:.6e}"
+                )
+            keep = rng.random(size) * cap < target
+            n_accepted += int(np.count_nonzero(keep))
+            accepted.append(x[keep])
         n_proposed += block
-        n_accepted += int(np.count_nonzero(keep))
-        accepted.append(x[keep])
     pairs = np.concatenate(accepted, axis=0)[:count]
     return SampleBatch(
         theta1=theta1,
@@ -171,6 +212,7 @@ def sample_rejection(
         acceptance_rate=n_accepted / n_proposed,
         rounds=rounds,
         envelope_constant=bound_factor,
+        envelope_sigmas=(sigma_plus, sigma_minus, sigma_iso),
     )
 
 
@@ -189,15 +231,33 @@ def _round_limit(count: int, acceptance: float) -> int:
     return max(_MIN_ROUNDS, math.ceil(4.0 * need))
 
 
-def default_envelope_sigma(state) -> float:
-    """Gaussian envelope scale: sqrt(ENVELOPE_INFLATION * max per-mode quadrature variance)."""
+def quadrature_moments(state, theta_sum: float) -> tuple[float, float]:
+    """(var, cov): the variance of X1 and of X2, and their covariance, at theta1 + theta2.
+
+    A Schmidt-diagonal state sum_n c_n |n n> has var = (2 <n> + 1) / 4 and
+    cov = cos(theta_sum) sum_n c_n c_{n+1} (n + 1) / 2; the squeezed vacuum
+    takes both from its homodyne Gaussian, cosh(2s) / 4 and
+    -sinh(2s) cos(theta_sum) / 4.
+    """
     if state.gaussian:
-        var = st.squeezed_homodyne(state.s, 0.0)[0] / 4.0
-    else:
-        c = st.significant_schmidt(state).coefficients
-        mean_n = float(np.sum(np.arange(c.size) * c**2))
-        var = (2.0 * mean_n + 1.0) / 4.0
-    return math.sqrt(ENVELOPE_INFLATION * var)
+        c, b, _ = st.squeezed_homodyne(state.s, theta_sum)
+        return c / 4.0, -b / 4.0
+    c = st.significant_schmidt(state).coefficients
+    levels = np.arange(c.size)
+    var = (2.0 * float(np.sum(levels * c**2)) + 1.0) / 4.0
+    cov = 0.5 * math.cos(theta_sum) * float(np.sum(c[:-1] * c[1:] * levels[1:]))
+    return var, cov
+
+
+def envelope_sigmas(var: float, cov: float) -> tuple[float, float, float]:
+    """(sigma_plus, sigma_minus, sigma_iso) of the rejection envelope for these moments.
+
+    Along u and v the quadratures have variances var + cov and var - cov;
+    each is floored at ``ENVELOPE_FLOOR`` and, like var for the isotropic
+    part, inflated by ``ENVELOPE_INFLATION``.
+    """
+    return tuple(math.sqrt(ENVELOPE_INFLATION * v)
+                 for v in (max(var + cov, ENVELOPE_FLOOR), max(var - cov, ENVELOPE_FLOOR), var))
 
 
 def sample_state(
@@ -212,17 +272,14 @@ def sample_state(
     def tomogram(x1, x2):
         return tg.tomogram_closed_form(state, x1, theta1, x2, theta2)
 
-    sigma = default_envelope_sigma(state)
+    var, cov = quadrature_moments(state, theta1 + theta2)
     # The narrowest fringe: |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1))
-    # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 of the
-    # envelope gives 2n + 1 = 8 var - 1 (n is the top level of the Fock pair,
-    # twice the mean photon number of the pair-coherent state).  The scan
-    # over +/-6 sigma takes two points per lobe, and never fewer than 201.
-    var = sigma**2 / ENVELOPE_INFLATION
-    lobes = 12.0 * sigma * math.sqrt(2.0 * (8.0 * var - 1.0)) / math.pi
+    # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 gives
+    # 2n + 1 = 8 var - 1 (n is the top level of the Fock pair, twice the mean
+    # photon number of the pair-coherent state).
     return sample_rejection(
-        tomogram, theta1, theta2, count, seed, envelope_sigma=sigma,
-        scan_points=max(201, 2 * math.ceil(lobes) + 1), substream=substream,
+        tomogram, theta1, theta2, count, seed, envelope_sigmas=envelope_sigmas(var, cov),
+        lobe_width=math.pi / math.sqrt(2.0 * (8.0 * var - 1.0)), substream=substream,
     )
 
 

@@ -78,7 +78,12 @@ def hermite_functions(x):
     unshift = np.exp(-shift)
     while True:
         yield cur * unshift if wide else cur
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        # (a x) cur - b prev in the float order of the plain expression, with two
+        # temporaries; yielded arrays are never written to, as callers keep them
+        nxt = x * math.sqrt(2.0 / (k + 1))
+        nxt *= cur
+        nxt -= math.sqrt(k / (k + 1)) * prev
+        prev, cur = cur, nxt
         k += 1
         if wide and np.max(np.abs(cur)) > 2.0**512:
             cur, prev, shift = _rescale(cur, prev, shift)

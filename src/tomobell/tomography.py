@@ -304,8 +304,9 @@ def tomogram_closed_form(state, x1, theta1, x2, theta2):
         for n, (c, f1, f2) in enumerate(zip(coefficients, psi1, psi2)):
             if c != 0.0:
                 term = f1 * f2
-                re += term * (c * math.cos(n * theta))
                 im += term * (c * math.sin(n * theta))
+                term *= c * math.cos(n * theta)
+                re += term
         val = 2.0 * (re * re + im * im)
     return float(val) if np.ndim(val) == 0 else val
 

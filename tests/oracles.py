@@ -13,6 +13,10 @@ different route.
   tomogram, against the Wigner function at the origin.
 - ``radon_wigner_grid_sum``: the Radon projection as one ``states.wigner``
   call on the whole (X, t1, t2) grid, against the factored projection.
+- ``second_moments_numeric``: the second moments of a joint quadrature
+  density on a Gauss-Legendre grid, against ``sampling.quadrature_moments``.
+- ``homodyne_marginal_tail``: P(X1 >= x0) of a Schmidt-diagonal state from
+  numpy's Hermite polynomials, against the rejection sampler's batches.
 """
 
 from __future__ import annotations
@@ -204,3 +208,39 @@ def radon_wigner_grid_sum(state, x1, setting1, x2, setting2, rule, angular_order
     wig = states.wigner(state, q1, p1, q2, p2, angular_order=angular_order)
     grid_sum = np.sum(wig * np.outer(rule.weights, rule.weights), axis=(-2, -1))
     return grid_sum / (setting1.scale * setting2.scale)
+
+
+def second_moments_numeric(density, half_width: float, order: int):
+    """(<X1^2>, <X2^2>, <X1 X2>) of w(X1, X2) by an order x order Gauss-Legendre rule.
+
+    The rule covers [-half_width, half_width]^2; the zeroth moment must be 1
+    to 1e-12, or the window or the order is too small for the density.
+    """
+    rule = gauss_legendre(order, -half_width, half_width)
+    x, w = rule.nodes, rule.weights
+    values = density(x[:, None], x[None, :]) * (w[:, None] * w[None, :])
+    norm = float(np.sum(values))
+    if abs(norm - 1.0) > 1e-12:
+        raise AccuracyError(f"density integrates to {norm!r} on the grid, not 1")
+    return (float(np.sum(values * (x * x)[:, None])), float(np.sum(values * (x * x)[None, :])),
+            float(np.sum(values * np.outer(x, x))))
+
+
+def homodyne_marginal_tail(coefficients, x0: float, order: int = 400) -> float:
+    """P(X1 >= x0) of sum_n c_n |n n>: the integral of sqrt(2) sum c_n^2 psi_n(sqrt(2) X)^2.
+
+    psi_n(y) = H_n(y) e^{-y^2/2} / sqrt(2^n n! sqrt(pi)) from numpy's
+    physicists' Hermite series, integrated over y = sqrt(2) X in
+    [sqrt(2) x0, 20] by Gauss-Legendre; for the few dozen levels of the test
+    states the tail past y = 20 is below 1e-100.
+    """
+    rule = gauss_legendre(order, math.sqrt(2.0) * x0, 20.0)
+    y = rule.nodes
+    density = np.zeros_like(y)
+    for n, c in enumerate(coefficients):
+        unit = np.zeros(n + 1)
+        unit[n] = 1.0
+        psi = np.polynomial.hermite.hermval(y, unit) * np.exp(-0.5 * y * y) / math.sqrt(
+            2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        density += c * c * psi * psi
+    return float(rule.weights @ density)

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from tomobell import cli
+from tomobell import sampling as smp
 from tomobell.bell import chsh, correlation_pseudospin
 from tomobell.cli import main, parse_angle, parse_named_angles, parse_values
 from tomobell.states import (
@@ -214,9 +215,9 @@ def test_sample_deterministic_artifacts(runner, tmp_path):
 # the random stream or to any accept decision of the sampler shows here.
 SAMPLE_GOLDEN = [
     (["--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2", "--theta2", "-pi/4"],
-     "825538ce0a506627abd3009557376f495146faedf362428597b8a2fe4975000b"),
+     "863c6078e20a737f2cafe2809b200f4322b6eb8862d4da56f49bde1b88431f06"),
     (["--state", "fock-pair", "--n", "3"],
-     "0559e478edc662448976a10a41ed5938f8ad03076d72dd3a91d6628b7260abe4"),
+     "72e13043c506a713c8fbaba35f85a6b71fe430cf08ca1f4093047c1b70b290d1"),
     (["--state", "epr", "--lambda", "0.54", "--seed", "77"],
      "2fb36f67cf77c97bc5915809e8a4d63be476f50b6e18773433175e4c8954e567"),
 ]
@@ -256,10 +257,18 @@ def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 0
     sidecar = json.load(open(str(tmp_path / "batch.json")))
     manifest = json.load(open(out + ".manifest.json"))["effective_config"]
+    # the Fock pair n = 3 has no adjacent levels, so cov = 0 and sigma_+ = sigma_- = sigma_iso
+    sigmas = smp.envelope_sigmas(*smp.quadrature_moments(FockPairSuperposition(3), 0.0))
+    assert sigmas == pytest.approx((math.sqrt(1.5),) * 3, rel=1e-15)
     for record in (sidecar, manifest):
         assert record["rounds"] >= 1
         # a normalized density is accepted at the rate 1 / M
         assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(1.0, abs=0.1)
+        assert record["envelope_sigmas"] == list(sigmas)
+    epr = str(tmp_path / "epr.csv")
+    assert runner.invoke(main, ["sample", "--state", "epr", "--lambda", "0.5", "--count", "10",
+                                "-o", epr]).exit_code == 0
+    assert json.load(open(str(tmp_path / "epr.json")))["envelope_sigmas"] is None
 
 
 def _old_csv_text(header, rows):

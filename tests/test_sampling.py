@@ -8,10 +8,12 @@ import pytest
 from tomobell.bell import BellAnglesQuadrature, chsh
 from tomobell.errors import DomainError, EnvelopeError
 from tomobell.sampling import (
+    ENVELOPE_WEIGHT,
     SampleBatch,
-    default_envelope_sigma,
+    envelope_sigmas,
     estimate_chsh,
     estimate_probs,
+    quadrature_moments,
     sample_gaussian_epr,
     sample_rejection,
     sample_state,
@@ -22,10 +24,22 @@ from tomobell.states import (
     PairCoherent,
     SqueezedVacuum,
     schmidt_coefficients,
+    significant_schmidt,
+    squeezed_homodyne,
 )
 from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
 
-from oracles import correlation_tomographic
+from oracles import correlation_tomographic, homodyne_marginal_tail, second_moments_numeric
+
+
+def mixture_density(x1, x2, sigmas):
+    """The envelope g of sample_rejection, written on u and v directly."""
+    sigma_plus, sigma_minus, sigma_iso = sigmas
+    u, v = (x1 + x2) / math.sqrt(2.0), (x1 - x2) / math.sqrt(2.0)
+    fitted = np.exp(-0.5 * (u**2 / sigma_plus**2 + v**2 / sigma_minus**2)) / (
+        2.0 * math.pi * sigma_plus * sigma_minus)
+    iso = np.exp(-0.5 * (u**2 + v**2) / sigma_iso**2) / (2.0 * math.pi * sigma_iso**2)
+    return ENVELOPE_WEIGHT * fitted + (1.0 - ENVELOPE_WEIGHT) * iso
 
 
 def test_epr_covariance_structure():
@@ -101,30 +115,38 @@ def test_estimate_probs_zero_counts_as_plus():
 
 def test_rejection_vacuum_acceptance_rate():
     state = SqueezedVacuum(0.0)
-    sigma = default_envelope_sigma(state)
+    sigmas = envelope_sigmas(*quadrature_moments(state, 0.0))
+    assert sigmas == (math.sqrt(1.5 * 0.25),) * 3  # the vacuum's envelope is isotropic
 
     def tomogram(x1, x2):
         return tomogram_closed_form(state, x1, 0.0, x2, 0.0)
 
     count = 50_000
-    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigma=sigma)
-    # acceptance probability is exactly 1/M for a normalized target
-    grid = np.linspace(-6.0 * sigma, 6.0 * sigma, 201)
-    proposal = np.exp(-0.5 * (grid[:, None] ** 2 + grid[None, :] ** 2) / sigma**2) / (
-        2.0 * math.pi * sigma**2
-    )
-    m_bound = 1.1 * float(np.max(tomogram(grid[:, None], grid[None, :]) / proposal))
+    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigmas=sigmas)
+    # acceptance probability is exactly 1/M for a normalized target; the
+    # scan's 201 points per axis include the origin, where w / g peaks
+    grid = np.linspace(-6.0 * sigmas[0], 6.0 * sigmas[0], 201)
+    x1, x2 = grid[:, None], grid[None, :]
+    m_bound = 1.1 * float(np.max(tomogram(x1, x2) / mixture_density(x1, x2, sigmas)))
+    assert m_bound == pytest.approx(1.1 * 1.5, rel=1e-12)  # w / g = 1.5 at the origin
+    assert batch.envelope_constant == pytest.approx(m_bound, rel=1e-12)
     want = 1.0 / m_bound
     se = math.sqrt(want * (1.0 - want) / batch.count)
     assert abs(batch.acceptance_rate - want) < 4.0 * se
 
 
 def test_envelope_sigma_uses_every_pair_coherent_level():
-    # the first 64 levels miss 51% of the norm at r = 8 (sigma 4.69, not 6.94)
+    # the first 64 levels miss 51% of the norm at r = 8 (sigma_iso 4.69, not 6.94)
     c = schmidt_coefficients(PairCoherent(8.0), 512).coefficients
     mean_n = float(np.sum(np.arange(c.size) * c**2))
-    want = math.sqrt(1.5 * (2.0 * mean_n + 1.0) / 4.0)
-    assert default_envelope_sigma(PairCoherent(8.0)) == pytest.approx(want, rel=1e-14)
+    var = (2.0 * mean_n + 1.0) / 4.0
+    for theta in (0.0, 1.0, math.pi):
+        cov = 0.5 * math.cos(theta) * float(np.sum(c[:-1] * c[1:] * np.arange(1, c.size)))
+        assert cov == pytest.approx(0.5 * 64.0 * math.cos(theta), rel=1e-10)  # r^2 cos / 2
+        want = [math.sqrt(1.5 * max(v, 0.25)) for v in (var + cov, var - cov, var)]
+        got = envelope_sigmas(*quadrature_moments(PairCoherent(8.0), theta))
+        assert got == pytest.approx(want, rel=1e-14)
+    assert want[2] == pytest.approx(6.94, abs=0.01)
 
 
 def test_rejection_envelope_violation_reported():
@@ -133,7 +155,8 @@ def test_rejection_envelope_violation_reported():
 
     with pytest.raises(EnvelopeError):
         sample_rejection(
-            wide_density, 0.0, 0.0, 1000, seed=3, envelope_sigma=1.0, bound_factor=1.05
+            wide_density, 0.0, 0.0, 1000, seed=3, envelope_sigmas=(1.0, 1.0, 1.0),
+            bound_factor=1.05,
         )
 
 
@@ -147,7 +170,8 @@ def test_rejection_low_acceptance_runs_past_400_rounds():
 
     m_bound = 1.0 / s0**2
     batch = sample_rejection(
-        narrow_density, 0.0, 0.0, 1000, seed=5, envelope_sigma=1.0, bound_factor=m_bound
+        narrow_density, 0.0, 0.0, 1000, seed=5, envelope_sigmas=(1.0, 1.0, 1.0),
+        bound_factor=m_bound,
     )
     assert batch.count == 1000
     assert batch.rounds > 400
@@ -162,19 +186,20 @@ def test_rejection_without_acceptance_gives_up_at_400_rounds():
         return np.zeros_like(x1)
 
     with pytest.raises(EnvelopeError, match=r"produced 0/10 samples in 400 rounds"):
-        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, envelope_sigma=1.0, bound_factor=1.0)
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, envelope_sigmas=(1.0, 1.0, 1.0),
+                         bound_factor=1.0)
 
 
 def test_rejection_batch_records_rounds_and_envelope_constant():
-    state = FockPairSuperposition(3)
-    batch = sample_state(state, 0.3, 0.2, 3000, seed=8)
-    assert batch.rounds >= 1
-    # the scanned bound has a 10% margin over the density / proposal ratio
-    sigma = default_envelope_sigma(state)
-    x = batch.pairs
-    proposal = np.exp(-0.5 * (x[:, 0] ** 2 + x[:, 1] ** 2) / sigma**2) / (2.0 * math.pi * sigma**2)
-    ratio = tomogram_closed_form(state, x[:, 0], 0.3, x[:, 1], 0.2) / proposal
-    assert np.max(ratio) <= batch.envelope_constant
+    for state in (FockPairSuperposition(3), PairCoherent(1.1)):
+        batch = sample_state(state, 0.3, 0.2, 3000, seed=8)
+        assert batch.rounds >= 1
+        assert batch.envelope_sigmas == envelope_sigmas(*quadrature_moments(state, 0.3 + 0.2))
+        # the scanned bound has a 10% margin over the density / proposal ratio
+        x = batch.pairs
+        proposal = mixture_density(x[:, 0], x[:, 1], batch.envelope_sigmas)
+        ratio = tomogram_closed_form(state, x[:, 0], 0.3, x[:, 1], 0.2) / proposal
+        assert np.max(ratio) <= batch.envelope_constant
     assert sample_gaussian_epr(1.0, 0.0, 0.0, 10, seed=1).rounds is None
 
 
@@ -192,6 +217,77 @@ def test_rejection_matches_closed_form(state, theta1, theta2):
     truth = sign_binned_closed_form(state, theta1, theta2)
     for got, se, want in zip(est.probs.as_tuple(), est.errors(), truth.as_tuple()):
         assert abs(got - want) < 4.0 * se
+
+
+@pytest.mark.parametrize("theta_sum", [0.0, math.pi / 4], ids=["0", "pi/4"])
+@pytest.mark.parametrize(
+    "state",
+    [PairCoherent(1.05), PairCoherent(2.0), FockPairSuperposition(1), FockPairSuperposition(3)],
+    ids=["pair-coherent-1.05", "pair-coherent-2.0", "fock-pair-1", "fock-pair-3"],
+)
+def test_rejection_quadrants_and_marginal_match_closed_forms(state, theta_sum):
+    # the fitted envelope redraws every non-Gaussian batch: its quadrants and
+    # its X1 marginal sqrt(2) sum_n c_n^2 psi_n(sqrt(2) X1)^2 stay within 4 SE
+    theta1 = 0.3
+    theta2 = theta_sum - theta1
+    count = 40_000
+    batch = sample_state(state, theta1, theta2, count, seed=1905)
+    est = estimate_probs(batch)
+    truth = sign_binned_closed_form(state, theta1, theta2)
+    for got, se, want in zip(est.probs.as_tuple(), est.errors(), truth.as_tuple()):
+        assert abs(got - want) < 4.0 * se
+    coefficients = significant_schmidt(state).coefficients
+    for x0 in (0.5, 1.0):
+        want = homodyne_marginal_tail(coefficients, x0)
+        got = float(np.mean(batch.pairs[:, 0] >= x0))
+        assert abs(got - want) < 4.0 * math.sqrt(want * (1.0 - want) / count)
+
+
+@pytest.mark.parametrize(
+    "state,theta_sums",
+    [(PairCoherent(r), [k * math.pi / 4 for k in range(5)]) for r in (0.3, 0.5, 1.0, 2.0, 3.0, 4.0)]
+    + [(FockPairSuperposition(n), [0.0, math.pi / 2]) for n in (1, 2, 10)],
+    ids=[f"pair-coherent-{r}" for r in (0.3, 0.5, 1.0, 2.0, 3.0, 4.0)]
+    + [f"fock-pair-{n}" for n in (1, 2, 10)],
+)
+def test_fitted_envelope_holds_across_states_and_angles(state, theta_sums):
+    # any proposal above M g raises EnvelopeError; at theta1 + theta2 = 0 and
+    # large r the fitted part is narrow along v and the isotropic part must
+    # still cover the tails
+    count = 2000
+    for k, theta_sum in enumerate(theta_sums):
+        batch = sample_state(state, 0.2, theta_sum - 0.2, count, seed=17, substream=k)
+        assert batch.count == count
+        est = estimate_probs(batch)
+        truth = sign_binned_closed_form(state, 0.2, theta_sum - 0.2)
+        for got, se, want in zip(est.probs.as_tuple(), est.errors(), truth.as_tuple()):
+            assert abs(got - want) < 4.0 * max(se, math.sqrt(want * (1.0 - want) / count))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [PairCoherent(1.1), PairCoherent(2.0), FockPairSuperposition(1), FockPairSuperposition(3),
+     SqueezedVacuum(0.54)],
+    ids=["pair-coherent-1.1", "pair-coherent-2.0", "fock-pair-1", "fock-pair-3", "epr-0.54"],
+)
+def test_envelope_moments_are_the_tomogram_second_moments(state):
+    # var and cov of the envelope against a Gauss-Legendre integral of the
+    # closed-form tomogram: for the squeezed vacuum that is its precision-matrix
+    # form, an independent route to squeezed_homodyne's -sinh(2s) cos / 4
+    for theta1, theta2 in ((0.0, 0.0), (0.4, 0.5), (1.2, 1.9)):
+        var, cov = quadrature_moments(state, theta1 + theta2)
+        var1, var2, cov12 = second_moments_numeric(
+            lambda x1, x2: tomogram_closed_form(state, x1, theta1, x2, theta2), 12.0, 240)
+        assert var1 == pytest.approx(var, abs=1e-10)
+        assert var2 == pytest.approx(var, abs=1e-10)
+        assert cov12 == pytest.approx(cov, abs=1e-10)
+    if state.gaussian:
+        c, b, _ = squeezed_homodyne(state.s, 0.9)
+        assert quadrature_moments(state, 0.9) == (c / 4.0, -b / 4.0)
+    elif state == FockPairSuperposition(3):
+        # no adjacent levels: cov = 0 and the mixture is one isotropic Gaussian
+        sigmas = envelope_sigmas(*quadrature_moments(state, 0.9))
+        assert sigmas[0] == sigmas[1] == sigmas[2]
 
 
 @pytest.mark.parametrize("n", [86, 161])

@@ -30,6 +30,7 @@ from tomobell.states import (
     PairCoherent,
     SqueezedVacuum,
     TwoModeState,
+    significant_schmidt,
     squeezed_homodyne,
     wigner,
 )
@@ -457,6 +458,38 @@ def test_hermite_functions_normalized_past_the_gaussian_underflow():
     x = np.linspace(-60.0, 60.0, 4001)
     psi = [p for _, p in zip(range(1501), hermite_functions(x))][-1]
     assert float(np.sum(psi**2)) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_schmidt_sum_tomogram_matches_the_plain_recurrence_bit_for_bit():
+    # hermite_functions and tomogram_closed_form update arrays in place; the
+    # plain expressions below are the same float operations in the same order
+    rng = np.random.default_rng(19)
+    x1, x2 = rng.normal(scale=3.0, size=(2, 4000))
+
+    def plain_hermite(x):
+        prev, cur, k = 0.0 * x, math.pi**-0.25 * np.exp(-0.5 * x * x), 0
+        while True:
+            yield cur
+            prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+            k += 1
+
+    kept = []
+    for k, (got, want) in enumerate(zip(hermite_functions(x1), plain_hermite(x1))):
+        assert got.tobytes() == want.tobytes()
+        kept.append((got, got.copy()))
+        if k == 120:
+            break
+    assert all(got.tobytes() == copy.tobytes() for got, copy in kept)  # yielded arrays stay
+    for state, theta in ((PairCoherent(1.1), 0.7), (FockPairSuperposition(3), -2.1)):
+        re = im = 0.0
+        for n, (c, f1, f2) in enumerate(zip(significant_schmidt(state).coefficients,
+                                            plain_hermite(math.sqrt(2.0) * x1),
+                                            plain_hermite(math.sqrt(2.0) * x2))):
+            if c != 0.0:
+                re = re + f1 * f2 * (c * math.cos(n * theta))
+                im = im + f1 * f2 * (c * math.sin(n * theta))
+        want = 2.0 * (re * re + im * im)
+        assert tomogram_closed_form(state, x1, theta, x2, 0.0).tobytes() == want.tobytes()
 
 
 def test_hermite_functions_are_orthonormal():
