@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -132,12 +133,13 @@ def config_default_map(values: dict[str, str]) -> dict[str, dict[str, str]]:
     return {name: defaults for name in main.commands}
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, chunks) -> None:
+    """Write an iterable of bytes to ``path`` through a temp file and a rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,16 +147,108 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+#: Values per block of the digit-arithmetic CSV formatter; smaller tables use ``%``.
+_CSV_BLOCK = 1 << 13
+#: 10**k for k = 0..15, each exact in float64.
+_POW10 = (10 ** np.arange(16, dtype=np.int64)).astype(float)
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII words (uint32, NUL-padded) for ``_g12_blocks``, built from ``arange(1000)``.
+
+    Each table is indexed by ``value + 1000 * stripped``: ``group`` holds three
+    fraction digits, the stripped half without trailing zeros (000 -> empty);
+    ``first`` is the same behind a '.', with no '.' for an empty fraction;
+    ``head`` holds the sign and the integer part without leading zeros, indexed
+    by ``2 * integer part + negative`` instead.
+    """
+    i = np.arange(1000)
+    digits = np.stack((i // 100, i // 10 % 10, i % 10), axis=1).astype(np.uint8) + ord("0")
+    group = np.zeros((2, 1000, 4), np.uint8)
+    group[:, :, :3] = digits
+    group[1, :, 2] *= i % 10 != 0
+    group[1, :, 1] *= i % 100 != 0
+    group[1, :, 0] *= i != 0
+    first = np.zeros((2, 1000, 4), np.uint8)
+    first[:, :, 0] = ord(".")
+    first[:, :, 1:] = group[:, :, :3]
+    first[1, 0, 0] = 0
+    head = np.zeros((1000, 2, 4), np.uint8)
+    head[:, 1, 0] = ord("-")
+    head[:, :, 1:] = digits[:, None, :]
+    head[:, :, 1] *= (i >= 100)[:, None]
+    head[:, :, 2] *= (i >= 10)[:, None]
+    return tuple(t.view(np.uint32).reshape(2000) for t in (first, group, head))
+
+
+def _g12_blocks(values: np.ndarray):
+    """Yield the CSV lines of a 2-D table in blocks of whole rows, each value as '%.12g' % value.
+
+    A value with 1e-4 <= |x| < 1e3 has the fixed-point form with exponent X in
+    [-4, 2].  y = |x| * 10^(11-X) is one multiply by an exact power of ten, so
+    it is the exact product correctly rounded.  Every tie k + 1/2 below 2^52 is
+    itself a double, and rounding is monotonic, so y never crosses a tie: M =
+    rint(y) is the correctly rounded 12-digit significand unless y is a tie or M
+    is outside [1e11, 1e12) (X off by one, or a carry into 10^(X+1)).  M splits
+    exactly, by float floor and subtract, into an integer part below 1000 and 15
+    fraction digits, written as five 3-digit groups with trailing zeros dropped.
+    Every other value (0, -0.0, subnormals, the exponent form, nan, inf and the
+    ties) takes '%.12g' % value.  NUL padding is dropped at the end.
+    """
+    first_t, group_t, head_t = _digit_words()
+    ncols = values.shape[1]
+    size = max(1, _CSV_BLOCK // ncols) * ncols
+    words = np.empty((size, 7), np.uint32)
+    words[:, 6] = ord(",")
+    words[ncols - 1::ncols, 6] = ord("\n")
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, size):
+        v = flat[start:start + size]
+        w = words[:v.size]
+        a = np.abs(v)
+        ok = (a >= 1e-4) & (a < 1e3)
+        a = np.where(ok, a, 1.0)
+        x = np.clip(np.floor(np.log10(a)), -4, 2).astype(np.intp)
+        scale = _POW10[11 - x]
+        y = a * scale
+        m = np.rint(y)
+        ok &= (np.abs(y - m) < 0.5) & (m >= 1e11) & (m < 1e12)
+        m *= ok  # the values % writes become 0, so every table index stays in range
+        whole = np.floor(m / scale)
+        frac = (m - whole * scale) * _POW10[x + 4]
+        w[:, 0] = head_t[2 * whole.astype(np.intp) + (v < 0)]
+        for j, table in enumerate((first_t, group_t, group_t, group_t, group_t)):
+            g = np.floor(frac / _POW10[12 - 3 * j])
+            frac -= g * _POW10[12 - 3 * j]
+            w[:, 1 + j] = table[g.astype(np.intp) + 1000 * (frac == 0)]
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            text = np.array(["%.12g" % t for t in v[bad].tolist()], dtype="S24")
+            w[bad, :6] = text.view(np.uint32).reshape(-1, 6)
+        yield w.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str, header, rows) -> None:
-    """Header plus one line per row, every value as %.12g (an integer n prints as n)."""
+    """Header plus one line per row, every value exactly as ``'%.12g' % value``.
+
+    So an integer n prints as n, and 1e-05, -0, nan and inf appear as ``%``
+    writes them.  A table of at least ``_CSV_BLOCK`` values is formatted by the
+    digit arithmetic of ``_g12_blocks``, byte-identical to ``%``, which stays
+    its reference and its fallback; a smaller table is cheaper with one ``%``
+    expression.
+    """
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    line = ",".join(["%.12g"] * len(header)) + "\n"
-    body = (line * len(values)) % tuple(values.ravel().tolist())
-    atomic_write_text(path, ",".join(header) + "\n" + body)
+    if values.size >= _CSV_BLOCK:
+        body = _g12_blocks(values)
+    else:
+        line = ",".join(["%.12g"] * len(header)) + "\n"
+        body = [((line * len(values)) % tuple(values.ravel().tolist())).encode()]
+    atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], body))
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def sha256_file(path: str) -> str:
@@ -485,7 +579,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
         dm = st.density_matrix(state, cutoff) if dump_dm else None
         t, deficit = state.pseudospin_xz(cutoff)
     if dump_dm:
-        atomic_write_text(dump_dm, json.dumps(dm.to_json_dict()))
+        atomic_write(dump_dm, [json.dumps(dm.to_json_dict()).encode()])
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     curve = bell.calb_curve(t, bell.direction(tu_grid), tv, tup, tvp)

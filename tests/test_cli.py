@@ -231,6 +231,16 @@ def test_sample_csv_golden_digest(runner, tmp_path, args, digest):
     assert sha(out) == digest
 
 
+def test_sample_csv_golden_digest_above_one_block(runner, tmp_path):
+    # 40000 values, so write_csv takes its digit-arithmetic path; the digest is the
+    # one the per-value % rule wrote before that path existed
+    out = str(tmp_path / "batch.csv")
+    args = ["sample", "--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2",
+            "--theta2", "-pi/4", "--count", "20000", "-o", out]
+    assert runner.invoke(main, args).exit_code == 0
+    assert sha(out) == "54f23610f333f5a783489d0e41d06f38a4145025eb52200e1d12b77ab5f20308"
+
+
 # SHA-256 of the tomographic optimize JSON of the benchmark's seed-1 states: the
 # grid search and Nelder-Mead both read E, so any change in its last bit shows here.
 OPTIMIZE_GOLDEN = [
@@ -291,6 +301,50 @@ def test_write_csv_matches_per_value_rule(tmp_path, rows):
     cli.write_csv(path, header, rows)
     with open(path) as fh:
         assert fh.read() == _old_csv_text(header, rows)
+
+
+#: Values the digit arithmetic of write_csv must hand to % or get exactly right:
+#: zeros, nan, inf, subnormals, the edges of its 1e-4 <= |x| < 1e3 range, 13-digit
+#: ties (1 + 2**-12 = 1.000244140625 is exact in binary) and their neighbours, and
+#: values that round up into the next power of ten.
+TRICKY = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-5, 1e-4, math.nextafter(1e-4, 0.0), 1e3, math.nextafter(1e3, 0.0),
+    1.0, 10.0, 100.0, 0.5, 123456789012345.0, 1 + 2**-12, -(5 + 2**-12), 100 + 2**-10,
+    0.1234567890125, math.nextafter(0.1234567890125, 0.0), math.nextafter(0.1234567890125, 1.0),
+    123.4567890135, 0.0001234567890135,  # just below a tie, where rint(y) rounds up
+    9.999999999999995e-5, -9.999999999999995e-5, 999.9999999999995, -999.9999999999995,
+]
+
+
+@pytest.mark.parametrize("ncols", range(1, 10))
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_write_csv_matches_per_value_rule_above_one_block(tmp_path, monkeypatch, ncols, extra_rows):
+    # whole rows of one block, one row fewer (the % path) and one more (a second block)
+    nrows = cli._CSV_BLOCK // ncols + extra_rows
+    rng = np.random.default_rng(ncols)
+    size = nrows * ncols
+    # three quarters in and around the fast range, a quarter from 5e-324 to 1e300
+    exponent = np.where(rng.random(size) < 0.75, rng.uniform(-6, 4, size),
+                        rng.uniform(-323.3, 300, size))
+    values = rng.choice([-1.0, 1.0], size) * 10.0**exponent
+    for at in (0, size - len(TRICKY), *rng.choice(size - len(TRICKY), 3, replace=False)):
+        values[at:at + len(TRICKY)] = TRICKY
+    rows = values.reshape(nrows, ncols)
+    header = [f"c{j}" for j in range(ncols)]
+    blocks = []
+    g12_blocks = cli._g12_blocks
+
+    def spy(table):
+        blocks.append(table.size)
+        return g12_blocks(table)
+
+    monkeypatch.setattr(cli, "_g12_blocks", spy)
+    path = str(tmp_path / "t.csv")
+    cli.write_csv(path, header, rows)
+    with open(path) as fh:
+        assert fh.read() == _old_csv_text(header, rows)
+    assert blocks == ([] if size < cli._CSV_BLOCK else [size])
 
 
 def test_bell_scan_summary(runner, tmp_path):
