@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tomobell import special
-from tomobell.errors import DomainError
+from tomobell.errors import ConvergenceError, DomainError
 from tomobell.special import (
     bessel_i0,
     bessel_j0,
@@ -342,17 +342,77 @@ def test_quadrature_rules_are_immutable():
         rule.nodes[0] = 99.0
 
 
-def test_gauss_legendre_builds_each_rule_once(monkeypatch):
-    built = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counted(order):
-        built.append(order)
-        return leggauss(order)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+def test_gauss_legendre_builds_each_rule_once():
     special._legendre_rule.cache_clear()
     first, _ = kernel_reconstruct_density(vacuum_quadrature_density, 6)
     second, _ = kernel_reconstruct_density(vacuum_quadrature_density, 6)
-    assert sorted(built) == sorted({KERNEL_K_ORDER, KERNEL_X_ORDER})
+    built = special._legendre_rule.cache_info()
+    assert (built.misses, built.hits) == (len({KERNEL_K_ORDER, KERNEL_X_ORDER}), 2)
     assert first.tobytes() == second.tobytes()
+
+
+RULE_ORDERS = (2, 3, 7, 48, 96, 160, 192, 768)
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_legendre_rule_nodes_match_numpy(order):
+    # numpy's eigenvalue-based leggauss is the node oracle; its weights are not
+    nodes, _ = special._legendre_rule(order)
+    assert np.max(np.abs(nodes - np.polynomial.legendre.leggauss(order)[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_legendre_rule_is_symmetric_and_sums_to_two(order):
+    nodes, weights = special._legendre_rule(order)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    if order % 2:
+        centre = nodes[order // 2]
+        assert centre == 0.0 and not np.signbit(centre)
+    assert abs(np.sum(weights) - 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_legendre_rule_even_moments(order):
+    # sum w x^2k = 2/(2k + 1) for 2k <= 2n - 2; the high moments rest on the
+    # endpoint weights, where leggauss misses by 3.7e-12 at 192 and 3.5e-11 at 768
+    nodes, weights = special._legendre_rule(order)
+    two_k = 2 * np.arange(order)
+    moments = (nodes[None, :] ** two_k[:, None]) @ weights
+    tol = 5e-13 if order > 192 else 3e-13
+    assert np.max(np.abs(moments * (two_k + 1) / 2.0 - 1.0)) <= tol
+
+
+def mpmath_legendre_root(mpmath, n, guess):
+    """The root of P_n next to ``guess`` and its Gauss weight, by Newton at working precision."""
+    x = mpmath.mpf(float(guess))
+    for step in range(3):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        dp = n * (p_prev - x * p) / (1 - x * x)
+        if step < 2:
+            x -= p / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("order", [96, 192, 768])
+def test_legendre_rule_against_mpmath(order):
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = special._legendre_rule(order)
+    # the eight outermost roots, where leggauss's weights are off by 1.5e-12
+    # (96) to 8.6e-10 (768), and a spread of interior ones
+    picks = sorted({*range(order - 8, order), *range(order // 2, order, order // 16)})
+    with mpmath.workdps(32):
+        for i in picks:
+            root, weight = mpmath_legendre_root(mpmath, order, nodes[i])
+            assert abs(float(nodes[i] - root)) <= 1.5e-16
+            assert abs(float(weights[i] / weight - 1)) <= 3e-14
+
+
+def test_legendre_rule_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(special, "_NEWTON_PASSES", 1)
+    special._legendre_rule.cache_clear()
+    with pytest.raises(ConvergenceError, match="order 96: Newton did not converge in 1 passes"):
+        special._legendre_rule(96)
+    assert special._legendre_rule.cache_info().currsize == 0
