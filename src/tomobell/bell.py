@@ -309,14 +309,14 @@ def _nelder_mead(func, x0, xatol: float, fatol: float, max_iter: int) -> NelderM
 
 @dataclass(frozen=True)
 class ChshMaximum:
-    """The best angles and CHSH value; unpacks as ``(angles, value)``.
+    """The best angles and CHSH value, and the Nelder-Mead record ``refine``.
 
-    ``refine`` is the Nelder-Mead record, or None when no refinement ran.
+    Unpacks as ``(angles, value)``.
     """
 
     angles: BellAnglesQuadrature
     value: float
-    refine: NelderMeadResult | None
+    refine: NelderMeadResult
 
     def __iter__(self):
         return iter((self.angles, self.value))
@@ -326,7 +326,6 @@ def maximize_chsh(
     correlation,
     *,
     grid_points: int = 24,
-    refine: bool = True,
     max_iter: int = 4000,
 ) -> ChshMaximum:
     """Maximize the CHSH value over four angles for E(theta1, theta2).
@@ -335,8 +334,8 @@ def maximize_chsh(
     grid (so the full grid_points^4 CHSH lattice costs only grid_points^2
     correlation evaluations) and the best cell seeds a Nelder-Mead
     refinement, which stops at ``NELDER_MEAD_XATOL`` and ``NELDER_MEAD_FATOL``
-    or after ``max_iter`` evaluations.  Returns a ``ChshMaximum``, which
-    unpacks as (BellAnglesQuadrature, value).
+    or after ``max_iter`` evaluations (0 keeps the grid start).  Returns a
+    ``ChshMaximum``, which unpacks as (BellAnglesQuadrature, value).
     """
     thetas = np.arange(grid_points) * (TWO_PI / grid_points)
     table = np.empty((grid_points, grid_points))
@@ -357,21 +356,18 @@ def maximize_chsh(
     start = np.array([thetas[i], thetas[j], thetas[k], thetas[l]])
     best_val = float(flat[best])
 
-    result = None
-    if refine:
+    def negative(x):
+        return -chsh(
+            correlation(x[0], x[2]),
+            correlation(x[0], x[3]),
+            correlation(x[1], x[2]),
+            correlation(x[1], x[3]),
+        )
 
-        def negative(x):
-            return -chsh(
-                correlation(x[0], x[2]),
-                correlation(x[0], x[3]),
-                correlation(x[1], x[2]),
-                correlation(x[1], x[3]),
-            )
-
-        result = _nelder_mead(negative, start, NELDER_MEAD_XATOL, NELDER_MEAD_FATOL, max_iter)
-        if -result.fun >= best_val:
-            best_val = float(-result.fun)
-            start = result.x
+    result = _nelder_mead(negative, start, NELDER_MEAD_XATOL, NELDER_MEAD_FATOL, max_iter)
+    if -result.fun >= best_val:
+        best_val = float(-result.fun)
+        start = result.x
 
     angles = BellAnglesQuadrature(start[0], start[1], start[2], start[3])
     return ChshMaximum(angles, best_val, result)

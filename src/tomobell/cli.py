@@ -432,8 +432,7 @@ def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, t
     }
     manifest_for(out, "tomogram", config, extras)
     if check_radon and extras["max_abs_difference"] >= tol:
-        click.echo(f"accuracy error: Radon cross-check exceeds {tol}", err=True)
-        sys.exit(3)
+        raise AccuracyError(f"Radon cross-check exceeds {tol}")
 
 
 @main.command("probs")
@@ -676,14 +675,13 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
 @click.option("-o", "--out", default="rho.json", show_default=True)
 def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
     """Kernel reconstruction of a single-mode density matrix from a tomogram."""
-    if tomogram_kind == "vacuum":
-        fn = tg.vacuum_quadrature_density
-    elif tomogram_kind == "single-photon":
-        fn = functools.partial(tg.fock_quadrature_density, 1)
-    else:
+    if tomogram_kind == "epr-marginal":
         if lam is None:
             raise ConfigError("--tomogram epr-marginal requires --lambda")
         fn = functools.partial(tg.epr_marginal_density, lam)
+    else:
+        fn = functools.partial(tg.fock_quadrature_density,
+                               {"vacuum": 0, "single-photon": 1}[tomogram_kind])
     rho, diagnostics = tg.kernel_reconstruct_density(fn, cutoff)
     i_idx, j_idx = np.nonzero(np.abs(rho) > 1e-14)
     payload = {

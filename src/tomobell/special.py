@@ -2,8 +2,8 @@
 
 All closed-form expressions in the library reduce to the functions collected
 here: Hermite polynomials and functions, (associated) Laguerre polynomials
-and the Laguerre function, the Bessel functions I0 and J0, the error
-function of a complex argument, and two quadrature rules.  The function
+and functions, the Bessel functions I0 and J0, the error function of a
+complex argument, and two quadrature rules.  The function
 implementations are independent of any external special-function library;
 each one is checked in the test suite against a slow series or quadrature
 oracle.
@@ -104,9 +104,8 @@ def _rescale(cur, prev, shift):
 def laguerre(n: int, x, alpha: float = 0.0):
     """(Associated) Laguerre polynomial L_n^(alpha)(x) via recurrence.
 
-    alpha = 0 gives the ordinary Laguerre polynomials of the Fock-state
-    Wigner functions; alpha > 0 is needed for displacement-operator matrix
-    elements in the tomographic reconstruction kernel.
+    The package itself evaluates only the normalized ``laguerre_function``;
+    the polynomial is the tests' unnormalized reference for it.
     """
     _check_poly_order(n)
     x, scalar = _as_float_array(x)
@@ -123,24 +122,30 @@ def laguerre(n: int, x, alpha: float = 0.0):
 _LOG_TINY = math.log(sys.float_info.min)
 
 
-def laguerre_function(n: int, x):
-    """The Laguerre function e^{-x/2} L_n(x), bounded by 1 in magnitude for x >= 0.
+def laguerre_function(n: int, x, alpha: int = 0):
+    """Normalized Laguerre function l_n = sqrt(n!/(n+alpha)!) x^{alpha/2} e^{-x/2} L_n^(alpha)(x).
 
-    The Laguerre recurrence is linear, so started from e^{-x/2} it carries the
-    Gaussian along and never forms L_n(x) itself; no order guard is needed.
-    Where e^{-x/2} would be subnormal it runs on e^{s} e^{-x/2} L_k(x),
-    s = x/2 - 600, scaled by 2^-512 whenever it passes 2^512, as
-    ``hermite_functions`` does; everywhere else the shift is 0.
+    It is |<n+alpha| D(beta) |n>| at x = |beta|^2, so |l_n| <= 1 for x >= 0.  The
+    recurrence ((2k+1+alpha-x) l_k - sqrt(k(k+alpha)) l_{k-1}) / sqrt((k+1)(k+1+alpha)) is
+    linear, so started from l_0 it carries the Gaussian along and forms no factorial,
+    L_n^(alpha)(x) or order guard.  Where l_0 would be subnormal it runs on e^{s} l_k,
+    s = -600 - log l_0, scaled by 2^-512 whenever it passes 2^512, as ``hermite_functions``
+    does; everywhere else the shift is 0.
     """
     x, scalar = _as_float_array(x)
-    exponent = -0.5 * x
-    wide = x.size > 0 and np.min(exponent) < _LOG_TINY
+    if alpha:
+        with np.errstate(divide="ignore"):  # x = 0: log 0 = -inf, and l_k(0) = 0 at every k
+            exponent = 0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0))
+    else:
+        exponent = -0.5 * x
+    wide = n > 0 and x.size > 0 and np.min(exponent) < _LOG_TINY
     if wide:
-        shift = np.where(exponent < _LOG_TINY, -600.0 - exponent, 0.0)
+        shift = np.where((exponent < _LOG_TINY) & (x > 0.0), -600.0 - exponent, 0.0)
         exponent = exponent + shift
     prev, cur = 0.0 * x, np.exp(exponent)
     for k in range(n):
-        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
+        step = (2.0 * k + 1.0 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev
+        prev, cur = cur, step / math.sqrt((k + 1.0) * (k + 1.0 + alpha))
         if wide and np.max(np.abs(cur)) > 2.0**512:
             cur, prev, shift = _rescale(cur, prev, shift)
     if wide:

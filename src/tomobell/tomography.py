@@ -47,7 +47,7 @@ import numpy as np
 
 from . import states as st
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .special import gauss_legendre, hermite_functions, laguerre, periodic_trapezoid
+from .special import gauss_legendre, hermite_functions, laguerre_function, periodic_trapezoid
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
@@ -453,13 +453,6 @@ def sign_matrix(levels: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def vacuum_quadrature_density(x, theta=0.0):
-    """Vacuum homodyne density sqrt(2/pi) exp(-2 X^2), angle independent."""
-    x = np.asarray(x, dtype=float)
-    val = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * x**2)
-    return float(val) if val.ndim == 0 else val + 0.0 * np.asarray(theta)
-
-
 def fock_quadrature_density(n, x, theta=0.0):
     """Homodyne density |psi_n(X)|^2 of the Fock state |n>, angle independent."""
     psi = hermite_functions(math.sqrt(2.0) * np.asarray(x, dtype=float))
@@ -481,21 +474,16 @@ def epr_marginal_density(lam, x, theta=0.0):
 
 
 def kernel_fock_matrix_element(m: int, n: int, k, theta):
-    """Matrix element <m| D(beta) |n> with beta = -i k e^{i theta} / 2.
+    """Matrix element <m| D(beta) |n> with beta = -i k e^{i theta} / 2, k >= 0.
 
     The reconstruction kernel reduces to (1/4 pi) e^{i X} D((nu - i mu)/2)
     in this package's convention; in polar coordinates mu = k cos(theta),
     nu = k sin(theta) the displacement amplitude is beta = -i k e^{i theta}/2.
+    The element is (-i)^|d| e^{i d theta} times the normalized Laguerre
+    function of order min(m, n) and alpha = |d| at k^2/4, d = m - n.
     """
-    k = np.asarray(k, dtype=float)
-    p_low = min(m, n)
     d = m - n
-    amp = (
-        math.sqrt(math.factorial(p_low) / math.factorial(p_low + abs(d)))
-        * (-0.5j * k) ** abs(d)
-        * np.exp(-0.125 * k * k)
-        * laguerre(p_low, 0.25 * k * k, alpha=float(abs(d)))
-    )
+    amp = (1.0, -1j, -1.0, 1j)[abs(d) % 4] * laguerre_function(min(m, n), 0.25 * k * k, abs(d))
     return amp * np.exp(1j * d * np.asarray(theta))
 
 
@@ -539,9 +527,10 @@ def kernel_reconstruct_density(tomogram, cutoff: int):
     ang = np.exp(1j * np.outer(d_vals, theta))  # (nd, ntheta)
     a_dk = dtheta * (chi @ ang.T)  # (nk, nd)
 
-    # kernel[m, n] = k <m|D|n> A_{m-n}(k) / 4 pi
+    # kernel[m, n] = k <m|D|n> A_{m-n}(k) / 4 pi; at theta = 0, <m|D|n> = <n|D|m>
     levels = range(cutoff)
-    kernel = np.array([[kernel_fock_matrix_element(m, n, k, 0.0) for n in levels] for m in levels])
+    upper = [[kernel_fock_matrix_element(m, n, k, 0.0) for n in range(m, cutoff)] for m in levels]
+    kernel = np.array([[upper[min(m, n)][abs(m - n)] for n in levels] for m in levels])
     kernel *= k * a_dk.T[np.subtract.outer(levels, levels) + cutoff - 1] / (4.0 * math.pi)
     rho = kernel @ k_rule.weights
     diagnostics = {

@@ -17,6 +17,8 @@ different route.
   density on a Gauss-Legendre grid, against ``sampling.quadrature_moments``.
 - ``homodyne_marginal_tail``: P(X1 >= x0) of a Schmidt-diagonal state from
   numpy's Hermite polynomials, against the rejection sampler's batches.
+- ``schmidt_wigner``: the Wigner function of a Schmidt vector summed in the
+  Fock basis from scipy's Laguerre polynomials, against ``states.wigner``.
 """
 
 from __future__ import annotations
@@ -244,3 +246,30 @@ def homodyne_marginal_tail(coefficients, x0: float, order: int = 400) -> float:
             2.0**n * math.factorial(n) * math.sqrt(math.pi))
         density += c * c * psi * psi
     return float(rule.weights @ density)
+
+
+def schmidt_wigner(c, q1, p1, q2, p2):
+    """The Wigner function of sum_n c_n |n n>, summed over Fock-basis pairs m <= n.
+
+    W = (2/pi)^2 sum_{m<=n} (2 - delta_mn) c_m c_n Re[F_mn(a1) F_mn(a2)],
+    F_mn(a) = sqrt(m!/n!) (2a)^(n-m) L_m^(n-m)(4|a|^2) e^{-2|a|^2}, a = q - i p:
+    the (-1)^m of each mode's |m><n| Wigner function cancels in the product.
+    The Laguerre polynomials come from scipy's ``eval_genlaguerre`` and
+    sqrt(m!/n!) from its ``gammaln``.
+    """
+    from scipy.special import eval_genlaguerre, gammaln
+
+    modes = [np.asarray(q, dtype=float) - 1j * np.asarray(p, dtype=float)
+             for q, p in ((q1, p1), (q2, p2))]
+    total = np.zeros(np.broadcast(*modes).shape)
+    for n in range(len(c)):
+        for m in range(n + 1):
+            if c[m] * c[n] == 0.0:
+                continue
+            f1, f2 = (
+                math.exp(0.5 * (gammaln(m + 1.0) - gammaln(n + 1.0))) * (2.0 * a) ** (n - m)
+                * eval_genlaguerre(m, n - m, 4.0 * np.abs(a) ** 2) * np.exp(-2.0 * np.abs(a) ** 2)
+                for a in modes
+            )
+            total += (1.0 if m == n else 2.0) * c[m] * c[n] * (f1 * f2).real
+    return (2.0 / math.pi) ** 2 * total

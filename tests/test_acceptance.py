@@ -239,12 +239,14 @@ def test_criterion_11_reconstruction_sanity():
     with _report(11, "inverse Fourier vacuum within 1%; kernel rho00 and rho11 to 1e-9"):
         x = np.linspace(-6.0, 6.0, 241)
         theta = np.linspace(0.0, math.pi, 48, endpoint=False)
-        vac = np.repeat(tg.vacuum_quadrature_density(x)[:, None], theta.size, axis=1)
+        vac = np.repeat(tg.fock_quadrature_density(0, x)[:, None], theta.size, axis=1)
         q = np.linspace(-2.5, 2.5, 51)
         wig, _ = inverse_fourier_wigner(vac, x, theta, q, q)
         assert wig[25, 25] == pytest.approx(2.0 / math.pi, rel=0.01)
 
-        rho_vac, _ = tg.kernel_reconstruct_density(tg.vacuum_quadrature_density, 6)
+        rho_vac, _ = tg.kernel_reconstruct_density(
+            lambda xv, t=0.0: tg.fock_quadrature_density(0, xv, t), 6
+        )
         assert rho_vac[0, 0].real == pytest.approx(1.0, abs=1e-9)
         rho_ph, _ = tg.kernel_reconstruct_density(
             lambda xv, t=0.0: tg.fock_quadrature_density(1, xv, t), 6

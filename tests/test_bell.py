@@ -399,9 +399,9 @@ def test_maximize_chsh_product_form():
 def test_maximize_chsh_grid_ties_go_to_the_first_cell():
     # E(theta1 + theta2) makes many grid cells tie; last-digit noise must not pick the start
     rng = np.random.default_rng(7)
-    clean, _ = maximize_chsh(lambda t1, t2: math.cos(t1 + t2), refine=False)
+    clean, _ = maximize_chsh(lambda t1, t2: math.cos(t1 + t2), max_iter=0)
     noisy, _ = maximize_chsh(
-        lambda t1, t2: math.cos(t1 + t2) * (1.0 + 1e-15 * rng.standard_normal()), refine=False
+        lambda t1, t2: math.cos(t1 + t2) * (1.0 + 1e-15 * rng.standard_normal()), max_iter=0
     )
     assert noisy == clean and clean.theta1 == 0.0
 
@@ -418,7 +418,7 @@ def test_maximize_chsh_grid_value_is_the_scalar_chsh_maximum():
         want = max(chsh(table[i, k], table[i, m], table[j, k], table[j, m])
                    for i in range(g) for j in range(g) for k in range(g) for m in range(g))
         found = maximize_chsh(lambda t1, t2: table[round(t1 / step), round(t2 / step)],
-                              grid_points=g, refine=False)
+                              grid_points=g, max_iter=0)
         assert found.value == want
 
 
@@ -513,7 +513,7 @@ def test_maximize_chsh_reports_its_refinement():
     assert (angles, value) == (found.angles, found.value)
     assert found.refine.evaluations == 20 and not found.refine.converged
     assert maximize_chsh(lambda t1, t2: math.cos(t1 - t2)).refine.converged
-    assert maximize_chsh(lambda t1, t2: math.cos(t1 - t2), refine=False).refine is None
+    assert maximize_chsh(lambda t1, t2: math.cos(t1 - t2), max_iter=0).refine.evaluations == 0
 
 
 def test_bell_angles_reduced():

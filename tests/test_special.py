@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from tomobell.special import (
 from tomobell.tomography import (
     KERNEL_K_ORDER,
     KERNEL_X_ORDER,
+    fock_quadrature_density,
     kernel_reconstruct_density,
-    vacuum_quadrature_density,
 )
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,21 @@ def test_laguerre_function_is_unchanged_where_the_start_is_normal(n):
     assert laguerre_function(n, xs).tobytes() == cur.tobytes()
 
 
+@pytest.mark.parametrize("alpha", [1, 5, 20, 60])
+def test_associated_laguerre_function_matches_scipy(alpha):
+    # sqrt(n!/(n+alpha)!) x^{alpha/2} e^{-x/2} L_n^(alpha)(x), normalized in log space
+    from scipy.special import eval_genlaguerre, gammaln
+
+    for n in range(31):
+        xs = np.linspace(0.0, 4.0 * n + 40.0, 161)
+        poly = eval_genlaguerre(n, alpha, xs)
+        with np.errstate(divide="ignore"):
+            log_size = 0.5 * (gammaln(n + 1.0) - gammaln(n + alpha + 1.0)
+                              + alpha * np.log(xs) - xs) + np.log(np.abs(poly))
+        want = np.sign(poly) * np.exp(log_size)
+        assert np.max(np.abs(laguerre_function(n, xs, alpha) - want)) <= 1e-13, n
+
+
 # ---------------------------------------------------------------------------
 # Bessel
 # ---------------------------------------------------------------------------
@@ -344,8 +360,8 @@ def test_quadrature_rules_are_immutable():
 
 def test_gauss_legendre_builds_each_rule_once():
     special._legendre_rule.cache_clear()
-    first, _ = kernel_reconstruct_density(vacuum_quadrature_density, 6)
-    second, _ = kernel_reconstruct_density(vacuum_quadrature_density, 6)
+    first, _ = kernel_reconstruct_density(partial(fock_quadrature_density, 0), 6)
+    second, _ = kernel_reconstruct_density(partial(fock_quadrature_density, 0), 6)
     built = special._legendre_rule.cache_info()
     assert (built.misses, built.hits) == (len({KERNEL_K_ORDER, KERNEL_X_ORDER}), 2)
     assert first.tobytes() == second.tobytes()

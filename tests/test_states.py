@@ -28,6 +28,8 @@ from tomobell.states import (
 )
 from tomobell.tomography import radon_forward, tomogram_closed_form
 
+from oracles import schmidt_wigner
+
 BENCHMARKS = [
     SqueezedVacuum(math.tanh(0.5)),
     FockPairSuperposition(1),
@@ -259,6 +261,32 @@ def test_wigner_factor_form_matches_direct_sums():
         got = wigner(PairCoherent(r), q1, p1, q2, p2, angular_order=32)
         want = pair_coherent_wigner_oracle(r, q1, p1, q2, p2, 32)
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "state",
+    [FockPairSuperposition(1), FockPairSuperposition(3), FockPairSuperposition(8),
+     PairCoherent(0.5), PairCoherent(1.05), PairCoherent(2.0)],
+    ids=repr,
+)
+def test_wigner_is_the_fock_basis_sum_over_the_schmidt_vector(state):
+    # for the pair-coherent state this checks its Schmidt coefficients against
+    # its angular-integral Wigner function; at r = 2, c_48 is below 1e-32
+    rng = np.random.default_rng(29)
+    q1, p1, q2, p2 = rng.normal(scale=1.0, size=(4, 40))
+    want = schmidt_wigner(state.schmidt(48), q1, p1, q2, p2)
+    assert np.max(np.abs(wigner(state, q1, p1, q2, p2) - want)) < 1e-13
+
+
+def test_wigner_pair_coherent_default_rule_holds_at_r_8():
+    # |W| <= (2/pi)^2, the value at the origin; 400 points over the central
+    # half of the Radon box, where order 128 is off by ~1e-14 of that peak at
+    # r = 8 and by ~1e-10 at r = 10
+    state = PairCoherent(8.0)
+    half = 0.5 * state.half_width
+    points = np.random.default_rng(31).uniform(-half, half, size=(4, 400))
+    fine = wigner(state, *points, angular_order=512)
+    assert np.max(np.abs(wigner(state, *points) - fine)) <= 1e-12 * 4.0 / math.pi**2
 
 
 def test_wigner_workspace_is_bounded():

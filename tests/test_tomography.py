@@ -47,7 +47,6 @@ from tomobell.tomography import (
     sign_correlation,
     sign_matrix,
     tomogram_closed_form,
-    vacuum_quadrature_density,
 )
 
 from oracles import (
@@ -57,6 +56,8 @@ from oracles import (
     radon_wigner_grid_sum,
     sign_binned_numeric,
 )
+
+vacuum_density = functools.partial(fock_quadrature_density, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +743,7 @@ def _tomogram_grid(density, nx=241, ntheta=48):
 
 
 def test_inverse_fourier_vacuum():
-    values, x, theta = _tomogram_grid(vacuum_quadrature_density)
+    values, x, theta = _tomogram_grid(vacuum_density)
     q = np.linspace(-2.5, 2.5, 51)
     wig, raw = inverse_fourier_wigner(values, x, theta, q, q)
     assert abs(raw - 1.0) < 0.05
@@ -772,7 +773,7 @@ def test_inverse_fourier_real_surface():
 
 
 def test_inverse_fourier_normalization_error():
-    values, x, theta = _tomogram_grid(lambda xs: 2.0 * vacuum_quadrature_density(xs))
+    values, x, theta = _tomogram_grid(lambda xs: 2.0 * vacuum_density(xs))
     q = np.linspace(-2.5, 2.5, 51)
     with pytest.raises(AccuracyError):
         inverse_fourier_wigner(values, x, theta, q, q)
@@ -798,7 +799,7 @@ def test_kernel_matrix_element_vs_expm_oracle():
 
 def test_kernel_reconstruct_vacuum():
     rho, diag = kernel_reconstruct_density(
-        vacuum_quadrature_density, 6)
+        vacuum_density, 6)
     assert rho[0, 0].real == pytest.approx(1.0, abs=0.02)
     off = rho - np.diag(rho.diagonal())
     assert np.max(np.abs(off)) < 2e-2
@@ -812,7 +813,7 @@ def _thermal(lam):
 @pytest.mark.parametrize(
     "tomogram, populations",
     [
-        (vacuum_quadrature_density, lambda n: n == 0),
+        (vacuum_density, lambda n: n == 0),
         (functools.partial(fock_quadrature_density, 1), lambda n: n == 1),
         (functools.partial(fock_quadrature_density, 3), lambda n: n == 3),
         (functools.partial(fock_quadrature_density, 9), lambda n: n == 9),
@@ -841,8 +842,8 @@ def test_kernel_reconstruct_single_photon():
 
 def test_kernel_reconstruct_guards():
     with pytest.raises(DomainError):
-        kernel_reconstruct_density(vacuum_quadrature_density, 11)
+        kernel_reconstruct_density(vacuum_density, 11)
     with pytest.raises(NormalizationError):
         kernel_reconstruct_density(
-            lambda x, t=0.0: 0.5 * vacuum_quadrature_density(x, t), 4
+            lambda x, t=0.0: 0.5 * vacuum_density(x, t), 4
         )
