@@ -42,8 +42,9 @@ TRACE_TOL = 1e-9
 #: Default per-mode Fock cutoff for density matrices.
 DEFAULT_CUTOFF = 64
 
-#: Default node count for each angular integral of the pair-coherent Wigner.
-DEFAULT_ANGULAR_ORDER = 128
+#: Largest r whose pair-coherent Wigner function ``wigner`` evaluates: past it the
+#: factors cancel so far that rounding errors reach 1e-6 of the peak (r = 13.5).
+MAX_WIGNER_R = 13.0
 
 #: Elements per evaluation block (1 MB of complex): the entries of each
 #: (points, J) or (points, K) factor array inside ``wigner``.
@@ -72,7 +73,7 @@ class TwoModeState:
         """Half-width of the factored Radon projection's lines, past where W is negligible."""
         raise UnsupportedStateError(f"no Wigner evaluator for {type(self).__name__}")
 
-    def wigner_factors(self, order: int = DEFAULT_ANGULAR_ORDER) -> "WignerFactors":
+    def wigner_factors(self, order: int | None = None) -> "WignerFactors":
         """Factor form of the Wigner function (see ``wigner``)."""
         raise UnsupportedStateError(
             f"no factor form of the Wigner function for {type(self).__name__}"
@@ -135,7 +136,7 @@ class FockPairSuperposition(TwoModeState):
         # past |n>'s turning point sqrt(n + 1/2); at least 4.4, where exp(-2 t^2) < 1e-16
         return max(4.4, 3.0 + math.sqrt(self.n + 0.5))
 
-    def wigner_factors(self, order=DEFAULT_ANGULAR_ORDER):
+    def wigner_factors(self, order=None):
         # With x = 4|a|^2 = |2a|^2 and arg a = -atan2(p, q), g L_n(x) and
         # g |2a|^n / sqrt(n!) are the normalized Laguerre functions of orders
         # (n, alpha = 0) and (0, alpha = n)
@@ -177,9 +178,29 @@ class PairCoherent(TwoModeState):
     def half_width(self):
         return 4.0 + 1.7 * self.r
 
-    def wigner_factors(self, order=DEFAULT_ANGULAR_ORDER):
-        """Both angular integrals on ``order`` trapezoid nodes: 128 holds 1e-14 of the
-        peak |W| = 4/pi^2 up to r = 8 and 4e-8 at r = 12, 256 holds 4e-16 (``wigner``)."""
+    @property
+    def angular_order(self) -> int:
+        """Default node count K of ``wigner_factors``' angular rule.
+
+        K is the smallest multiple of 8, at least 16, with (e r^2 / (2K))^(K/2)
+        <= 1e-20: about the largest Fourier coefficient e^{-|a|^2} I_K(2 r |a|)
+        of a mode factor, which the K-node rule aliases onto its integral.
+        32 at r = 1, 128 at r = 6.5, 280 at r = 12.
+        """
+        order = 16
+        while 0.5 * order * math.log(math.e * self.r**2 / (2 * order)) > math.log(1e-20):
+            order += 8
+        return order
+
+    def wigner_factors(self, order=None):
+        """Both angular integrals on ``order`` trapezoid nodes, ``angular_order`` by default
+        (``wigner``); only r up to ``MAX_WIGNER_R`` is evaluated."""
+        if self.r > MAX_WIGNER_R:
+            raise DomainError(
+                f"pair-coherent Wigner function needs r <= {MAX_WIGNER_R}, got {self.r}: "
+                "past it rounding dominates its factor sums"
+            )
+        order = self.angular_order if order is None else order
         if order < 16:
             raise ConfigError(
                 f"pair-coherent Wigner needs angular quadrature order >= 16, got {order}"
@@ -202,7 +223,7 @@ class PairCoherent(TwoModeState):
             right = np.exp(half_gauss + 2.0 * r * a.conj() * turns[1 - i])
             return left, right
 
-        return WignerFactors(coupling, mode)
+        return WignerFactors(coupling, mode, order)
 
 
 def squeezed_homodyne(s: float, theta_sum: float) -> tuple[float, float, float]:
@@ -369,7 +390,7 @@ def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> Density
 # ---------------------------------------------------------------------------
 
 
-def wigner(state, q1, p1, q2, p2, *, angular_order: int = DEFAULT_ANGULAR_ORDER):
+def wigner(state, q1, p1, q2, p2, *, angular_order: int | None = None):
     """Two-mode Wigner function W(q1, p1, q2, p2), normalized to 1.
 
     Accepts scalars or broadcastable arrays.  The squeezed vacuum has its
@@ -388,10 +409,13 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int = DEFAULT_ANGULAR_ORDER)
 
     the upper signs for mode 1 and the lower for mode 2.  For the pair-coherent
     state the phi_j = 2 pi j / K are the nodes of a periodic trapezoid rule
-    for its two angular integrals, K = ``angular_order`` (>= 16).  Against K = 1024
-    over the central half of the Radon box, K = 128 is within 9e-15 of the peak
-    |W| = 4/pi^2 at r = 8, 1.6e-10 at r = 10 and 3.8e-8 at r = 12, and K = 256
-    within 4e-16 up to r = 12; larger r is accepted but unchecked.
+    for its two angular integrals, K = ``angular_order`` (>= 16), by default
+    ``PairCoherent.angular_order``, which grows with r (32 at r = 1, 280 at
+    r = 12).  Against K = 1024 on the Radon check's lines, the default is
+    within 5e-16 of the peak |W| = 4/pi^2 for every r from 0.5 to 13, where
+    a fixed K = 128 missed by 4.7e-8 at r = 12.  Past r = ``MAX_WIGNER_R``
+    the factors cancel below rounding, and the pair-coherent state raises
+    ``DomainError``.
     """
     if state.gaussian:
         return _wigner_squeezed_vacuum(state.s, q1, p1, q2, p2)
@@ -422,6 +446,7 @@ class WignerFactors:
 
     coupling: np.ndarray  # (J, K)
     mode: Callable
+    angular_order: int | None = None  # K of a periodic trapezoid rule, if the form has one
 
 
 def _wigner_squeezed_vacuum(s, q1, p1, q2, p2):

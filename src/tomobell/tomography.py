@@ -64,6 +64,11 @@ KERNEL_X_ORDER = 160
 #: principal-axis coordinates, where the integrand is exp(-xi^2 - eta^2):
 #: each axis leaves out erfc(6) < 3e-17 of its mass.
 GAUSSIAN_HALF_WIDTH = 6.0
+#: First Gauss-Legendre order of that grid: 48 nodes on +/- 6 integrate
+#: exp(-x^2) to rounding (32 nodes miss by 5e-11), and one doubling checks it.
+GAUSSIAN_ORDER = 48
+#: First Gauss-Legendre order of the factored Radon lines.
+FACTORED_ORDER = 96
 #: Relative tail below which pair_coherent_integral_series stops.
 SERIES_TOL = 1e-12
 
@@ -149,7 +154,7 @@ def radon_forward_symplectic(
     x2,
     setting2: SymplecticSetting,
     *,
-    order: int = 96,
+    order: int | None = None,
     max_doublings: int | None = None,
     tol: float = 1e-8,
     record: dict | None = None,
@@ -159,36 +164,45 @@ def radon_forward_symplectic(
     Per mode the line mu q + nu p = X is parametrized as
     q = mu X / r^2 - (nu / r) t, p = nu X / r^2 + (mu / r) t with
     r = sqrt(mu^2 + nu^2); the tomogram is the double line integral of the
-    Wigner function divided by r1 r2.  The Gauss-Legendre order is doubled
-    until two successive estimates agree to ``tol``, at most ``max_doublings``
-    times; by default once for the squeezed vacuum and, for the other
-    states, enough to reach 8 nodes per fringe (``_fringe_doublings``).
+    Wigner function divided by r1 r2.  The Gauss-Legendre order starts at
+    ``order`` and is doubled until two successive estimates agree to ``tol``,
+    at most ``max_doublings`` times.  By default the squeezed vacuum starts
+    at ``GAUSSIAN_ORDER`` (48) and doubles once; the other states start at
+    ``FACTORED_ORDER`` (96) and double enough to reach 8 nodes per fringe
+    (``_fringe_doublings``).
 
     The Fock pair and the pair-coherent state are projected through the
-    factor form of their Wigner function (``TwoModeState.wigner_factors``): each
-    mode's factors are integrated along its own line first, once per distinct
-    X value, on lines that span +/- ``state.half_width``.  The squeezed
-    vacuum, whose Gaussian cross term does not factor, is summed with one
-    ``states.wigner`` call per X pair, on a grid along its integrand's
-    principal axes (``_gaussian_axes``) that spans +/- ``GAUSSIAN_HALF_WIDTH``.
+    factor form of their Wigner function (``TwoModeState.wigner_factors``, at
+    its default angular order): each mode's factors are integrated along its
+    own line first, once per distinct X value, on lines that span
+    +/- ``state.half_width``.  The squeezed vacuum, whose Gaussian cross term
+    does not factor, is summed with one ``states.wigner`` call per X pair, on
+    a grid along its integrand's principal axes (``_gaussian_axes``) that
+    spans +/- ``GAUSSIAN_HALF_WIDTH``.
 
     A ``record`` dict receives what the check ran, whether or not it
     converges: ``orders``, the Gauss-Legendre orders, and ``changes``, the
-    largest change at each doubling.
+    largest change at each doubling; for the factored states also
+    ``angular_order``, the K of the pair-coherent factors' angular rule
+    (None for the Fock pair, which has none).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     scalar = x1.ndim == 0 and x2.ndim == 0
     x1, x2 = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(x2))
     orders, changes = [], []
-    if record is not None:
-        record.update(orders=orders, changes=changes)  # filled in as the orders run
+    record = {} if record is None else record
+    record.update(orders=orders, changes=changes)  # filled in as the orders run
     if state.gaussian:
         half_width = GAUSSIAN_HALF_WIDTH
+        order = GAUSSIAN_ORDER if order is None else order
         project = partial(_project_gaussian, state, *_gaussian_axes(state, setting1, setting2))
     else:
         half_width = state.half_width
-        project = partial(_project_factored, state.wigner_factors())
+        order = FACTORED_ORDER if order is None else order
+        factors = state.wigner_factors()
+        record["angular_order"] = factors.angular_order
+        project = partial(_project_factored, factors)
     if max_doublings is None:
         max_doublings = 1 if state.gaussian else _fringe_doublings(state, half_width, order)
 
@@ -256,13 +270,19 @@ def _project_factored(factors, x1, setting1, x2, setting2, rule):
 
     Per mode and distinct X: A_jk(X) = sum_t w_t left_j right_k, a (J x m)(m x K)
     product; then w(X1, X2) = Re sum_jk C_jk A_jk(X1) B_jk(X2) / (r1 r2).
+    The X values go in blocks whose (X, m, J) and (X, m, K) factor arrays
+    hold at most ``states.MAX_BLOCK`` entries together, or one X value.
     """
+    chunk = max(1, st.MAX_BLOCK // (rule.nodes.size * sum(factors.coupling.shape)))
     lines = []
     for i, (x, setting) in enumerate(((x1, setting1), (x2, setting2))):
         values, index = np.unique(x.ravel(), return_inverse=True)
-        left, right = factors.mode(i, *setting.line(values[:, None], rule.nodes[None, :]))
-        along = np.swapaxes(left * rule.weights[:, None], 1, 2) @ right  # (N, J, K)
-        lines.append((along.reshape(values.size, -1), index))
+        blocks = []
+        for start in range(0, values.size, chunk):
+            q, p = setting.line(values[start:start + chunk, None], rule.nodes[None, :])
+            left, right = factors.mode(i, q, p)
+            blocks.append(np.swapaxes(left * rule.weights[:, None], 1, 2) @ right)  # (X, J, K)
+        lines.append((np.concatenate(blocks).reshape(values.size, -1), index))
     (a1, i1), (a2, i2) = lines
     grid = ((a1 * factors.coupling.ravel()) @ a2.T).real
     return grid[i1, i2].reshape(x1.shape) / (setting1.scale * setting2.scale)

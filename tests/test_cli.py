@@ -94,7 +94,7 @@ def test_tomogram_check_radon_passes(runner, tmp_path):
     with open(out + ".manifest.json") as fh:
         radon = json.load(fh)["radon"]
     # lambda = 0.54 converges at the first doubling
-    assert radon["orders"] == [96, 192]
+    assert radon["orders"] == [48, 96]
     assert len(radon["changes"]) == 1 and radon["changes"][0] <= 1e-8
 
 
@@ -119,7 +119,33 @@ def test_tomogram_pair_coherent_check_radon_default_grid(runner, tmp_path):
     header, rows = read_csv(out)
     assert header[-1] == "w_radon" and len(rows) == 81
     with open(out + ".manifest.json") as fh:
-        assert json.load(fh)["max_abs_difference"] < 1e-12
+        manifest = json.load(fh)
+    assert manifest["max_abs_difference"] < 1e-12
+    # the pair-coherent factors' angular rule, sized to r
+    assert manifest["radon"]["angular_order"] == 32
+
+
+def test_tomogram_pair_coherent_r12_check_radon_passes_tight_tol(runner, tmp_path):
+    # a fixed 128-node angular rule missed the closed form by 9.5e-8 here (exit 3)
+    out = str(tmp_path / "t.csv")
+    result = runner.invoke(main, ["tomogram", "--state", "pair-coherent", "--r", "12",
+                                  "--x-steps", "3", "--check-radon", "--tol", "1e-12", "-o", out])
+    assert result.exit_code == 0, result.output
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh)["radon"]["angular_order"] == 280
+
+
+def test_tomogram_pair_coherent_r14_check_radon_exits_2(runner, tmp_path):
+    # the Wigner function is refused past r = 13, where rounding dominates it;
+    # the closed-form tomogram alone still runs
+    result = runner.invoke(main, ["tomogram", "--state", "pair-coherent", "--r", "14",
+                                  "--check-radon", "-o", str(tmp_path / "t.csv")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "needs r <= 13" in result.stderr
+    result = runner.invoke(main, ["tomogram", "--state", "pair-coherent", "--r", "14",
+                                  "-o", str(tmp_path / "t.csv")])
+    assert result.exit_code == 0, result.output
 
 
 def test_tomogram_fock_pair_n171_check_radon_reports_without_traceback(runner, tmp_path):
@@ -865,13 +891,13 @@ def test_partial_angles_keep_the_other_defaults(runner, tmp_path, command, optio
 
 def test_tomogram_epr_lambda_096_check_radon_converges(runner, tmp_path):
     # a fixed 768-node axis-aligned grid left this at a change of 3.2e-7 and exit 3;
-    # the principal-axis grid converges at 192 nodes for every lambda
+    # the principal-axis grid converges at 96 nodes for every lambda
     out = str(tmp_path / "t.csv")
     result = runner.invoke(main, ["tomogram", "--state", "epr", "--lambda", "0.96",
                                   "--x-steps", "3", "--check-radon", "-o", out])
     assert result.exit_code == 0, result.output
     with open(out + ".manifest.json") as fh:
-        assert json.load(fh)["radon"]["orders"][-1] == 192
+        assert json.load(fh)["radon"]["orders"][-1] == 96
 
 
 def test_tomogram_epr_past_the_radon_stencil_exits_3(runner, tmp_path):

@@ -280,13 +280,44 @@ def test_wigner_is_the_fock_basis_sum_over_the_schmidt_vector(state):
 
 def test_wigner_pair_coherent_default_rule_holds_at_r_8():
     # |W| <= (2/pi)^2, the value at the origin; 400 points over the central
-    # half of the Radon box, where order 128 is off by ~1e-14 of that peak at
-    # r = 8 and by ~1e-10 at r = 10
+    # half of the Radon box, where a fixed order 128 was off by ~1e-14 of that
+    # peak at r = 8 and by ~1e-10 at r = 10
     state = PairCoherent(8.0)
     half = 0.5 * state.half_width
     points = np.random.default_rng(31).uniform(-half, half, size=(4, 400))
     fine = wigner(state, *points, angular_order=512)
     assert np.max(np.abs(wigner(state, *points) - fine)) <= 1e-12 * 4.0 / math.pi**2
+
+
+def test_pair_coherent_angular_order_grows_with_r():
+    orders = [PairCoherent(r).angular_order for r in (0.1, 0.5, 1.0, 2.0, 6.5, 8.0, 12.0, 13.0)]
+    assert orders == [16, 24, 32, 48, 128, 160, 280, 312]
+    assert PairCoherent(1.0).wigner_factors().angular_order == 32
+    assert PairCoherent(1.0).wigner_factors(64).angular_order == 64
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 12.0, 13.0])
+def test_wigner_pair_coherent_default_rule_matches_1024_nodes_on_the_radon_lines(r):
+    # points on the Radon check's lines: |X| <= 2, |t| <= half_width, random
+    # angles per mode.  A fixed 128-node rule missed by 4.7e-8 of the peak at
+    # r = 12; a 1e-17 aliasing bound in place of 1e-20 (40 nodes) by 1.5e-14 at r = 2
+    state = PairCoherent(r)
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-2.0, 2.0, (2, 500))
+    t = rng.uniform(-state.half_width, state.half_width, (2, 500))
+    theta = rng.uniform(0.0, 2.0 * math.pi, (2, 500))
+    c, s = np.cos(theta), np.sin(theta)
+    q, p = x * c - t * s, x * s + t * c
+    default = wigner(state, q[0], p[0], q[1], p[1])
+    fine = wigner(state, q[0], p[0], q[1], p[1], angular_order=1024)
+    assert np.max(np.abs(default - fine)) <= 1e-15 * 4.0 / math.pi**2
+
+
+def test_wigner_pair_coherent_refuses_r_past_the_rounding_limit():
+    # at r = 14 orders 512, 1024 and 2048 disagreed by up to 3e-4 of the peak
+    wigner(PairCoherent(13.0), 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="r <= 13"):
+        wigner(PairCoherent(13.01), 0.0, 0.0, 0.0, 0.0)
 
 
 def test_wigner_workspace_is_bounded():

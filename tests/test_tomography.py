@@ -245,8 +245,20 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
         assert np.max(np.abs(factored - dense)) < 1e-13
 
 
+def test_radon_squeezed_first_rule_integrates_its_gaussian_to_rounding():
+    # in principal-axis coordinates the integrand is exp(-xi^2 - eta^2) on
+    # +/- GAUSSIAN_HALF_WIDTH for every lambda; 32 nodes miss by 5e-11
+    from tomobell.tomography import GAUSSIAN_HALF_WIDTH, GAUSSIAN_ORDER
+
+    half = GAUSSIAN_HALF_WIDTH
+    rule = gauss_legendre(GAUSSIAN_ORDER, -half, half)
+    exact = math.sqrt(math.pi) * math.erf(half)
+    assert GAUSSIAN_ORDER == 48
+    assert abs(rule.weights @ np.exp(-rule.nodes**2) - exact) <= 1e-15
+
+
 def test_radon_squeezed_wigner_calls_stay_within_max_block(monkeypatch):
-    # one states.wigner call per X pair and order: the stencil, then 96^2 and 192^2 points
+    # one states.wigner call per X pair and order: the stencil, then 48^2 and 96^2 points
     from tomobell import states
 
     sizes = []
@@ -259,7 +271,7 @@ def test_radon_squeezed_wigner_calls_stay_within_max_block(monkeypatch):
     xs = np.linspace(-1.5, 1.5, 3)
     radon_forward(SqueezedVacuum(0.96), xs[:, None], 0.7, xs[None, :], 0.4)
     assert len(sizes) == 1 + 2 * 9
-    assert max(sizes) == 192**2 <= MAX_BLOCK
+    assert max(sizes) == 96**2 <= MAX_BLOCK
 
 
 def _traced(func):
@@ -286,14 +298,25 @@ def test_radon_squeezed_check_memory_stays_bounded_as_lambda_grows():
 
     (diff, nodes), peak = _traced(lambda: check(0.9))
     assert peak <= 32 * 2**20
-    assert diff < 1e-9 and nodes == 192
+    assert diff < 1e-9 and nodes == 96
 
     # the principal-axis grid does not grow with the squeezing: an axis-aligned
     # grid needed 1536 nodes at lambda = 0.96 and could not resolve 0.99 at 3072
     for lam in (0.96, 0.99):
         (diff, nodes), peak = _traced(lambda: check(lam))
         assert peak <= 64 * 2**20
-        assert diff < 1e-8 and nodes == 192
+        assert diff < 1e-8 and nodes == 96
+
+
+def test_radon_pair_coherent_check_memory_stays_bounded_at_large_r():
+    # r = 12 takes 280 angular and 1536 line nodes; the factor arrays of all
+    # three X values at once peaked at 103 MiB, a block of them at 40 MiB
+    state = PairCoherent(12.0)
+    xs = np.linspace(-2.0, 2.0, 3)
+    numeric, peak = _traced(lambda: radon_forward(state, xs[:, None], 0.0, xs[None, :], 0.0))
+    closed = tomogram_closed_form(state, xs[:, None], 0.0, xs[None, :], 0.0)
+    assert peak <= 48 * 2**20
+    assert np.max(np.abs(closed - numeric)) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.99, 0.995, 0.9999])
@@ -305,7 +328,7 @@ def test_radon_squeezed_matches_closed_form_at_strong_squeezing(lam):
         numeric = radon_forward(state, xs[:, None], t1, xs[None, :], t2, record=record)
         closed = tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
         assert np.max(np.abs(closed - numeric)) < 1e-9
-        assert record["orders"] == [96, 192]
+        assert record["orders"] == [48, 96]
     # w(X, mu, nu) = w(X / r, theta) / r per mode, with (mu, nu) = r (cos theta, sin theta)
     s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
     record = {}
@@ -315,7 +338,7 @@ def test_radon_squeezed_matches_closed_form_at_strong_squeezing(lam):
         xs[None, :] / s2.scale, math.atan2(s2.nu, s2.mu),
     ) / (s1.scale * s2.scale)
     assert np.max(np.abs(closed - numeric)) < 1e-9
-    assert record["orders"] == [96, 192]
+    assert record["orders"] == [48, 96]
 
 
 def test_radon_squeezed_past_the_stencil_raises_convergence_error():
