@@ -3,8 +3,8 @@
 Every command is deterministic given its effective configuration, which is
 resolved as flags > config file > built-in defaults (click's ``default_map``
 carries the config file) and echoed into a JSON manifest next to each
-output.  Output files are written atomically (temp file + rename).  Exit
-codes: 0 success, 2 configuration error, 3 accuracy/convergence error.
+output, with the SHA-256 of the bytes written (atomically: temp file + rename).
+Exit codes: 0 success, 2 configuration error, 3 accuracy/convergence error.
 """
 
 from __future__ import annotations
@@ -133,21 +133,25 @@ def config_default_map(values: dict[str, str]) -> dict[str, dict[str, str]]:
     return {name: defaults for name in main.commands}
 
 
-def atomic_write(path: str, chunks) -> None:
-    """Write an iterable of bytes to ``path`` through a temp file and a rename."""
+def atomic_write(path: str, chunks) -> str:
+    """Write an iterable of bytes to ``path`` via a temp file and a rename; return their SHA-256."""
+    digest = hashlib.sha256()
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
-#: Values per block of the digit-arithmetic CSV formatter; smaller tables use ``%``.
+#: Most values per block of the digit-arithmetic CSV formatter.
 _CSV_BLOCK = 1 << 13
 #: 10**k for k = 0..15, each exact in float64.
 _POW10 = (10 ** np.arange(16, dtype=np.int64)).astype(float)
@@ -155,30 +159,31 @@ _POW10 = (10 ** np.arange(16, dtype=np.int64)).astype(float)
 
 @functools.cache
 def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ASCII words (uint32, NUL-padded) for ``_g12_blocks``, built from ``arange(1000)``.
+    """ASCII words (uint32, NUL-padded) for ``_g12_blocks``, sliced on axes (h, t, u) = 100h+10t+u.
 
     Each table is indexed by ``value + 1000 * stripped``: ``group`` holds three
     fraction digits, the stripped half without trailing zeros (000 -> empty);
     ``first`` is the same behind a '.', with no '.' for an empty fraction;
     ``head`` holds the sign and the integer part without leading zeros, indexed
-    by ``2 * integer part + negative`` instead.
+    by ``2 * integer part + negative`` instead.  Slicing, not ufuncs, keeps a cold build cheap.
     """
-    i = np.arange(1000)
-    digits = np.stack((i // 100, i // 10 % 10, i % 10), axis=1).astype(np.uint8) + ord("0")
-    group = np.zeros((2, 1000, 4), np.uint8)
-    group[:, :, :3] = digits
-    group[1, :, 2] *= i % 10 != 0
-    group[1, :, 1] *= i % 100 != 0
-    group[1, :, 0] *= i != 0
-    first = np.zeros((2, 1000, 4), np.uint8)
-    first[:, :, 0] = ord(".")
-    first[:, :, 1:] = group[:, :, :3]
-    first[1, 0, 0] = 0
-    head = np.zeros((1000, 2, 4), np.uint8)
-    head[:, 1, 0] = ord("-")
-    head[:, :, 1:] = digits[:, None, :]
-    head[:, :, 1] *= (i >= 100)[:, None]
-    head[:, :, 2] *= (i >= 10)[:, None]
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    group = np.zeros((2, 10, 10, 10, 4), np.uint8)
+    group[..., 0] = ascii_digits[:, None, None]
+    group[..., 1] = ascii_digits[:, None]
+    group[..., 2] = ascii_digits
+    group[1, :, :, 0, 2] = 0
+    group[1, :, 0, 0, 1] = 0
+    group[1, 0, 0, 0, 0] = 0
+    first = np.zeros((2, 10, 10, 10, 4), np.uint8)
+    first[..., 0] = ord(".")
+    first[..., 1:] = group[..., :3]
+    first[1, 0, 0, 0, 0] = 0
+    head = np.zeros((10, 10, 10, 2, 4), np.uint8)
+    head[..., 1, 0] = ord("-")
+    head[..., 1:] = group[0, ..., None, :3]
+    head[0, ..., 1] = 0
+    head[0, 0, ..., 2] = 0
     return tuple(t.view(np.uint32).reshape(2000) for t in (first, group, head))
 
 
@@ -198,11 +203,11 @@ def _g12_blocks(values: np.ndarray):
     """
     first_t, group_t, head_t = _digit_words()
     ncols = values.shape[1]
-    size = max(1, _CSV_BLOCK // ncols) * ncols
+    flat = values.reshape(-1)
+    size = max(1, min(_CSV_BLOCK, flat.size) // ncols) * ncols
     words = np.empty((size, 7), np.uint32)
     words[:, 6] = ord(",")
     words[ncols - 1::ncols, 6] = ord("\n")
-    flat = values.reshape(-1)
     for start in range(0, flat.size, size):
         v = flat[start:start + size]
         w = words[:v.size]
@@ -229,29 +234,25 @@ def _g12_blocks(values: np.ndarray):
         yield w.tobytes().translate(None, b"\0")
 
 
-def write_csv(path: str, header, rows) -> None:
+def write_csv(path: str, header, rows) -> str:
     """Header plus one line per row, every value exactly as ``'%.12g' % value``.
 
     So an integer n prints as n, and 1e-05, -0, nan and inf appear as ``%``
-    writes them.  A table of at least ``_CSV_BLOCK`` values is formatted by the
-    digit arithmetic of ``_g12_blocks``, byte-identical to ``%``, which stays
-    its reference and its fallback; a smaller table is cheaper with one ``%``
-    expression.
+    writes them.  Every table is formatted by the digit arithmetic of
+    ``_g12_blocks``, byte-identical to ``%``, which stays its reference and
+    its fallback.  Returns the file's SHA-256 (``atomic_write``).
     """
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    if values.size >= _CSV_BLOCK:
-        body = _g12_blocks(values)
-    else:
-        line = ",".join(["%.12g"] * len(header)) + "\n"
-        body = [((line * len(values)) % tuple(values.ravel().tolist())).encode()]
-    atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], body))
+    header_line = (",".join(header) + "\n").encode()
+    return atomic_write(path, itertools.chain([header_line], _g12_blocks(values)))
 
 
-def write_json(path: str, payload: dict) -> None:
-    atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+def write_json(path: str, payload: dict) -> str:
+    return atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def sha256_file(path: str) -> str:
+    """SHA-256 of a file as read back from disk: the independent check of a manifest digest."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -273,15 +274,14 @@ class ExitCodeGroup(click.Group):
             sys.exit(3)
 
 
-def manifest_for(out_path: str, command: str, config: dict, extras: dict | None = None) -> None:
-    payload = {
+def write_manifest(path: str, command: str, config: dict, outputs: dict, extras=None) -> None:
+    """A command's JSON manifest; ``outputs`` maps each output path to its writer's SHA-256."""
+    write_json(path, {
         "command": command,
         "effective_config": config,
-        "outputs": {os.path.basename(out_path): sha256_file(out_path)},
-    }
-    if extras:
-        payload.update(extras)
-    write_json(out_path + ".manifest.json", payload)
+        "outputs": {os.path.basename(p): digest for p, digest in outputs.items()},
+        **(extras or {}),
+    })
 
 
 def _integer(value: float) -> int:
@@ -424,13 +424,13 @@ def cmd_tomogram(kind, lam, n, r, theta1, theta2, x_max, x_steps, check_radon, t
         extras["max_abs_difference"] = float(np.max(np.abs(closed - radon)))
         extras["radon"] = record
         click.echo(f"max |closed - radon| = {extras['max_abs_difference']:.3e}")
-    write_csv(out, header, np.stack(np.broadcast_arrays(*columns), axis=-1))
+    outputs = {out: write_csv(out, header, np.stack(np.broadcast_arrays(*columns), axis=-1))}
 
     config = {
         "state": state_label(kind, value), "theta1": t1, "theta2": t2,
         "x_max": x_max, "x_steps": x_steps, "check_radon": check_radon, "tol": tol,
     }
-    manifest_for(out, "tomogram", config, extras)
+    write_manifest(out + ".manifest.json", "tomogram", config, outputs, extras)
     if check_radon and extras["max_abs_difference"] >= tol:
         raise AccuracyError(f"Radon cross-check exceeds {tol}")
 
@@ -451,11 +451,11 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
     sums = parse_values(theta_sum)
     states = parse_states(kind, lam, n, r)
     rows = [row for value, state in states for row in _prob_rows(value, state, sums, t2)]
-    write_csv(out, ["param", *PROB_COLUMNS], rows)
-    manifest_for(out, "probs", {
+    outputs = {out: write_csv(out, ["param", *PROB_COLUMNS], rows)}
+    write_manifest(out + ".manifest.json", "probs", {
         "state_kind": kind, "param_values": [value for value, _ in states], "theta2": t2,
         "theta_sum_count": len(sums),
-    })
+    }, outputs)
 
 
 @main.command("bell-scan")
@@ -470,9 +470,8 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
 @click.option("--cutoff", type=int, default=32, show_default=True, callback=even_cutoff,
               help="Fock cutoff of a pseudospin block from the Schmidt vector")
 @click.option("-o", "--out", default="bell_scan.csv", show_default=True)
-@click.option("--summary", default=None, help="JSON summary path (default OUT.summary.json)")
-def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutoff, out, summary):
-    """B (tomographic) and calB (pseudospin) along a state-parameter sweep.
+def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutoff, out):
+    """Tomographic B and pseudospin calB along a state-parameter sweep; summary in OUT.summary.json.
 
     The sweep rides the state parameter flag as start:stop:step or a comma
     list, e.g. ``bell-scan --state pair-coherent --r 0.5:1.5:0.01``.
@@ -508,7 +507,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutof
             row += [float(vals[best]), float(tu_grid[best])]
             ps_series.append(float(vals[best]))
         rows.append(row)
-    write_csv(out, header, rows)
+    outputs = {out: write_csv(out, header, rows)}
 
     config = {
         "state_kind": kind, "sweep": sweep_vals, "mode": mode,
@@ -523,9 +522,8 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutof
     if do_ps:
         extras["pseudospin"] = _series_summary(sweep_vals, ps_series)
         extras["pseudospin"]["trace_deficit"] = None if None in deficits else max(deficits)
-    summary_path = summary or out + ".summary.json"
-    write_json(summary_path, {"method": mode, "effective_config": config, **extras})
-    manifest_for(out, "bell-scan", config, extras)
+    write_json(out + ".summary.json", {"method": mode, "effective_config": config, **extras})
+    write_manifest(out + ".manifest.json", "bell-scan", config, outputs, extras)
     for label in ("tomographic", "pseudospin"):
         if label in extras and extras[label]["violating_intervals"]:
             click.echo(f"{label}: B > 2 on {extras[label]['violating_intervals']}")
@@ -582,12 +580,12 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     curve = bell.calb_curve(t, bell.direction(tu_grid), tv, tup, tvp)
-    write_csv(out, ["theta_u", "B"], np.column_stack((tu_grid, curve)))
+    outputs = {out: write_csv(out, ["theta_u", "B"], np.column_stack((tu_grid, curve)))}
     best = int(np.argmax(curve))
-    manifest_for(out, "pseudospin", {
+    write_manifest(out + ".manifest.json", "pseudospin", {
         "state": label, "cutoff": cutoff,
         "theta_v": tv, "theta_up": tup, "theta_vp": tvp, "theta_u_steps": theta_u_steps,
-    }, {"max_B": float(curve[best]), "theta_u_argmax": float(tu_grid[best]),
+    }, outputs, {"max_B": float(curve[best]), "theta_u_argmax": float(tu_grid[best]),
         "trace_deficit": deficit})
     click.echo(f"max calB = {curve[best]:.6f} at theta_u = {tu_grid[best]:.6f}")
 
@@ -645,7 +643,7 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
     t2 = parse_angle(theta2)
     batch = smp.sample_state(state, t1, t2, count, seed)
     est = smp.estimate_probs(batch)
-    write_csv(out, ["X1", "X2"], batch.pairs)
+    outputs = {out: write_csv(out, ["X1", "X2"], batch.pairs)}
     sidecar = {
         "state": state_label(kind, value),
         "theta1": t1,
@@ -663,7 +661,7 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         "standard_errors": dict(zip(("w_pp", "w_pm", "w_mp", "w_mm"), est.errors())),
     }
     write_json(os.path.splitext(out)[0] + ".json", sidecar)
-    manifest_for(out, "sample", sidecar)
+    write_manifest(out + ".manifest.json", "sample", sidecar, outputs)
 
 
 @main.command("reconstruct")
@@ -710,11 +708,11 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
     theta_grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     tu_grid = np.linspace(0.0, 2.0 * math.pi, points + 1)
     grid = bell.direction(tu_grid)
-    files = {}
+    outputs = {}
 
     def write(name, header, rows):
-        files[name] = os.path.join(out_dir, name)
-        write_csv(files[name], header, rows)
+        path = os.path.join(out_dir, name)
+        outputs[path] = write_csv(path, header, rows)
 
     def calb_rows(value, state, tv, tup, tvp):
         t, _ = state.pseudospin_xz(cutoff)
@@ -760,10 +758,7 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
         "points": points, "r_sweep": r_values, "cutoff": cutoff,
         "fig1_lambdas": list(FIG1_LAMBDAS), "fig2_ns": list(FIG2_NS), "fig3b_r": 1.05,
     }
-    manifest = {
-        "command": "figures",
-        "effective_config": config,
-        "outputs": {name: sha256_file(p) for name, p in files.items()},
+    write_manifest(os.path.join(out_dir, "manifest.json"), "figures", config, outputs, {
         "fig3a": _series_summary(r_values, fig3a_vals),
         "fig3b_discrepancy": {
             "r": report.r, "cutoff": report.cutoff,
@@ -772,9 +767,8 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
             "difference": report.difference,
             "fock_oracle_used": True,
         },
-    }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    click.echo(f"wrote {len(files) + 1} files to {out_dir}")
+    })
+    click.echo(f"wrote {len(outputs) + 1} files to {out_dir}")
 
 
 if __name__ == "__main__":

@@ -137,6 +137,7 @@ class FockPairSuperposition(TwoModeState):
         return max(4.4, 3.0 + math.sqrt(self.n + 0.5))
 
     def wigner_factors(self, order=None):
+        _check_angular_order(order)  # the form has no angular rule
         # With x = 4|a|^2 = |2a|^2 and arg a = -atan2(p, q), g L_n(x) and
         # g |2a|^n / sqrt(n!) are the normalized Laguerre functions of orders
         # (n, alpha = 0) and (0, alpha = n)
@@ -200,11 +201,7 @@ class PairCoherent(TwoModeState):
                 f"pair-coherent Wigner function needs r <= {MAX_WIGNER_R}, got {self.r}: "
                 "past it rounding dominates its factor sums"
             )
-        order = self.angular_order if order is None else order
-        if order < 16:
-            raise ConfigError(
-                f"pair-coherent Wigner needs angular quadrature order >= 16, got {order}"
-            )
+        order = self.angular_order if order is None else _check_angular_order(order)
         r = self.r
         rule = periodic_trapezoid(order)
         phi = rule.nodes
@@ -390,6 +387,13 @@ def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> Density
 # ---------------------------------------------------------------------------
 
 
+def _check_angular_order(order: int | None) -> int | None:
+    """``order`` if None (the state's own K) or >= 16, for every state, with or without a rule."""
+    if order is not None and order < 16:
+        raise ConfigError(f"Wigner angular quadrature order must be >= 16, got {order}")
+    return order
+
+
 def wigner(state, q1, p1, q2, p2, *, angular_order: int | None = None):
     """Two-mode Wigner function W(q1, p1, q2, p2), normalized to 1.
 
@@ -409,15 +413,16 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int | None = None):
 
     the upper signs for mode 1 and the lower for mode 2.  For the pair-coherent
     state the phi_j = 2 pi j / K are the nodes of a periodic trapezoid rule
-    for its two angular integrals, K = ``angular_order`` (>= 16), by default
-    ``PairCoherent.angular_order``, which grows with r (32 at r = 1, 280 at
-    r = 12).  Against K = 1024 on the Radon check's lines, the default is
-    within 5e-16 of the peak |W| = 4/pi^2 for every r from 0.5 to 13, where
-    a fixed K = 128 missed by 4.7e-8 at r = 12.  Past r = ``MAX_WIGNER_R``
-    the factors cancel below rounding, and the pair-coherent state raises
-    ``DomainError``.
+    for its two angular integrals, K = ``angular_order`` (>= 16, for every
+    state), by default ``PairCoherent.angular_order``, which grows with r (32
+    at r = 1, 280 at r = 12).  Against K = 1024 on the Radon check's lines,
+    the default is within 5e-16 of the peak |W| = 4/pi^2 for every r from 0.5
+    to 13, where a fixed K = 128 missed by 4.7e-8 at r = 12.  Past r =
+    ``MAX_WIGNER_R`` the factors cancel below rounding, and the pair-coherent
+    state raises ``DomainError``.
     """
     if state.gaussian:
+        _check_angular_order(angular_order)  # the Gaussian has no angular rule to use it on
         return _wigner_squeezed_vacuum(state.s, q1, p1, q2, p2)
     factors = state.wigner_factors(angular_order)
     q1, p1, q2, p2 = np.broadcast_arrays(

@@ -258,8 +258,8 @@ def test_sample_csv_golden_digest(runner, tmp_path, args, digest):
 
 
 def test_sample_csv_golden_digest_above_one_block(runner, tmp_path):
-    # 40000 values, so write_csv takes its digit-arithmetic path; the digest is the
-    # one the per-value % rule wrote before that path existed
+    # 40000 values, five blocks of write_csv's digit arithmetic; the digest is the
+    # one the per-value % rule wrote before that arithmetic existed
     out = str(tmp_path / "batch.csv")
     args = ["sample", "--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2",
             "--theta2", "-pi/4", "--count", "20000", "-o", out]
@@ -346,7 +346,7 @@ TRICKY = [
 @pytest.mark.parametrize("ncols", range(1, 10))
 @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
 def test_write_csv_matches_per_value_rule_above_one_block(tmp_path, monkeypatch, ncols, extra_rows):
-    # whole rows of one block, one row fewer (the % path) and one more (a second block)
+    # whole rows of one block, one row fewer and one more (a second block)
     nrows = cli._CSV_BLOCK // ncols + extra_rows
     rng = np.random.default_rng(ncols)
     size = nrows * ncols
@@ -370,7 +370,52 @@ def test_write_csv_matches_per_value_rule_above_one_block(tmp_path, monkeypatch,
     cli.write_csv(path, header, rows)
     with open(path) as fh:
         assert fh.read() == _old_csv_text(header, rows)
-    assert blocks == ([] if size < cli._CSV_BLOCK else [size])
+    assert blocks == [size]  # every table, at any size, takes the digit arithmetic
+
+
+#: (argv, manifest path, output count) of every command that writes a manifest
+MANIFEST_RUNS = [
+    (["tomogram", "--state", "epr", "--lambda", "0.3", "--x-steps", "3", "--check-radon",
+      "-o", "t.csv"], "t.csv.manifest.json", 1),
+    (["probs", "--state", "fock-pair", "--n", "1,3", "--theta-sum", "0:1:0.25", "-o", "p.csv"],
+     "p.csv.manifest.json", 1),
+    (["bell-scan", "--state", "pair-coherent", "--r", "1.0:1.2:0.1", "--cutoff", "8",
+      "-o", "b.csv"], "b.csv.manifest.json", 1),
+    (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8", "-o", "s.csv"],
+     "s.csv.manifest.json", 1),
+    (["sample", "--state", "pair-coherent", "--r", "1.1", "--count", "500", "-o", "x.csv"],
+     "x.csv.manifest.json", 1),
+    (["figures", "--points", "45", "--r-sweep", "1.0:1.2:0.1", "--cutoff", "16",
+      "--out-dir", "f"], os.path.join("f", "manifest.json"), 6),
+]
+
+
+@pytest.mark.parametrize("args, manifest, count", MANIFEST_RUNS,
+                         ids=[run[0][0] for run in MANIFEST_RUNS])
+def test_manifest_digests_are_the_files_on_disk(runner, tmp_path, monkeypatch, args, manifest,
+                                                count):
+    # the digests are taken from the bytes as they are written; read the files back here
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    outputs = json.load(open(manifest))["outputs"]
+    assert len(outputs) == count
+    for name, digest in outputs.items():
+        assert digest == cli.sha256_file(os.path.join(os.path.dirname(manifest), name)), name
+
+
+def test_atomic_write_leaves_nothing_when_its_chunks_fail(tmp_path):
+    def chunks():
+        yield b"x1,x2\n"
+        raise RuntimeError("formatter failed")
+
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"kept\n")
+    for path in (tmp_path / "new.csv", old):
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli.atomic_write(str(path), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]  # no .tmp, no new.csv
+    assert old.read_bytes() == b"kept\n"
 
 
 def test_bell_scan_summary(runner, tmp_path):
@@ -621,7 +666,7 @@ def test_pseudospin_fock_curve_matches_per_point_correlation(
 
     def capture(path, header, rows):
         written["rows"] = rows
-        write_csv(path, header, rows)
+        return write_csv(path, header, rows)
 
     monkeypatch.setattr(cli, "write_csv", capture)
     result = runner.invoke(

@@ -395,6 +395,21 @@ def test_wigner_rejects_explicit_fock_and_low_order():
 
 
 @pytest.mark.parametrize(
+    "state", [FockPairSuperposition(3), SqueezedVacuum(0.5), PairCoherent(1.0)]
+)
+def test_every_state_rejects_an_angular_order_below_16(state):
+    # the Fock pair and the squeezed vacuum have no angular rule to use the order on,
+    # yet are held to the pair-coherent state's bound
+    with pytest.raises(ConfigError, match="got -5"):
+        wigner(state, 0.1, 0.2, 0.3, 0.4, angular_order=-5)
+    if not state.gaussian:
+        with pytest.raises(ConfigError, match="got 15"):
+            state.wigner_factors(15)
+    assert wigner(state, 0.1, 0.2, 0.3, 0.4, angular_order=16) == pytest.approx(
+        wigner(state, 0.1, 0.2, 0.3, 0.4), rel=1e-6)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda state: schmidt_coefficients(state, 4),
