@@ -275,11 +275,15 @@ class ExitCodeGroup(click.Group):
 
 
 def write_manifest(path: str, command: str, config: dict, outputs: dict, extras=None) -> None:
-    """A command's JSON manifest; ``outputs`` maps each output path to its writer's SHA-256."""
+    """A command's JSON manifest; ``outputs`` maps each output path to its writer's SHA-256.
+
+    Each output is named by its path relative to the manifest's directory.
+    """
+    home = os.path.dirname(path) or os.curdir
     write_json(path, {
         "command": command,
         "effective_config": config,
-        "outputs": {os.path.basename(p): digest for p, digest in outputs.items()},
+        "outputs": {os.path.relpath(p, home): digest for p, digest in outputs.items()},
         **(extras or {}),
     })
 
@@ -522,7 +526,8 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutof
     if do_ps:
         extras["pseudospin"] = _series_summary(sweep_vals, ps_series)
         extras["pseudospin"]["trace_deficit"] = None if None in deficits else max(deficits)
-    write_json(out + ".summary.json", {"method": mode, "effective_config": config, **extras})
+    outputs[out + ".summary.json"] = write_json(
+        out + ".summary.json", {"method": mode, "effective_config": config, **extras})
     write_manifest(out + ".manifest.json", "bell-scan", config, outputs, extras)
     for label in ("tomographic", "pseudospin"):
         if label in extras and extras[label]["violating_intervals"]:
@@ -575,12 +580,13 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
         label = state_label(kind, value)
         dm = st.density_matrix(state, cutoff) if dump_dm else None
         t, deficit = state.pseudospin_xz(cutoff)
+    outputs = {}
     if dump_dm:
-        atomic_write(dump_dm, [json.dumps(dm.to_json_dict()).encode()])
+        outputs[dump_dm] = atomic_write(dump_dm, [json.dumps(dm.to_json_dict()).encode()])
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)
     curve = bell.calb_curve(t, bell.direction(tu_grid), tv, tup, tvp)
-    outputs = {out: write_csv(out, ["theta_u", "B"], np.column_stack((tu_grid, curve)))}
+    outputs[out] = write_csv(out, ["theta_u", "B"], np.column_stack((tu_grid, curve)))
     best = int(np.argmax(curve))
     write_manifest(out + ".manifest.json", "pseudospin", {
         "state": label, "cutoff": cutoff,
@@ -654,13 +660,15 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         "rounds": batch.rounds,
         "envelope_constant": batch.envelope_constant,
         "envelope_sigmas": batch.envelope_sigmas,
+        "tomogram_evaluations": batch.tomogram_evaluations,
         "estimated_probs": {
             "w_pp": est.probs.w_pp, "w_pm": est.probs.w_pm,
             "w_mp": est.probs.w_mp, "w_mm": est.probs.w_mm,
         },
         "standard_errors": dict(zip(("w_pp", "w_pm", "w_mp", "w_mm"), est.errors())),
     }
-    write_json(os.path.splitext(out)[0] + ".json", sidecar)
+    side_path = os.path.splitext(out)[0] + ".json"
+    outputs[side_path] = write_json(side_path, sidecar)
     write_manifest(out + ".manifest.json", "sample", sidecar, outputs)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ class SampleBatch:
     rounds: int | None = None  # proposal rounds of a rejection sampler
     envelope_constant: float | None = None  # its M, with w <= M g
     envelope_sigmas: tuple[float, float, float] | None = None  # its g: sigma_plus, _minus, _iso
+    tomogram_evaluations: int | None = None  # points where w was evaluated, scan included
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=float)
@@ -125,11 +127,17 @@ def sample_rejection(
     with a 10% safety margin by a scan of the square in X1 and X2 that holds
     the 6-sigma ellipse of both components, with two points per
     ``lobe_width`` (the narrowest fringe of w) and never fewer than 201 per
-    axis; any proposal where the density exceeds the envelope aborts with an
-    envelope error naming the offending point.  Rounds draw
-    max(1024, 2 * remaining) proposals each, in chunks of ``_BLOCK``; the
-    sampler gives up after ``_round_limit`` rounds at the acceptance measured
-    so far, and never before round 400.
+    axis.  Where that grid has 8 or more points per ``lobe_width``, the scan
+    also leaves a screen: T, 1.1 times the largest w at the four corners of
+    each grid cell, and +inf outside the square.  A proposal is accepted
+    when u M g < w, u uniform on [0, 1); one with u M g >= T is rejected
+    without evaluating w, so every decision is the same as without the
+    screen wherever T >= w.  An evaluated proposal where w exceeds M g or T
+    aborts with an envelope error naming the point.  The batch records
+    ``tomogram_evaluations``: the scan's points plus the proposals
+    evaluated.  Rounds draw max(1024, 2 * remaining) proposals each, in
+    chunks of ``_BLOCK``; the sampler gives up after ``_round_limit`` rounds
+    at the acceptance measured so far, and never before round 400.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -156,17 +164,10 @@ def sample_rejection(
         fit += pp
         return fit
 
+    screen, evaluations = _UNSCREENED, 0
     if bound_factor is None:
-        # The grid is a product in X1 and X2, so that a Schmidt-sum tomogram runs
-        # its level recurrences along the two axes and only its sum on the grid.
-        half_width = 6.0 * max(math.hypot(sigma_plus, sigma_minus) * half, sigma_iso)
-        lobes = 2.0 * half_width / lobe_width
-        grid = np.linspace(-half_width, half_width, max(201, 2 * math.ceil(lobes) + 1))
-        ratio = 0.0
-        for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK)):
-            x1, x2 = rows[:, None], grid[None, :]
-            ratio = max(ratio, float(np.max(
-                tomogram(x1, x2) / proposal_density(0.5 * (x1 + x2), 0.5 * (x1 - x2)))))
+        ratio, screen, evaluations = _envelope_scan(
+            tomogram, proposal_density, envelope_sigmas, lobe_width)
         bound_factor = 1.1 * ratio
 
     rng = substream_generator(seed, substream)
@@ -186,23 +187,29 @@ def sample_rejection(
             size = min(_BLOCK, block - start)
             fitted = rng.random(size) < ENVELOPE_WEIGHT
             p, q = rng.standard_normal((2, size))
+            u = rng.random(size)
             p *= np.where(fitted, half * sigma_plus, half * sigma_iso)
             q *= np.where(fitted, half * sigma_minus, half * sigma_iso)
-            x = np.empty((size, 2))
-            np.add(p, q, out=x[:, 0])
-            np.subtract(p, q, out=x[:, 1])
-            target = np.asarray(tomogram(x[:, 0], x[:, 1]), dtype=float)
+            x1, x2 = p + q, p - q
             cap = bound_factor * proposal_density(p, q)
-            overshoot = target > cap * (1.0 + 1e-12)
-            if np.any(overshoot):
-                i = np.argmax(overshoot)
-                raise EnvelopeError(
-                    f"density exceeds envelope at X = ({x[i, 0]:.6f}, {x[i, 1]:.6f}): "
-                    f"w = {target[i]:.6e} > M g = {cap[i]:.6e}"
-                )
-            keep = rng.random(size) * cap < target
+            u *= cap
+            # u M g >= T >= w rejects a proposal without its tomogram
+            ceiling = screen.ceiling(x1, x2)
+            live = np.flatnonzero(u < ceiling)
+            x1, x2 = x1[live], x2[live]
+            target = np.asarray(tomogram(x1, x2), dtype=float)
+            evaluations += live.size
+            for label, bound in (("M g", cap[live]), ("T", ceiling[live])):
+                overshoot = target > bound * (1.0 + 1e-12)
+                if np.any(overshoot):
+                    i = np.argmax(overshoot)
+                    raise EnvelopeError(
+                        f"density exceeds envelope at X = ({x1[i]:.6f}, {x2[i]:.6f}): "
+                        f"w = {target[i]:.6e} > {label} = {bound[i]:.6e}"
+                    )
+            keep = u[live] < target
             n_accepted += int(np.count_nonzero(keep))
-            accepted.append(x[keep])
+            accepted.append(np.column_stack((x1[keep], x2[keep])))
         n_proposed += block
     pairs = np.concatenate(accepted, axis=0)[:count]
     return SampleBatch(
@@ -213,7 +220,78 @@ def sample_rejection(
         rounds=rounds,
         envelope_constant=bound_factor,
         envelope_sigmas=(sigma_plus, sigma_minus, sigma_iso),
+        tomogram_evaluations=evaluations,
     )
+
+
+class _Screen(NamedTuple):
+    """An upper bound T on w, constant on each cell of the envelope scan's grid.
+
+    ``table`` holds T per cell inside a border of +inf: a point (X1, X2)
+    reads the row floor((X1 - origin) * inv_step) and the column of X2 alike,
+    each clipped to the border, so T = +inf outside the scanned square.
+    """
+
+    table: np.ndarray
+    origin: float
+    inv_step: float
+
+    def ceiling(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """T at the points (x1, x2)."""
+        def index(x):
+            cell = x - self.origin
+            cell *= self.inv_step
+            return np.clip(cell, 0.0, self.table.shape[0] - 1, out=cell).astype(np.intp)
+
+        return self.table.take(index(x1) * self.table.shape[1] + index(x2))
+
+
+#: No table: T = +inf everywhere.
+_UNSCREENED = _Screen(np.full((2, 2), math.inf), 0.0, 1.0)
+_UNSCREENED.table.setflags(write=False)
+
+
+def _envelope_scan(tomogram, proposal_density, envelope_sigmas, lobe_width):
+    """(max of w / g, the screen T, points evaluated) over the envelope scan's grid.
+
+    The grid is the square in X1 and X2 that holds the 6-sigma ellipse of
+    both mixture components, with two points per ``lobe_width`` and never
+    fewer than 201 per axis.  T is 1.1 times the largest w at a cell's four
+    corners, the margin of M.  It is built only at 8 or more points per
+    lobe: a fringe peak halfway along a cell diagonal then keeps
+    cos^2(pi sqrt(2) / 16) = 0.925 > 1 / 1.1 of its value at a corner.  At
+    coarser spacing the screen is ``_UNSCREENED``.
+    """
+    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
+    half_width = 6.0 * max(math.hypot(sigma_plus, sigma_minus) * math.sqrt(0.5), sigma_iso)
+    lobes = 2.0 * half_width / lobe_width
+    grid = np.linspace(-half_width, half_width, max(201, 2 * math.ceil(lobes) + 1))
+    step = 2.0 * half_width / (grid.size - 1)
+    screened = step <= lobe_width / 8.0
+    # table row and column i + 1 hold the cells from grid point i to i + 1
+    table = np.zeros((grid.size + 1, grid.size + 1)) if screened else None
+    ratio = 0.0
+    row = 0
+    # The grid is a product in X1 and X2, so that a Schmidt-sum tomogram runs
+    # its level recurrences along the two axes and only its sum on the grid.
+    for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK)):
+        x1, x2 = rows[:, None], grid[None, :]
+        target = tomogram(x1, x2)
+        if screened:
+            # grid row i is a corner row of the cells in table rows i and i + 1
+            corners = np.maximum(target[:, :-1], target[:, 1:])
+            cells = table[row:row + rows.size + 1, 1:-1]
+            np.maximum(cells[:-1], corners, out=cells[:-1])
+            np.maximum(cells[1:], corners, out=cells[1:])
+        row += rows.size
+        ratio = max(ratio, float(np.max(
+            target / proposal_density(0.5 * (x1 + x2), 0.5 * (x1 - x2)))))
+    if not screened:
+        return ratio, _UNSCREENED, grid.size**2
+    table *= 1.1
+    table[[0, -1]] = math.inf
+    table[:, [0, -1]] = math.inf
+    return ratio, _Screen(table, -half_width - step, 1.0 / step), grid.size**2
 
 
 def _round_limit(count: int, acceptance: float) -> int:

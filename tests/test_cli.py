@@ -301,10 +301,14 @@ def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
         # a normalized density is accepted at the rate 1 / M
         assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(1.0, abs=0.1)
         assert record["envelope_sigmas"] == list(sigmas)
+        # the 201 x 201 scan, then the proposals the screen leaves
+        assert 201**2 < record["tomogram_evaluations"] < 201**2 + 2000 / record["acceptance_rate"]
     epr = str(tmp_path / "epr.csv")
     assert runner.invoke(main, ["sample", "--state", "epr", "--lambda", "0.5", "--count", "10",
                                 "-o", epr]).exit_code == 0
-    assert json.load(open(str(tmp_path / "epr.json")))["envelope_sigmas"] is None
+    epr_sidecar = json.load(open(str(tmp_path / "epr.json")))
+    assert epr_sidecar["envelope_sigmas"] is None
+    assert epr_sidecar["tomogram_evaluations"] is None
 
 
 def _old_csv_text(header, rows):
@@ -380,11 +384,12 @@ MANIFEST_RUNS = [
     (["probs", "--state", "fock-pair", "--n", "1,3", "--theta-sum", "0:1:0.25", "-o", "p.csv"],
      "p.csv.manifest.json", 1),
     (["bell-scan", "--state", "pair-coherent", "--r", "1.0:1.2:0.1", "--cutoff", "8",
-      "-o", "b.csv"], "b.csv.manifest.json", 1),
-    (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8", "-o", "s.csv"],
-     "s.csv.manifest.json", 1),
+      "-o", "b.csv"], "b.csv.manifest.json", 2),  # with OUT.summary.json
+    # the matrix lies outside the manifest's directory, as ../rho.json
+    (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8", "--dump-dm", "rho.json",
+      "-o", os.path.join("sub", "s.csv")], os.path.join("sub", "s.csv.manifest.json"), 2),
     (["sample", "--state", "pair-coherent", "--r", "1.1", "--count", "500", "-o", "x.csv"],
-     "x.csv.manifest.json", 1),
+     "x.csv.manifest.json", 2),  # with the sidecar x.json
     (["figures", "--points", "45", "--r-sweep", "1.0:1.2:0.1", "--cutoff", "16",
       "--out-dir", "f"], os.path.join("f", "manifest.json"), 6),
 ]
@@ -396,6 +401,7 @@ def test_manifest_digests_are_the_files_on_disk(runner, tmp_path, monkeypatch, a
                                                 count):
     # the digests are taken from the bytes as they are written; read the files back here
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     outputs = json.load(open(manifest))["outputs"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tomobell import sampling as smp
 from tomobell.bell import BellAnglesQuadrature, chsh
 from tomobell.errors import DomainError, EnvelopeError
 from tomobell.sampling import (
@@ -300,6 +301,99 @@ def test_rejection_envelope_resolves_high_n_fringes(n):
     truth = sign_binned_closed_form(state, 0.3, 0.2)
     for got, se, want in zip(est.probs.as_tuple(), est.errors(), truth.as_tuple()):
         assert abs(got - want) < 4.0 * se
+
+
+def _envelope_scan_of(monkeypatch, state, theta1, theta2):
+    """(tomogram, sigmas, lobe width, screen, points) of sample_state's envelope scan."""
+    scans = []
+    scan = smp._envelope_scan
+
+    def spy(tomogram, proposal_density, sigmas, lobe_width):
+        ratio, screen, points = scan(tomogram, proposal_density, sigmas, lobe_width)
+        scans.append((tomogram, sigmas, lobe_width, screen, points))
+        return ratio, screen, points
+
+    monkeypatch.setattr(smp, "_envelope_scan", spy)
+    sample_state(state, theta1, theta2, 1, seed=1)
+    [found] = scans
+    return found
+
+
+@pytest.mark.parametrize(
+    "state,theta1,theta2,count",
+    [(PairCoherent(1.1), math.pi / 2, -math.pi / 4, 100_000),
+     (FockPairSuperposition(3), 0.3, 0.2, 100_000),
+     (FockPairSuperposition(50), 0.3, 0.2, 2000)],
+    ids=["pair-coherent-1.1", "fock-pair-3", "fock-pair-50"],
+)
+def test_screen_leaves_every_sample_as_without_it(monkeypatch, state, theta1, theta2, count):
+    # a given bound_factor skips the scan, so that run has no screen and evaluates
+    # w at every proposal; the screened run must draw and decide identically
+    tomogram, sigmas, lobe_width, screen, points = _envelope_scan_of(
+        monkeypatch, state, theta1, theta2)
+    evaluated = []
+
+    def counted(x1, x2):
+        evaluated.append(np.broadcast(x1, x2).size)
+        return tomogram(x1, x2)
+
+    scanned = sample_rejection(counted, theta1, theta2, count, seed=2501, envelope_sigmas=sigmas,
+                               lobe_width=lobe_width)
+    assert scanned.tomogram_evaluations == sum(evaluated)
+    evaluated.clear()
+    plain = sample_rejection(counted, theta1, theta2, count, seed=2501, envelope_sigmas=sigmas,
+                             bound_factor=scanned.envelope_constant)
+    assert plain.tomogram_evaluations == sum(evaluated)
+    assert np.array_equal(scanned.pairs, plain.pairs)
+    assert np.array_equal(scanned.rounds, plain.rounds)
+    assert np.array_equal(scanned.acceptance_rate, plain.acceptance_rate)
+    if state == FockPairSuperposition(50):
+        # 2 scan points per lobe, fewer than the screen's 8: no table
+        assert screen is smp._UNSCREENED
+        assert scanned.tomogram_evaluations == points + plain.tomogram_evaluations
+    else:
+        assert screen.table.shape == (202, 202)
+        assert scanned.tomogram_evaluations < plain.tomogram_evaluations
+
+
+def test_screen_violation_reported():
+    # w = w0 (1 + s(X1) s(X2) / 2) with s = sin^2(pi X / step) is w0 at every scan
+    # point but up to 1.5 w0 inside the cells where X1 > 1; there w / g stays far
+    # below M (w0 is narrower than g), so only T can catch it
+    step = 12.0 / 200.0  # the scan's 201 points across +/- 6 sigma_iso
+
+    def fringed_density(x1, x2):
+        w0 = np.exp(-2.0 * (x1**2 + x2**2)) * (2.0 / math.pi)
+        s1, s2 = np.sin(math.pi * x1 / step) ** 2, np.sin(math.pi * x2 / step) ** 2
+        return w0 * (1.0 + 0.5 * s1 * s2 * (x1 > 1.0))
+
+    with pytest.raises(EnvelopeError, match=r"w = \S+ > T = "):
+        sample_rejection(fringed_density, 0.0, 0.0, 10_000, seed=3,
+                         envelope_sigmas=(1.0, 1.0, 1.0))
+
+
+FIG3A_SETTINGS = [(math.pi / 2, -math.pi / 4), (math.pi / 2, -3 * math.pi / 4),
+                  (0.0, -math.pi / 4), (0.0, -3 * math.pi / 4)]
+
+
+@pytest.mark.parametrize(
+    "state,theta1,theta2",
+    [(PairCoherent(r), t1, t2) for r in (1.0, 1.2) for t1, t2 in FIG3A_SETTINGS]
+    + [(FockPairSuperposition(n), 0.3, 0.2) for n in (1, 3)],
+    ids=[f"pair-coherent-{r}-fig3a{k}" for r in (1.0, 1.2) for k in range(4)]
+    + ["fock-pair-1", "fock-pair-3"],
+)
+def test_screen_table_bounds_the_density_between_scan_points(monkeypatch, state, theta1, theta2):
+    # the screen's premise: at 8 or more scan points per lobe, 1.1 times the
+    # largest corner value bounds w inside each cell, here on a grid 8 times finer
+    tomogram, _, _, screen, points = _envelope_scan_of(monkeypatch, state, theta1, theta2)
+    cells = screen.table.shape[0] - 2
+    assert (cells + 1) ** 2 == points
+    step = 1.0 / screen.inv_step
+    fine = screen.origin + step + np.arange(8 * cells + 1) * (step / 8.0)
+    for rows in np.array_split(fine, 40):
+        x1, x2 = rows[:, None], fine[None, :]
+        assert np.all(tomogram(x1, x2) <= screen.ceiling(x1, x2))
 
 
 def test_estimate_chsh_against_deterministic():
