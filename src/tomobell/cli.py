@@ -570,6 +570,9 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
     tv, tup, tvp = angles["tv"], angles["tup"], angles["tvp"]
 
     if dm_path is not None:
+        sources = {click.get_current_context().get_parameter_source(p) for p in ("kind", "dm_path")}
+        if sources == {click.core.ParameterSource.COMMANDLINE}:  # a config file's state may stay
+            raise ConfigError("pseudospin takes --state or --dm, not both")
         dm = st.DensityMatrix.load(dm_path)
         t, deficit, cutoff = bell.density_xz_entries(dm), dm.trace_deficit, dm.cutoff
         label = {"kind": "explicit-fock", "path": dm_path}

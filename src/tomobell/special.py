@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def hermite_functions(x):
 def _rescale(cur, prev, shift):
     """Scale the entries of ``cur`` past 2^512, and the same entries of ``prev``, by 2^-512.
 
-    The recurrences of ``hermite_functions`` and ``laguerre_function`` carry
+    The recurrences of ``hermite_functions`` and ``laguerre_functions`` carry
     a value times e^{shift}; ``shift`` drops by 512 log 2 where they scale.
     """
     big = np.abs(cur) > 2.0**512
@@ -104,7 +105,7 @@ def _rescale(cur, prev, shift):
 def laguerre(n: int, x, alpha: float = 0.0):
     """(Associated) Laguerre polynomial L_n^(alpha)(x) via recurrence.
 
-    The package itself evaluates only the normalized ``laguerre_function``;
+    The package itself evaluates only the normalized ``laguerre_functions``;
     the polynomial is the tests' unnormalized reference for it.
     """
     _check_poly_order(n)
@@ -122,35 +123,35 @@ def laguerre(n: int, x, alpha: float = 0.0):
 _LOG_TINY = math.log(sys.float_info.min)
 
 
-def laguerre_function(n: int, x, alpha: int = 0):
-    """Normalized Laguerre function l_n = sqrt(n!/(n+alpha)!) x^{alpha/2} e^{-x/2} L_n^(alpha)(x).
+def laguerre_functions(x, alpha: int = 0):
+    """Yield l_k = sqrt(k!/(k+alpha)!) x^{alpha/2} e^{-x/2} L_k^(alpha)(x) for k = 0, 1, ...
 
-    It is |<n+alpha| D(beta) |n>| at x = |beta|^2, so |l_n| <= 1 for x >= 0.  The
+    l_k is |<k+alpha| D(beta) |k>| at x = |beta|^2, so |l_k| <= 1 for x >= 0.  The
     recurrence ((2k+1+alpha-x) l_k - sqrt(k(k+alpha)) l_{k-1}) / sqrt((k+1)(k+1+alpha)) is
     linear, so started from l_0 it carries the Gaussian along and forms no factorial,
-    L_n^(alpha)(x) or order guard.  Where l_0 would be subnormal it runs on e^{s} l_k,
+    L_k^(alpha)(x) or order guard.  Where l_0 would be subnormal it runs on e^{s} l_k,
     s = -600 - log l_0, scaled by 2^-512 whenever it passes 2^512, as ``hermite_functions``
     does; everywhere else the shift is 0.
     """
-    x, scalar = _as_float_array(x)
+    x = np.asarray(x, dtype=float)
     if alpha:
         with np.errstate(divide="ignore"):  # x = 0: log 0 = -inf, and l_k(0) = 0 at every k
             exponent = 0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0))
     else:
         exponent = -0.5 * x
-    wide = n > 0 and x.size > 0 and np.min(exponent) < _LOG_TINY
+    prev, cur = 0.0 * x, np.exp(exponent)
+    yield cur
+    wide = x.size > 0 and np.min(exponent) < _LOG_TINY
     if wide:
         shift = np.where((exponent < _LOG_TINY) & (x > 0.0), -600.0 - exponent, 0.0)
-        exponent = exponent + shift
-    prev, cur = 0.0 * x, np.exp(exponent)
-    for k in range(n):
+        cur, unshift = np.exp(exponent + shift), np.exp(-shift)
+    for k in count():
         step = (2.0 * k + 1.0 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev
         prev, cur = cur, step / math.sqrt((k + 1.0) * (k + 1.0 + alpha))
         if wide and np.max(np.abs(cur)) > 2.0**512:
             cur, prev, shift = _rescale(cur, prev, shift)
-    if wide:
-        cur = cur * np.exp(-shift)
-    return float(cur) if scalar else cur
+            unshift = np.exp(-shift)
+        yield cur * unshift if wide else cur
 
 
 def bessel_i0(x: float) -> float:

@@ -28,12 +28,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, bessel_j0, laguerre_function, periodic_trapezoid
+from .special import bessel_i0, bessel_j0, laguerre_functions, periodic_trapezoid
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -145,8 +146,9 @@ class FockPairSuperposition(TwoModeState):
 
         def mode(_, q, p):
             x = 4.0 * (q * q + p * p)
-            cross = laguerre_function(0, x, n) * np.exp(-1j * n * np.arctan2(p, q))
-            left = np.stack([np.exp(-0.5 * x), laguerre_function(n, x), cross], axis=-1)
+            run = laguerre_functions(x)  # l_0 = g, then l_n after n - 1 more steps
+            cross = next(laguerre_functions(x, n)) * np.exp(-1j * n * np.arctan2(p, q))
+            left = np.stack([next(run), next(islice(run, n - 1, None)), cross], axis=-1)
             return left, np.ones(left.shape[:-1] + (1,))
 
         return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)

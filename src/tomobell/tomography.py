@@ -47,7 +47,7 @@ import numpy as np
 
 from . import states as st
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .special import gauss_legendre, hermite_functions, laguerre_function, periodic_trapezoid
+from .special import gauss_legendre, hermite_functions, laguerre_functions, periodic_trapezoid
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
@@ -493,18 +493,20 @@ def epr_marginal_density(lam, x, theta=0.0):
 # ---------------------------------------------------------------------------
 
 
-def kernel_fock_matrix_element(m: int, n: int, k, theta):
-    """Matrix element <m| D(beta) |n> with beta = -i k e^{i theta} / 2, k >= 0.
+def displacement_matrix(cutoff: int, k):
+    """The (cutoff, cutoff, k.size) array of <m| D(-i k/2) |n> over an array of k >= 0.
 
     The reconstruction kernel reduces to (1/4 pi) e^{i X} D((nu - i mu)/2)
-    in this package's convention; in polar coordinates mu = k cos(theta),
-    nu = k sin(theta) the displacement amplitude is beta = -i k e^{i theta}/2.
-    The element is (-i)^|d| e^{i d theta} times the normalized Laguerre
-    function of order min(m, n) and alpha = |d| at k^2/4, d = m - n.
+    in this package's convention; on the line mu = k, nu = 0 the displacement
+    amplitude is -i k/2.  The element is (-i)^|d| times the normalized Laguerre
+    function of order min(m, n) and alpha = |d| at k^2/4, d = m - n, so each
+    diagonal d comes from one run of ``laguerre_functions``.
     """
-    d = m - n
-    amp = (1.0, -1j, -1.0, 1j)[abs(d) % 4] * laguerre_function(min(m, n), 0.25 * k * k, abs(d))
-    return amp * np.exp(1j * d * np.asarray(theta))
+    out = np.empty((cutoff, cutoff, k.size), dtype=complex)
+    for d in range(cutoff):
+        for m, l in zip(range(cutoff - d), laguerre_functions(0.25 * k * k, d)):
+            out[m, m + d] = out[m + d, m] = (1.0, -1j, -1.0, 1j)[d % 4] * l
+    return out
 
 
 def kernel_reconstruct_density(tomogram, cutoff: int):
@@ -547,10 +549,9 @@ def kernel_reconstruct_density(tomogram, cutoff: int):
     ang = np.exp(1j * np.outer(d_vals, theta))  # (nd, ntheta)
     a_dk = dtheta * (chi @ ang.T)  # (nk, nd)
 
-    # kernel[m, n] = k <m|D|n> A_{m-n}(k) / 4 pi; at theta = 0, <m|D|n> = <n|D|m>
-    levels = range(cutoff)
-    upper = [[kernel_fock_matrix_element(m, n, k, 0.0) for n in range(m, cutoff)] for m in levels]
-    kernel = np.array([[upper[min(m, n)][abs(m - n)] for n in levels] for m in levels])
+    # kernel[m, n] = k <m|D|n> A_{m-n}(k) / 4 pi, with D = D(-i k/2) at theta = 0
+    levels = np.arange(cutoff)
+    kernel = displacement_matrix(cutoff, k)
     kernel *= k * a_dk.T[np.subtract.outer(levels, levels) + cutoff - 1] / (4.0 * math.pi)
     rho = kernel @ k_rule.weights
     diagnostics = {

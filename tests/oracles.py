@@ -19,11 +19,18 @@ different route.
   numpy's Hermite polynomials, against the rejection sampler's batches.
 - ``schmidt_wigner``: the Wigner function of a Schmidt vector summed in the
   Fock basis from scipy's Laguerre polynomials, against ``states.wigner``.
+- ``RandomSchmidt``: a state whose Schmidt coefficients are random and of
+  both signs, which no benchmark state has.
+- ``schmidt_sign_correlation``: the sign-binned E of a raw Schmidt vector
+  from numpy's Hermite polynomials, against ``tomography.sign_correlation``.
+- ``schmidt_xz_dense``: the pseudospin x-z block of a raw Schmidt vector
+  from a dense ``np.kron`` density matrix, against ``pseudospin_xz``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,6 +235,17 @@ def second_moments_numeric(density, half_width: float, order: int):
             float(np.sum(values * np.outer(x, x))))
 
 
+def _hermite_function_rows(y, levels: int) -> np.ndarray:
+    """psi_n(y), n < levels, from numpy's physicists' Hermite series, one row per n."""
+    rows = []
+    for n in range(levels):
+        unit = np.zeros(n + 1)
+        unit[n] = 1.0
+        rows.append(np.polynomial.hermite.hermval(y, unit) * np.exp(-0.5 * y * y)
+                    / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi)))
+    return np.array(rows)
+
+
 def homodyne_marginal_tail(coefficients, x0: float, order: int = 400) -> float:
     """P(X1 >= x0) of sum_n c_n |n n>: the integral of sqrt(2) sum c_n^2 psi_n(sqrt(2) X)^2.
 
@@ -237,15 +255,8 @@ def homodyne_marginal_tail(coefficients, x0: float, order: int = 400) -> float:
     states the tail past y = 20 is below 1e-100.
     """
     rule = gauss_legendre(order, math.sqrt(2.0) * x0, 20.0)
-    y = rule.nodes
-    density = np.zeros_like(y)
-    for n, c in enumerate(coefficients):
-        unit = np.zeros(n + 1)
-        unit[n] = 1.0
-        psi = np.polynomial.hermite.hermval(y, unit) * np.exp(-0.5 * y * y) / math.sqrt(
-            2.0**n * math.factorial(n) * math.sqrt(math.pi))
-        density += c * c * psi * psi
-    return float(rule.weights @ density)
+    psi = _hermite_function_rows(rule.nodes, len(coefficients))
+    return float(np.square(coefficients) @ np.square(psi) @ rule.weights)
 
 
 def schmidt_wigner(c, q1, p1, q2, p2):
@@ -273,3 +284,54 @@ def schmidt_wigner(c, q1, p1, q2, p2):
             )
             total += (1.0 if m == n else 2.0) * c[m] * c[n] * (f1 * f2).real
     return (2.0 / math.pi) ** 2 * total
+
+
+@dataclass(frozen=True)
+class RandomSchmidt(states.TwoModeState):
+    """sum_n c_n |n n> with ``levels`` normal random c_n of both signs, normalized.
+
+    c_n = 0 past ``levels``; the seed fixes the vector.
+    """
+
+    seed: int
+    levels: int
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        c = np.random.default_rng(self.seed).standard_normal(self.levels)
+        return c / np.linalg.norm(c)
+
+    def schmidt(self, levels):
+        return np.concatenate((self.coefficients, np.zeros(levels)))[:levels]
+
+
+def schmidt_sign_correlation(c, theta_sum: float, order: int = 400) -> float:
+    """E = sum_mn c_m c_n G_mn^2 cos((m - n) Theta) with G_mn = <m| sgn X |n> by quadrature.
+
+    G_mn = (1 - (-1)^(m+n)) int_0^20 psi_m psi_n dy, Gauss-Legendre on
+    [0, 20]: psi_m psi_n has parity (-1)^(m+n), and for the few dozen levels
+    of the test states the tail past y = 20 is below 1e-100.
+    """
+    c = np.asarray(c, dtype=float)
+    rule = gauss_legendre(order, 0.0, 20.0)
+    psi = _hermite_function_rows(rule.nodes, c.size)
+    k = np.arange(c.size)
+    g = (1.0 - (-1.0) ** np.add.outer(k, k)) * ((psi * rule.weights) @ psi.T)
+    return float(np.sum(np.outer(c, c) * g * g * np.cos(np.subtract.outer(k, k) * theta_sum)))
+
+
+def schmidt_xz_dense(c, cutoff: int) -> tuple[float, float, float, float]:
+    """(T_zz, T_xx, T_xz, T_zx) = Tr[rho (a . S) x (b . S)] of rho = |psi><psi|, dense.
+
+    |psi> = sum_n c_n |n> x |n> is built with ``np.kron`` on ``cutoff`` levels
+    per mode; Sz = diag((-1)^n) and Sx pairs |2k> with |2k+1>.
+    """
+    eye = np.eye(cutoff)
+    psi = sum(cn * np.kron(eye[n], eye[n]) for n, cn in enumerate(c[:cutoff]))
+    rho = np.outer(psi, psi)
+    sz = np.diag((-1.0) ** np.arange(cutoff))
+    sx = np.zeros((cutoff, cutoff))
+    sx[np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)] = 1.0
+    sx += sx.T
+    pairs = ((sz, sz), (sx, sx), (sx, sz), (sz, sx))
+    return tuple(float(np.trace(rho @ np.kron(a, b))) for a, b in pairs)

@@ -33,7 +33,7 @@ from tomobell.states import (
 )
 from tomobell.tomography import SignBinnedProbs, sign_binned_closed_form
 
-from oracles import correlation_tomographic
+from oracles import RandomSchmidt, correlation_tomographic, schmidt_xz_dense
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -179,6 +179,20 @@ def test_pair_coherent_block_matches_bessel_functions(r):
     want = (1.0, (special.i1(x) + special.j1(x)) / special.i0(x), 0.0, 0.0)
     assert block == pytest.approx(want, abs=1e-12, rel=0)
     assert deficit <= 1e-15
+
+
+@pytest.mark.parametrize("state", [
+    RandomSchmidt(1, 6), RandomSchmidt(2, 9), RandomSchmidt(3, 16),
+    SqueezedVacuum(0.5), FockPairSuperposition(1), FockPairSuperposition(3), PairCoherent(1.05),
+], ids=repr)
+def test_xz_block_matches_a_dense_density_matrix_of_the_raw_vector(state):
+    # T from np.kron of c_n as the state gives them, not through SchmidtVector
+    cutoff = 24
+    want = schmidt_xz_dense(state.schmidt(cutoff), cutoff)
+    block, _ = state.pseudospin_xz(cutoff)
+    assert block == pytest.approx(want, abs=1e-12, rel=0)
+    got = density_xz_entries(density_matrix(state, cutoff))
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
 def test_density_xz_entries_match_the_schmidt_block():

@@ -493,6 +493,38 @@ def test_pseudospin_needs_state_or_dm(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def _dumped_rho(runner, tmp_path):
+    rho = str(tmp_path / "rho.json")
+    result = runner.invoke(main, ["pseudospin", "--state", "epr", "--lambda", "0.5",
+                                  "--cutoff", "8", "--dump-dm", rho,
+                                  "-o", str(tmp_path / "dump.csv")])
+    assert result.exit_code == 0, result.output
+    return rho
+
+
+def test_pseudospin_refuses_state_and_dm_flags_together(runner, tmp_path):
+    # the --dm matrix was read and the state dropped, with exit 0
+    rho = _dumped_rho(runner, tmp_path)
+    out = tmp_path / "ps.csv"
+    result = runner.invoke(main, ["pseudospin", "--state", "fock-pair", "--n", "1", "--dm", rho,
+                                  "-o", str(out)])
+    assert result.exit_code == 2
+    assert "configuration error: pseudospin takes --state or --dm, not both" in result.stderr
+    assert not out.exists()
+
+
+def test_pseudospin_dm_flag_overrides_a_config_file_state(runner, tmp_path):
+    rho = _dumped_rho(runner, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state = fock-pair\nn = 1\n")
+    out = str(tmp_path / "ps.csv")
+    result = runner.invoke(main, ["--config", str(cfg), "pseudospin", "--dm", rho, "-o", out])
+    assert result.exit_code == 0, result.output
+    config = json.load(open(out + ".manifest.json"))["effective_config"]
+    assert config["state"] == {"kind": "explicit-fock", "path": rho}
+    assert config["cutoff"] == 8
+
+
 def test_optimize_fock_pair(runner, tmp_path):
     out = str(tmp_path / "opt.json")
     result = runner.invoke(

@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, localcontext
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tomobell.special import (
     gauss_legendre,
     hermite,
     laguerre,
-    laguerre_function,
+    laguerre_functions,
     periodic_trapezoid,
 )
 from tomobell.tomography import (
@@ -162,21 +163,26 @@ def test_laguerre_order_guard():
         laguerre(250, 1.0)
 
 
+def laguerre_order(n, x, alpha=0):
+    """The order-n yield of one ``laguerre_functions`` run."""
+    return next(islice(laguerre_functions(x, alpha), n, None))
+
+
 def test_laguerre_function_matches_weighted_polynomial():
     for n in (0, 1, 2, 5, 9):
         for x in (0.0, 0.4, 2.2, 7.5, 30.0):
             want = math.exp(-0.5 * x) * laguerre_coefficient_oracle(n, x)
-            assert laguerre_function(n, x) == pytest.approx(want, rel=1e-10, abs=1e-14)
+            assert float(laguerre_order(n, x)) == pytest.approx(want, rel=1e-10, abs=1e-14)
     xs = np.array([1.0, 50.0, 300.0, 590.0])
     for n in (60, 150):
         want = np.exp(-0.5 * xs) * laguerre(n, xs)
-        assert np.allclose(laguerre_function(n, xs), want, rtol=1e-10, atol=1e-300)
+        assert np.allclose(laguerre_order(n, xs), want, rtol=1e-10, atol=1e-300)
 
 
 def test_laguerre_function_is_bounded_beyond_the_polynomial_guard():
     # |e^{-x/2} L_n(x)| <= 1 for x >= 0; L_250 itself overflows at large x
     xs = np.linspace(0.0, 5000.0, 2001)
-    vals = laguerre_function(250, xs)
+    vals = laguerre_order(250, xs)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) <= 1.0
     assert vals[0] == 1.0
@@ -188,32 +194,36 @@ def test_laguerre_function_matches_a_60_digit_recurrence(n):
     # out to x = 4n + 2, where the function used to underflow to 0
     xs = np.concatenate([np.linspace(0.0, 4.0 * n + 40.0, 161), [1416.0, 1417.0, 1584.0]])
     want = np.array([laguerre_function_decimal_oracle(n, x) for x in xs])
-    assert np.max(np.abs(laguerre_function(n, xs) - want)) <= 1e-13
+    assert np.max(np.abs(laguerre_order(n, xs) - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 50, 300])
 def test_laguerre_function_is_unchanged_where_the_start_is_normal(n):
-    # the log-scale shift only acts where e^{-x/2} would be subnormal
+    # the log-scale shift only acts where e^{-x/2} would be subnormal: every order
+    # of the run is the plain recurrence's, byte for byte
     xs = np.linspace(0.0, 4.0 * n + 40.0, 997)
+    run = laguerre_functions(xs)
     prev, cur = 0.0 * xs, np.exp(-0.5 * xs)
+    assert next(run).tobytes() == cur.tobytes()
     for k in range(n):
         prev, cur = cur, ((2.0 * k + 1.0 - xs) * cur - k * prev) / (k + 1.0)
-    assert laguerre_function(n, xs).tobytes() == cur.tobytes()
+        assert next(run).tobytes() == cur.tobytes(), k + 1
 
 
 @pytest.mark.parametrize("alpha", [1, 5, 20, 60])
 def test_associated_laguerre_function_matches_scipy(alpha):
-    # sqrt(n!/(n+alpha)!) x^{alpha/2} e^{-x/2} L_n^(alpha)(x), normalized in log space
+    # sqrt(n!/(n+alpha)!) x^{alpha/2} e^{-x/2} L_n^(alpha)(x), normalized in log space;
+    # every order of one run, on the union of the grids [0, 4n + 40] of orders 0-30
     from scipy.special import eval_genlaguerre, gammaln
 
-    for n in range(31):
-        xs = np.linspace(0.0, 4.0 * n + 40.0, 161)
+    xs = np.concatenate([np.linspace(0.0, 4.0 * n + 40.0, 161) for n in range(31)])
+    for n, got in zip(range(31), laguerre_functions(xs, alpha)):
         poly = eval_genlaguerre(n, alpha, xs)
         with np.errstate(divide="ignore"):
             log_size = 0.5 * (gammaln(n + 1.0) - gammaln(n + alpha + 1.0)
                               + alpha * np.log(xs) - xs) + np.log(np.abs(poly))
         want = np.sign(poly) * np.exp(log_size)
-        assert np.max(np.abs(laguerre_function(n, xs, alpha) - want)) <= 1e-13, n
+        assert np.max(np.abs(got - want)) <= 1e-13, n
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from tomobell.states import (
 from tomobell.tomography import (
     SignBinnedProbs,
     SymplecticSetting,
+    displacement_matrix,
     epr_marginal_density,
     fock_quadrature_density,
     kernel_reconstruct_density,
@@ -50,10 +51,12 @@ from tomobell.tomography import (
 )
 
 from oracles import (
+    RandomSchmidt,
     correlation_tomographic,
     inverse_fourier_wigner,
     pair_coherent_integral_direct,
     radon_wigner_grid_sum,
+    schmidt_sign_correlation,
     sign_binned_numeric,
 )
 
@@ -802,22 +805,65 @@ def test_inverse_fourier_normalization_error():
         inverse_fourier_wigner(values, x, theta, q, q)
 
 
-def test_kernel_matrix_element_vs_expm_oracle():
-    # brute-force oracle: exponentiate beta a^dag - conj(beta) a on a large
-    # truncation and read off the same matrix elements
+@pytest.mark.parametrize("state", [
+    RandomSchmidt(1, 6), RandomSchmidt(2, 9), RandomSchmidt(3, 16),
+    pytest.param(SqueezedVacuum(0.5), marks=pytest.mark.xfail(strict=True, reason=(
+        "the tomographic side is sum (-lam)^n |n n>, the Schmidt vector (+lam)^n: E flips sign"))),
+    FockPairSuperposition(3), PairCoherent(1.05),
+], ids=repr)
+def test_sign_correlation_matches_the_raw_schmidt_vector(state):
+    # G from numpy's Hermite polynomials by quadrature and c_n as the state gives
+    # them, so a sign lost anywhere on the way to the harmonics shows
+    c = state.schmidt(64)
+    if isinstance(state, RandomSchmidt):
+        assert np.any(c < 0.0) and np.any(c > 0.0)
+    corr = sign_correlation(state)
+    for theta1, theta2 in ((0.0, 0.0), (0.3, 1.1), (math.pi / 2, -math.pi / 4), (2.0, 2.9)):
+        want = schmidt_sign_correlation(c, theta1 + theta2)
+        assert corr(theta1, theta2) == pytest.approx(want, abs=1e-12)
+
+
+def test_displacement_matrix_vs_expm_oracle():
+    # brute-force oracle: exponentiate beta a^dag - conj(beta) a, beta = -i k/2, on a
+    # 300-level truncation and read off the top-left 64 x 64 block
     from scipy.linalg import expm
 
-    from tomobell.tomography import kernel_fock_matrix_element
-
-    dim = 40
+    dim, cutoff = 300, 64
+    k = np.array([0.8, 2.5, 4.0, 8.0, 12.0, 20.0])
+    got = displacement_matrix(cutoff, k)
+    assert got.shape == (cutoff, cutoff, k.size)
     lower = np.diag(np.sqrt(np.arange(1, dim)), 1)  # annihilation operator
-    for k, theta in ((0.8, 0.0), (2.5, 1.1), (4.0, -2.0)):
-        beta = -0.5j * k * np.exp(1j * theta)
+    for i, beta in enumerate(-0.5j * k):
         disp = expm(beta * lower.conj().T - np.conj(beta) * lower)
-        for m in range(4):
-            for n in range(4):
-                got = complex(kernel_fock_matrix_element(m, n, k, theta))
-                assert got == pytest.approx(disp[m, n], abs=1e-12)
+        assert np.max(np.abs(got[:, :, i] - disp[:cutoff, :cutoff])) <= 1e-12, k[i]
+
+
+def test_displacement_matrix_columns_are_unit_vectors():
+    # D is unitary: a low column loses only the tail of D|n> beyond the cutoff
+    k = np.linspace(0.0, 4.0, 41)
+    columns = displacement_matrix(64, k)[:, :9]
+    assert np.max(np.abs(1.0 - np.sum(np.abs(columns) ** 2, axis=0))) <= 1e-12
+
+
+def test_displacement_matrix_makes_one_laguerre_run_per_diagonal(monkeypatch):
+    from tomobell import special, tomography
+
+    runs, yields = [], []
+
+    def counted(x, alpha=0):
+        runs.append(alpha)
+        for value in special.laguerre_functions(x, alpha):
+            yields.append(alpha)
+            yield value
+
+    monkeypatch.setattr(tomography, "laguerre_functions", counted)
+    for cutoff in (1, 6, 10):
+        runs.clear()
+        yields.clear()
+        kernel_reconstruct_density(vacuum_density, cutoff)
+        assert runs == list(range(cutoff))
+        # diagonal d has cutoff - d elements, and its run yields no more
+        assert yields == [d for d in range(cutoff) for _ in range(cutoff - d)]
 
 
 def test_kernel_reconstruct_vacuum():
