@@ -569,10 +569,15 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
     """calB(theta_u) curve at fixed theta_v, theta_u', theta_v'."""
     tv, tup, tvp = angles["tv"], angles["tup"], angles["tvp"]
 
-    if dm_path is not None:
-        sources = {click.get_current_context().get_parameter_source(p) for p in ("kind", "dm_path")}
-        if sources == {click.core.ParameterSource.COMMANDLINE}:  # a config file's state may stay
+    if dm_path is not None and kind is not None:
+        # a flag wins over the config file's key; two flags, or two keys, conflict
+        state_source, dm_source = map(click.get_current_context().get_parameter_source,
+                                      ("kind", "dm_path"))
+        if state_source == dm_source:
             raise ConfigError("pseudospin takes --state or --dm, not both")
+        if state_source == click.core.ParameterSource.COMMANDLINE:
+            dm_path = None
+    if dm_path is not None:
         dm = st.DensityMatrix.load(dm_path)
         t, deficit, cutoff = bell.density_xz_entries(dm), dm.trace_deficit, dm.cutoff
         label = {"kind": "explicit-fock", "path": dm_path}
@@ -659,11 +664,13 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         "theta2": t2,
         "seed": seed,
         "count": count,
+        "sampler": batch.sampler,
         "acceptance_rate": batch.acceptance_rate,
         "rounds": batch.rounds,
         "envelope_constant": batch.envelope_constant,
         "envelope_sigmas": batch.envelope_sigmas,
         "tomogram_evaluations": batch.tomogram_evaluations,
+        "outside_mass_bound": batch.outside_mass_bound,
         "estimated_probs": {
             "w_pp": est.probs.w_pp, "w_pm": est.probs.w_pm,
             "w_mp": est.probs.w_mp, "w_mm": est.probs.w_mm,

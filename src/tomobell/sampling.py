@@ -12,6 +12,7 @@ measure-zero tie-break, fixed here so estimates are deterministic).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from . import states as st
 from . import tomography as tg
 from .bell import BellAnglesQuadrature, chsh
 from .errors import DomainError, EnvelopeError
+from .special import hermite_functions
 
 #: Variance inflation of the Gaussian rejection envelope.
 ENVELOPE_INFLATION = 1.5
@@ -35,9 +37,24 @@ ENVELOPE_WEIGHT = 0.9
 #: Floor on the fitted variances along u and v: the vacuum's quadrature variance.
 ENVELOPE_FLOOR = 0.25
 
-#: Points per tomogram evaluation, in the envelope scan and in each proposal
-#: chunk: small enough that the temporaries of the level sum stay in cache.
+#: Points per tomogram evaluation, in the envelope scan and in each chunk of
+#: Gaussian-mixture proposals: small enough that the temporaries of the level
+#: sum stay in cache.
 _BLOCK = 1 << 14
+
+#: Points per chunk of cell-table proposals, whose evaluation peaks the
+#: sampler's memory.
+_CELL_BLOCK = 1 << 13
+
+#: Largest mass of w that the cell table may leave outside its square: the
+#: resolution of the uniform draws.
+OUTSIDE_MASS_LIMIT = 2.0**-53
+
+#: Least half-width of the envelope scan's square.  The 6-sigma square of a
+#: state near the vacuum ends at 3.67, where 4e-13 of its mass lies outside;
+#: at 5 no pair-coherent state with r <= 1.6 and no Fock pair with n <= 4
+#: leaves more than 3.1e-20 outside (every other such square is wider).
+SCAN_MIN_HALF_WIDTH = 5.0
 
 #: The sampler never gives up before this many proposal rounds.
 _MIN_ROUNDS = 400
@@ -52,9 +69,11 @@ class SampleBatch:
     pairs: np.ndarray  # shape (count, 2)
     acceptance_rate: float | None = None
     rounds: int | None = None  # proposal rounds of a rejection sampler
-    envelope_constant: float | None = None  # its M, with w <= M g
+    envelope_constant: float | None = None  # its Z = the integral of T, or its M with w <= M g
     envelope_sigmas: tuple[float, float, float] | None = None  # its g: sigma_plus, _minus, _iso
     tomogram_evaluations: int | None = None  # points where w was evaluated, scan included
+    sampler: str | None = None  # "gaussian-exact", "cell-table" or "gaussian-mixture"
+    outside_mass_bound: float | None = None  # cell table: mass of w outside its square, at most
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=float)
@@ -101,7 +120,7 @@ def sample_gaussian_epr(
     chol = np.linalg.cholesky(0.25 * np.array([[c, -b], [-b, c]]))
     rng = substream_generator(seed, substream)
     z = rng.standard_normal((count, 2))
-    return SampleBatch(theta1=theta1, theta2=theta2, pairs=z @ chol.T)
+    return SampleBatch(theta1=theta1, theta2=theta2, pairs=z @ chol.T, sampler="gaussian-exact")
 
 
 def sample_rejection(
@@ -118,26 +137,35 @@ def sample_rejection(
 ) -> SampleBatch:
     """Rejection sampling of a joint quadrature density w(X1, X2).
 
-    The proposal g is a mixture on the axes u = (X1 + X2) / sqrt(2) and
-    v = (X1 - X2) / sqrt(2).  With ``envelope_sigmas`` = (sigma_plus,
-    sigma_minus, sigma_iso), weight ``ENVELOPE_WEIGHT`` goes to a Gaussian
-    with standard deviations sigma_plus along u and sigma_minus along v, and
-    the rest to an isotropic Gaussian with sigma_iso per axis.  The envelope
-    constant M (with w <= M * g) is taken from ``bound_factor`` or estimated
-    with a 10% safety margin by a scan of the square in X1 and X2 that holds
-    the 6-sigma ellipse of both components, with two points per
-    ``lobe_width`` (the narrowest fringe of w) and never fewer than 201 per
-    axis.  Where that grid has 8 or more points per ``lobe_width``, the scan
-    also leaves a screen: T, 1.1 times the largest w at the four corners of
-    each grid cell, and +inf outside the square.  A proposal is accepted
-    when u M g < w, u uniform on [0, 1); one with u M g >= T is rejected
-    without evaluating w, so every decision is the same as without the
-    screen wherever T >= w.  An evaluated proposal where w exceeds M g or T
-    aborts with an envelope error naming the point.  The batch records
-    ``tomogram_evaluations``: the scan's points plus the proposals
-    evaluated.  Rounds draw max(1024, 2 * remaining) proposals each, in
-    chunks of ``_BLOCK``; the sampler gives up after ``_round_limit`` rounds
-    at the acceptance measured so far, and never before round 400.
+    Without ``bound_factor`` the sampler first scans w on the square in X1
+    and X2 that holds the 6-sigma ellipse of both parts of a Gaussian
+    mixture g and reaches at least ``SCAN_MIN_HALF_WIDTH``, with two points
+    per ``lobe_width`` (the narrowest fringe of w) and never fewer than 201
+    per axis.  ``envelope_sigmas`` = (sigma_plus, sigma_minus, sigma_iso)
+    size g on the axes u = (X1 + X2) / sqrt(2) and v = (X1 - X2) / sqrt(2):
+    weight ``ENVELOPE_WEIGHT`` goes to a Gaussian with standard deviations
+    sigma_plus along u and sigma_minus along v, and the rest to an
+    isotropic Gaussian with sigma_iso per axis.
+
+    Where the scan has 8 or more points per ``lobe_width`` it leaves a
+    cell table T >= w on the square (see ``_envelope_scan``), and the
+    proposals come from T: a cell drawn with probability T Z^-1 times its
+    area, Z the integral of T, then a uniform point in it.  They never
+    leave the square, whose outside mass the caller bounds
+    (``sample_state``).  The batch's ``envelope_constant`` is Z, and the
+    expected acceptance is 1 / Z.  Elsewhere, or with ``bound_factor`` given,
+    the proposals come from g, with M = ``bound_factor`` or 1.1 times the
+    scan's largest w / g, and ``envelope_constant`` is M.
+
+    A proposal is accepted when u B < w, with u uniform on [0, 1) and B
+    the bound T or M g at the point; one where w exceeds B aborts with an
+    envelope error naming the point.  Rounds draw about 1.1 Z times the
+    samples still missing from T, or max(1024, 2 * missing) from g.  w is
+    evaluated a chunk at a time, 8192 proposals from T or 16384 from g, and
+    the sampler stops at the chunk that completes the batch.  It gives up
+    after ``_round_limit`` rounds at the acceptance measured so far, and
+    never before round 400.  The batch records ``tomogram_evaluations``:
+    the scan's points plus the proposals evaluated.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -146,11 +174,10 @@ def sample_rejection(
     sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
     fit_norm = ENVELOPE_WEIGHT / (2.0 * math.pi * sigma_plus * sigma_minus)
     iso_norm = (1.0 - ENVELOPE_WEIGHT) / (2.0 * math.pi * sigma_iso**2)
-    half = math.sqrt(0.5)
 
-    # The sampler works on p = u / sqrt(2) and q = v / sqrt(2), so that
-    # X1 = p + q, X2 = p - q, and u^2 / (2 sigma^2) = p^2 / sigma^2.  In place,
-    # as every temporary of a proposal chunk costs about as much as its exp.
+    # g on p = u / sqrt(2) and q = v / sqrt(2), so that X1 = p + q,
+    # X2 = p - q, and u^2 / (2 sigma^2) = p^2 / sigma^2.  In place, as every
+    # temporary of a proposal chunk costs about as much as its exp.
     def proposal_density(p, q):
         pp, qq = p * p, q * q
         fit = pp * (-1.0 / sigma_plus**2)
@@ -164,112 +191,146 @@ def sample_rejection(
         fit += pp
         return fit
 
-    screen, evaluations = _UNSCREENED, 0
+    table, evaluations = None, 0
     if bound_factor is None:
-        ratio, screen, evaluations = _envelope_scan(
+        ratio, table, evaluations = _envelope_scan(
             tomogram, proposal_density, envelope_sigmas, lobe_width)
         bound_factor = 1.1 * ratio
 
     rng = substream_generator(seed, substream)
-    accepted = []
-    n_proposed = 0
-    n_accepted = 0
-    rounds = 0
+    if table is None:
+        sampler, constant, label = "gaussian-mixture", bound_factor, "M g"
+
+        def propose(missing):
+            return _mixture_round(rng, max(1024, 2 * missing), envelope_sigmas,
+                                  bound_factor, proposal_density)
+    else:
+        sampler, constant, label = "cell-table", table.integral(), "T"
+        if constant <= 0.0:
+            raise EnvelopeError("density is 0 at every point of the envelope scan")
+
+        def propose(missing):
+            return _cell_round(rng, max(1024, math.ceil(1.1 * constant * missing)), table)
+
+    pairs = np.empty((count, 2))
+    n_proposed = n_accepted = rounds = 0
     while n_accepted < count:
         if rounds >= _round_limit(count, n_accepted / n_proposed if n_proposed else 0.0):
             raise EnvelopeError(
                 f"rejection sampler produced {n_accepted}/{count} samples in {rounds} rounds"
             )
         rounds += 1
-        # modest oversampling keeps the loop count low and deterministic
-        block = max(1024, 2 * (count - n_accepted))
-        for start in range(0, block, _BLOCK):
-            size = min(_BLOCK, block - start)
-            fitted = rng.random(size) < ENVELOPE_WEIGHT
-            p, q = rng.standard_normal((2, size))
-            u = rng.random(size)
-            p *= np.where(fitted, half * sigma_plus, half * sigma_iso)
-            q *= np.where(fitted, half * sigma_minus, half * sigma_iso)
-            x1, x2 = p + q, p - q
-            cap = bound_factor * proposal_density(p, q)
-            u *= cap
-            # u M g >= T >= w rejects a proposal without its tomogram
-            ceiling = screen.ceiling(x1, x2)
-            live = np.flatnonzero(u < ceiling)
-            x1, x2 = x1[live], x2[live]
+        for x1, x2, u, bound in propose(count - n_accepted):
             target = np.asarray(tomogram(x1, x2), dtype=float)
-            evaluations += live.size
-            for label, bound in (("M g", cap[live]), ("T", ceiling[live])):
-                overshoot = target > bound * (1.0 + 1e-12)
-                if np.any(overshoot):
-                    i = np.argmax(overshoot)
-                    raise EnvelopeError(
-                        f"density exceeds envelope at X = ({x1[i]:.6f}, {x2[i]:.6f}): "
-                        f"w = {target[i]:.6e} > {label} = {bound[i]:.6e}"
-                    )
-            keep = u[live] < target
-            n_accepted += int(np.count_nonzero(keep))
-            accepted.append(np.column_stack((x1[keep], x2[keep])))
-        n_proposed += block
-    pairs = np.concatenate(accepted, axis=0)[:count]
+            n_proposed += x1.size
+            overshoot = target > bound * (1.0 + 1e-12)
+            if np.any(overshoot):
+                i = np.argmax(overshoot)
+                raise EnvelopeError(
+                    f"density exceeds envelope at X = ({x1[i]:.6f}, {x2[i]:.6f}): "
+                    f"w = {target[i]:.6e} > {label} = {bound[i]:.6e}"
+                )
+            keep = np.flatnonzero(u < target)
+            kept = pairs[n_accepted:n_accepted + keep.size]
+            kept[:, 0] = x1[keep[:len(kept)]]
+            kept[:, 1] = x2[keep[:len(kept)]]
+            n_accepted += keep.size
+            if n_accepted >= count:
+                break
     return SampleBatch(
         theta1=theta1,
         theta2=theta2,
         pairs=pairs,
         acceptance_rate=n_accepted / n_proposed,
         rounds=rounds,
-        envelope_constant=bound_factor,
+        envelope_constant=constant,
         envelope_sigmas=(sigma_plus, sigma_minus, sigma_iso),
-        tomogram_evaluations=evaluations,
+        tomogram_evaluations=evaluations + n_proposed,
+        sampler=sampler,
     )
 
 
-class _Screen(NamedTuple):
+def _mixture_round(rng, size, envelope_sigmas, bound_factor, proposal_density):
+    """Yield one round of ``size`` proposals from g in ``_BLOCK`` chunks: (X1, X2, u M g, M g)."""
+    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
+    half = math.sqrt(0.5)
+    for start in range(0, size, _BLOCK):
+        chunk = min(_BLOCK, size - start)
+        fitted = rng.random(chunk) < ENVELOPE_WEIGHT
+        p, q = rng.standard_normal((2, chunk))
+        u = rng.random(chunk)
+        p *= np.where(fitted, half * sigma_plus, half * sigma_iso)
+        q *= np.where(fitted, half * sigma_minus, half * sigma_iso)
+        cap = bound_factor * proposal_density(p, q)
+        u *= cap
+        yield p + q, p - q, u, cap
+
+
+def _cell_round(rng, size, table):
+    """Yield one round of ``size`` proposals from T in ``_CELL_BLOCK`` chunks: (X1, X2, u T, T).
+
+    Multinomial counts over the cells, expanded to an int32 cell list and
+    shuffled in place, are ``size`` independent cell draws in random order,
+    so the round may stop after any chunk.
+    """
+    weights = table.values.ravel()
+    counts = rng.multinomial(size, weights / weights.sum())
+    cells = np.repeat(np.arange(weights.size, dtype=np.int32), counts)
+    rng.shuffle(cells)
+    for start in range(0, size, _CELL_BLOCK):
+        chunk = cells[start:start + _CELL_BLOCK]
+        row, col = np.divmod(chunk, table.values.shape[1])
+        x1, x2, u = rng.random((3, chunk.size))
+        for x, index in ((x1, row), (x2, col)):
+            x += index
+            x *= table.step
+            x += table.corner
+        cap = weights.take(chunk)
+        u *= cap
+        yield x1, x2, u, cap
+
+
+class _CellTable(NamedTuple):
     """An upper bound T on w, constant on each cell of the envelope scan's grid.
 
-    ``table`` holds T per cell inside a border of +inf: a point (X1, X2)
-    reads the row floor((X1 - origin) * inv_step) and the column of X2 alike,
-    each clipped to the border, so T = +inf outside the scanned square.
+    ``values[i, j]`` is T on the cell [corner + i step, corner + (i + 1) step]
+    in X1 times the same interval of j in X2.
     """
 
-    table: np.ndarray
-    origin: float
-    inv_step: float
+    values: np.ndarray
+    corner: float
+    step: float
 
-    def ceiling(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """T at the points (x1, x2)."""
-        def index(x):
-            cell = x - self.origin
-            cell *= self.inv_step
-            return np.clip(cell, 0.0, self.table.shape[0] - 1, out=cell).astype(np.intp)
-
-        return self.table.take(index(x1) * self.table.shape[1] + index(x2))
+    def integral(self) -> float:
+        """Z, the integral of T over the scanned square."""
+        return float(np.sum(self.values)) * self.step**2
 
 
-#: No table: T = +inf everywhere.
-_UNSCREENED = _Screen(np.full((2, 2), math.inf), 0.0, 1.0)
-_UNSCREENED.table.setflags(write=False)
+def _scan_half_width(envelope_sigmas) -> float:
+    """Half-width of the envelope scan's square: it holds the 6-sigma ellipse of
+    both parts of g, and reaches at least ``SCAN_MIN_HALF_WIDTH``."""
+    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
+    return max(6.0 * max(math.hypot(sigma_plus, sigma_minus) * math.sqrt(0.5), sigma_iso),
+               SCAN_MIN_HALF_WIDTH)
 
 
 def _envelope_scan(tomogram, proposal_density, envelope_sigmas, lobe_width):
-    """(max of w / g, the screen T, points evaluated) over the envelope scan's grid.
+    """(max of w / g, the cell table T or None, points evaluated) over the envelope scan's grid.
 
-    The grid is the square in X1 and X2 that holds the 6-sigma ellipse of
-    both mixture components, with two points per ``lobe_width`` and never
-    fewer than 201 per axis.  T is 1.1 times the largest w at a cell's four
-    corners, the margin of M.  It is built only at 8 or more points per
-    lobe: a fringe peak halfway along a cell diagonal then keeps
-    cos^2(pi sqrt(2) / 16) = 0.925 > 1 / 1.1 of its value at a corner.  At
-    coarser spacing the screen is ``_UNSCREENED``.
+    The grid spans ``_scan_half_width`` in X1 and X2, with two points per
+    ``lobe_width`` and never fewer than 201 per axis.  T is 1.1 times the
+    largest w at a cell's four corners, the margin of M.  It is built only
+    at 8 or more points per lobe: a fringe peak halfway along a cell
+    diagonal then keeps cos^2(pi sqrt(2) / 16) = 0.925 > 1 / 1.1 of its
+    value at a corner.
     """
-    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
-    half_width = 6.0 * max(math.hypot(sigma_plus, sigma_minus) * math.sqrt(0.5), sigma_iso)
+    half_width = _scan_half_width(envelope_sigmas)
     lobes = 2.0 * half_width / lobe_width
     grid = np.linspace(-half_width, half_width, max(201, 2 * math.ceil(lobes) + 1))
     step = 2.0 * half_width / (grid.size - 1)
-    screened = step <= lobe_width / 8.0
-    # table row and column i + 1 hold the cells from grid point i to i + 1
-    table = np.zeros((grid.size + 1, grid.size + 1)) if screened else None
+    tabled = step <= lobe_width / 8.0
+    # table row i + 1 holds the cells from grid point i to i + 1
+    table = np.zeros((grid.size + 1, grid.size - 1)) if tabled else None
     ratio = 0.0
     row = 0
     # The grid is a product in X1 and X2, so that a Schmidt-sum tomogram runs
@@ -277,21 +338,20 @@ def _envelope_scan(tomogram, proposal_density, envelope_sigmas, lobe_width):
     for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK)):
         x1, x2 = rows[:, None], grid[None, :]
         target = tomogram(x1, x2)
-        if screened:
+        if tabled:
             # grid row i is a corner row of the cells in table rows i and i + 1
             corners = np.maximum(target[:, :-1], target[:, 1:])
-            cells = table[row:row + rows.size + 1, 1:-1]
+            cells = table[row:row + rows.size + 1]
             np.maximum(cells[:-1], corners, out=cells[:-1])
             np.maximum(cells[1:], corners, out=cells[1:])
         row += rows.size
         ratio = max(ratio, float(np.max(
             target / proposal_density(0.5 * (x1 + x2), 0.5 * (x1 - x2)))))
-    if not screened:
-        return ratio, _UNSCREENED, grid.size**2
-    table *= 1.1
-    table[[0, -1]] = math.inf
-    table[:, [0, -1]] = math.inf
-    return ratio, _Screen(table, -half_width - step, 1.0 / step), grid.size**2
+    if not tabled:
+        return ratio, None, grid.size**2
+    values = table[1:-1]
+    values *= 1.1
+    return ratio, _CellTable(values, -half_width, step), grid.size**2
 
 
 def _round_limit(count: int, acceptance: float) -> int:
@@ -351,14 +411,48 @@ def sample_state(
         return tg.tomogram_closed_form(state, x1, theta1, x2, theta2)
 
     var, cov = quadrature_moments(state, theta1 + theta2)
+    sigmas = envelope_sigmas(var, cov)
     # The narrowest fringe: |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1))
     # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 gives
     # 2n + 1 = 8 var - 1 (n is the top level of the Fock pair, twice the mean
     # photon number of the pair-coherent state).
-    return sample_rejection(
-        tomogram, theta1, theta2, count, seed, envelope_sigmas=envelope_sigmas(var, cov),
+    batch = sample_rejection(
+        tomogram, theta1, theta2, count, seed, envelope_sigmas=sigmas,
         lobe_width=math.pi / math.sqrt(2.0 * (8.0 * var - 1.0)), substream=substream,
     )
+    if batch.sampler != "cell-table":
+        return batch
+    # The table draws only inside the square |X1|, |X2| <= a, and w puts at
+    # most P(|X1| > a) + P(|X2| > a) = 4 P(X1 > a) outside it.
+    bound = 4.0 * marginal_tail(
+        st.significant_schmidt(state).coefficients, _scan_half_width(sigmas))
+    if bound > OUTSIDE_MASS_LIMIT:
+        raise EnvelopeError(
+            f"the cell table leaves up to {bound:.3e} of the density outside its square, "
+            f"more than {OUTSIDE_MASS_LIMIT:.3e}"
+        )
+    return dataclasses.replace(batch, outside_mass_bound=bound)
+
+
+def marginal_tail(coefficients, x0: float) -> float:
+    """P(X1 >= x0) of the Schmidt-diagonal state sum_n c_n |n n>, for x0 >= 0.
+
+    X1 has the density sqrt(2) sum_n c_n^2 psi_n(x)^2 at x = sqrt(2) X1.  As
+    (psi_k psi_{k-1})' = sqrt(2k) (psi_{k-1}^2 - psi_k^2), the tail of
+    psi_n^2 beyond x is erfc(x) / 2 + sum_{k=1..n} psi_k psi_{k-1} / sqrt(2k),
+    and the mixture weighs the k-th term by S_k = sum_{n >= k} c_n^2.  Past
+    the largest zero of the top level every term is positive, so the tail is
+    summed directly, without the cancellation of 1 - F.
+    """
+    weights = np.cumsum(np.square(coefficients)[::-1])[::-1]
+    x = math.sqrt(2.0) * x0
+    tail = 0.5 * float(weights[0]) * math.erfc(x)
+    psi = hermite_functions(x)
+    prev = next(psi)
+    for k, (weight, cur) in enumerate(zip(weights[1:], psi), start=1):
+        tail += float(weight * prev * cur) / math.sqrt(2.0 * k)
+        prev = cur
+    return tail
 
 
 def estimate_probs(batch: SampleBatch) -> EstimatedProbs:

@@ -16,7 +16,12 @@ different route.
 - ``second_moments_numeric``: the second moments of a joint quadrature
   density on a Gauss-Legendre grid, against ``sampling.quadrature_moments``.
 - ``homodyne_marginal_tail``: P(X1 >= x0) of a Schmidt-diagonal state from
-  numpy's Hermite polynomials, against the rejection sampler's batches.
+  numpy's Hermite polynomials, against the rejection sampler's batches and
+  ``sampling.marginal_tail``.
+- ``fock_superposition_tomogram``: the tomogram of a single-mode Fock
+  superposition with phases, against ``tomography.kernel_reconstruct_density``.
+- ``schmidt_tomogram``: the joint tomogram of a raw Schmidt vector from
+  numpy's Hermite polynomials, against ``tomography.tomogram_closed_form``.
 - ``schmidt_wigner``: the Wigner function of a Schmidt vector summed in the
   Fock basis from scipy's Laguerre polynomials, against ``states.wigner``.
 - ``RandomSchmidt``: a state whose Schmidt coefficients are random and of
@@ -257,6 +262,32 @@ def homodyne_marginal_tail(coefficients, x0: float, order: int = 400) -> float:
     rule = gauss_legendre(order, math.sqrt(2.0) * x0, 20.0)
     psi = _hermite_function_rows(rule.nodes, len(coefficients))
     return float(np.square(coefficients) @ np.square(psi) @ rule.weights)
+
+
+def fock_superposition_tomogram(amplitudes, x, theta):
+    """w(X, theta) of the single-mode state sum_n a_n |n>.
+
+    w = sqrt(2) |sum_n a_n e^{-i n theta} psi_n(sqrt(2) X)|^2, psi_n from numpy's
+    physicists' Hermite series; X and theta broadcast.
+    """
+    x, theta = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(theta, dtype=float))
+    psi = _hermite_function_rows(math.sqrt(2.0) * x.ravel(), len(amplitudes))
+    phases = np.exp(-1j * np.outer(np.arange(len(amplitudes)), theta.ravel()))
+    amplitude = np.sum(np.asarray(amplitudes)[:, None] * phases * psi, axis=0)
+    return math.sqrt(2.0) * (np.abs(amplitude) ** 2).reshape(x.shape)
+
+
+def schmidt_tomogram(c, x1, x2, theta_sum: float):
+    """w(X1, X2) of sum_n c_n |n n> at theta1 + theta2 = ``theta_sum``, from the raw vector.
+
+    2 |sum_n c_n e^{-i n theta_sum} psi_n(sqrt(2) X1) psi_n(sqrt(2) X2)|^2,
+    psi_n from numpy's physicists' Hermite series; X1 and X2 broadcast.
+    """
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    c = np.asarray(c, dtype=float)
+    psi1, psi2 = (_hermite_function_rows(math.sqrt(2.0) * x.ravel(), c.size) for x in (x1, x2))
+    weights = c * np.exp(-1j * theta_sum * np.arange(c.size))
+    return 2.0 * (np.abs(weights @ (psi1 * psi2)) ** 2).reshape(x1.shape)
 
 
 def schmidt_wigner(c, q1, p1, q2, p2):

@@ -241,9 +241,9 @@ def test_sample_deterministic_artifacts(runner, tmp_path):
 # the random stream or to any accept decision of the sampler shows here.
 SAMPLE_GOLDEN = [
     (["--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2", "--theta2", "-pi/4"],
-     "863c6078e20a737f2cafe2809b200f4322b6eb8862d4da56f49bde1b88431f06"),
+     "d5f46f63648c57c433aa9b1b4a83680d60249e6fefe67bb195ebf10ae8ab2671"),
     (["--state", "fock-pair", "--n", "3"],
-     "72e13043c506a713c8fbaba35f85a6b71fe430cf08ca1f4093047c1b70b290d1"),
+     "2dbe08f4ff66f7e92cee8ee48aa215e6b9213f5a1894fe59cecb9cfc019c1bea"),
     (["--state", "epr", "--lambda", "0.54", "--seed", "77"],
      "2fb36f67cf77c97bc5915809e8a4d63be476f50b6e18773433175e4c8954e567"),
 ]
@@ -259,12 +259,12 @@ def test_sample_csv_golden_digest(runner, tmp_path, args, digest):
 
 def test_sample_csv_golden_digest_above_one_block(runner, tmp_path):
     # 40000 values, five blocks of write_csv's digit arithmetic; the digest is the
-    # one the per-value % rule wrote before that arithmetic existed
+    # one the per-value % rule (_old_csv_text) gives for the same pairs
     out = str(tmp_path / "batch.csv")
     args = ["sample", "--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2",
             "--theta2", "-pi/4", "--count", "20000", "-o", out]
     assert runner.invoke(main, args).exit_code == 0
-    assert sha(out) == "54f23610f333f5a783489d0e41d06f38a4145025eb52200e1d12b77ab5f20308"
+    assert sha(out) == "00d503434d4e39176ba3033d591e9687d3e6eb5419093b0219add7802356ad1a"
 
 
 # SHA-256 of the tomographic optimize JSON of the benchmark's seed-1 states: the
@@ -301,14 +301,43 @@ def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
         # a normalized density is accepted at the rate 1 / M
         assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(1.0, abs=0.1)
         assert record["envelope_sigmas"] == list(sigmas)
-        # the 201 x 201 scan, then the proposals the screen leaves
-        assert 201**2 < record["tomogram_evaluations"] < 201**2 + 2000 / record["acceptance_rate"]
+        # the 201 x 201 scan, then every proposal up to the chunk that completed the batch
+        accepted = (record["tomogram_evaluations"] - 201**2) * record["acceptance_rate"]
+        assert accepted == pytest.approx(round(accepted), abs=1e-6)
+        assert 2000 <= round(accepted) < 2000 + smp._CELL_BLOCK
     epr = str(tmp_path / "epr.csv")
     assert runner.invoke(main, ["sample", "--state", "epr", "--lambda", "0.5", "--count", "10",
                                 "-o", epr]).exit_code == 0
     epr_sidecar = json.load(open(str(tmp_path / "epr.json")))
     assert epr_sidecar["envelope_sigmas"] is None
     assert epr_sidecar["tomogram_evaluations"] is None
+
+
+@pytest.mark.parametrize("args,sampler", [
+    (["--state", "epr", "--lambda", "0.5"], "gaussian-exact"),
+    (["--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2", "--theta2", "-pi/4"],
+     "cell-table"),
+    (["--state", "fock-pair", "--n", "3"], "cell-table"),
+    (["--state", "pair-coherent", "--r", "2"], "gaussian-mixture"),
+    (["--state", "fock-pair", "--n", "50"], "gaussian-mixture"),
+], ids=["epr", "pair-coherent-1.1", "fock-pair-3", "pair-coherent-2", "fock-pair-50"])
+def test_sample_sidecar_names_the_sampler(runner, tmp_path, args, sampler):
+    out = str(tmp_path / "batch.csv")
+    result = runner.invoke(main, ["sample", *args, "--count", "2000", "-o", out])
+    assert result.exit_code == 0, result.output
+    sidecar = json.load(open(str(tmp_path / "batch.json")))
+    manifest = json.load(open(out + ".manifest.json"))["effective_config"]
+    for record in (sidecar, manifest):
+        assert record["sampler"] == sampler
+        bound = record["outside_mass_bound"]
+        if sampler == "cell-table":
+            # T's integral Z sets the expected acceptance 1 / Z
+            assert 0.0 < bound <= smp.OUTSIDE_MASS_LIMIT
+            assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(
+                1.0, abs=0.05)
+        else:
+            assert bound is None
+        assert (record["envelope_sigmas"] is None) == (sampler == "gaussian-exact")
 
 
 def _old_csv_text(header, rows):
@@ -523,6 +552,25 @@ def test_pseudospin_dm_flag_overrides_a_config_file_state(runner, tmp_path):
     config = json.load(open(out + ".manifest.json"))["effective_config"]
     assert config["state"] == {"kind": "explicit-fock", "path": rho}
     assert config["cutoff"] == 8
+
+
+def test_pseudospin_state_flag_overrides_a_config_file_dm(runner, tmp_path):
+    # the file's matrix was read and the flag's state dropped, with exit 0
+    rho = _dumped_rho(runner, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dm = {rho}\n")
+    out = str(tmp_path / "ps.csv")
+    result = runner.invoke(main, ["--config", str(cfg), "pseudospin", "--state", "fock-pair",
+                                  "--n", "1", "--cutoff", "4", "-o", out])
+    assert result.exit_code == 0, result.output
+    config = json.load(open(out + ".manifest.json"))["effective_config"]
+    assert config["state"] == {"kind": "fock-pair", "n": 1}
+    assert config["cutoff"] == 4
+    # a state and a dm key in one file conflict, as the two flags do
+    cfg.write_text(f"dm = {rho}\nstate = fock-pair\nn = 1\n")
+    result = runner.invoke(main, ["--config", str(cfg), "pseudospin", "-o", out])
+    assert result.exit_code == 2
+    assert "configuration error: pseudospin takes --state or --dm, not both" in result.stderr
 
 
 def test_optimize_fock_pair(runner, tmp_path):

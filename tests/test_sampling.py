@@ -30,7 +30,12 @@ from tomobell.states import (
 )
 from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
 
-from oracles import correlation_tomographic, homodyne_marginal_tail, second_moments_numeric
+from oracles import (
+    RandomSchmidt,
+    correlation_tomographic,
+    homodyne_marginal_tail,
+    second_moments_numeric,
+)
 
 
 def mixture_density(x1, x2, sigmas):
@@ -123,16 +128,34 @@ def test_rejection_vacuum_acceptance_rate():
         return tomogram_closed_form(state, x1, 0.0, x2, 0.0)
 
     count = 50_000
-    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigmas=sigmas)
+    # the 6-sigma square ends at 3.67, so the scan spans its least half-width, 5;
+    # a lobe width of 0.25 keeps its 201 points (step 0.05) but is below their
+    # 8 points per lobe, so no cell table: the proposals come from g
+    assert 6.0 * sigmas[0] < smp.SCAN_MIN_HALF_WIDTH == 5.0
+    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigmas=sigmas,
+                             lobe_width=0.25)
+    assert batch.sampler == "gaussian-mixture"
     # acceptance probability is exactly 1/M for a normalized target; the
     # scan's 201 points per axis include the origin, where w / g peaks
-    grid = np.linspace(-6.0 * sigmas[0], 6.0 * sigmas[0], 201)
+    grid = np.linspace(-5.0, 5.0, 201)
     x1, x2 = grid[:, None], grid[None, :]
     m_bound = 1.1 * float(np.max(tomogram(x1, x2) / mixture_density(x1, x2, sigmas)))
     assert m_bound == pytest.approx(1.1 * 1.5, rel=1e-12)  # w / g = 1.5 at the origin
     assert batch.envelope_constant == pytest.approx(m_bound, rel=1e-12)
     want = 1.0 / m_bound
     se = math.sqrt(want * (1.0 - want) / batch.count)
+    assert abs(batch.acceptance_rate - want) < 4.0 * se
+    # w has no fringes, so the default scan leaves a cell table and the
+    # proposals come from T: acceptance 1/Z, with Z = the integral of T,
+    # 1.1 times the largest w at each cell's corners
+    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigmas=sigmas)
+    assert batch.sampler == "cell-table"
+    w = tomogram(x1, x2)
+    corners = np.maximum(np.maximum(w[:-1, :-1], w[:-1, 1:]), np.maximum(w[1:, :-1], w[1:, 1:]))
+    z = 1.1 * float(np.sum(corners)) * (grid[1] - grid[0]) ** 2
+    assert batch.envelope_constant == pytest.approx(z, rel=1e-12)
+    want = 1.0 / z
+    se = math.sqrt(want * (1.0 - want) / (count / want))
     assert abs(batch.acceptance_rate - want) < 4.0 * se
 
 
@@ -191,16 +214,37 @@ def test_rejection_without_acceptance_gives_up_at_400_rounds():
                          bound_factor=1.0)
 
 
+def test_rejection_of_a_density_zero_on_the_whole_scan_is_reported():
+    # the scan leaves a table of zeros, which can propose nothing
+    def empty_density(x1, x2):
+        return np.zeros(np.broadcast(x1, x2).shape)
+
+    with pytest.raises(EnvelopeError, match=r"density is 0 at every point of the envelope scan"):
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, envelope_sigmas=(1.0, 1.0, 1.0))
+
+
 def test_rejection_batch_records_rounds_and_envelope_constant():
-    for state in (FockPairSuperposition(3), PairCoherent(1.1)):
+    samplers = []
+    for state in (FockPairSuperposition(3), PairCoherent(1.1), FockPairSuperposition(5),
+                  PairCoherent(2.0)):
         batch = sample_state(state, 0.3, 0.2, 3000, seed=8)
+        samplers.append(batch.sampler)
         assert batch.rounds >= 1
         assert batch.envelope_sigmas == envelope_sigmas(*quadrature_moments(state, 0.3 + 0.2))
-        # the scanned bound has a 10% margin over the density / proposal ratio
-        x = batch.pairs
-        proposal = mixture_density(x[:, 0], x[:, 1], batch.envelope_sigmas)
-        ratio = tomogram_closed_form(state, x[:, 0], 0.3, x[:, 1], 0.2) / proposal
-        assert np.max(ratio) <= batch.envelope_constant
+        if batch.sampler == "gaussian-mixture":
+            # the scanned bound has a 10% margin over the density / proposal ratio
+            x = batch.pairs
+            proposal = mixture_density(x[:, 0], x[:, 1], batch.envelope_sigmas)
+            ratio = tomogram_closed_form(state, x[:, 0], 0.3, x[:, 1], 0.2) / proposal
+            assert np.max(ratio) <= batch.envelope_constant
+        else:
+            # Z integrates T >= w over a square that holds all of w but 2^-53
+            assert batch.envelope_constant > 1.0
+            want = 1.0 / batch.envelope_constant
+            proposals = batch.count / batch.acceptance_rate
+            se = math.sqrt(want * (1.0 - want) / proposals)
+            assert abs(batch.acceptance_rate - want) < 4.0 * se
+    assert samplers == ["cell-table", "cell-table", "gaussian-mixture", "gaussian-mixture"]
     assert sample_gaussian_epr(1.0, 0.0, 0.0, 10, seed=1).rounds is None
 
 
@@ -304,14 +348,14 @@ def test_rejection_envelope_resolves_high_n_fringes(n):
 
 
 def _envelope_scan_of(monkeypatch, state, theta1, theta2):
-    """(tomogram, sigmas, lobe width, screen, points) of sample_state's envelope scan."""
+    """(tomogram, sigmas, lobe width, cell table, points) of sample_state's envelope scan."""
     scans = []
     scan = smp._envelope_scan
 
     def spy(tomogram, proposal_density, sigmas, lobe_width):
-        ratio, screen, points = scan(tomogram, proposal_density, sigmas, lobe_width)
-        scans.append((tomogram, sigmas, lobe_width, screen, points))
-        return ratio, screen, points
+        ratio, table, points = scan(tomogram, proposal_density, sigmas, lobe_width)
+        scans.append((tomogram, sigmas, lobe_width, table, points))
+        return ratio, table, points
 
     monkeypatch.setattr(smp, "_envelope_scan", spy)
     sample_state(state, theta1, theta2, 1, seed=1)
@@ -326,34 +370,135 @@ def _envelope_scan_of(monkeypatch, state, theta1, theta2):
      (FockPairSuperposition(50), 0.3, 0.2, 2000)],
     ids=["pair-coherent-1.1", "fock-pair-3", "fock-pair-50"],
 )
-def test_screen_leaves_every_sample_as_without_it(monkeypatch, state, theta1, theta2, count):
-    # a given bound_factor skips the scan, so that run has no screen and evaluates
-    # w at every proposal; the screened run must draw and decide identically
-    tomogram, sigmas, lobe_width, screen, points = _envelope_scan_of(
+def test_sampler_evaluates_every_proposal_once(monkeypatch, state, theta1, theta2, count):
+    # both samplers evaluate w at each proposal they draw, and at nothing else
+    # after the scan; the cell table accepts 1 / Z of them
+    tomogram, sigmas, lobe_width, table, points = _envelope_scan_of(
         monkeypatch, state, theta1, theta2)
-    evaluated = []
+    proposals = []
 
     def counted(x1, x2):
-        evaluated.append(np.broadcast(x1, x2).size)
+        if np.ndim(x1) == 1:
+            proposals.append(x1.size)
         return tomogram(x1, x2)
 
     scanned = sample_rejection(counted, theta1, theta2, count, seed=2501, envelope_sigmas=sigmas,
                                lobe_width=lobe_width)
-    assert scanned.tomogram_evaluations == sum(evaluated)
-    evaluated.clear()
-    plain = sample_rejection(counted, theta1, theta2, count, seed=2501, envelope_sigmas=sigmas,
-                             bound_factor=scanned.envelope_constant)
-    assert plain.tomogram_evaluations == sum(evaluated)
-    assert np.array_equal(scanned.pairs, plain.pairs)
-    assert np.array_equal(scanned.rounds, plain.rounds)
-    assert np.array_equal(scanned.acceptance_rate, plain.acceptance_rate)
+    assert scanned.tomogram_evaluations == points + sum(proposals)
+    accepted = scanned.acceptance_rate * sum(proposals)
+    assert accepted == pytest.approx(round(accepted), abs=1e-6)
+    # the chunk that completes the batch is the last one evaluated
+    assert count <= accepted < count + proposals[-1]
     if state == FockPairSuperposition(50):
-        # 2 scan points per lobe, fewer than the screen's 8: no table
-        assert screen is smp._UNSCREENED
+        # 2 scan points per lobe, fewer than the table's 8: proposals from g,
+        # the same draws as with the scan's M given and no scan
+        assert table is None and scanned.sampler == "gaussian-mixture"
+        proposals.clear()
+        plain = sample_rejection(counted, theta1, theta2, count, seed=2501,
+                                 envelope_sigmas=sigmas, bound_factor=scanned.envelope_constant)
+        assert plain.tomogram_evaluations == sum(proposals)
         assert scanned.tomogram_evaluations == points + plain.tomogram_evaluations
+        assert np.array_equal(scanned.pairs, plain.pairs)
+        assert (scanned.rounds, scanned.acceptance_rate) == (plain.rounds, plain.acceptance_rate)
     else:
-        assert screen.table.shape == (202, 202)
-        assert scanned.tomogram_evaluations < plain.tomogram_evaluations
+        assert table.values.shape == (200, 200)
+        assert scanned.sampler == "cell-table"
+        assert scanned.envelope_constant == table.integral()
+        assert scanned.rounds == 1
+        want = 1.0 / scanned.envelope_constant
+        se = math.sqrt(want * (1.0 - want) / sum(proposals))
+        assert abs(scanned.acceptance_rate - want) < 4.0 * se
+
+
+def test_cell_table_below_the_density_is_reported(monkeypatch):
+    # a table at half the scan's T lies below w in most cells; the first
+    # proposal there aborts the batch with the point and the table's value
+    scan = smp._envelope_scan
+
+    def halved(*args):
+        ratio, table, points = scan(*args)
+        return ratio, table._replace(values=0.5 * table.values), points
+
+    monkeypatch.setattr(smp, "_envelope_scan", halved)
+    with pytest.raises(EnvelopeError, match=r"density exceeds envelope at X = .* > T = "):
+        sample_state(PairCoherent(1.1), math.pi / 2, -math.pi / 4, 2000, seed=1)
+
+
+def _binned_chi_square_z(state, theta1, theta2, pairs, half_width=4.5, bins=24, order=8):
+    """(chi^2 - dof) / sqrt(2 dof) of ``pairs`` against the closed-form tomogram.
+
+    The square |X1|, |X2| <= ``half_width`` is cut into ``bins`` x ``bins``
+    bins, each integrated by numpy's Gauss-Legendre rule with ``order`` nodes
+    per axis; bins that expect fewer than 5 pairs are pooled with the mass
+    outside the square.
+    """
+    edges = np.linspace(-half_width, half_width, bins + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    h = 0.5 * (edges[1] - edges[0])
+    x = ((edges[:-1] + h)[:, None] + h * nodes).ravel()
+    w = np.tile(h * weights, bins)
+    density = tomogram_closed_form(state, x[:, None], theta1, x[None, :], theta2)
+    probs = (density * np.outer(w, w)).reshape(bins, order, bins, order).sum(axis=(1, 3))
+    counts = np.histogram2d(pairs[:, 0], pairs[:, 1], bins=[edges, edges])[0]
+    expected = len(pairs) * probs
+    big = expected >= 5.0
+    observed = np.append(counts[big], len(pairs) - counts[big].sum())
+    expected = np.append(expected[big], len(pairs) - expected[big].sum())
+    dof = observed.size - 1
+    return (np.sum((observed - expected) ** 2 / expected) - dof) / math.sqrt(2.0 * dof)
+
+
+@pytest.mark.parametrize(
+    "state,theta1,theta2",
+    [(PairCoherent(1.0), math.pi / 2, -math.pi / 4),
+     (PairCoherent(1.2), math.pi / 2, -math.pi / 4),
+     (FockPairSuperposition(3), 0.3, 0.5), (FockPairSuperposition(4), 0.3, 0.5)],
+    ids=["pair-coherent-1.0", "pair-coherent-1.2", "fock-pair-3", "fock-pair-4"],
+)
+def test_cell_table_samples_follow_the_tomogram_bin_by_bin(state, theta1, theta2):
+    batch = sample_state(state, theta1, theta2, 200_000, seed=2701)
+    assert batch.sampler == "cell-table"
+    assert abs(_binned_chi_square_z(state, theta1, theta2, batch.pairs)) <= 4.0
+
+
+@pytest.mark.parametrize(
+    "state,theta1,theta2,bound",
+    [(PairCoherent(1.0), 0.3, math.pi / 2 - 0.3, 3.3e-25),
+     (PairCoherent(1.2), math.pi / 2, -math.pi / 4, 1.2e-33),
+     (FockPairSuperposition(3), 0.3, 0.2, 1.1e-42)],
+    ids=["pair-coherent-1.0", "pair-coherent-1.2", "fock-pair-3"],
+)
+def test_outside_mass_bound_is_the_marginal_tail_beyond_the_scan_square(
+        monkeypatch, state, theta1, theta2, bound):
+    # 4 P(X1 > a) on the scanned square |X1|, |X2| <= a, against numpy-Hermite quadrature
+    _, _, _, table, _ = _envelope_scan_of(monkeypatch, state, theta1, theta2)
+    batch = sample_state(state, theta1, theta2, 1000, seed=3)
+    want = 4.0 * homodyne_marginal_tail(significant_schmidt(state).coefficients, -table.corner)
+    assert batch.outside_mass_bound == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert batch.outside_mass_bound == pytest.approx(bound, rel=0.04, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "state", [PairCoherent(1.1), FockPairSuperposition(3), RandomSchmidt(3, 16)], ids=repr)
+def test_marginal_tail_matches_hermite_quadrature(state):
+    coefficients = significant_schmidt(state).coefficients
+    for x0 in (0.0, 0.5, 1.5, 3.0):
+        assert smp.marginal_tail(coefficients, x0) == pytest.approx(
+            homodyne_marginal_tail(coefficients, x0), abs=1e-14)
+    for x0 in (6.0, 9.0):
+        assert smp.marginal_tail(coefficients, x0) == pytest.approx(
+            homodyne_marginal_tail(coefficients, x0), rel=1e-9, abs=0.0)
+
+
+def test_cell_table_leaving_mass_outside_is_reported(monkeypatch):
+    # the pair-coherent state at r = 0.5 leaves 9.5e-14 of its mass outside
+    # its 6-sigma square; scanned there, the sampler refuses the batch
+    monkeypatch.setattr(smp, "SCAN_MIN_HALF_WIDTH", 0.0)
+    with pytest.raises(EnvelopeError, match=r"leaves up to \S+ of the density outside its square"):
+        sample_state(PairCoherent(0.5), 0.3, math.pi / 2 - 0.3, 100, seed=1)
+    monkeypatch.undo()
+    batch = sample_state(PairCoherent(0.5), 0.3, math.pi / 2 - 0.3, 100, seed=1)
+    assert batch.outside_mass_bound < smp.OUTSIDE_MASS_LIMIT
 
 
 def test_screen_violation_reported():
@@ -384,16 +529,19 @@ FIG3A_SETTINGS = [(math.pi / 2, -math.pi / 4), (math.pi / 2, -3 * math.pi / 4),
     + ["fock-pair-1", "fock-pair-3"],
 )
 def test_screen_table_bounds_the_density_between_scan_points(monkeypatch, state, theta1, theta2):
-    # the screen's premise: at 8 or more scan points per lobe, 1.1 times the
-    # largest corner value bounds w inside each cell, here on a grid 8 times finer
-    tomogram, _, _, screen, points = _envelope_scan_of(monkeypatch, state, theta1, theta2)
-    cells = screen.table.shape[0] - 2
-    assert (cells + 1) ** 2 == points
-    step = 1.0 / screen.inv_step
-    fine = screen.origin + step + np.arange(8 * cells + 1) * (step / 8.0)
-    for rows in np.array_split(fine, 40):
-        x1, x2 = rows[:, None], fine[None, :]
-        assert np.all(tomogram(x1, x2) <= screen.ceiling(x1, x2))
+    # the table's premise: at 8 or more scan points per lobe, 1.1 times the
+    # largest corner value bounds w inside each cell, edges included, here on
+    # a grid 8 times finer
+    tomogram, _, _, table, points = _envelope_scan_of(monkeypatch, state, theta1, theta2)
+    cells = table.values.shape[0]
+    assert table.values.shape == (cells, cells) and (cells + 1) ** 2 == points
+    fine = table.corner + np.arange(8 * cells + 1) * (table.step / 8.0)
+    assert fine[-1] == pytest.approx(-table.corner, rel=1e-12)
+    for rows in np.array_split(np.arange(cells), 40):
+        w = tomogram(fine[8 * rows[0]:8 * rows[-1] + 9, None], fine[None, :])
+        # the largest w on each cell's 9 x 9 fine points
+        top = np.lib.stride_tricks.sliding_window_view(w, (9, 9))[::8, ::8].max(axis=(2, 3))
+        assert np.all(top <= table.values[rows])
 
 
 def test_estimate_chsh_against_deterministic():

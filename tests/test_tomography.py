@@ -53,10 +53,12 @@ from tomobell.tomography import (
 from oracles import (
     RandomSchmidt,
     correlation_tomographic,
+    fock_superposition_tomogram,
     inverse_fourier_wigner,
     pair_coherent_integral_direct,
     radon_wigner_grid_sum,
     schmidt_sign_correlation,
+    schmidt_tomogram,
     sign_binned_numeric,
 )
 
@@ -823,6 +825,24 @@ def test_sign_correlation_matches_the_raw_schmidt_vector(state):
         assert corr(theta1, theta2) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("state", [
+    RandomSchmidt(1, 6), RandomSchmidt(2, 9), RandomSchmidt(3, 16),
+    pytest.param(SqueezedVacuum(0.5), marks=pytest.mark.xfail(strict=True, reason=(
+        "the tomographic side is sum (-lam)^n |n n>, the Schmidt vector (+lam)^n: "
+        "the X1 X2 cross term flips sign"))),
+    FockPairSuperposition(3), PairCoherent(1.05),
+], ids=repr)
+def test_tomogram_closed_form_matches_the_raw_schmidt_vector(state):
+    # the joint density the samplers draw from, against numpy's Hermite
+    # polynomials summed over c_n as the state gives them
+    c = state.schmidt(64)
+    x = np.linspace(-3.5, 3.5, 29)
+    for theta1, theta2 in ((0.0, 0.0), (0.3, 1.1), (math.pi / 2, -math.pi / 4), (2.0, 2.9)):
+        got = tomogram_closed_form(state, x[:, None], theta1, x[None, :], theta2)
+        want = schmidt_tomogram(c, x[:, None], x[None, :], theta1 + theta2)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_displacement_matrix_vs_expm_oracle():
     # brute-force oracle: exponentiate beta a^dag - conj(beta) a, beta = -i k/2, on a
     # 300-level truncation and read off the top-left 64 x 64 block
@@ -899,6 +919,19 @@ def test_kernel_reconstruct_is_exact(tomogram, populations):
         exact = np.diag(populations(np.arange(cutoff)).astype(float))
         assert np.max(np.abs(rho - exact)) < 1e-9, cutoff
         assert diag["trace"] == pytest.approx(np.trace(exact), abs=1e-9)
+
+
+@pytest.mark.parametrize("phi", [0.7, 2.3])
+def test_kernel_reconstruct_recovers_the_phase_of_a_coherence(phi):
+    # (|0> + e^{i phi} |1>) / sqrt(2) has rho_01 = e^{-i phi} / 2: a tomogram
+    # that depends on theta, so the phases of <m|D|n> off the diagonal count
+    amplitudes = np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
+    rho, _ = kernel_reconstruct_density(
+        lambda x, theta=0.0: fock_superposition_tomogram(amplitudes, x, theta), 4)
+    assert abs(rho[0, 1] - 0.5 * np.exp(-1j * phi)) <= 1e-10
+    exact = np.zeros((4, 4), dtype=complex)
+    exact[:2, :2] = np.outer(amplitudes, amplitudes.conj())
+    assert np.max(np.abs(rho - exact)) <= 1e-10
 
 
 def test_kernel_reconstruct_single_photon():
