@@ -288,6 +288,16 @@ def write_manifest(path: str, command: str, config: dict, outputs: dict, extras=
     })
 
 
+def distinct_outputs(*paths) -> None:
+    """Refuse (exit 2) a command whose outputs share a path, before it writes any of them."""
+    seen = {}
+    for path in paths:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ConfigError(f"two outputs would share one file: {seen[key]!r} and {path!r}")
+        seen[key] = path
+
+
 def _integer(value: float) -> int:
     if not float(value).is_integer():
         raise ConfigError(f"--n must be an integer, got {value}")
@@ -458,7 +468,7 @@ def cmd_probs(kind, lam, n, r, theta_sum, theta2, out):
     outputs = {out: write_csv(out, ["param", *PROB_COLUMNS], rows)}
     write_manifest(out + ".manifest.json", "probs", {
         "state_kind": kind, "param_values": [value for value, _ in states], "theta2": t2,
-        "theta_sum_count": len(sums),
+        "theta_sums": sums,
     }, outputs)
 
 
@@ -518,7 +528,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutof
         "angles": {"theta1": quad.theta1, "theta2": quad.theta2,
                    "theta1p": quad.theta1p, "theta2p": quad.theta2p},
         "ps_angles": {"theta_v": tv, "theta_up": tup, "theta_vp": tvp},
-        "cutoff": cutoff,
+        "theta_u_steps": theta_u_steps, "cutoff": cutoff,
     }
     extras = {}
     if do_tomo:
@@ -568,6 +578,7 @@ def _series_summary(params, values) -> dict:
 def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump_dm, out):
     """calB(theta_u) curve at fixed theta_v, theta_u', theta_v'."""
     tv, tup, tvp = angles["tv"], angles["tup"], angles["tvp"]
+    distinct_outputs(out, out + ".manifest.json", *([dump_dm] if dump_dm else []))
 
     if dm_path is not None and kind is not None:
         # a flag wins over the config file's key; two flags, or two keys, conflict
@@ -651,7 +662,9 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
 @click.option("--seed", type=click.IntRange(min=0), default=20240901, show_default=True)
 @click.option("-o", "--out", default="batch.csv", show_default=True)
 def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
-    """Seeded Monte Carlo homodyne batch; CSV (X1, X2) plus JSON sidecar."""
+    """Seeded Monte Carlo homodyne batch: CSV (X1, X2), JSON sidecar at OUT with suffix .json."""
+    side_path = os.path.splitext(out)[0] + ".json"
+    distinct_outputs(out, side_path)
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
     t1 = parse_angle(theta1)
     t2 = parse_angle(theta2)
@@ -668,7 +681,7 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         "acceptance_rate": batch.acceptance_rate,
         "rounds": batch.rounds,
         "envelope_constant": batch.envelope_constant,
-        "envelope_sigmas": batch.envelope_sigmas,
+        "half_width": batch.half_width,
         "tomogram_evaluations": batch.tomogram_evaluations,
         "outside_mass_bound": batch.outside_mass_bound,
         "estimated_probs": {
@@ -677,7 +690,6 @@ def cmd_sample(kind, lam, n, r, theta1, theta2, count, seed, out):
         },
         "standard_errors": dict(zip(("w_pp", "w_pm", "w_mp", "w_mm"), est.errors())),
     }
-    side_path = os.path.splitext(out)[0] + ".json"
     outputs[side_path] = write_json(side_path, sidecar)
     write_manifest(out + ".manifest.json", "sample", sidecar, outputs)
 

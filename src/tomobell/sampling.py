@@ -12,7 +12,6 @@ measure-zero tie-break, fixed here so estimates are deterministic).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,39 +24,23 @@ from .bell import BellAnglesQuadrature, chsh
 from .errors import DomainError, EnvelopeError
 from .special import hermite_functions
 
-#: Variance inflation of the Gaussian rejection envelope.
-ENVELOPE_INFLATION = 1.5
-
-#: Weight of the Gaussian fitted to the state's covariance in the envelope
-#: mixture.  The isotropic Gaussian keeps the rest, so that w / g is at most
-#: 1 / (1 - ENVELOPE_WEIGHT) times its value under the isotropic one alone
-#: (a defensive mixture, Hesterberg, Technometrics 37, 185 (1995)).
-ENVELOPE_WEIGHT = 0.9
-
-#: Floor on the fitted variances along u and v: the vacuum's quadrature variance.
-ENVELOPE_FLOOR = 0.25
-
-#: Points per tomogram evaluation, in the envelope scan and in each chunk of
-#: Gaussian-mixture proposals: small enough that the temporaries of the level
-#: sum stay in cache.
+#: Points per tomogram evaluation in the cell table's scan: small enough that
+#: the temporaries of the level sum stay in cache.
 _BLOCK = 1 << 14
 
-#: Points per chunk of cell-table proposals, whose evaluation peaks the
-#: sampler's memory.
+#: Points per chunk of table proposals, whose evaluation peaks the sampler's
+#: memory.
 _CELL_BLOCK = 1 << 13
 
-#: Largest mass of w that the cell table may leave outside its square: the
+#: Largest mass of w that a table may leave outside its square: the
 #: resolution of the uniform draws.
 OUTSIDE_MASS_LIMIT = 2.0**-53
 
-#: Least half-width of the envelope scan's square.  The 6-sigma square of a
-#: state near the vacuum ends at 3.67, where 4e-13 of its mass lies outside;
-#: at 5 no pair-coherent state with r <= 1.6 and no Fock pair with n <= 4
-#: leaves more than 3.1e-20 outside (every other such square is wider).
-SCAN_MIN_HALF_WIDTH = 5.0
+#: Resolution of the bisection that sizes the tables' square.
+_WIDTH_STEP = 2.0**-8
 
-#: The sampler never gives up before this many proposal rounds.
-_MIN_ROUNDS = 400
+#: Proposal rounds after which the sampler gives up.
+_MAX_ROUNDS = 400
 
 
 @dataclass(frozen=True)
@@ -69,11 +52,11 @@ class SampleBatch:
     pairs: np.ndarray  # shape (count, 2)
     acceptance_rate: float | None = None
     rounds: int | None = None  # proposal rounds of a rejection sampler
-    envelope_constant: float | None = None  # its Z = the integral of T, or its M with w <= M g
-    envelope_sigmas: tuple[float, float, float] | None = None  # its g: sigma_plus, _minus, _iso
+    envelope_constant: float | None = None  # its Z = the integral of its table T
+    half_width: float | None = None  # of the table's square |X1|, |X2| <= a
     tomogram_evaluations: int | None = None  # points where w was evaluated, scan included
-    sampler: str | None = None  # "gaussian-exact", "cell-table" or "gaussian-mixture"
-    outside_mass_bound: float | None = None  # cell table: mass of w outside its square, at most
+    sampler: str | None = None  # "gaussian-exact", "cell-table" or "product-table"
+    outside_mass_bound: float | None = None  # mass of w outside the table's square, at most
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=float)
@@ -130,97 +113,64 @@ def sample_rejection(
     count: int,
     seed: int,
     *,
-    envelope_sigmas: tuple[float, float, float],
-    bound_factor: float | None = None,
-    lobe_width: float = math.inf,
+    coefficients,
     substream: int = 0,
 ) -> SampleBatch:
-    """Rejection sampling of a joint quadrature density w(X1, X2).
+    """Rejection sampling of the joint quadrature density w(X1, X2) of sum_n c_n |n n>.
 
-    Without ``bound_factor`` the sampler first scans w on the square in X1
-    and X2 that holds the 6-sigma ellipse of both parts of a Gaussian
-    mixture g and reaches at least ``SCAN_MIN_HALF_WIDTH``, with two points
-    per ``lobe_width`` (the narrowest fringe of w) and never fewer than 201
-    per axis.  ``envelope_sigmas`` = (sigma_plus, sigma_minus, sigma_iso)
-    size g on the axes u = (X1 + X2) / sqrt(2) and v = (X1 - X2) / sqrt(2):
-    weight ``ENVELOPE_WEIGHT`` goes to a Gaussian with standard deviations
-    sigma_plus along u and sigma_minus along v, and the rest to an
-    isotropic Gaussian with sigma_iso per axis.
+    ``coefficients`` are the c_n, of either sign.  The proposals come from a
+    table T >= w that is constant on the cells of one grid over the square
+    |X1|, |X2| <= a.  The half-width a is the least, to ``_WIDTH_STEP``,
+    with 4 P(X1 > a) <= ``OUTSIDE_MASS_LIMIT`` (``_square_half_width``), so
+    the square misses at most that mass of w; the grid has 8 points per
+    lobe of w's narrowest fringe and at least 201 (``_axis_grid``).  T is
+    one of two tables:
 
-    Where the scan has 8 or more points per ``lobe_width`` it leaves a
-    cell table T >= w on the square (see ``_envelope_scan``), and the
-    proposals come from T: a cell drawn with probability T Z^-1 times its
-    area, Z the integral of T, then a uniform point in it.  They never
-    leave the square, whose outside mass the caller bounds
-    (``sample_state``).  The batch's ``envelope_constant`` is Z, and the
-    expected acceptance is 1 / Z.  Elsewhere, or with ``bound_factor`` given,
-    the proposals come from g, with M = ``bound_factor`` or 1.1 times the
-    scan's largest w / g, and ``envelope_constant`` is M.
+    - the cell table (``_cell_table``): from a scan of w on the whole grid,
+      the largest w at a cell's four corners raised by a bound on w's
+      curvature inside the cell;
+    - the product table (``_product_table``): t(X1) t(X2), with t 1.1 times
+      the larger value at a cell's ends of f (``schmidt_envelopes``), since
+      w <= f(X1) f(X2).  It costs no scan, but its integral is about
+      (sum_n |c_n|)^2 times the cell table's.
 
-    A proposal is accepted when u B < w, with u uniform on [0, 1) and B
-    the bound T or M g at the point; one where w exceeds B aborts with an
-    envelope error naming the point.  Rounds draw about 1.1 Z times the
-    samples still missing from T, or max(1024, 2 * missing) from g.  w is
-    evaluated a chunk at a time, 8192 proposals from T or 16384 from g, and
-    the sampler stops at the chunk that completes the batch.  It gives up
-    after ``_round_limit`` rounds at the acceptance measured so far, and
-    never before round 400.  The batch records ``tomogram_evaluations``:
-    the scan's points plus the proposals evaluated.
+    The cell table is taken when its scan of size^2 points costs fewer
+    evaluations of w than the product table's ((sum_n |c_n|)^2 - 1) * count
+    extra proposals.  A proposal is a cell drawn with probability T Z^-1
+    times its area, Z the integral of T, then a uniform point in it.  It is
+    accepted when u T < w, with u uniform on [0, 1), and one where w
+    exceeds T aborts with an envelope error naming the point.  Each round
+    draws about 1.1 Z times the samples still missing; w is evaluated 8192
+    proposals at a time, and the sampler stops at the chunk that completes
+    the batch.  It gives up after ``_MAX_ROUNDS`` rounds.  The batch
+    records Z as ``envelope_constant`` (the expected acceptance is 1 / Z),
+    a, the bound 4 P(X1 > a) and ``tomogram_evaluations``: the scan's
+    points plus the proposals evaluated.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    if min(envelope_sigmas) <= 0.0:
-        raise DomainError(f"envelope sigmas must be positive, got {envelope_sigmas}")
-    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
-    fit_norm = ENVELOPE_WEIGHT / (2.0 * math.pi * sigma_plus * sigma_minus)
-    iso_norm = (1.0 - ENVELOPE_WEIGHT) / (2.0 * math.pi * sigma_iso**2)
-
-    # g on p = u / sqrt(2) and q = v / sqrt(2), so that X1 = p + q,
-    # X2 = p - q, and u^2 / (2 sigma^2) = p^2 / sigma^2.  In place, as every
-    # temporary of a proposal chunk costs about as much as its exp.
-    def proposal_density(p, q):
-        pp, qq = p * p, q * q
-        fit = pp * (-1.0 / sigma_plus**2)
-        fit -= qq / sigma_minus**2
-        np.exp(fit, out=fit)
-        fit *= fit_norm
-        pp += qq
-        pp *= -1.0 / sigma_iso**2
-        np.exp(pp, out=pp)
-        pp *= iso_norm
-        fit += pp
-        return fit
-
-    table, evaluations = None, 0
-    if bound_factor is None:
-        ratio, table, evaluations = _envelope_scan(
-            tomogram, proposal_density, envelope_sigmas, lobe_width)
-        bound_factor = 1.1 * ratio
+    c = np.asarray(coefficients, dtype=float)
+    half_width = _square_half_width(c)
+    grid = _axis_grid(c, half_width)
+    if grid.size**2 <= (float(np.sum(np.abs(c))) ** 2 - 1.0) * count:
+        table, evaluations = _cell_table(tomogram, grid, c), grid.size**2
+    else:
+        table, evaluations = _product_table(c, grid), 0
+    constant = table.integral()
+    if constant <= 0.0:
+        raise EnvelopeError("the envelope is 0 on the whole square")
 
     rng = substream_generator(seed, substream)
-    if table is None:
-        sampler, constant, label = "gaussian-mixture", bound_factor, "M g"
-
-        def propose(missing):
-            return _mixture_round(rng, max(1024, 2 * missing), envelope_sigmas,
-                                  bound_factor, proposal_density)
-    else:
-        sampler, constant, label = "cell-table", table.integral(), "T"
-        if constant <= 0.0:
-            raise EnvelopeError("density is 0 at every point of the envelope scan")
-
-        def propose(missing):
-            return _cell_round(rng, max(1024, math.ceil(1.1 * constant * missing)), table)
-
     pairs = np.empty((count, 2))
     n_proposed = n_accepted = rounds = 0
     while n_accepted < count:
-        if rounds >= _round_limit(count, n_accepted / n_proposed if n_proposed else 0.0):
+        if rounds >= _MAX_ROUNDS:
             raise EnvelopeError(
                 f"rejection sampler produced {n_accepted}/{count} samples in {rounds} rounds"
             )
         rounds += 1
-        for x1, x2, u, bound in propose(count - n_accepted):
+        size = max(1024, math.ceil(1.1 * constant * (count - n_accepted)))
+        for x1, x2, u, bound in _table_round(rng, size, table):
             target = np.asarray(tomogram(x1, x2), dtype=float)
             n_proposed += x1.size
             overshoot = target > bound * (1.0 + 1e-12)
@@ -228,7 +178,7 @@ def sample_rejection(
                 i = np.argmax(overshoot)
                 raise EnvelopeError(
                     f"density exceeds envelope at X = ({x1[i]:.6f}, {x2[i]:.6f}): "
-                    f"w = {target[i]:.6e} > {label} = {bound[i]:.6e}"
+                    f"w = {target[i]:.6e} > T = {bound[i]:.6e}"
                 )
             keep = np.flatnonzero(u < target)
             kept = pairs[n_accepted:n_accepted + keep.size]
@@ -244,54 +194,40 @@ def sample_rejection(
         acceptance_rate=n_accepted / n_proposed,
         rounds=rounds,
         envelope_constant=constant,
-        envelope_sigmas=(sigma_plus, sigma_minus, sigma_iso),
+        half_width=half_width,
         tomogram_evaluations=evaluations + n_proposed,
-        sampler=sampler,
+        sampler=table.sampler,
+        outside_mass_bound=4.0 * marginal_tail(c, half_width),
     )
 
 
-def _mixture_round(rng, size, envelope_sigmas, bound_factor, proposal_density):
-    """Yield one round of ``size`` proposals from g in ``_BLOCK`` chunks: (X1, X2, u M g, M g)."""
-    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
-    half = math.sqrt(0.5)
-    for start in range(0, size, _BLOCK):
-        chunk = min(_BLOCK, size - start)
-        fitted = rng.random(chunk) < ENVELOPE_WEIGHT
-        p, q = rng.standard_normal((2, chunk))
-        u = rng.random(chunk)
-        p *= np.where(fitted, half * sigma_plus, half * sigma_iso)
-        q *= np.where(fitted, half * sigma_minus, half * sigma_iso)
-        cap = bound_factor * proposal_density(p, q)
-        u *= cap
-        yield p + q, p - q, u, cap
-
-
-def _cell_round(rng, size, table):
-    """Yield one round of ``size`` proposals from T in ``_CELL_BLOCK`` chunks: (X1, X2, u T, T).
-
-    Multinomial counts over the cells, expanded to an int32 cell list and
-    shuffled in place, are ``size`` independent cell draws in random order,
-    so the round may stop after any chunk.
-    """
-    weights = table.values.ravel()
-    counts = rng.multinomial(size, weights / weights.sum())
-    cells = np.repeat(np.arange(weights.size, dtype=np.int32), counts)
-    rng.shuffle(cells)
-    for start in range(0, size, _CELL_BLOCK):
-        chunk = cells[start:start + _CELL_BLOCK]
-        row, col = np.divmod(chunk, table.values.shape[1])
-        x1, x2, u = rng.random((3, chunk.size))
+def _table_round(rng, size, table):
+    """Yield one round of ``size`` proposals from T in ``_CELL_BLOCK`` chunks: (X1, X2, u T, T)."""
+    for row, col, cap in table.draws(rng, size):
+        x1, x2, u = rng.random((3, row.size))
         for x, index in ((x1, row), (x2, col)):
             x += index
             x *= table.step
             x += table.corner
-        cap = weights.take(chunk)
         u *= cap
         yield x1, x2, u, cap
 
 
+def _cell_draws(rng, size, weights):
+    """``size`` independent draws of a cell index with probability proportional to ``weights``.
+
+    Multinomial counts over the cells, expanded to an int32 cell list and
+    shuffled in place, come in random order, so a round may stop after any
+    chunk of them.
+    """
+    counts = rng.multinomial(size, weights / weights.sum())
+    cells = np.repeat(np.arange(weights.size, dtype=np.int32), counts)
+    rng.shuffle(cells)
+    return cells
+
+
 class _CellTable(NamedTuple):
-    """An upper bound T on w, constant on each cell of the envelope scan's grid.
+    """An upper bound T on w, constant on each cell of the grid.
 
     ``values[i, j]`` is T on the cell [corner + i step, corner + (i + 1) step]
     in X1 times the same interval of j in X2.
@@ -300,102 +236,146 @@ class _CellTable(NamedTuple):
     values: np.ndarray
     corner: float
     step: float
+    sampler = "cell-table"
 
     def integral(self) -> float:
-        """Z, the integral of T over the scanned square."""
+        """Z, the integral of T over the square."""
         return float(np.sum(self.values)) * self.step**2
 
+    def draws(self, rng, size):
+        """Yield (X1 cells, X2 cells, T) of ``size`` cell draws in ``_CELL_BLOCK`` chunks."""
+        weights = self.values.ravel()
+        cells = _cell_draws(rng, size, weights)
+        for start in range(0, size, _CELL_BLOCK):
+            chunk = cells[start:start + _CELL_BLOCK]
+            yield *np.divmod(chunk, self.values.shape[1]), weights.take(chunk)
 
-def _scan_half_width(envelope_sigmas) -> float:
-    """Half-width of the envelope scan's square: it holds the 6-sigma ellipse of
-    both parts of g, and reaches at least ``SCAN_MIN_HALF_WIDTH``."""
-    sigma_plus, sigma_minus, sigma_iso = envelope_sigmas
-    return max(6.0 * max(math.hypot(sigma_plus, sigma_minus) * math.sqrt(0.5), sigma_iso),
-               SCAN_MIN_HALF_WIDTH)
 
+class _ProductTable(NamedTuple):
+    """An upper bound T = t(X1) t(X2) on w, t constant on each cell of the grid.
 
-def _envelope_scan(tomogram, proposal_density, envelope_sigmas, lobe_width):
-    """(max of w / g, the cell table T or None, points evaluated) over the envelope scan's grid.
-
-    The grid spans ``_scan_half_width`` in X1 and X2, with two points per
-    ``lobe_width`` and never fewer than 201 per axis.  T is 1.1 times the
-    largest w at a cell's four corners, the margin of M.  It is built only
-    at 8 or more points per lobe: a fringe peak halfway along a cell
-    diagonal then keeps cos^2(pi sqrt(2) / 16) = 0.925 > 1 / 1.1 of its
-    value at a corner.
+    ``values[i]`` is t on [corner + i step, corner + (i + 1) step].
     """
-    half_width = _scan_half_width(envelope_sigmas)
-    lobes = 2.0 * half_width / lobe_width
-    grid = np.linspace(-half_width, half_width, max(201, 2 * math.ceil(lobes) + 1))
-    step = 2.0 * half_width / (grid.size - 1)
-    tabled = step <= lobe_width / 8.0
+
+    values: np.ndarray
+    corner: float
+    step: float
+    sampler = "product-table"
+
+    def integral(self) -> float:
+        """Z, the integral of T over the square: the square of t's."""
+        return (float(np.sum(self.values)) * self.step) ** 2
+
+    def draws(self, rng, size):
+        """Yield (X1 cells, X2 cells, T) of ``size`` cell draws in ``_CELL_BLOCK`` chunks."""
+        rows = _cell_draws(rng, size, self.values)
+        cols = _cell_draws(rng, size, self.values)
+        for start in range(0, size, _CELL_BLOCK):
+            row, col = rows[start:start + _CELL_BLOCK], cols[start:start + _CELL_BLOCK]
+            yield row, col, self.values.take(row) * self.values.take(col)
+
+
+def schmidt_envelopes(coefficients, x):
+    """(f, kappa) at X = ``x``: sqrt(2) sum_n |c_n| psi_n(x')^2, times 1 or (x'^2 - 2n - 1)^2.
+
+    Here x' = sqrt(2) X.  w = 2 |G|^2 with G = sum_n c_n e^{i n theta}
+    psi_n(x1') psi_n(x2'), theta = theta1 + theta2, and Cauchy-Schwarz with
+    the weights |c_n| gives w <= f(X1) f(X2), at every angle and for any
+    signs of the c_n; f integrates to sum_n |c_n|.  As psi_n'' = (x'^2 -
+    2n - 1) psi_n, it also gives |d^2 G / dX1^2| <= sqrt(2 kappa(X1) f(X2)).
+    """
+    y = math.sqrt(2.0) * np.asarray(x, dtype=float)
+    f, kappa = np.zeros_like(y), np.zeros_like(y)
+    for n, (weight, psi) in enumerate(zip(np.abs(coefficients), hermite_functions(y))):
+        term = weight * psi * psi
+        f += term
+        term *= np.square(y * y - (2 * n + 1))
+        kappa += term
+    return math.sqrt(2.0) * f, math.sqrt(2.0) * kappa
+
+
+def _square_half_width(coefficients) -> float:
+    """The least a, to ``_WIDTH_STEP``, with 4 P(X1 > a) <= ``OUTSIDE_MASS_LIMIT``.
+
+    w puts at most P(|X1| > a) + P(|X2| > a) = 4 P(X1 > a) outside the
+    square |X1|, |X2| <= a.  The tail (``marginal_tail``) falls with a, so a
+    bisection finds a, from a bracket that reaches 5 past the turning point
+    sqrt(N + 1/2) of the top level N: about 12 tail evaluations.
+    """
+    def outside(a):
+        return 4.0 * marginal_tail(coefficients, a) > OUTSIDE_MASS_LIMIT
+
+    lo, hi = 0.0, math.sqrt(len(coefficients) - 0.5) + 5.0
+    while outside(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > _WIDTH_STEP:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if outside(mid) else (lo, mid)
+    return hi
+
+
+def _axis_grid(coefficients, half_width: float) -> np.ndarray:
+    """The tables' grid on [-a, a]: 8 points per lobe of w's narrowest fringe, at least 201.
+
+    |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1)) wide at X = 0, and
+    n = 2 <n> stands for the top level: the Fock pair's, and twice the mean
+    photon number of the pair-coherent state.
+    """
+    weights = np.square(coefficients)
+    mean = float(np.sum(np.arange(weights.size) * weights))
+    lobe_width = math.pi / math.sqrt(2.0 * (4.0 * mean + 1.0))
+    lobes = math.ceil(2.0 * half_width / lobe_width)
+    return np.linspace(-half_width, half_width, max(201, 8 * lobes + 1))
+
+
+def _cell_bounds(values):
+    """1.1 times the larger of each pair of neighbouring values: a bound on each cell between them.
+
+    At 8 or more grid points per lobe, a fringe peak halfway along a cell
+    keeps cos^2(pi / 16) = 0.962 > 1 / 1.1 of its value at an end.
+    """
+    return 1.1 * np.maximum(values[:-1], values[1:])
+
+
+def _cell_table(tomogram, grid, coefficients) -> _CellTable:
+    """T on the cells of ``grid`` x ``grid``: w's largest corner value raised by its curvature.
+
+    Inside a cell of side s, |G| = sqrt(w / 2) is at most its largest corner
+    value, which bounds G's bilinear interpolant, plus the interpolation
+    error (s^2 / 8) (sup |d^2 G / dX1^2| + sup |d^2 G / dX2^2|).  With the
+    cell bounds of f and kappa (``schmidt_envelopes``), that makes
+    sqrt(T) = sqrt(max corner w) + (s^2 / 4) (sqrt(kappa_i f_j) + sqrt(f_i kappa_j)).
+    A fixed factor over the corners would not do: where two levels nearly
+    cancel, w has bumps narrower than any cell.
+    """
     # table row i + 1 holds the cells from grid point i to i + 1
-    table = np.zeros((grid.size + 1, grid.size - 1)) if tabled else None
-    ratio = 0.0
+    table = np.zeros((grid.size + 1, grid.size - 1))
     row = 0
     # The grid is a product in X1 and X2, so that a Schmidt-sum tomogram runs
     # its level recurrences along the two axes and only its sum on the grid.
     for rows in np.array_split(grid, math.ceil(grid.size**2 / _BLOCK)):
-        x1, x2 = rows[:, None], grid[None, :]
-        target = tomogram(x1, x2)
-        if tabled:
-            # grid row i is a corner row of the cells in table rows i and i + 1
-            corners = np.maximum(target[:, :-1], target[:, 1:])
-            cells = table[row:row + rows.size + 1]
-            np.maximum(cells[:-1], corners, out=cells[:-1])
-            np.maximum(cells[1:], corners, out=cells[1:])
+        target = tomogram(rows[:, None], grid[None, :])
+        # grid row i is a corner row of the cells in table rows i and i + 1
+        corners = np.maximum(target[:, :-1], target[:, 1:])
+        cells = table[row:row + rows.size + 1]
+        np.maximum(cells[:-1], corners, out=cells[:-1])
+        np.maximum(cells[1:], corners, out=cells[1:])
         row += rows.size
-        ratio = max(ratio, float(np.max(
-            target / proposal_density(0.5 * (x1 + x2), 0.5 * (x1 - x2)))))
-    if not tabled:
-        return ratio, None, grid.size**2
-    values = table[1:-1]
-    values *= 1.1
-    return ratio, _CellTable(values, -half_width, step), grid.size**2
+    step = 2.0 * grid[-1] / (grid.size - 1)
+    f, kappa = (np.sqrt(_cell_bounds(v)) for v in schmidt_envelopes(coefficients, grid))
+    margin = np.outer(kappa, f)
+    margin += np.outer(f, kappa)
+    margin *= 0.25 * step**2
+    values = np.sqrt(table[1:-1], out=table[1:-1])
+    values += margin
+    np.square(values, out=values)
+    return _CellTable(values, grid[0], step)
 
 
-def _round_limit(count: int, acceptance: float) -> int:
-    """Four times the rounds that ``count`` samples take at ``acceptance``, at least 400.
-
-    While more than 512 samples remain, a round accepts a fraction
-    2 * acceptance of them, so they fall to 512 within
-    ln(count / 512) / (2 * acceptance) rounds; the 1024-proposal rounds after
-    that take at most 1 / (2 * acceptance) more.  With nothing accepted yet
-    the limit is 400.
-    """
-    if acceptance <= 0.0:
-        return _MIN_ROUNDS
-    need = (1.0 + math.log(max(count, 512) / 512)) / (2.0 * acceptance)
-    return max(_MIN_ROUNDS, math.ceil(4.0 * need))
-
-
-def quadrature_moments(state, theta_sum: float) -> tuple[float, float]:
-    """(var, cov): the variance of X1 and of X2, and their covariance, at theta1 + theta2.
-
-    A Schmidt-diagonal state sum_n c_n |n n> has var = (2 <n> + 1) / 4 and
-    cov = cos(theta_sum) sum_n c_n c_{n+1} (n + 1) / 2; the squeezed vacuum
-    takes both from its homodyne Gaussian, cosh(2s) / 4 and
-    -sinh(2s) cos(theta_sum) / 4.
-    """
-    if state.gaussian:
-        c, b, _ = st.squeezed_homodyne(state.s, theta_sum)
-        return c / 4.0, -b / 4.0
-    c = st.significant_schmidt(state).coefficients
-    levels = np.arange(c.size)
-    var = (2.0 * float(np.sum(levels * c**2)) + 1.0) / 4.0
-    cov = 0.5 * math.cos(theta_sum) * float(np.sum(c[:-1] * c[1:] * levels[1:]))
-    return var, cov
-
-
-def envelope_sigmas(var: float, cov: float) -> tuple[float, float, float]:
-    """(sigma_plus, sigma_minus, sigma_iso) of the rejection envelope for these moments.
-
-    Along u and v the quadratures have variances var + cov and var - cov;
-    each is floored at ``ENVELOPE_FLOOR`` and, like var for the isotropic
-    part, inflated by ``ENVELOPE_INFLATION``.
-    """
-    return tuple(math.sqrt(ENVELOPE_INFLATION * v)
-                 for v in (max(var + cov, ENVELOPE_FLOOR), max(var - cov, ENVELOPE_FLOOR), var))
+def _product_table(coefficients, grid) -> _ProductTable:
+    """t on the cells of ``grid``: the cell bounds of f, so that t(X1) t(X2) >= w."""
+    f, _ = schmidt_envelopes(coefficients, grid)
+    return _ProductTable(_cell_bounds(f), grid[0], 2.0 * grid[-1] / (grid.size - 1))
 
 
 def sample_state(
@@ -410,28 +390,10 @@ def sample_state(
     def tomogram(x1, x2):
         return tg.tomogram_closed_form(state, x1, theta1, x2, theta2)
 
-    var, cov = quadrature_moments(state, theta1 + theta2)
-    sigmas = envelope_sigmas(var, cov)
-    # The narrowest fringe: |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1))
-    # wide at X = 0, and the per-mode variance var = (2n + 2) / 8 gives
-    # 2n + 1 = 8 var - 1 (n is the top level of the Fock pair, twice the mean
-    # photon number of the pair-coherent state).
-    batch = sample_rejection(
-        tomogram, theta1, theta2, count, seed, envelope_sigmas=sigmas,
-        lobe_width=math.pi / math.sqrt(2.0 * (8.0 * var - 1.0)), substream=substream,
+    return sample_rejection(
+        tomogram, theta1, theta2, count, seed,
+        coefficients=st.significant_schmidt(state).coefficients, substream=substream,
     )
-    if batch.sampler != "cell-table":
-        return batch
-    # The table draws only inside the square |X1|, |X2| <= a, and w puts at
-    # most P(|X1| > a) + P(|X2| > a) = 4 P(X1 > a) outside it.
-    bound = 4.0 * marginal_tail(
-        st.significant_schmidt(state).coefficients, _scan_half_width(sigmas))
-    if bound > OUTSIDE_MASS_LIMIT:
-        raise EnvelopeError(
-            f"the cell table leaves up to {bound:.3e} of the density outside its square, "
-            f"more than {OUTSIDE_MASS_LIMIT:.3e}"
-        )
-    return dataclasses.replace(batch, outside_mass_bound=bound)
 
 
 def marginal_tail(coefficients, x0: float) -> float:

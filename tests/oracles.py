@@ -14,7 +14,8 @@ different route.
 - ``radon_wigner_grid_sum``: the Radon projection as one ``states.wigner``
   call on the whole (X, t1, t2) grid, against the factored projection.
 - ``second_moments_numeric``: the second moments of a joint quadrature
-  density on a Gauss-Legendre grid, against ``sampling.quadrature_moments``.
+  density on a Gauss-Legendre grid, against the per-mode variance that sets
+  the sampler's grid and the squeezed vacuum's homodyne covariance.
 - ``homodyne_marginal_tail``: P(X1 >= x0) of a Schmidt-diagonal state from
   numpy's Hermite polynomials, against the rejection sampler's batches and
   ``sampling.marginal_tail``.

@@ -23,6 +23,7 @@ from tomobell.states import (
     SqueezedVacuum,
     density_matrix,
     schmidt_coefficients,
+    significant_schmidt,
 )
 from tomobell.tomography import sign_binned_closed_form
 
@@ -238,12 +239,13 @@ def test_sample_deterministic_artifacts(runner, tmp_path):
 
 
 # SHA-256 of the sample CSV at --count 2000: a change to the number format, to
-# the random stream or to any accept decision of the sampler shows here.
+# the random stream or to any accept decision of the sampler shows here.  Both
+# non-Gaussian batches come from the product table.
 SAMPLE_GOLDEN = [
     (["--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2", "--theta2", "-pi/4"],
-     "d5f46f63648c57c433aa9b1b4a83680d60249e6fefe67bb195ebf10ae8ab2671"),
+     "a84251e518db39d19e85194f1b86b97210a95fbf4d5c4b1fdcbb2c8d6229991e"),
     (["--state", "fock-pair", "--n", "3"],
-     "2dbe08f4ff66f7e92cee8ee48aa215e6b9213f5a1894fe59cecb9cfc019c1bea"),
+     "e06dc929c36c3dfb5e5cc99628811fef2ef74e08292482407e11e71cf742ed96"),
     (["--state", "epr", "--lambda", "0.54", "--seed", "77"],
      "2fb36f67cf77c97bc5915809e8a4d63be476f50b6e18773433175e4c8954e567"),
 ]
@@ -259,12 +261,13 @@ def test_sample_csv_golden_digest(runner, tmp_path, args, digest):
 
 def test_sample_csv_golden_digest_above_one_block(runner, tmp_path):
     # 40000 values, five blocks of write_csv's digit arithmetic; the digest is the
-    # one the per-value % rule (_old_csv_text) gives for the same pairs
+    # one the per-value % rule (_old_csv_text) gives for the same pairs, which
+    # come from the cell table
     out = str(tmp_path / "batch.csv")
     args = ["sample", "--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2",
             "--theta2", "-pi/4", "--count", "20000", "-o", out]
     assert runner.invoke(main, args).exit_code == 0
-    assert sha(out) == "00d503434d4e39176ba3033d591e9687d3e6eb5419093b0219add7802356ad1a"
+    assert sha(out) == "18fc023edf34556a124b6796f67a4a8d4dab61f0312f0b844bf1f4e2b4576a12"
 
 
 # SHA-256 of the tomographic optimize JSON of the benchmark's seed-1 states: the
@@ -293,51 +296,66 @@ def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 0
     sidecar = json.load(open(str(tmp_path / "batch.json")))
     manifest = json.load(open(out + ".manifest.json"))["effective_config"]
-    # the Fock pair n = 3 has no adjacent levels, so cov = 0 and sigma_+ = sigma_- = sigma_iso
-    sigmas = smp.envelope_sigmas(*smp.quadrature_moments(FockPairSuperposition(3), 0.0))
-    assert sigmas == pytest.approx((math.sqrt(1.5),) * 3, rel=1e-15)
+    c = significant_schmidt(FockPairSuperposition(3)).coefficients
     for record in (sidecar, manifest):
+        assert record["sampler"] == "product-table"
         assert record["rounds"] >= 1
-        # a normalized density is accepted at the rate 1 / M
+        # a normalized density is accepted at the rate 1 / Z
         assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(1.0, abs=0.1)
-        assert record["envelope_sigmas"] == list(sigmas)
-        # the 201 x 201 scan, then every proposal up to the chunk that completed the batch
-        accepted = (record["tomogram_evaluations"] - 201**2) * record["acceptance_rate"]
+        assert record["half_width"] == smp._square_half_width(c)
+        # no scan: every proposal up to the chunk that completed the batch
+        accepted = record["tomogram_evaluations"] * record["acceptance_rate"]
         assert accepted == pytest.approx(round(accepted), abs=1e-6)
         assert 2000 <= round(accepted) < 2000 + smp._CELL_BLOCK
     epr = str(tmp_path / "epr.csv")
     assert runner.invoke(main, ["sample", "--state", "epr", "--lambda", "0.5", "--count", "10",
                                 "-o", epr]).exit_code == 0
     epr_sidecar = json.load(open(str(tmp_path / "epr.json")))
-    assert epr_sidecar["envelope_sigmas"] is None
+    assert epr_sidecar["half_width"] is None
     assert epr_sidecar["tomogram_evaluations"] is None
 
 
-@pytest.mark.parametrize("args,sampler", [
-    (["--state", "epr", "--lambda", "0.5"], "gaussian-exact"),
+@pytest.mark.parametrize("args,count,sampler", [
+    (["--state", "epr", "--lambda", "0.5"], 2000, "gaussian-exact"),
     (["--state", "pair-coherent", "--r", "1.1", "--theta1", "pi/2", "--theta2", "-pi/4"],
-     "cell-table"),
-    (["--state", "fock-pair", "--n", "3"], "cell-table"),
-    (["--state", "pair-coherent", "--r", "2"], "gaussian-mixture"),
-    (["--state", "fock-pair", "--n", "50"], "gaussian-mixture"),
+     100_000, "cell-table"),
+    (["--state", "fock-pair", "--n", "3"], 100_000, "cell-table"),
+    (["--state", "pair-coherent", "--r", "2"], 2000, "product-table"),
+    (["--state", "fock-pair", "--n", "50"], 2000, "product-table"),
 ], ids=["epr", "pair-coherent-1.1", "fock-pair-3", "pair-coherent-2", "fock-pair-50"])
-def test_sample_sidecar_names_the_sampler(runner, tmp_path, args, sampler):
+def test_sample_sidecar_names_the_sampler(runner, tmp_path, args, count, sampler):
     out = str(tmp_path / "batch.csv")
-    result = runner.invoke(main, ["sample", *args, "--count", "2000", "-o", out])
+    result = runner.invoke(main, ["sample", *args, "--count", str(count), "-o", out])
     assert result.exit_code == 0, result.output
     sidecar = json.load(open(str(tmp_path / "batch.json")))
     manifest = json.load(open(out + ".manifest.json"))["effective_config"]
     for record in (sidecar, manifest):
         assert record["sampler"] == sampler
         bound = record["outside_mass_bound"]
-        if sampler == "cell-table":
+        if sampler == "gaussian-exact":
+            assert bound is None and record["half_width"] is None
+        else:
             # T's integral Z sets the expected acceptance 1 / Z
             assert 0.0 < bound <= smp.OUTSIDE_MASS_LIMIT
+            assert record["half_width"] > 4.0
             assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(
                 1.0, abs=0.05)
-        else:
-            assert bound is None
-        assert (record["envelope_sigmas"] is None) == (sampler == "gaussian-exact")
+
+
+@pytest.mark.parametrize("args,out", [
+    (["sample", "--state", "epr", "--lambda", "0.5", "--count", "5"], "b.json"),
+    (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8", "--dump-dm", "P"], "P"),
+    (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8",
+      "--dump-dm", "P.manifest.json"], "P"),
+], ids=["sample-sidecar", "pseudospin-dump-dm", "pseudospin-manifest"])
+def test_outputs_sharing_a_path_exit_2_before_writing(runner, tmp_path, monkeypatch, args, out):
+    # the sample's sidecar b.json overwrote its CSV b.json, and --dump-dm P the
+    # curve P, and each manifest listed one file
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, "-o", out])
+    assert result.exit_code == 2
+    assert "two outputs would share one file" in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def _old_csv_text(header, rows):
@@ -671,6 +689,27 @@ def test_probs_default_theta_sum_sweeps_a_full_turn(runner, tmp_path):
     assert len(rows) == 361
     assert float(rows[0][1]) == 0.0
     assert float(rows[-1][1]) == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+def test_manifests_record_the_theta_grids(runner, tmp_path):
+    # the effective configuration of bell-scan holds --theta-u-steps, and that
+    # of probs the parsed theta1 + theta2 list, as bell-scan's sweep does
+    def manifest(args, out):
+        result = runner.invoke(main, [*args, "-o", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+        return json.load(open(str(tmp_path / out) + ".manifest.json"))["effective_config"]
+
+    scan = ["bell-scan", "--state", "fock-pair", "--n", "1", "--mode", "pseudospin",
+            "--cutoff", "8"]
+    few = manifest([*scan, "--theta-u-steps", "5"], "few.csv")
+    many = manifest([*scan, "--theta-u-steps", "7"], "many.csv")
+    assert (few["theta_u_steps"], many["theta_u_steps"]) == (5, 7)
+    assert few != many
+    probs = manifest(["probs", "--state", "epr", "--lambda", "0.5", "--theta-sum", "0:1:0.25"],
+                     "p.csv")
+    assert probs["theta_sums"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert manifest(["probs", "--state", "epr", "--lambda", "0.5", "--theta-sum", "0.1,2"],
+                    "q.csv")["theta_sums"] == [0.1, 2.0]
 
 
 @pytest.mark.parametrize("command", [["probs"], ["bell-scan", "--mode", "tomographic"]])

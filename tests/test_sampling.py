@@ -9,12 +9,9 @@ from tomobell import sampling as smp
 from tomobell.bell import BellAnglesQuadrature, chsh
 from tomobell.errors import DomainError, EnvelopeError
 from tomobell.sampling import (
-    ENVELOPE_WEIGHT,
     SampleBatch,
-    envelope_sigmas,
     estimate_chsh,
     estimate_probs,
-    quadrature_moments,
     sample_gaussian_epr,
     sample_rejection,
     sample_state,
@@ -24,7 +21,6 @@ from tomobell.states import (
     FockPairSuperposition,
     PairCoherent,
     SqueezedVacuum,
-    schmidt_coefficients,
     significant_schmidt,
     squeezed_homodyne,
 )
@@ -36,16 +32,6 @@ from oracles import (
     homodyne_marginal_tail,
     second_moments_numeric,
 )
-
-
-def mixture_density(x1, x2, sigmas):
-    """The envelope g of sample_rejection, written on u and v directly."""
-    sigma_plus, sigma_minus, sigma_iso = sigmas
-    u, v = (x1 + x2) / math.sqrt(2.0), (x1 - x2) / math.sqrt(2.0)
-    fitted = np.exp(-0.5 * (u**2 / sigma_plus**2 + v**2 / sigma_minus**2)) / (
-        2.0 * math.pi * sigma_plus * sigma_minus)
-    iso = np.exp(-0.5 * (u**2 + v**2) / sigma_iso**2) / (2.0 * math.pi * sigma_iso**2)
-    return ENVELOPE_WEIGHT * fitted + (1.0 - ENVELOPE_WEIGHT) * iso
 
 
 def test_epr_covariance_structure():
@@ -119,90 +105,46 @@ def test_estimate_probs_zero_counts_as_plus():
     assert est.probs.w_pm == 0.5
 
 
+#: The vacuum's Schmidt vector, and its joint density w = (2 / pi) e^{-2 (X1^2 + X2^2)}.
+VACUUM = np.array([1.0])
+
+
+def vacuum_density(x1, x2):
+    return tomogram_closed_form(SqueezedVacuum(0.0), x1, 0.0, x2, 0.0)
+
+
 def test_rejection_vacuum_acceptance_rate():
-    state = SqueezedVacuum(0.0)
-    sigmas = envelope_sigmas(*quadrature_moments(state, 0.0))
-    assert sigmas == (math.sqrt(1.5 * 0.25),) * 3  # the vacuum's envelope is isotropic
-
-    def tomogram(x1, x2):
-        return tomogram_closed_form(state, x1, 0.0, x2, 0.0)
-
+    # sum_n |c_n| = 1: the product table never costs more proposals than the
+    # scan, so the vacuum always takes it.  Its square reaches the least a with
+    # 4 P(X1 > a) = 2 erfc(sqrt(2) a) <= 2^-53, to 2^-8
     count = 50_000
-    # the 6-sigma square ends at 3.67, so the scan spans its least half-width, 5;
-    # a lobe width of 0.25 keeps its 201 points (step 0.05) but is below their
-    # 8 points per lobe, so no cell table: the proposals come from g
-    assert 6.0 * sigmas[0] < smp.SCAN_MIN_HALF_WIDTH == 5.0
-    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigmas=sigmas,
-                             lobe_width=0.25)
-    assert batch.sampler == "gaussian-mixture"
-    # acceptance probability is exactly 1/M for a normalized target; the
-    # scan's 201 points per axis include the origin, where w / g peaks
-    grid = np.linspace(-5.0, 5.0, 201)
-    x1, x2 = grid[:, None], grid[None, :]
-    m_bound = 1.1 * float(np.max(tomogram(x1, x2) / mixture_density(x1, x2, sigmas)))
-    assert m_bound == pytest.approx(1.1 * 1.5, rel=1e-12)  # w / g = 1.5 at the origin
-    assert batch.envelope_constant == pytest.approx(m_bound, rel=1e-12)
-    want = 1.0 / m_bound
-    se = math.sqrt(want * (1.0 - want) / batch.count)
-    assert abs(batch.acceptance_rate - want) < 4.0 * se
-    # w has no fringes, so the default scan leaves a cell table and the
-    # proposals come from T: acceptance 1/Z, with Z = the integral of T,
-    # 1.1 times the largest w at each cell's corners
-    batch = sample_rejection(tomogram, 0.0, 0.0, count, seed=31415, envelope_sigmas=sigmas)
-    assert batch.sampler == "cell-table"
-    w = tomogram(x1, x2)
-    corners = np.maximum(np.maximum(w[:-1, :-1], w[:-1, 1:]), np.maximum(w[1:, :-1], w[1:, 1:]))
-    z = 1.1 * float(np.sum(corners)) * (grid[1] - grid[0]) ** 2
+    batch = sample_rejection(vacuum_density, 0.0, 0.0, count, seed=31415, coefficients=VACUUM)
+    assert batch.sampler == "product-table"
+    a = batch.half_width
+    assert 2.0 * math.erfc(math.sqrt(2.0) * a) <= 2.0**-53
+    assert 2.0 * math.erfc(math.sqrt(2.0) * (a - 2.0**-8)) > 2.0**-53
+    assert batch.outside_mass_bound == pytest.approx(2.0 * math.erfc(math.sqrt(2.0) * a), rel=1e-9)
+    # f(X) = sqrt(2 / pi) e^{-2 X^2} on 201 points (the vacuum has no fringes),
+    # t 1.1 times its larger value at a cell's ends; Z = (integral of t)^2,
+    # and the acceptance is 1 / Z
+    grid = np.linspace(-a, a, 201)
+    f = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * grid**2)
+    z = (1.1 * float(np.sum(np.maximum(f[:-1], f[1:]))) * (grid[1] - grid[0])) ** 2
     assert batch.envelope_constant == pytest.approx(z, rel=1e-12)
+    # no scan: every evaluation is a proposal, and the accepted ones fill the batch
+    accepted = batch.acceptance_rate * batch.tomogram_evaluations
+    assert accepted == pytest.approx(round(accepted), abs=1e-6) and accepted >= count
     want = 1.0 / z
     se = math.sqrt(want * (1.0 - want) / (count / want))
     assert abs(batch.acceptance_rate - want) < 4.0 * se
 
 
-def test_envelope_sigma_uses_every_pair_coherent_level():
-    # the first 64 levels miss 51% of the norm at r = 8 (sigma_iso 4.69, not 6.94)
-    c = schmidt_coefficients(PairCoherent(8.0), 512).coefficients
-    mean_n = float(np.sum(np.arange(c.size) * c**2))
-    var = (2.0 * mean_n + 1.0) / 4.0
-    for theta in (0.0, 1.0, math.pi):
-        cov = 0.5 * math.cos(theta) * float(np.sum(c[:-1] * c[1:] * np.arange(1, c.size)))
-        assert cov == pytest.approx(0.5 * 64.0 * math.cos(theta), rel=1e-10)  # r^2 cos / 2
-        want = [math.sqrt(1.5 * max(v, 0.25)) for v in (var + cov, var - cov, var)]
-        got = envelope_sigmas(*quadrature_moments(PairCoherent(8.0), theta))
-        assert got == pytest.approx(want, rel=1e-14)
-    assert want[2] == pytest.approx(6.94, abs=0.01)
-
-
 def test_rejection_envelope_violation_reported():
-    def wide_density(x1, x2):  # variance 4 target under a variance ~1 envelope
+    def wide_density(x1, x2):  # variance 4 per axis under the vacuum's envelope, variance 1/4
         return np.exp(-(x1**2 + x2**2) / 8.0) / (8.0 * math.pi)
 
-    with pytest.raises(EnvelopeError):
-        sample_rejection(
-            wide_density, 0.0, 0.0, 1000, seed=3, envelope_sigmas=(1.0, 1.0, 1.0),
-            bound_factor=1.05,
-        )
-
-
-def test_rejection_low_acceptance_runs_past_400_rounds():
-    # a narrow Gaussian under a unit envelope with the exact bound M = 1 / s0^2
-    # accepts s0^2 = 0.09% of proposals: about 930 rounds for 1000 samples
-    s0 = 0.03
-
-    def narrow_density(x1, x2):
-        return np.exp(-0.5 * (x1**2 + x2**2) / s0**2) / (2.0 * math.pi * s0**2)
-
-    m_bound = 1.0 / s0**2
-    batch = sample_rejection(
-        narrow_density, 0.0, 0.0, 1000, seed=5, envelope_sigmas=(1.0, 1.0, 1.0),
-        bound_factor=m_bound,
-    )
-    assert batch.count == 1000
-    assert batch.rounds > 400
-    assert batch.envelope_constant == m_bound
-    proposals = batch.count / batch.acceptance_rate
-    assert abs(batch.acceptance_rate - s0**2) < 4.0 * math.sqrt(s0**2 / proposals)
-    assert np.std(batch.pairs, axis=0) == pytest.approx([s0, s0], rel=0.1)
+    with pytest.raises(EnvelopeError, match=r"density exceeds envelope at X = .* > T = "):
+        sample_rejection(wide_density, 0.0, 0.0, 1000, seed=3, coefficients=VACUUM)
 
 
 def test_rejection_without_acceptance_gives_up_at_400_rounds():
@@ -210,41 +152,40 @@ def test_rejection_without_acceptance_gives_up_at_400_rounds():
         return np.zeros_like(x1)
 
     with pytest.raises(EnvelopeError, match=r"produced 0/10 samples in 400 rounds"):
-        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, envelope_sigmas=(1.0, 1.0, 1.0),
-                         bound_factor=1.0)
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, coefficients=VACUUM)
 
 
 def test_rejection_of_a_density_zero_on_the_whole_scan_is_reported():
-    # the scan leaves a table of zeros, which can propose nothing
+    # 16 equal levels make the product table 16 times the cell table's
+    # integral, so 10^4 samples take the scan; zero there leaves only the
+    # curvature margin in T, and no proposal is ever accepted
     def empty_density(x1, x2):
         return np.zeros(np.broadcast(x1, x2).shape)
 
-    with pytest.raises(EnvelopeError, match=r"density is 0 at every point of the envelope scan"):
-        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, envelope_sigmas=(1.0, 1.0, 1.0))
+    with pytest.raises(EnvelopeError, match=r"produced 0/10000 samples in 400 rounds"):
+        sample_rejection(empty_density, 0.0, 0.0, 10_000, seed=1, coefficients=np.full(16, 0.25))
+    # with every c_n = 0 the envelope itself is 0
+    with pytest.raises(EnvelopeError, match=r"the envelope is 0 on the whole square"):
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, coefficients=np.zeros(3))
 
 
 def test_rejection_batch_records_rounds_and_envelope_constant():
     samplers = []
-    for state in (FockPairSuperposition(3), PairCoherent(1.1), FockPairSuperposition(5),
-                  PairCoherent(2.0)):
-        batch = sample_state(state, 0.3, 0.2, 3000, seed=8)
+    for state, count in ((FockPairSuperposition(3), 3000), (FockPairSuperposition(3), 100_000),
+                         (PairCoherent(1.1), 3000), (PairCoherent(1.1), 100_000),
+                         (FockPairSuperposition(5), 3000), (PairCoherent(2.0), 3000)):
+        batch = sample_state(state, 0.3, 0.2, count, seed=8)
         samplers.append(batch.sampler)
         assert batch.rounds >= 1
-        assert batch.envelope_sigmas == envelope_sigmas(*quadrature_moments(state, 0.3 + 0.2))
-        if batch.sampler == "gaussian-mixture":
-            # the scanned bound has a 10% margin over the density / proposal ratio
-            x = batch.pairs
-            proposal = mixture_density(x[:, 0], x[:, 1], batch.envelope_sigmas)
-            ratio = tomogram_closed_form(state, x[:, 0], 0.3, x[:, 1], 0.2) / proposal
-            assert np.max(ratio) <= batch.envelope_constant
-        else:
-            # Z integrates T >= w over a square that holds all of w but 2^-53
-            assert batch.envelope_constant > 1.0
-            want = 1.0 / batch.envelope_constant
-            proposals = batch.count / batch.acceptance_rate
-            se = math.sqrt(want * (1.0 - want) / proposals)
-            assert abs(batch.acceptance_rate - want) < 4.0 * se
-    assert samplers == ["cell-table", "cell-table", "gaussian-mixture", "gaussian-mixture"]
+        assert batch.half_width == smp._square_half_width(significant_schmidt(state).coefficients)
+        # Z integrates T >= w over a square that holds all of w but 2^-53
+        assert batch.envelope_constant > 1.0
+        assert 0.0 < batch.outside_mass_bound <= smp.OUTSIDE_MASS_LIMIT
+        want = 1.0 / batch.envelope_constant
+        proposals = batch.count / batch.acceptance_rate
+        se = math.sqrt(want * (1.0 - want) / proposals)
+        assert abs(batch.acceptance_rate - want) < 4.0 * se
+    assert samplers == ["product-table", "cell-table"] * 2 + ["product-table"] * 2
     assert sample_gaussian_epr(1.0, 0.0, 0.0, 10, seed=1).rounds is None
 
 
@@ -271,7 +212,7 @@ def test_rejection_matches_closed_form(state, theta1, theta2):
     ids=["pair-coherent-1.05", "pair-coherent-2.0", "fock-pair-1", "fock-pair-3"],
 )
 def test_rejection_quadrants_and_marginal_match_closed_forms(state, theta_sum):
-    # the fitted envelope redraws every non-Gaussian batch: its quadrants and
+    # the tables redraw every non-Gaussian batch: its quadrants and
     # its X1 marginal sqrt(2) sum_n c_n^2 psi_n(sqrt(2) X1)^2 stay within 4 SE
     theta1 = 0.3
     theta2 = theta_sum - theta1
@@ -296,9 +237,9 @@ def test_rejection_quadrants_and_marginal_match_closed_forms(state, theta_sum):
     + [f"fock-pair-{n}" for n in (1, 2, 10)],
 )
 def test_fitted_envelope_holds_across_states_and_angles(state, theta_sums):
-    # any proposal above M g raises EnvelopeError; at theta1 + theta2 = 0 and
-    # large r the fitted part is narrow along v and the isotropic part must
-    # still cover the tails
+    # any proposal above T raises EnvelopeError; at 2000 pairs every state
+    # takes the product table t(X1) t(X2), whose Cauchy-Schwarz bound holds at
+    # any angle, with 8 grid points per fringe of the top level
     count = 2000
     for k, theta_sum in enumerate(theta_sums):
         batch = sample_state(state, 0.2, theta_sum - 0.2, count, seed=17, substream=k)
@@ -316,23 +257,24 @@ def test_fitted_envelope_holds_across_states_and_angles(state, theta_sums):
     ids=["pair-coherent-1.1", "pair-coherent-2.0", "fock-pair-1", "fock-pair-3", "epr-0.54"],
 )
 def test_envelope_moments_are_the_tomogram_second_moments(state):
-    # var and cov of the envelope against a Gauss-Legendre integral of the
-    # closed-form tomogram: for the squeezed vacuum that is its precision-matrix
-    # form, an independent route to squeezed_homodyne's -sinh(2s) cos / 4
+    # against a Gauss-Legendre integral of the closed-form tomogram: the per-mode
+    # variance (2 <n> + 1) / 4 that sets the tables' lobe width (_axis_grid),
+    # and for the squeezed vacuum the covariance of its exact sampler,
+    # (1/4) [[c, -b], [-b, c]] from squeezed_homodyne
     for theta1, theta2 in ((0.0, 0.0), (0.4, 0.5), (1.2, 1.9)):
-        var, cov = quadrature_moments(state, theta1 + theta2)
+        if state.gaussian:
+            c, b, _ = squeezed_homodyne(state.s, theta1 + theta2)
+            var, cov = c / 4.0, -b / 4.0
+        else:
+            weights = significant_schmidt(state).coefficients ** 2
+            var = (2.0 * float(np.sum(np.arange(weights.size) * weights)) + 1.0) / 4.0
+            cov = None
         var1, var2, cov12 = second_moments_numeric(
             lambda x1, x2: tomogram_closed_form(state, x1, theta1, x2, theta2), 12.0, 240)
         assert var1 == pytest.approx(var, abs=1e-10)
         assert var2 == pytest.approx(var, abs=1e-10)
-        assert cov12 == pytest.approx(cov, abs=1e-10)
-    if state.gaussian:
-        c, b, _ = squeezed_homodyne(state.s, 0.9)
-        assert quadrature_moments(state, 0.9) == (c / 4.0, -b / 4.0)
-    elif state == FockPairSuperposition(3):
-        # no adjacent levels: cov = 0 and the mixture is one isotropic Gaussian
-        sigmas = envelope_sigmas(*quadrature_moments(state, 0.9))
-        assert sigmas[0] == sigmas[1] == sigmas[2]
+        if cov is not None:
+            assert cov12 == pytest.approx(cov, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [86, 161])
@@ -347,20 +289,15 @@ def test_rejection_envelope_resolves_high_n_fringes(n):
         assert abs(got - want) < 4.0 * se
 
 
-def _envelope_scan_of(monkeypatch, state, theta1, theta2):
-    """(tomogram, sigmas, lobe width, cell table, points) of sample_state's envelope scan."""
-    scans = []
-    scan = smp._envelope_scan
+def _tables_of(state, theta1, theta2):
+    """(tomogram, grid, cell table, product table) of the state's square at these angles."""
+    c = significant_schmidt(state).coefficients
+    grid = smp._axis_grid(c, smp._square_half_width(c))
 
-    def spy(tomogram, proposal_density, sigmas, lobe_width):
-        ratio, table, points = scan(tomogram, proposal_density, sigmas, lobe_width)
-        scans.append((tomogram, sigmas, lobe_width, table, points))
-        return ratio, table, points
+    def tomogram(x1, x2):
+        return tomogram_closed_form(state, x1, theta1, x2, theta2)
 
-    monkeypatch.setattr(smp, "_envelope_scan", spy)
-    sample_state(state, theta1, theta2, 1, seed=1)
-    [found] = scans
-    return found
+    return tomogram, grid, smp._cell_table(tomogram, grid, c), smp._product_table(c, grid)
 
 
 @pytest.mark.parametrize(
@@ -370,58 +307,77 @@ def _envelope_scan_of(monkeypatch, state, theta1, theta2):
      (FockPairSuperposition(50), 0.3, 0.2, 2000)],
     ids=["pair-coherent-1.1", "fock-pair-3", "fock-pair-50"],
 )
-def test_sampler_evaluates_every_proposal_once(monkeypatch, state, theta1, theta2, count):
-    # both samplers evaluate w at each proposal they draw, and at nothing else
-    # after the scan; the cell table accepts 1 / Z of them
-    tomogram, sigmas, lobe_width, table, points = _envelope_scan_of(
-        monkeypatch, state, theta1, theta2)
-    proposals = []
+def test_sampler_evaluates_every_proposal_once(state, theta1, theta2, count):
+    # both tables evaluate w at each proposal they draw, and at nothing else
+    # but the cell table's scan of the whole grid; they accept 1 / Z of them
+    tomogram, grid, _, _ = _tables_of(state, theta1, theta2)
+    proposals, scanned = [], []
 
     def counted(x1, x2):
-        if np.ndim(x1) == 1:
-            proposals.append(x1.size)
+        (proposals if np.ndim(x1) == 1 else scanned).append(np.broadcast(x1, x2).size)
         return tomogram(x1, x2)
 
-    scanned = sample_rejection(counted, theta1, theta2, count, seed=2501, envelope_sigmas=sigmas,
-                               lobe_width=lobe_width)
-    assert scanned.tomogram_evaluations == points + sum(proposals)
-    accepted = scanned.acceptance_rate * sum(proposals)
+    batch = sample_rejection(counted, theta1, theta2, count, seed=2501,
+                             coefficients=significant_schmidt(state).coefficients)
+    assert batch.tomogram_evaluations == sum(scanned) + sum(proposals)
+    accepted = batch.acceptance_rate * sum(proposals)
     assert accepted == pytest.approx(round(accepted), abs=1e-6)
     # the chunk that completes the batch is the last one evaluated
     assert count <= accepted < count + proposals[-1]
     if state == FockPairSuperposition(50):
-        # 2 scan points per lobe, fewer than the table's 8: proposals from g,
-        # the same draws as with the scan's M given and no scan
-        assert table is None and scanned.sampler == "gaussian-mixture"
-        proposals.clear()
-        plain = sample_rejection(counted, theta1, theta2, count, seed=2501,
-                                 envelope_sigmas=sigmas, bound_factor=scanned.envelope_constant)
-        assert plain.tomogram_evaluations == sum(proposals)
-        assert scanned.tomogram_evaluations == points + plain.tomogram_evaluations
-        assert np.array_equal(scanned.pairs, plain.pairs)
-        assert (scanned.rounds, scanned.acceptance_rate) == (plain.rounds, plain.acceptance_rate)
+        # 665^2 scan points cost more than the product table's 2000 extra
+        # proposals, so no scan
+        assert batch.sampler == "product-table" and not scanned
+        assert grid.size == 665
     else:
-        assert table.values.shape == (200, 200)
-        assert scanned.sampler == "cell-table"
-        assert scanned.envelope_constant == table.integral()
-        assert scanned.rounds == 1
-        want = 1.0 / scanned.envelope_constant
-        se = math.sqrt(want * (1.0 - want) / sum(proposals))
-        assert abs(scanned.acceptance_rate - want) < 4.0 * se
+        assert batch.sampler == "cell-table" and sum(scanned) == grid.size**2 == 201**2
+        assert batch.rounds == 1
+    want = 1.0 / batch.envelope_constant
+    se = math.sqrt(want * (1.0 - want) / sum(proposals))
+    assert abs(batch.acceptance_rate - want) < 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "state,theta1,theta2,count,sampler",
+    [(PairCoherent(1.1), math.pi / 2, -math.pi / 4, 100_000, "cell-table"),
+     (PairCoherent(1.1), math.pi / 2, -math.pi / 4, 2000, "product-table"),
+     (FockPairSuperposition(400), 0.3, 0.2, 2000, "product-table")],
+    ids=["fig3a-100k", "fig3a-2000", "fock-pair-400-2000"],
+)
+def test_sampler_takes_the_cheaper_table(state, theta1, theta2, count, sampler):
+    # the cell table when its scan of size^2 points costs no more than the
+    # product table's ((sum_n |c_n|)^2 - 1) * count extra proposals
+    c = significant_schmidt(state).coefficients
+    grid = smp._axis_grid(c, smp._square_half_width(c))
+    extra = (float(np.sum(np.abs(c))) ** 2 - 1.0) * count
+    assert (grid.size**2 <= extra) == (sampler == "cell-table")
+    assert sample_state(state, theta1, theta2, count, seed=5).sampler == sampler
+
+
+def _halved(monkeypatch, name):
+    """Patch the sampler's table builder ``name`` to return its table at half its values."""
+    build = getattr(smp, name)
+
+    def halved(*args):
+        table = build(*args)
+        return table._replace(values=0.5 * table.values)
+
+    monkeypatch.setattr(smp, name, halved)
 
 
 def test_cell_table_below_the_density_is_reported(monkeypatch):
-    # a table at half the scan's T lies below w in most cells; the first
-    # proposal there aborts the batch with the point and the table's value
-    scan = smp._envelope_scan
-
-    def halved(*args):
-        ratio, table, points = scan(*args)
-        return ratio, table._replace(values=0.5 * table.values), points
-
-    monkeypatch.setattr(smp, "_envelope_scan", halved)
+    # a table at half its value lies below w in most cells; the first proposal
+    # there aborts the batch with the point and the table's value
+    _halved(monkeypatch, "_cell_table")
     with pytest.raises(EnvelopeError, match=r"density exceeds envelope at X = .* > T = "):
-        sample_state(PairCoherent(1.1), math.pi / 2, -math.pi / 4, 2000, seed=1)
+        sample_state(PairCoherent(1.1), math.pi / 2, -math.pi / 4, 100_000, seed=1)
+
+
+def test_product_table_below_the_density_is_reported(monkeypatch):
+    # half of t is a quarter of T = t(X1) t(X2)
+    _halved(monkeypatch, "_product_table")
+    with pytest.raises(EnvelopeError, match=r"density exceeds envelope at X = .* > T = "):
+        sample_state(FockPairSuperposition(3), 0.3, 0.2, 2000, seed=1)
 
 
 def _binned_chi_square_z(state, theta1, theta2, pairs, half_width=4.5, bins=24, order=8):
@@ -462,20 +418,83 @@ def test_cell_table_samples_follow_the_tomogram_bin_by_bin(state, theta1, theta2
 
 
 @pytest.mark.parametrize(
-    "state,theta1,theta2,bound",
-    [(PairCoherent(1.0), 0.3, math.pi / 2 - 0.3, 3.3e-25),
-     (PairCoherent(1.2), math.pi / 2, -math.pi / 4, 1.2e-33),
-     (FockPairSuperposition(3), 0.3, 0.2, 1.1e-42)],
+    "state,batch_count,half_width",
+    [(FockPairSuperposition(50), 200_000, 8.0), (PairCoherent(3.0), 5000, 6.0),
+     (RandomSchmidt(3, 16), 5000, 6.0)],
+    ids=["fock-pair-50", "pair-coherent-3", "random-schmidt-3-16"],
+)
+def test_product_table_samples_follow_the_tomogram_bin_by_bin(state, batch_count, half_width):
+    # 200k pairs in batches small enough for the product table; 32 nodes per
+    # bin and axis resolve the fringes of the Fock pair at n = 50
+    theta1, theta2 = 0.3, 0.5
+    batches = [sample_state(state, theta1, theta2, batch_count, seed=2801, substream=k)
+               for k in range(200_000 // batch_count)]
+    assert {batch.sampler for batch in batches} == {"product-table"}
+    pairs = np.concatenate([batch.pairs for batch in batches])
+    z = _binned_chi_square_z(state, theta1, theta2, pairs, half_width=half_width, order=32)
+    assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize(
+    "state", [RandomSchmidt(3, 16), RandomSchmidt(5, 9), FockPairSuperposition(7),
+              PairCoherent(1.1), PairCoherent(3.0)], ids=repr)
+def test_schmidt_envelope_bounds_the_tomogram(state):
+    # Cauchy-Schwarz: w(X1, X2) <= f(X1) f(X2) at any point and angle, for
+    # Schmidt coefficients of either sign, to rounding
+    c = significant_schmidt(state).coefficients
+    rng = np.random.default_rng(11)
+    x1, x2 = rng.uniform(-5.0, 5.0, (2, 4000))
+    for theta1, theta2 in rng.uniform(-math.pi, math.pi, (6, 2)):
+        w = tomogram_closed_form(state, x1, theta1, x2, theta2)
+        bound = smp.schmidt_envelopes(c, x1)[0] * smp.schmidt_envelopes(c, x2)[0]
+        assert np.all(w <= bound * (1.0 + 1e-12))
+    if isinstance(state, RandomSchmidt):
+        assert np.any(c < 0.0)
+    # f integrates to sum_n |c_n|
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    integral = 10.0 * float(weights @ smp.schmidt_envelopes(c, 10.0 * nodes)[0])
+    assert integral == pytest.approx(float(np.sum(np.abs(c))), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "state", [FockPairSuperposition(50), PairCoherent(3.0), RandomSchmidt(3, 16)], ids=repr)
+def test_product_table_bounds_the_envelope_between_grid_points(state):
+    # the product table's premise: at 8 or more grid points per lobe, 1.1
+    # times the larger end value bounds f inside each cell, here on a grid
+    # 8 times finer
+    _, grid, _, table = _tables_of(state, 0.0, 0.0)
+    cells = table.values.size
+    fine = table.corner + np.arange(8 * cells + 1) * (table.step / 8.0)
+    assert fine[-1] == pytest.approx(grid[-1], rel=1e-12)
+    f = smp.schmidt_envelopes(significant_schmidt(state).coefficients, fine)[0]
+    top = np.lib.stride_tricks.sliding_window_view(f, 9)[::8].max(axis=1)
+    assert np.all(top <= table.values)
+
+
+@pytest.mark.parametrize(
+    "state", [PairCoherent(0.1), PairCoherent(1.1), PairCoherent(12.0), FockPairSuperposition(3),
+              FockPairSuperposition(400), RandomSchmidt(3, 16)], ids=repr)
+def test_square_half_width_is_the_least_that_meets_the_tail_bound(state):
+    c = significant_schmidt(state).coefficients
+    a = smp._square_half_width(c)
+    assert 4.0 * smp.marginal_tail(c, a) <= smp.OUTSIDE_MASS_LIMIT
+    assert 4.0 * smp.marginal_tail(c, a - smp._WIDTH_STEP) > smp.OUTSIDE_MASS_LIMIT
+
+
+@pytest.mark.parametrize(
+    "state,theta1,theta2,count",
+    [(PairCoherent(1.0), 0.3, math.pi / 2 - 0.3, 100_000),
+     (PairCoherent(1.2), math.pi / 2, -math.pi / 4, 1000),
+     (FockPairSuperposition(3), 0.3, 0.2, 1000)],
     ids=["pair-coherent-1.0", "pair-coherent-1.2", "fock-pair-3"],
 )
 def test_outside_mass_bound_is_the_marginal_tail_beyond_the_scan_square(
-        monkeypatch, state, theta1, theta2, bound):
-    # 4 P(X1 > a) on the scanned square |X1|, |X2| <= a, against numpy-Hermite quadrature
-    _, _, _, table, _ = _envelope_scan_of(monkeypatch, state, theta1, theta2)
-    batch = sample_state(state, theta1, theta2, 1000, seed=3)
-    want = 4.0 * homodyne_marginal_tail(significant_schmidt(state).coefficients, -table.corner)
+        state, theta1, theta2, count):
+    # 4 P(X1 > a) on the square |X1|, |X2| <= a, against numpy-Hermite quadrature
+    batch = sample_state(state, theta1, theta2, count, seed=3)
+    want = 4.0 * homodyne_marginal_tail(significant_schmidt(state).coefficients, batch.half_width)
     assert batch.outside_mass_bound == pytest.approx(want, rel=1e-9, abs=0.0)
-    assert batch.outside_mass_bound == pytest.approx(bound, rel=0.04, abs=0.0)
+    assert 0.5 * smp.OUTSIDE_MASS_LIMIT < batch.outside_mass_bound <= smp.OUTSIDE_MASS_LIMIT
 
 
 @pytest.mark.parametrize(
@@ -490,31 +509,19 @@ def test_marginal_tail_matches_hermite_quadrature(state):
             homodyne_marginal_tail(coefficients, x0), rel=1e-9, abs=0.0)
 
 
-def test_cell_table_leaving_mass_outside_is_reported(monkeypatch):
-    # the pair-coherent state at r = 0.5 leaves 9.5e-14 of its mass outside
-    # its 6-sigma square; scanned there, the sampler refuses the batch
-    monkeypatch.setattr(smp, "SCAN_MIN_HALF_WIDTH", 0.0)
-    with pytest.raises(EnvelopeError, match=r"leaves up to \S+ of the density outside its square"):
-        sample_state(PairCoherent(0.5), 0.3, math.pi / 2 - 0.3, 100, seed=1)
-    monkeypatch.undo()
-    batch = sample_state(PairCoherent(0.5), 0.3, math.pi / 2 - 0.3, 100, seed=1)
-    assert batch.outside_mass_bound < smp.OUTSIDE_MASS_LIMIT
-
-
 def test_screen_violation_reported():
-    # w = w0 (1 + s(X1) s(X2) / 2) with s = sin^2(pi X / step) is w0 at every scan
-    # point but up to 1.5 w0 inside the cells where X1 > 1; there w / g stays far
-    # below M (w0 is narrower than g), so only T can catch it
-    step = 12.0 / 200.0  # the scan's 201 points across +/- 6 sigma_iso
+    # w = w0 (1 + s(X1) s(X2) / 2) with s = sin^2(pi X / step) is w0 at every grid
+    # point but up to 1.5 w0 inside the cells where X1 > 1, above the vacuum's
+    # product table, about 1.21 w0 there
+    a = smp._square_half_width(VACUUM)
+    step = 2.0 * a / 200.0  # the vacuum's 201 grid points
 
     def fringed_density(x1, x2):
-        w0 = np.exp(-2.0 * (x1**2 + x2**2)) * (2.0 / math.pi)
         s1, s2 = np.sin(math.pi * x1 / step) ** 2, np.sin(math.pi * x2 / step) ** 2
-        return w0 * (1.0 + 0.5 * s1 * s2 * (x1 > 1.0))
+        return vacuum_density(x1, x2) * (1.0 + 0.5 * s1 * s2 * (x1 > 1.0))
 
     with pytest.raises(EnvelopeError, match=r"w = \S+ > T = "):
-        sample_rejection(fringed_density, 0.0, 0.0, 10_000, seed=3,
-                         envelope_sigmas=(1.0, 1.0, 1.0))
+        sample_rejection(fringed_density, 0.0, 0.0, 10_000, seed=3, coefficients=VACUUM)
 
 
 FIG3A_SETTINGS = [(math.pi / 2, -math.pi / 4), (math.pi / 2, -3 * math.pi / 4),
@@ -528,20 +535,44 @@ FIG3A_SETTINGS = [(math.pi / 2, -math.pi / 4), (math.pi / 2, -3 * math.pi / 4),
     ids=[f"pair-coherent-{r}-fig3a{k}" for r in (1.0, 1.2) for k in range(4)]
     + ["fock-pair-1", "fock-pair-3"],
 )
-def test_screen_table_bounds_the_density_between_scan_points(monkeypatch, state, theta1, theta2):
-    # the table's premise: at 8 or more scan points per lobe, 1.1 times the
-    # largest corner value bounds w inside each cell, edges included, here on
-    # a grid 8 times finer
-    tomogram, _, _, table, points = _envelope_scan_of(monkeypatch, state, theta1, theta2)
+def test_screen_table_bounds_the_density_between_scan_points(state, theta1, theta2):
+    # the cell table bounds w inside each cell, edges included, here on a grid
+    # 8 times finer
+    tomogram, grid, table, _ = _tables_of(state, theta1, theta2)
     cells = table.values.shape[0]
-    assert table.values.shape == (cells, cells) and (cells + 1) ** 2 == points
-    fine = table.corner + np.arange(8 * cells + 1) * (table.step / 8.0)
-    assert fine[-1] == pytest.approx(-table.corner, rel=1e-12)
+    assert table.values.shape == (cells, cells) and cells + 1 == grid.size
+    top, _ = _fine_and_corner_maxima(tomogram, grid)
+    assert np.all(top <= table.values)
+
+
+def _fine_and_corner_maxima(tomogram, grid):
+    """Per cell of ``grid`` x ``grid``: the largest w on its 9 x 9 points of a grid 8 times
+    finer, and the largest w at its four corners."""
+    cells = grid.size - 1
+    fine = grid[0] + np.arange(8 * cells + 1) * ((grid[-1] - grid[0]) / (8 * cells))
+    assert fine[-1] == pytest.approx(grid[-1], rel=1e-12)
+    top = np.empty((cells, cells))
     for rows in np.array_split(np.arange(cells), 40):
         w = tomogram(fine[8 * rows[0]:8 * rows[-1] + 9, None], fine[None, :])
-        # the largest w on each cell's 9 x 9 fine points
-        top = np.lib.stride_tricks.sliding_window_view(w, (9, 9))[::8, ::8].max(axis=(2, 3))
-        assert np.all(top <= table.values[rows])
+        top[rows] = np.lib.stride_tricks.sliding_window_view(w, (9, 9))[::8, ::8].max(axis=(2, 3))
+    w = tomogram(grid[:, None], grid[None, :])
+    corner = np.maximum(np.maximum(w[:-1, :-1], w[:-1, 1:]), np.maximum(w[1:, :-1], w[1:, 1:]))
+    return top, corner
+
+
+def test_cell_table_covers_bumps_narrower_than_a_cell():
+    # near theta1 + theta2 = pi/2 the two levels of the Fock pair at n = 10
+    # nearly cancel, and w peaks inside 4 cells 11% above 1.1 times its largest
+    # corner value (the rule the cell table once had: this batch stopped with
+    # "density exceeds envelope").  The curvature margin covers them
+    state, theta1, theta2 = FockPairSuperposition(10), 0.46255043, 1.1015303
+    tomogram, grid, table, _ = _tables_of(state, theta1, theta2)
+    top, corner = _fine_and_corner_maxima(tomogram, grid)
+    assert np.count_nonzero(top > 1.1 * corner) == 4
+    assert np.max(top / corner) == pytest.approx(1.112, abs=1e-3)
+    assert np.all(top <= table.values)
+    batch = sample_state(state, theta1, theta2, 100_000, seed=7, substream=0)
+    assert batch.sampler == "cell-table"
 
 
 def test_estimate_chsh_against_deterministic():
