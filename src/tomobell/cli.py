@@ -26,7 +26,7 @@ from . import __version__, bell
 from . import sampling as smp
 from . import states as st
 from . import tomography as tg
-from .errors import AccuracyError, ConfigError, DomainError
+from .errors import AccuracyError, ConfigError, ConvergenceError, DomainError
 
 FIG3A_ANGLES = ("pi/2", "-pi/4", "0", "-3pi/4")  # theta1, theta2, theta1p, theta2p
 FIG1_LAMBDAS = (0.20, 0.54, 0.96)
@@ -348,6 +348,14 @@ def even_cutoff(ctx, param, value: int) -> int:
     return value
 
 
+def checked_deficit(deficit: float | None, cutoff: int) -> float | None:
+    """A pseudospin block's ``deficit``, refused (exit 3) past ``states.DEFICIT_TOL``."""
+    if deficit is not None and deficit > st.DEFICIT_TOL:
+        raise ConvergenceError(f"the Fock truncation at cutoff {cutoff} misses {deficit:.3e} "
+                               f"of the norm, more than {st.DEFICIT_TOL:g}")
+    return deficit
+
+
 def state_label(kind, value) -> dict:
     return {"kind": kind, STATE_KINDS[kind][0]: value}
 
@@ -515,7 +523,7 @@ def cmd_bell_scan(kind, lam, n, r, mode, angles, ps_angles, theta_u_steps, cutof
             tomo_series.append(b_val)
         if do_ps:
             t, deficit = state.pseudospin_xz(cutoff)
-            deficits.append(deficit)  # None for the closed forms
+            deficits.append(checked_deficit(deficit, cutoff))  # None for the closed forms
             vals = bell.calb_curve(t, grid, tv, tup, tvp)
             best = int(np.argmax(vals))
             row += [float(vals[best]), float(tu_grid[best])]
@@ -599,6 +607,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
         label = state_label(kind, value)
         dm = st.density_matrix(state, cutoff) if dump_dm else None
         t, deficit = state.pseudospin_xz(cutoff)
+    checked_deficit(deficit, cutoff)
     outputs = {}
     if dump_dm:
         outputs[dump_dm] = atomic_write(dump_dm, [json.dumps(dm.to_json_dict()).encode()])
@@ -627,10 +636,12 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
 def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
     """Maximize the CHSH value over the four measurement angles."""
     [(value, state)] = parse_states(kind, lam, n, r, single=True)
+    extras = {}
     if mode == "tomographic":
         corr = tg.sign_correlation(state)
     else:
-        t, _ = state.pseudospin_xz(cutoff)
+        t, deficit = state.pseudospin_xz(cutoff)
+        extras["trace_deficit"] = checked_deficit(deficit, cutoff)
 
         def corr(theta1, theta2):
             return bell.correlation_xz(t, bell.direction(theta1), bell.direction(theta2))
@@ -649,6 +660,7 @@ def cmd_optimize(kind, lam, n, r, mode, cutoff, grid_points, quad_order, out):
                              "quad_order": quad_order},
         "refine": {"evaluations": refine.evaluations, "iterations": refine.iterations,
                    "converged": refine.converged},
+        **extras,
     }
     write_json(out, payload)
     click.echo(f"max B = {best:.8f}")
@@ -734,18 +746,17 @@ def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
 @click.option("--cutoff", type=int, default=64, show_default=True, callback=even_cutoff)
 def cmd_figures(out_dir, points, r_sweep, cutoff):
     """Regenerate all six figure datasets at the published parameters."""
-    os.makedirs(out_dir, exist_ok=True)
     theta_grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     tu_grid = np.linspace(0.0, 2.0 * math.pi, points + 1)
     grid = bell.direction(tu_grid)
-    outputs = {}
+    tables = {}  # written only once every dataset has passed its checks
 
     def write(name, header, rows):
-        path = os.path.join(out_dir, name)
-        outputs[path] = write_csv(path, header, rows)
+        tables[os.path.join(out_dir, name)] = (header, rows)
 
     def calb_rows(value, state, tv, tup, tvp):
-        t, _ = state.pseudospin_xz(cutoff)
+        t, deficit = state.pseudospin_xz(cutoff)
+        checked_deficit(deficit, cutoff)
         curve = bell.calb_curve(t, grid, tv, tup, tvp)
         return np.column_stack((np.full_like(tu_grid, value), tu_grid, curve))
 
@@ -784,6 +795,8 @@ def cmd_figures(out_dir, points, r_sweep, cutoff):
     write("fig3b.csv", ["r", "theta_u", "B"],
           calb_rows(rv, state, 0.0, math.pi, math.pi / 2))
 
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = {path: write_csv(path, *table) for path, table in tables.items()}
     config = {
         "points": points, "r_sweep": r_values, "cutoff": cutoff,
         "fig1_lambdas": list(FIG1_LAMBDAS), "fig2_ns": list(FIG2_NS), "fig3b_r": 1.05,

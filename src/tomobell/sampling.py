@@ -32,13 +32,6 @@ _BLOCK = 1 << 14
 #: memory.
 _CELL_BLOCK = 1 << 13
 
-#: Largest mass of w that a table may leave outside its square: the
-#: resolution of the uniform draws.
-OUTSIDE_MASS_LIMIT = 2.0**-53
-
-#: Resolution of the bisection that sizes the tables' square.
-_WIDTH_STEP = 2.0**-8
-
 #: Proposal rounds after which the sampler gives up.
 _MAX_ROUNDS = 400
 
@@ -120,11 +113,9 @@ def sample_rejection(
 
     ``coefficients`` are the c_n, of either sign.  The proposals come from a
     table T >= w that is constant on the cells of one grid over the square
-    |X1|, |X2| <= a.  The half-width a is the least, to ``_WIDTH_STEP``,
-    with 4 P(X1 > a) <= ``OUTSIDE_MASS_LIMIT`` (``_square_half_width``), so
-    the square misses at most that mass of w; the grid has 8 points per
-    lobe of w's narrowest fringe and at least 201 (``_axis_grid``).  T is
-    one of two tables:
+    |X1|, |X2| <= a, which misses at most 2^-53 of w (``states.square_half_width``);
+    the grid has 8 points per lobe of w's narrowest fringe and at least 201
+    (``states.fringe_points``).  T is one of two tables:
 
     - the cell table (``_cell_table``): from a scan of w on the whole grid,
       the largest w at a cell's four corners raised by a bound on w's
@@ -150,8 +141,8 @@ def sample_rejection(
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     c = np.asarray(coefficients, dtype=float)
-    half_width = _square_half_width(c)
-    grid = _axis_grid(c, half_width)
+    half_width = st.square_half_width(c)
+    grid = np.linspace(-half_width, half_width, st.fringe_points(c, half_width))
     if grid.size**2 <= (float(np.sum(np.abs(c))) ** 2 - 1.0) * count:
         table, evaluations = _cell_table(tomogram, grid, c), grid.size**2
     else:
@@ -197,7 +188,7 @@ def sample_rejection(
         half_width=half_width,
         tomogram_evaluations=evaluations + n_proposed,
         sampler=table.sampler,
-        outside_mass_bound=4.0 * marginal_tail(c, half_width),
+        outside_mass_bound=4.0 * st.marginal_tail(c, half_width),
     )
 
 
@@ -294,40 +285,6 @@ def schmidt_envelopes(coefficients, x):
     return math.sqrt(2.0) * f, math.sqrt(2.0) * kappa
 
 
-def _square_half_width(coefficients) -> float:
-    """The least a, to ``_WIDTH_STEP``, with 4 P(X1 > a) <= ``OUTSIDE_MASS_LIMIT``.
-
-    w puts at most P(|X1| > a) + P(|X2| > a) = 4 P(X1 > a) outside the
-    square |X1|, |X2| <= a.  The tail (``marginal_tail``) falls with a, so a
-    bisection finds a, from a bracket that reaches 5 past the turning point
-    sqrt(N + 1/2) of the top level N: about 12 tail evaluations.
-    """
-    def outside(a):
-        return 4.0 * marginal_tail(coefficients, a) > OUTSIDE_MASS_LIMIT
-
-    lo, hi = 0.0, math.sqrt(len(coefficients) - 0.5) + 5.0
-    while outside(hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > _WIDTH_STEP:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if outside(mid) else (lo, mid)
-    return hi
-
-
-def _axis_grid(coefficients, half_width: float) -> np.ndarray:
-    """The tables' grid on [-a, a]: 8 points per lobe of w's narrowest fringe, at least 201.
-
-    |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1)) wide at X = 0, and
-    n = 2 <n> stands for the top level: the Fock pair's, and twice the mean
-    photon number of the pair-coherent state.
-    """
-    weights = np.square(coefficients)
-    mean = float(np.sum(np.arange(weights.size) * weights))
-    lobe_width = math.pi / math.sqrt(2.0 * (4.0 * mean + 1.0))
-    lobes = math.ceil(2.0 * half_width / lobe_width)
-    return np.linspace(-half_width, half_width, max(201, 8 * lobes + 1))
-
-
 def _cell_bounds(values):
     """1.1 times the larger of each pair of neighbouring values: a bound on each cell between them.
 
@@ -394,27 +351,6 @@ def sample_state(
         tomogram, theta1, theta2, count, seed,
         coefficients=st.significant_schmidt(state).coefficients, substream=substream,
     )
-
-
-def marginal_tail(coefficients, x0: float) -> float:
-    """P(X1 >= x0) of the Schmidt-diagonal state sum_n c_n |n n>, for x0 >= 0.
-
-    X1 has the density sqrt(2) sum_n c_n^2 psi_n(x)^2 at x = sqrt(2) X1.  As
-    (psi_k psi_{k-1})' = sqrt(2k) (psi_{k-1}^2 - psi_k^2), the tail of
-    psi_n^2 beyond x is erfc(x) / 2 + sum_{k=1..n} psi_k psi_{k-1} / sqrt(2k),
-    and the mixture weighs the k-th term by S_k = sum_{n >= k} c_n^2.  Past
-    the largest zero of the top level every term is positive, so the tail is
-    summed directly, without the cancellation of 1 - F.
-    """
-    weights = np.cumsum(np.square(coefficients)[::-1])[::-1]
-    x = math.sqrt(2.0) * x0
-    tail = 0.5 * float(weights[0]) * math.erfc(x)
-    psi = hermite_functions(x)
-    prev = next(psi)
-    for k, (weight, cur) in enumerate(zip(weights[1:], psi), start=1):
-        tail += float(weight * prev * cur) / math.sqrt(2.0 * k)
-        prev = cur
-    return tail
 
 
 def estimate_probs(batch: SampleBatch) -> EstimatedProbs:

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, bessel_j0, laguerre_functions, periodic_trapezoid
+from .special import bessel_i0, bessel_j0, hermite_functions, laguerre_functions, periodic_trapezoid
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -42,6 +42,14 @@ TRACE_TOL = 1e-9
 
 #: Default per-mode Fock cutoff for density matrices.
 DEFAULT_CUTOFF = 64
+
+#: Largest share of the norm a truncated Schmidt vector may miss: in ``significant_schmidt``,
+#: and in the CLI's pseudospin blocks, whose larger ``trace_deficit`` exits 3.
+DEFICIT_TOL = 1e-12
+
+#: Largest mass of w that the square of ``square_half_width`` may leave
+#: outside: the resolution of the sampler's uniform draws.
+OUTSIDE_MASS_LIMIT = 2.0**-53
 
 #: Largest r whose pair-coherent Wigner function ``wigner`` evaluates: past it the
 #: factors cancel so far that rounding errors reach 1e-6 of the peak (r = 13.5).
@@ -68,11 +76,6 @@ class TwoModeState:
         raise UnsupportedStateError(
             f"schmidt_coefficients needs a pure benchmark state, got {type(self).__name__}"
         )
-
-    @property
-    def half_width(self) -> float:
-        """Half-width of the factored Radon projection's lines, past where W is negligible."""
-        raise UnsupportedStateError(f"no Wigner evaluator for {type(self).__name__}")
 
     def wigner_factors(self, order: int | None = None) -> "WignerFactors":
         """Factor form of the Wigner function (see ``wigner``)."""
@@ -132,11 +135,6 @@ class FockPairSuperposition(TwoModeState):
             coeffs[self.n] = 1.0 / math.sqrt(2.0)
         return coeffs
 
-    @property
-    def half_width(self):
-        # past |n>'s turning point sqrt(n + 1/2); at least 4.4, where exp(-2 t^2) < 1e-16
-        return max(4.4, 3.0 + math.sqrt(self.n + 0.5))
-
     def wigner_factors(self, order=None):
         _check_angular_order(order)  # the form has no angular rule
         # With x = 4|a|^2 = |2a|^2 and arg a = -atan2(p, q), g L_n(x) and
@@ -176,10 +174,6 @@ class PairCoherent(TwoModeState):
             term *= self.r**2 / n
             coeffs[n] = term
         return coeffs / math.sqrt(bessel_i0(2.0 * self.r**2))
-
-    @property
-    def half_width(self):
-        return 4.0 + 1.7 * self.r
 
     @property
     def angular_order(self) -> int:
@@ -363,7 +357,7 @@ def schmidt_coefficients(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> S
 
 @lru_cache(maxsize=128)
 def significant_schmidt(state: TwoModeState) -> SchmidtVector:
-    """c_n up to the last c_n^2 > 1e-32, from levels that miss at most 1e-12 of the norm.
+    """c_n up to the last c_n^2 > 1e-32, from levels that miss at most ``DEFICIT_TOL`` of the norm.
 
     The level count doubles from 64 until the last level is below 1e-32: no cap.
     """
@@ -371,9 +365,74 @@ def significant_schmidt(state: TwoModeState) -> SchmidtVector:
     while True:
         schmidt = schmidt_coefficients(state, levels)
         c = schmidt.coefficients
-        if schmidt.deficit <= 1e-12 and c[-1] ** 2 <= 1e-32:
+        if schmidt.deficit <= DEFICIT_TOL and c[-1] ** 2 <= 1e-32:
             return SchmidtVector(c[: np.flatnonzero(c * c > 1e-32)[-1] + 1])
         levels *= 2
+
+
+@lru_cache(maxsize=128)
+def schmidt_grid(state: TwoModeState) -> tuple[float, int]:
+    """(``square_half_width``, ``fringe_points``) of the state's significant Schmidt vector."""
+    c = significant_schmidt(state).coefficients
+    half_width = square_half_width(c)
+    return half_width, fringe_points(c, half_width)
+
+
+def square_half_width(coefficients) -> float:
+    """The least a, to 2^-8, with 4 P(X1 > a) <= ``OUTSIDE_MASS_LIMIT``.
+
+    w puts at most P(|X1| > a) + P(|X2| > a) = 4 P(X1 > a) outside the
+    square |X1|, |X2| <= a.  The tail (``marginal_tail``) falls with a, so a
+    bisection finds a, from a bracket that reaches 5 past the turning point
+    sqrt(N + 1/2) of the top level N: about 12 tail evaluations.  The
+    sampler's tables and the factored Radon lines span this square.
+    """
+    def outside(a):
+        return 4.0 * marginal_tail(coefficients, a) > OUTSIDE_MASS_LIMIT
+
+    lo, hi = 0.0, math.sqrt(len(coefficients) - 0.5) + 5.0
+    while outside(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 2.0**-8:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if outside(mid) else (lo, mid)
+    return hi
+
+
+def fringe_points(coefficients, half_width: float) -> int:
+    """Points of a grid on [-a, a] with 8 per lobe of w's narrowest fringe, at least 201.
+
+    |psi_n(sqrt(2) X)|^2 has lobes pi / sqrt(2 (2n + 1)) wide at X = 0, and
+    n = 2 <n> stands for the top level: the Fock pair's, and twice the mean
+    photon number of the pair-coherent state.  The factored Radon check
+    doubles its rule up to the sampler's grid.
+    """
+    weights = np.square(coefficients)
+    mean = float(np.sum(np.arange(weights.size) * weights))
+    lobe_width = math.pi / math.sqrt(2.0 * (4.0 * mean + 1.0))
+    lobes = math.ceil(2.0 * half_width / lobe_width)
+    return max(201, 8 * lobes + 1)
+
+
+def marginal_tail(coefficients, x0: float) -> float:
+    """P(X1 >= x0) of the Schmidt-diagonal state sum_n c_n |n n>, for x0 >= 0.
+
+    X1 has the density sqrt(2) sum_n c_n^2 psi_n(x)^2 at x = sqrt(2) X1.  As
+    (psi_k psi_{k-1})' = sqrt(2k) (psi_{k-1}^2 - psi_k^2), the tail of
+    psi_n^2 beyond x is erfc(x) / 2 + sum_{k=1..n} psi_k psi_{k-1} / sqrt(2k),
+    and the mixture weighs the k-th term by S_k = sum_{n >= k} c_n^2.  Past
+    the largest zero of the top level every term is positive, so the tail is
+    summed directly, without the cancellation of 1 - F.
+    """
+    weights = np.cumsum(np.square(coefficients)[::-1])[::-1]
+    x = math.sqrt(2.0) * x0
+    tail = 0.5 * float(weights[0]) * math.erfc(x)
+    psi = hermite_functions(x)
+    prev = next(psi)
+    for k, (weight, cur) in enumerate(zip(weights[1:], psi), start=1):
+        tail += float(weight * prev * cur) / math.sqrt(2.0 * k)
+        prev = cur
+    return tail
 
 
 def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> DensityMatrix:

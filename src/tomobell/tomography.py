@@ -135,18 +135,6 @@ def _check_quadrants(probs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fringe_doublings(state, half_width: float, order: int) -> int:
-    """Doublings that take ``order`` to 8 nodes per fringe, never fewer than 3.
-
-    The top Schmidt level n of the state makes about half_width * sqrt(n)
-    fringes along a line of that half-width.  8 nodes per fringe is where
-    the Fock pair at n = 140 first converges (1536 nodes).
-    """
-    top = st.significant_schmidt(state).coefficients.size - 1
-    nodes = 8.0 * half_width * math.sqrt(top)
-    return max(3, math.ceil(math.log2(max(1.0, nodes / order))))
-
-
 def radon_forward_symplectic(
     state,
     x1,
@@ -168,23 +156,25 @@ def radon_forward_symplectic(
     ``order`` and is doubled until two successive estimates agree to ``tol``,
     at most ``max_doublings`` times.  By default the squeezed vacuum starts
     at ``GAUSSIAN_ORDER`` (48) and doubles once; the other states start at
-    ``FACTORED_ORDER`` (96) and double enough to reach 8 nodes per fringe
-    (``_fringe_doublings``).
+    ``FACTORED_ORDER`` (96) and double up to the node count of the sampler's
+    grid, 8 per lobe of the narrowest fringe, and at least 3 times.
 
     The Fock pair and the pair-coherent state are projected through the
     factor form of their Wigner function (``TwoModeState.wigner_factors``, at
     its default angular order): each mode's factors are integrated along its
-    own line first, once per distinct X value, on lines that span
-    +/- ``state.half_width``.  The squeezed vacuum, whose Gaussian cross term
-    does not factor, is summed with one ``states.wigner`` call per X pair, on
-    a grid along its integrand's principal axes (``_gaussian_axes``) that
-    spans +/- ``GAUSSIAN_HALF_WIDTH``.
+    own line first, once per distinct X value, on lines that span the
+    sampler's square (``states.schmidt_grid`` gives its half-width and node
+    count).  The squeezed vacuum, whose Gaussian cross term does not factor,
+    is summed with one ``states.wigner`` call per X pair, on a grid along
+    its integrand's principal axes (``_gaussian_axes``) that spans
+    +/- ``GAUSSIAN_HALF_WIDTH``.
 
     A ``record`` dict receives what the check ran, whether or not it
-    converges: ``orders``, the Gauss-Legendre orders, and ``changes``, the
-    largest change at each doubling; for the factored states also
-    ``angular_order``, the K of the pair-coherent factors' angular rule
-    (None for the Fock pair, which has none).
+    converges: ``orders``, the Gauss-Legendre orders, ``changes``, the
+    largest change at each doubling, and ``half_width``, the rules' span
+    (in principal-axis units for the squeezed vacuum); for the factored
+    states also ``angular_order``, the K of the pair-coherent factors'
+    angular rule (None for the Fock pair, which has none).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -193,18 +183,19 @@ def radon_forward_symplectic(
     orders, changes = [], []
     record = {} if record is None else record
     record.update(orders=orders, changes=changes)  # filled in as the orders run
-    if state.gaussian:
-        half_width = GAUSSIAN_HALF_WIDTH
+    if state.gaussian:  # never the Schmidt vector: near lambda = 1 it has ~1e7 levels
+        half_width, budget = GAUSSIAN_HALF_WIDTH, 1
         order = GAUSSIAN_ORDER if order is None else order
         project = partial(_project_gaussian, state, *_gaussian_axes(state, setting1, setting2))
     else:
-        half_width = state.half_width
+        half_width, points = st.schmidt_grid(state)
         order = FACTORED_ORDER if order is None else order
+        budget = max(3, math.ceil(math.log2(points / order)))
         factors = state.wigner_factors()
         record["angular_order"] = factors.angular_order
         project = partial(_project_factored, factors)
-    if max_doublings is None:
-        max_doublings = 1 if state.gaussian else _fringe_doublings(state, half_width, order)
+    record["half_width"] = half_width
+    max_doublings = budget if max_doublings is None else max_doublings
 
     prev = None
     for k in range(max_doublings + 1):

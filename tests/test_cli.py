@@ -18,12 +18,16 @@ from tomobell import sampling as smp
 from tomobell.bell import chsh, correlation_pseudospin
 from tomobell.cli import main, parse_angle, parse_named_angles, parse_values
 from tomobell.states import (
+    DEFICIT_TOL,
+    OUTSIDE_MASS_LIMIT,
     FockPairSuperposition,
     PairCoherent,
     SqueezedVacuum,
     density_matrix,
     schmidt_coefficients,
+    schmidt_grid,
     significant_schmidt,
+    square_half_width,
 )
 from tomobell.tomography import sign_binned_closed_form
 
@@ -94,8 +98,8 @@ def test_tomogram_check_radon_passes(runner, tmp_path):
     assert len(rows) == 81
     with open(out + ".manifest.json") as fh:
         radon = json.load(fh)["radon"]
-    # lambda = 0.54 converges at the first doubling
-    assert radon["orders"] == [48, 96]
+    # lambda = 0.54 converges at the first doubling, on +/-6 along the integrand's axes
+    assert radon["orders"] == [48, 96] and radon["half_width"] == 6.0
     assert len(radon["changes"]) == 1 and radon["changes"][0] <= 1e-8
 
 
@@ -163,7 +167,7 @@ def test_tomogram_fock_pair_n171_check_radon_reports_without_traceback(runner, t
 
 
 def test_tomogram_fock_pair_n140_check_radon_default_grid(runner, tmp_path):
-    # 768 nodes left changes [8.8e-3, 6.6e-3, 3.4e-8] and exit 3; the fringe budget reaches 1536
+    # on the sampler's square, +/-13.59, 768 nodes resolve every fringe
     out = str(tmp_path / "t.csv")
     result = runner.invoke(
         main, ["tomogram", "--state", "fock-pair", "--n", "140", "--check-radon", "-o", out]
@@ -172,7 +176,8 @@ def test_tomogram_fock_pair_n140_check_radon_default_grid(runner, tmp_path):
     with open(out + ".manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["max_abs_difference"] < 1e-12
-    assert manifest["radon"]["orders"] == [96, 192, 384, 768, 1536]
+    assert manifest["radon"]["orders"] == [96, 192, 384, 768]
+    assert manifest["radon"]["half_width"] == schmidt_grid(FockPairSuperposition(140))[0]
 
 
 def test_tomogram_pair_coherent_r6_runs_clean(runner, tmp_path):
@@ -302,7 +307,7 @@ def test_sample_sidecar_records_sampler_rounds_and_envelope(runner, tmp_path):
         assert record["rounds"] >= 1
         # a normalized density is accepted at the rate 1 / Z
         assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(1.0, abs=0.1)
-        assert record["half_width"] == smp._square_half_width(c)
+        assert record["half_width"] == square_half_width(c)
         # no scan: every proposal up to the chunk that completed the batch
         accepted = record["tomogram_evaluations"] * record["acceptance_rate"]
         assert accepted == pytest.approx(round(accepted), abs=1e-6)
@@ -336,7 +341,7 @@ def test_sample_sidecar_names_the_sampler(runner, tmp_path, args, count, sampler
             assert bound is None and record["half_width"] is None
         else:
             # T's integral Z sets the expected acceptance 1 / Z
-            assert 0.0 < bound <= smp.OUTSIDE_MASS_LIMIT
+            assert 0.0 < bound <= OUTSIDE_MASS_LIMIT
             assert record["half_width"] > 4.0
             assert record["acceptance_rate"] * record["envelope_constant"] == pytest.approx(
                 1.0, abs=0.05)
@@ -430,7 +435,7 @@ MANIFEST_RUNS = [
       "-o", "t.csv"], "t.csv.manifest.json", 1),
     (["probs", "--state", "fock-pair", "--n", "1,3", "--theta-sum", "0:1:0.25", "-o", "p.csv"],
      "p.csv.manifest.json", 1),
-    (["bell-scan", "--state", "pair-coherent", "--r", "1.0:1.2:0.1", "--cutoff", "8",
+    (["bell-scan", "--state", "pair-coherent", "--r", "1.0:1.2:0.1", "--cutoff", "16",
       "-o", "b.csv"], "b.csv.manifest.json", 2),  # with OUT.summary.json
     # the matrix lies outside the manifest's directory, as ../rho.json
     (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8", "--dump-dm", "rho.json",
@@ -542,7 +547,7 @@ def test_pseudospin_needs_state_or_dm(runner, tmp_path):
 
 def _dumped_rho(runner, tmp_path):
     rho = str(tmp_path / "rho.json")
-    result = runner.invoke(main, ["pseudospin", "--state", "epr", "--lambda", "0.5",
+    result = runner.invoke(main, ["pseudospin", "--state", "epr", "--lambda", "0.1",
                                   "--cutoff", "8", "--dump-dm", rho,
                                   "-o", str(tmp_path / "dump.csv")])
     assert result.exit_code == 0, result.output
@@ -651,7 +656,7 @@ def test_figures_fig2a_five_fold_period(runner, tmp_path):
     result = runner.invoke(
         main,
         ["figures", "--out-dir", out_dir, "--points", "90",
-         "--r-sweep", "1.0:1.1:0.1", "--cutoff", "8"],
+         "--r-sweep", "1.0:1.1:0.1", "--cutoff", "16"],
     )
     assert result.exit_code == 0, result.output
     header, rows = read_csv(os.path.join(out_dir, "fig2a.csv"))
@@ -774,7 +779,7 @@ def test_config_file_errors_exit_2(runner, tmp_path, line, message):
 @pytest.mark.parametrize(
     "state_args, state, via_file",
     [(["--state", "pair-coherent", "--r", "1.05"], PairCoherent(1.05), False),
-     (["--state", "epr", "--lambda", "0.54"], SqueezedVacuum(0.54), True)],
+     (["--state", "epr", "--lambda", "0.2"], SqueezedVacuum(0.2), True)],
     ids=["pair-coherent", "epr-fock"],
 )
 def test_pseudospin_fock_curve_matches_per_point_correlation(
@@ -929,9 +934,13 @@ def test_fock_pair_beyond_factorial_overflow(runner, tmp_path, command):
 
 
 def test_pseudospin_manifest_reports_trace_deficit(runner, tmp_path):
+    out = str(tmp_path / "ps.csv")
+
+    def run(*args):
+        return runner.invoke(main, ["pseudospin", *args, "--theta-u-steps", "5", "-o", out])
+
     def manifest(*args):
-        out = str(tmp_path / "ps.csv")
-        result = runner.invoke(main, ["pseudospin", *args, "--theta-u-steps", "5", "-o", out])
+        result = run(*args)
         assert result.exit_code == 0, result.output
         return json.load(open(out + ".manifest.json"))
 
@@ -941,13 +950,19 @@ def test_pseudospin_manifest_reports_trace_deficit(runner, tmp_path):
     assert deficit("--state", "pair-coherent", "--r", "1.05", "--cutoff", "64") < 1e-15
     assert deficit("--state", "epr", "--lambda", "0.5") is None  # closed form: no truncation
     rho = str(tmp_path / "rho.json")
-    # |99> lies beyond cutoff 8: half the norm is lost, and reported
-    deficit("--state", "fock-pair", "--n", "9", "--cutoff", "8", "--dump-dm", rho)
-    assert deficit("--dm", rho) == pytest.approx(0.5, abs=1e-15)
-    deficit("--state", "epr", "--lambda", "0.9", "--cutoff", "8", "--dump-dm", rho)
+    deficit("--state", "epr", "--lambda", "0.1", "--cutoff", "16", "--dump-dm", rho)
     # the manifest records the file's cutoff, not the --cutoff default
-    assert manifest("--dm", rho)["effective_config"]["cutoff"] == 8
-    assert deficit("--dm", rho) == pytest.approx(0.9**16, rel=1e-9)
+    assert manifest("--dm", rho)["effective_config"]["cutoff"] == 16
+    assert deficit("--dm", rho) == pytest.approx(0.1**32, rel=1e-6)
+    # a matrix that misses more than DEFICIT_TOL of the norm exits 3 and writes nothing:
+    # |99> lies beyond cutoff 8 (half the norm), and lambda^16 is lost at lambda = 0.9
+    for state, lost in ((["fock-pair", "--n", "9"], 0.5), (["epr", "--lambda", "0.9"], 0.9**16)):
+        assert deficit("--state", *state, "--cutoff", "8", "--dump-dm", rho) is None
+        assert json.load(open(rho))["trace_deficit"] == pytest.approx(lost, rel=1e-9)
+        os.remove(out)
+        result = run("--dm", rho)
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert "misses" in result.output and not os.path.exists(out)
 
 
 _EPR = ["--state", "epr", "--lambda", "0.5"]
@@ -1020,11 +1035,48 @@ def test_option_ranges_exit_2(runner, tmp_path, monkeypatch, args, option):
 def test_bell_scan_summary_reports_trace_deficit(runner, tmp_path):
     out = str(tmp_path / "scan.csv")
     result = runner.invoke(main, ["bell-scan", "--state", "pair-coherent", "--r", "1.0,2.0",
-                                  "--mode", "pseudospin", "--cutoff", "8", "-o", out])
+                                  "--mode", "pseudospin", "--cutoff", "18", "-o", out])
     assert result.exit_code == 0, result.output
     summary = json.load(open(out + ".summary.json"))["pseudospin"]
-    c = schmidt_coefficients(PairCoherent(2.0), 8).coefficients
-    assert summary["trace_deficit"] == pytest.approx(1.0 - float(c @ c), abs=1e-15)
+    c = schmidt_coefficients(PairCoherent(2.0), 18).coefficients
+    assert 0.0 < summary["trace_deficit"] == pytest.approx(1.0 - float(c @ c), abs=1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    ["pseudospin", "--state", "pair-coherent", "--r", "2.0", "--cutoff", "2"],
+    ["pseudospin", "--state", "pair-coherent", "--r", "1.0", "--cutoff", "8",
+     "--dump-dm", "rho.json"],
+    ["bell-scan", "--state", "pair-coherent", "--r", "1.0,2.0", "--mode", "pseudospin",
+     "--cutoff", "8"],
+    ["bell-scan", "--state", "pair-coherent", "--r", "0.5:3:0.5", "--mode", "both",
+     "--cutoff", "4"],
+    ["optimize", "--state", "pair-coherent", "--r", "2.0", "--mode", "pseudospin", "--cutoff", "2",
+     "--grid-points", "4"],
+    ["figures", "--points", "8", "--r-sweep", "1.0", "--cutoff", "4"],
+], ids=["pseudospin", "pseudospin-dump-dm", "bell-scan", "bell-scan-both", "optimize", "figures"])
+def test_a_large_trace_deficit_exits_3_before_any_file_is_written(
+        runner, tmp_path, monkeypatch, args):
+    # 0.96 of the norm lies past cutoff 2 at r = 2, 2.7e-10 past cutoff 8 at r = 1
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, *(["--out-dir", "figs"] if args[0] == "figures" else
+                                           ["-o", "out.csv"])])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"more than {DEFICIT_TOL:g}" in result.output
+    assert os.listdir(tmp_path) == []
+
+
+def test_optimize_pseudospin_records_the_trace_deficit(runner, tmp_path):
+    out = str(tmp_path / "opt.json")
+    args = ["optimize", "--mode", "pseudospin", "--grid-points", "4", "-o", out]
+    assert runner.invoke(main, [*args, "--state", "pair-coherent", "--r", "1.0"]).exit_code == 0
+    c = schmidt_coefficients(PairCoherent(1.0), 32).coefficients
+    assert json.load(open(out))["trace_deficit"] == pytest.approx(1.0 - float(c @ c), abs=1e-15)
+    assert runner.invoke(main, [*args, "--state", "epr", "--lambda", "0.5"]).exit_code == 0
+    assert json.load(open(out))["trace_deficit"] is None
+    args[2] = "tomographic"
+    assert runner.invoke(main, [*args, "--state", "epr", "--lambda", "0.5"]).exit_code == 0
+    assert "trace_deficit" not in json.load(open(out))
 
 
 def test_bell_scan_has_no_quad_order(runner, tmp_path):

@@ -18,10 +18,14 @@ from tomobell.sampling import (
     substream_generator,
 )
 from tomobell.states import (
+    OUTSIDE_MASS_LIMIT,
     FockPairSuperposition,
     PairCoherent,
     SqueezedVacuum,
+    fringe_points,
+    marginal_tail,
     significant_schmidt,
+    square_half_width,
     squeezed_homodyne,
 )
 from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
@@ -177,10 +181,10 @@ def test_rejection_batch_records_rounds_and_envelope_constant():
         batch = sample_state(state, 0.3, 0.2, count, seed=8)
         samplers.append(batch.sampler)
         assert batch.rounds >= 1
-        assert batch.half_width == smp._square_half_width(significant_schmidt(state).coefficients)
+        assert batch.half_width == square_half_width(significant_schmidt(state).coefficients)
         # Z integrates T >= w over a square that holds all of w but 2^-53
         assert batch.envelope_constant > 1.0
-        assert 0.0 < batch.outside_mass_bound <= smp.OUTSIDE_MASS_LIMIT
+        assert 0.0 < batch.outside_mass_bound <= OUTSIDE_MASS_LIMIT
         want = 1.0 / batch.envelope_constant
         proposals = batch.count / batch.acceptance_rate
         se = math.sqrt(want * (1.0 - want) / proposals)
@@ -258,7 +262,7 @@ def test_fitted_envelope_holds_across_states_and_angles(state, theta_sums):
 )
 def test_envelope_moments_are_the_tomogram_second_moments(state):
     # against a Gauss-Legendre integral of the closed-form tomogram: the per-mode
-    # variance (2 <n> + 1) / 4 that sets the tables' lobe width (_axis_grid),
+    # variance (2 <n> + 1) / 4 that sets the tables' lobe width (fringe_points),
     # and for the squeezed vacuum the covariance of its exact sampler,
     # (1/4) [[c, -b], [-b, c]] from squeezed_homodyne
     for theta1, theta2 in ((0.0, 0.0), (0.4, 0.5), (1.2, 1.9)):
@@ -289,10 +293,16 @@ def test_rejection_envelope_resolves_high_n_fringes(n):
         assert abs(got - want) < 4.0 * se
 
 
+def _axis_grid(c):
+    """The sampler's grid: ``fringe_points`` nodes over its square."""
+    a = square_half_width(c)
+    return np.linspace(-a, a, fringe_points(c, a))
+
+
 def _tables_of(state, theta1, theta2):
     """(tomogram, grid, cell table, product table) of the state's square at these angles."""
     c = significant_schmidt(state).coefficients
-    grid = smp._axis_grid(c, smp._square_half_width(c))
+    grid = _axis_grid(c)
 
     def tomogram(x1, x2):
         return tomogram_closed_form(state, x1, theta1, x2, theta2)
@@ -348,7 +358,7 @@ def test_sampler_takes_the_cheaper_table(state, theta1, theta2, count, sampler):
     # the cell table when its scan of size^2 points costs no more than the
     # product table's ((sum_n |c_n|)^2 - 1) * count extra proposals
     c = significant_schmidt(state).coefficients
-    grid = smp._axis_grid(c, smp._square_half_width(c))
+    grid = _axis_grid(c)
     extra = (float(np.sum(np.abs(c))) ** 2 - 1.0) * count
     assert (grid.size**2 <= extra) == (sampler == "cell-table")
     assert sample_state(state, theta1, theta2, count, seed=5).sampler == sampler
@@ -476,9 +486,9 @@ def test_product_table_bounds_the_envelope_between_grid_points(state):
               FockPairSuperposition(400), RandomSchmidt(3, 16)], ids=repr)
 def test_square_half_width_is_the_least_that_meets_the_tail_bound(state):
     c = significant_schmidt(state).coefficients
-    a = smp._square_half_width(c)
-    assert 4.0 * smp.marginal_tail(c, a) <= smp.OUTSIDE_MASS_LIMIT
-    assert 4.0 * smp.marginal_tail(c, a - smp._WIDTH_STEP) > smp.OUTSIDE_MASS_LIMIT
+    a = square_half_width(c)
+    assert 4.0 * marginal_tail(c, a) <= OUTSIDE_MASS_LIMIT
+    assert 4.0 * marginal_tail(c, a - 2.0**-8) > OUTSIDE_MASS_LIMIT
 
 
 @pytest.mark.parametrize(
@@ -494,7 +504,7 @@ def test_outside_mass_bound_is_the_marginal_tail_beyond_the_scan_square(
     batch = sample_state(state, theta1, theta2, count, seed=3)
     want = 4.0 * homodyne_marginal_tail(significant_schmidt(state).coefficients, batch.half_width)
     assert batch.outside_mass_bound == pytest.approx(want, rel=1e-9, abs=0.0)
-    assert 0.5 * smp.OUTSIDE_MASS_LIMIT < batch.outside_mass_bound <= smp.OUTSIDE_MASS_LIMIT
+    assert 0.5 * OUTSIDE_MASS_LIMIT < batch.outside_mass_bound <= OUTSIDE_MASS_LIMIT
 
 
 @pytest.mark.parametrize(
@@ -502,10 +512,10 @@ def test_outside_mass_bound_is_the_marginal_tail_beyond_the_scan_square(
 def test_marginal_tail_matches_hermite_quadrature(state):
     coefficients = significant_schmidt(state).coefficients
     for x0 in (0.0, 0.5, 1.5, 3.0):
-        assert smp.marginal_tail(coefficients, x0) == pytest.approx(
+        assert marginal_tail(coefficients, x0) == pytest.approx(
             homodyne_marginal_tail(coefficients, x0), abs=1e-14)
     for x0 in (6.0, 9.0):
-        assert smp.marginal_tail(coefficients, x0) == pytest.approx(
+        assert marginal_tail(coefficients, x0) == pytest.approx(
             homodyne_marginal_tail(coefficients, x0), rel=1e-9, abs=0.0)
 
 
@@ -513,7 +523,7 @@ def test_screen_violation_reported():
     # w = w0 (1 + s(X1) s(X2) / 2) with s = sin^2(pi X / step) is w0 at every grid
     # point but up to 1.5 w0 inside the cells where X1 > 1, above the vacuum's
     # product table, about 1.21 w0 there
-    a = smp._square_half_width(VACUUM)
+    a = square_half_width(VACUUM)
     step = 2.0 * a / 200.0  # the vacuum's 201 grid points
 
     def fringed_density(x1, x2):

@@ -24,6 +24,7 @@ from tomobell.states import (
     TwoModeState,
     density_matrix,
     schmidt_coefficients,
+    schmidt_grid,
     wigner,
 )
 from tomobell.tomography import radon_forward, tomogram_closed_form
@@ -283,7 +284,7 @@ def test_wigner_pair_coherent_default_rule_holds_at_r_8():
     # half of the Radon box, where a fixed order 128 was off by ~1e-14 of that
     # peak at r = 8 and by ~1e-10 at r = 10
     state = PairCoherent(8.0)
-    half = 0.5 * state.half_width
+    half = 0.5 * schmidt_grid(state)[0]
     points = np.random.default_rng(31).uniform(-half, half, size=(4, 400))
     fine = wigner(state, *points, angular_order=512)
     assert np.max(np.abs(wigner(state, *points) - fine)) <= 1e-12 * 4.0 / math.pi**2
@@ -298,13 +299,14 @@ def test_pair_coherent_angular_order_grows_with_r():
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 12.0, 13.0])
 def test_wigner_pair_coherent_default_rule_matches_1024_nodes_on_the_radon_lines(r):
-    # points on the Radon check's lines: |X| <= 2, |t| <= half_width, random
+    # points on the Radon check's lines: |X| <= 2, |t| <= their half-width, random
     # angles per mode.  A fixed 128-node rule missed by 4.7e-8 of the peak at
     # r = 12; a 1e-17 aliasing bound in place of 1e-20 (40 nodes) by 1.5e-14 at r = 2
     state = PairCoherent(r)
     rng = np.random.default_rng(37)
     x = rng.uniform(-2.0, 2.0, (2, 500))
-    t = rng.uniform(-state.half_width, state.half_width, (2, 500))
+    half, _ = schmidt_grid(state)
+    t = rng.uniform(-half, half, (2, 500))
     theta = rng.uniform(0.0, 2.0 * math.pi, (2, 500))
     c, s = np.cos(theta), np.sin(theta)
     q, p = x * c - t * s, x * s + t * c

@@ -30,6 +30,7 @@ from tomobell.states import (
     PairCoherent,
     SqueezedVacuum,
     TwoModeState,
+    schmidt_grid,
     significant_schmidt,
     squeezed_homodyne,
     wigner,
@@ -213,18 +214,55 @@ def test_radon_fock_pair_matches_closed_form_on_grid(n):
         assert np.max(np.abs(closed - numeric)) <= 1e-14
 
 
+@pytest.mark.parametrize("state,last_order", [
+    (FockPairSuperposition(1), 192), (FockPairSuperposition(50), 384),
+    (FockPairSuperposition(171), 1536), (FockPairSuperposition(300), 1536),
+    (PairCoherent(0.5), 192), (PairCoherent(4.0), 192), (PairCoherent(8.0), 768),
+], ids=repr)
+def test_radon_on_the_sampler_square_matches_closed_form(state, last_order):
+    # lines over the sampler's square; every order list starts at 96 and doubles
+    xs = np.linspace(-2.0, 2.0, 3)
+    record = {}
+    numeric = radon_forward(state, xs[:, None], 0.3, xs[None, :], 0.2, record=record)
+    closed = tomogram_closed_form(state, xs[:, None], 0.3, xs[None, :], 0.2)
+    assert np.max(np.abs(closed - numeric)) <= 1e-14
+    assert record["orders"][0] == 96 and record["orders"][-1] == last_order
+    assert record["half_width"] == schmidt_grid(state)[0]
+
+
+def test_radon_of_the_squeezed_vacuum_never_reads_its_schmidt_vector(monkeypatch):
+    # near lambda = 1 the significant Schmidt vector would need ~1e7 levels
+    def refuse(*args):
+        raise AssertionError("the squeezed vacuum's Radon check read its Schmidt vector")
+
+    monkeypatch.setattr("tomobell.states.significant_schmidt", refuse)
+    monkeypatch.setattr("tomobell.states.schmidt_grid", refuse)  # no cached answer either
+    monkeypatch.setattr(SqueezedVacuum, "schmidt", refuse)
+    state = SqueezedVacuum(0.5)
+    record = {}
+    numeric = radon_forward(state, RADON_GRID[:, None], 0.3, RADON_GRID[None, :], 0.2,
+                            record=record)
+    closed = tomogram_closed_form(state, RADON_GRID[:, None], 0.3, RADON_GRID[None, :], 0.2)
+    assert np.max(np.abs(closed - numeric)) < 1e-12
+    assert record["orders"] == [48, 96] and record["half_width"] == 6.0
+
+
 def test_radon_doubling_budget_follows_the_fringe_count():
-    from tomobell.tomography import _fringe_doublings
+    # from 96 up to the sampler grid's node count (states.fringe_points), never
+    # fewer than 3 doublings: a tol no change can meet runs the whole budget
+    def orders(state):
+        record = {}
+        with pytest.raises(ConvergenceError):
+            radon_forward(state, 0.5, 0.0, 0.5, 0.0, tol=-1.0, record=record)
+        return record["orders"][-1], schmidt_grid(state)[1]
 
-    def budget(state):
-        return _fringe_doublings(state, state.half_width, 96)
-
-    # never below the old fixed 3; one more for n = 140 (1536 nodes), two for n = 300
-    assert [budget(FockPairSuperposition(n)) for n in (3, 120, 140, 300)] == [3, 4, 4, 5]
-    assert budget(PairCoherent(1.1)) == 3
-    # an explicit budget still wins: three doublings leave n = 140 unresolved
+    assert [orders(FockPairSuperposition(n)) for n in (3, 120, 140, 300)] == [
+        (768, 201), (1536, 1433), (3072, 1649), (6144, 3337)]
+    assert orders(PairCoherent(1.1)) == (768, 201)
+    assert orders(PairCoherent(8.0)) == (1536, 1289)
+    # an explicit budget still wins: three doublings leave n = 171 unresolved
     with pytest.raises(ConvergenceError, match=r"orders \[96, 192, 384, 768\]"):
-        radon_forward(FockPairSuperposition(140), RADON_GRID[:, None], 0.0, RADON_GRID[None, :], 0.0,
+        radon_forward(FockPairSuperposition(171), RADON_GRID[:, None], 0.0, RADON_GRID[None, :], 0.0,
                       max_doublings=3)
 
 
@@ -235,7 +273,7 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
     # the grid and paired X layouts both exercise the distinct-X indexing
     from tomobell.tomography import _project_factored
 
-    half = state.half_width
+    half, _ = schmidt_grid(state)
     rule = gauss_legendre(48, -half, half)
     s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
     factors = state.wigner_factors(32)
@@ -370,7 +408,7 @@ def test_radon_convergence_error_names_orders_and_residuals():
     message = str(info.value)
     assert "orders [4, 8, 16]" in message
     assert record["orders"] == [4, 8, 16]
-    half = state.half_width
+    half, _ = schmidt_grid(state)
     x = np.array([0.5])
     setting = SymplecticSetting.from_angle(0.0)
     values = [
