@@ -610,6 +610,7 @@ def cmd_pseudospin(kind, lam, n, r, dm_path, cutoff, angles, theta_u_steps, dump
     checked_deficit(deficit, cutoff)
     outputs = {}
     if dump_dm:
+        checked_deficit(dm.trace_deficit, cutoff)  # refused here, as its reader (--dm) would
         outputs[dump_dm] = atomic_write(dump_dm, [json.dumps(dm.to_json_dict()).encode()])
 
     tu_grid = np.linspace(0.0, 2.0 * math.pi, theta_u_steps)

@@ -106,16 +106,16 @@ def sample_rejection(
     count: int,
     seed: int,
     *,
-    coefficients,
+    schmidt: st.SchmidtVector,
     substream: int = 0,
 ) -> SampleBatch:
     """Rejection sampling of the joint quadrature density w(X1, X2) of sum_n c_n |n n>.
 
-    ``coefficients`` are the c_n, of either sign.  The proposals come from a
-    table T >= w that is constant on the cells of one grid over the square
-    |X1|, |X2| <= a, which misses at most 2^-53 of w (``states.square_half_width``);
-    the grid has 8 points per lobe of w's narrowest fringe and at least 201
-    (``states.fringe_points``).  T is one of two tables:
+    ``schmidt`` holds the c_n, of either sign, and caches the square |X1|, |X2|
+    <= a that misses at most 2^-53 of w (``half_width``) and a grid on it with 8
+    points per lobe of w's narrowest fringe and at least 201 (``grid_points``).
+    The proposals come from a table T >= w that is constant on the cells of
+    that grid.  T is one of two tables:
 
     - the cell table (``_cell_table``): from a scan of w on the whole grid,
       the largest w at a cell's four corners raised by a bound on w's
@@ -140,9 +140,8 @@ def sample_rejection(
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    c = np.asarray(coefficients, dtype=float)
-    half_width = st.square_half_width(c)
-    grid = np.linspace(-half_width, half_width, st.fringe_points(c, half_width))
+    c, half_width = schmidt.coefficients, schmidt.half_width
+    grid = np.linspace(-half_width, half_width, schmidt.grid_points)
     if grid.size**2 <= (float(np.sum(np.abs(c))) ** 2 - 1.0) * count:
         table, evaluations = _cell_table(tomogram, grid, c), grid.size**2
     else:
@@ -349,7 +348,7 @@ def sample_state(
 
     return sample_rejection(
         tomogram, theta1, theta2, count, seed,
-        coefficients=st.significant_schmidt(state).coefficients, substream=substream,
+        schmidt=st.significant_schmidt(state), substream=substream,
     )
 
 

@@ -105,8 +105,8 @@ def _rescale(cur, prev, shift):
 def laguerre(n: int, x, alpha: float = 0.0):
     """(Associated) Laguerre polynomial L_n^(alpha)(x) via recurrence.
 
-    The package itself evaluates only the normalized ``laguerre_functions``;
-    the polynomial is the tests' unnormalized reference for it.
+    The package itself evaluates only the normalized ``laguerre_pairs``;
+    the polynomial is the tests' unnormalized reference for them.
     """
     _check_poly_order(n)
     x, scalar = _as_float_array(x)
@@ -152,6 +152,16 @@ def laguerre_functions(x, alpha: int = 0):
             cur, prev, shift = _rescale(cur, prev, shift)
             unshift = np.exp(-shift)
         yield cur * unshift if wide else cur
+
+
+def laguerre_pairs(x, pairs) -> list:
+    """l_min(m, n) of alpha = |m - n| at x for each (m, n), from one run per diagonal |m - n|."""
+    wanted = {(min(m, n), abs(m - n)) for m, n in pairs}
+    values = {}
+    for d, top in sorted(dict((d, k) for k, d in sorted(wanted)).items()):  # the largest k per d
+        run = zip(range(top + 1), laguerre_functions(x, d))
+        values.update(((k, d), l) for k, l in run if (k, d) in wanted)
+    return [values[min(m, n), abs(m - n)] for m, n in pairs]
 
 
 def bessel_i0(x: float) -> float:

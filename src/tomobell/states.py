@@ -27,14 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
-from .special import bessel_i0, bessel_j0, hermite_functions, laguerre_functions, periodic_trapezoid
+from .special import bessel_i0, bessel_j0, hermite_functions, laguerre_pairs, periodic_trapezoid
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -63,8 +62,8 @@ MAX_BLOCK = 1 << 16
 class TwoModeState:
     """A two-mode state, and the facts about it that the package's formulas need.
 
-    Each fact but ``pseudospin_xz``, which reads ``schmidt``, defaults to an
-    ``UnsupportedStateError``; a benchmark state overrides the ones it has.
+    ``schmidt`` defaults to an ``UnsupportedStateError``; a benchmark state overrides
+    it, and ``wigner_factors`` and ``pseudospin_xz`` read it unless overridden too.
     ``gaussian`` marks the squeezed vacuum, whose tomograms, sign-binned
     probabilities and samples have Gaussian closed forms (``squeezed_homodyne``).
     """
@@ -78,10 +77,20 @@ class TwoModeState:
         )
 
     def wigner_factors(self, order: int | None = None) -> "WignerFactors":
-        """Factor form of the Wigner function (see ``wigner``)."""
-        raise UnsupportedStateError(
-            f"no factor form of the Wigner function for {type(self).__name__}"
-        )
+        """The Fock-basis sum over ``significant_schmidt`` (see ``wigner``); no angular rule."""
+        _check_angular_order(order)
+        c = significant_schmidt(self).coefficients
+        m, n = np.nonzero(np.triu(np.outer(c, c)))
+        pairs, diagonals = list(zip(m.tolist(), n.tolist())), set((n - m).tolist())
+
+        def mode(_, q, p):
+            turn = -1j * np.arctan2(p, q)  # i arg a, a = q - i p
+            phase = {d: np.exp(d * turn) if d else 1.0 for d in diagonals}
+            run = laguerre_pairs(4.0 * (q * q + p * p), pairs)
+            left = np.stack([l * phase[j - i] for (i, j), l in zip(pairs, run)], -1)
+            return left, np.ones(left.shape[:-1] + (1,))
+
+        return WignerFactors((np.where(m == n, 4.0, 8.0) / math.pi**2 * c[m] * c[n])[:, None], mode)
 
     def pseudospin_xz(self, cutoff: int) -> tuple[tuple[float, float, float, float], float | None]:
         """(T, trace_deficit): the x-z block T = (T_zz, T_xx, T_xz, T_zx) of ``bell.correlation_xz``.
@@ -113,6 +122,10 @@ class SqueezedVacuum(TwoModeState):
     def schmidt(self, levels):
         return math.sqrt(1.0 - self.lam**2) * self.lam ** np.arange(levels)
 
+    def wigner_factors(self, order=None):
+        """Refused: ``wigner`` has the Gaussian, and c_n may need ~1e7 levels (lam -> 1)."""
+        raise UnsupportedStateError("the squeezed vacuum has no factor form of its Wigner function")
+
     def pseudospin_xz(self, cutoff):
         """((1, 2 lam / (1 + lam^2), 0, 0), None) at every cutoff."""
         return (1.0, 2.0 * self.lam / (1.0 + self.lam**2), 0.0, 0.0), None
@@ -134,22 +147,6 @@ class FockPairSuperposition(TwoModeState):
         if self.n < levels:
             coeffs[self.n] = 1.0 / math.sqrt(2.0)
         return coeffs
-
-    def wigner_factors(self, order=None):
-        _check_angular_order(order)  # the form has no angular rule
-        # With x = 4|a|^2 = |2a|^2 and arg a = -atan2(p, q), g L_n(x) and
-        # g |2a|^n / sqrt(n!) are the normalized Laguerre functions of orders
-        # (n, alpha = 0) and (0, alpha = n)
-        n = self.n
-
-        def mode(_, q, p):
-            x = 4.0 * (q * q + p * p)
-            run = laguerre_functions(x)  # l_0 = g, then l_n after n - 1 more steps
-            cross = next(laguerre_functions(x, n)) * np.exp(-1j * n * np.arctan2(p, q))
-            left = np.stack([next(run), next(islice(run, n - 1, None)), cross], axis=-1)
-            return left, np.ones(left.shape[:-1] + (1,))
-
-        return WignerFactors(np.array([[1.0], [1.0], [2.0]]) * (2.0 / math.pi**2), mode)
 
     def pseudospin_xz(self, cutoff):
         """((1, 1, 0, 0), None) for n = 1, ((1, 0, 0, 0), None) for n > 1, at every cutoff."""
@@ -347,6 +344,16 @@ class SchmidtVector:
             raise DomainError(f"pseudospin entries need an even cutoff, got {c.size}")
         return float(c @ c), 2.0 * float(c[0::2] @ c[1::2]), 0.0, 0.0
 
+    @cached_property
+    def half_width(self) -> float:
+        """``square_half_width`` of the coefficients: the sampler's square and the Radon lines."""
+        return square_half_width(self.coefficients)
+
+    @cached_property
+    def grid_points(self) -> int:
+        """``fringe_points`` on that square: the sampler's grid and the Radon rules' cap."""
+        return fringe_points(self.coefficients, self.half_width)
+
 
 def schmidt_coefficients(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> SchmidtVector:
     """Schmidt coefficients of a benchmark state, truncated at ``cutoff``."""
@@ -368,14 +375,6 @@ def significant_schmidt(state: TwoModeState) -> SchmidtVector:
         if schmidt.deficit <= DEFICIT_TOL and c[-1] ** 2 <= 1e-32:
             return SchmidtVector(c[: np.flatnonzero(c * c > 1e-32)[-1] + 1])
         levels *= 2
-
-
-@lru_cache(maxsize=128)
-def schmidt_grid(state: TwoModeState) -> tuple[float, int]:
-    """(``square_half_width``, ``fringe_points``) of the state's significant Schmidt vector."""
-    c = significant_schmidt(state).coefficients
-    half_width = square_half_width(c)
-    return half_width, fringe_points(c, half_width)
 
 
 def square_half_width(coefficients) -> float:
@@ -459,18 +458,17 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int | None = None):
     """Two-mode Wigner function W(q1, p1, q2, p2), normalized to 1.
 
     Accepts scalars or broadcastable arrays.  The squeezed vacuum has its
-    Gaussian closed form.  The Fock pair and the pair-coherent state are
-    summed pointwise from their factor form (``TwoModeState.wigner_factors``):
+    Gaussian closed form; every other state is summed pointwise from its factor
+    form (``TwoModeState.wigner_factors``), W = Re sum_jk C_jk F1_jk(q1, p1) F2_jk(q2, p2).
+    By default F_mn = L_mn on the pairs m <= n of the significant Schmidt vector
+    with c_m c_n != 0, where, with a = q - i p and l from ``special.laguerre_pairs``,
 
-        W = Re sum_jk C_jk F1_jk(q1, p1) F2_jk(q2, p2),
-        F_jk(q, p) = g(q, p) L_j(q, p) R_k(q, p),  g = exp(-2 (q^2 + p^2)),
+        L_mn = e^{i (n - m) arg a} l_m^(n - m)(4 |a|^2),  C_mn = (2/pi)^2 (2 - delta_mn) c_m c_n.
 
-    with a = q - i p:
+    The pair-coherent state overrides it with its angular form, F_jk = g L_j R_k, g = e^{-2 |a|^2}:
 
-        Fock pair       L = [1, L_n(4 |a|^2), (2a)^n / sqrt(n!)],  R = [1],
-                        C = (2/pi^2) [1, 1, 2];
-        pair coherent   L_j = exp(2 r a e^{+-i phi_j}),  R_k = exp(2 r a* e^{-+i phi_k}),
-                        C_jk = (2 pi/K)^2 exp(-2 r^2 cos(phi_j - phi_k)) / (pi^4 I0(2 r^2)),
+        L_j = exp(2 r a e^{+-i phi_j}),  R_k = exp(2 r a* e^{-+i phi_k}),
+        C_jk = (2 pi/K)^2 exp(-2 r^2 cos(phi_j - phi_k)) / (pi^4 I0(2 r^2)),
 
     the upper signs for mode 1 and the lower for mode 2.  For the pair-coherent
     state the phi_j = 2 pi j / K are the nodes of a periodic trapezoid rule

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import states as st
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .special import gauss_legendre, hermite_functions, laguerre_functions, periodic_trapezoid
+from .special import gauss_legendre, hermite_functions, laguerre_pairs, periodic_trapezoid
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
@@ -159,12 +159,12 @@ def radon_forward_symplectic(
     ``FACTORED_ORDER`` (96) and double up to the node count of the sampler's
     grid, 8 per lobe of the narrowest fringe, and at least 3 times.
 
-    The Fock pair and the pair-coherent state are projected through the
-    factor form of their Wigner function (``TwoModeState.wigner_factors``, at
-    its default angular order): each mode's factors are integrated along its
-    own line first, once per distinct X value, on lines that span the
-    sampler's square (``states.schmidt_grid`` gives its half-width and node
-    count).  The squeezed vacuum, whose Gaussian cross term does not factor,
+    Every other state is projected through the factor form of its Wigner
+    function (``TwoModeState.wigner_factors``, at its default angular order):
+    each mode's factors are integrated along its own line first, once per
+    distinct X value, on lines that span the sampler's square (the
+    ``half_width`` and ``grid_points`` of ``states.significant_schmidt``).
+    The squeezed vacuum, whose Gaussian cross term does not factor,
     is summed with one ``states.wigner`` call per X pair, on a grid along
     its integrand's principal axes (``_gaussian_axes``) that spans
     +/- ``GAUSSIAN_HALF_WIDTH``.
@@ -174,7 +174,7 @@ def radon_forward_symplectic(
     largest change at each doubling, and ``half_width``, the rules' span
     (in principal-axis units for the squeezed vacuum); for the factored
     states also ``angular_order``, the K of the pair-coherent factors'
-    angular rule (None for the Fock pair, which has none).
+    angular rule (None for the Fock-basis sum, which has none).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -188,9 +188,10 @@ def radon_forward_symplectic(
         order = GAUSSIAN_ORDER if order is None else order
         project = partial(_project_gaussian, state, *_gaussian_axes(state, setting1, setting2))
     else:
-        half_width, points = st.schmidt_grid(state)
+        schmidt = st.significant_schmidt(state)
+        half_width = schmidt.half_width
         order = FACTORED_ORDER if order is None else order
-        budget = max(3, math.ceil(math.log2(points / order)))
+        budget = max(3, math.ceil(math.log2(schmidt.grid_points / order)))
         factors = state.wigner_factors()
         record["angular_order"] = factors.angular_order
         project = partial(_project_factored, factors)
@@ -490,13 +491,13 @@ def displacement_matrix(cutoff: int, k):
     The reconstruction kernel reduces to (1/4 pi) e^{i X} D((nu - i mu)/2)
     in this package's convention; on the line mu = k, nu = 0 the displacement
     amplitude is -i k/2.  The element is (-i)^|d| times the normalized Laguerre
-    function of order min(m, n) and alpha = |d| at k^2/4, d = m - n, so each
-    diagonal d comes from one run of ``laguerre_functions``.
+    function of order min(m, n) and alpha = |d| at k^2/4, d = m - n
+    (``laguerre_pairs``).
     """
     out = np.empty((cutoff, cutoff, k.size), dtype=complex)
-    for d in range(cutoff):
-        for m, l in zip(range(cutoff - d), laguerre_functions(0.25 * k * k, d)):
-            out[m, m + d] = out[m + d, m] = (1.0, -1j, -1.0, 1j)[d % 4] * l
+    pairs = [(m, m + d) for d in range(cutoff) for m in range(cutoff - d)]
+    for (m, n), l in zip(pairs, laguerre_pairs(0.25 * k * k, pairs)):
+        out[m, n] = out[n, m] = (1.0, -1j, -1.0, 1j)[(n - m) % 4] * l
     return out
 
 

@@ -25,7 +25,6 @@ from tomobell.states import (
     SqueezedVacuum,
     density_matrix,
     schmidt_coefficients,
-    schmidt_grid,
     significant_schmidt,
     square_half_width,
 )
@@ -177,7 +176,8 @@ def test_tomogram_fock_pair_n140_check_radon_default_grid(runner, tmp_path):
         manifest = json.load(fh)
     assert manifest["max_abs_difference"] < 1e-12
     assert manifest["radon"]["orders"] == [96, 192, 384, 768]
-    assert manifest["radon"]["half_width"] == schmidt_grid(FockPairSuperposition(140))[0]
+    assert manifest["radon"]["half_width"] == significant_schmidt(
+        FockPairSuperposition(140)).half_width
 
 
 def test_tomogram_pair_coherent_r6_runs_clean(runner, tmp_path):
@@ -438,7 +438,7 @@ MANIFEST_RUNS = [
     (["bell-scan", "--state", "pair-coherent", "--r", "1.0:1.2:0.1", "--cutoff", "16",
       "-o", "b.csv"], "b.csv.manifest.json", 2),  # with OUT.summary.json
     # the matrix lies outside the manifest's directory, as ../rho.json
-    (["pseudospin", "--state", "epr", "--lambda", "0.5", "--cutoff", "8", "--dump-dm", "rho.json",
+    (["pseudospin", "--state", "epr", "--lambda", "0.1", "--cutoff", "8", "--dump-dm", "rho.json",
       "-o", os.path.join("sub", "s.csv")], os.path.join("sub", "s.csv.manifest.json"), 2),
     (["sample", "--state", "pair-coherent", "--r", "1.1", "--count", "500", "-o", "x.csv"],
      "x.csv.manifest.json", 2),  # with the sidecar x.json
@@ -954,12 +954,21 @@ def test_pseudospin_manifest_reports_trace_deficit(runner, tmp_path):
     # the manifest records the file's cutoff, not the --cutoff default
     assert manifest("--dm", rho)["effective_config"]["cutoff"] == 16
     assert deficit("--dm", rho) == pytest.approx(0.1**32, rel=1e-6)
-    # a matrix that misses more than DEFICIT_TOL of the norm exits 3 and writes nothing:
-    # |99> lies beyond cutoff 8 (half the norm), and lambda^16 is lost at lambda = 0.9
-    for state, lost in ((["fock-pair", "--n", "9"], 0.5), (["epr", "--lambda", "0.9"], 0.9**16)):
-        assert deficit("--state", *state, "--cutoff", "8", "--dump-dm", rho) is None
-        assert json.load(open(rho))["trace_deficit"] == pytest.approx(lost, rel=1e-9)
-        os.remove(out)
+    # a matrix that misses more than DEFICIT_TOL of the norm exits 3 and writes nothing,
+    # whether it is dumped or read: |99> lies beyond cutoff 8 (half the norm), and
+    # lambda^16 is lost at lambda = 0.9, where the closed form itself has no deficit
+    os.remove(out)
+    for args, state, lost in ((["fock-pair", "--n", "9"], FockPairSuperposition(9), 0.5),
+                              (["epr", "--lambda", "0.9"], SqueezedVacuum(0.9), 0.9**16)):
+        os.remove(rho)
+        result = run("--state", *args, "--cutoff", "8", "--dump-dm", rho)
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert "misses" in result.output
+        assert not os.path.exists(out) and not os.path.exists(rho)
+        truncated = density_matrix(state, 8).to_json_dict()
+        assert truncated["trace_deficit"] == pytest.approx(lost, rel=1e-9)
+        with open(rho, "w") as fh:
+            json.dump(truncated, fh)
         result = run("--dm", rho)
         assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
         assert "misses" in result.output and not os.path.exists(out)

@@ -21,6 +21,7 @@ from tomobell.states import (
     OUTSIDE_MASS_LIMIT,
     FockPairSuperposition,
     PairCoherent,
+    SchmidtVector,
     SqueezedVacuum,
     fringe_points,
     marginal_tail,
@@ -28,7 +29,7 @@ from tomobell.states import (
     square_half_width,
     squeezed_homodyne,
 )
-from tomobell.tomography import sign_binned_closed_form, tomogram_closed_form
+from tomobell.tomography import radon_forward, sign_binned_closed_form, tomogram_closed_form
 
 from oracles import (
     RandomSchmidt,
@@ -122,7 +123,8 @@ def test_rejection_vacuum_acceptance_rate():
     # scan, so the vacuum always takes it.  Its square reaches the least a with
     # 4 P(X1 > a) = 2 erfc(sqrt(2) a) <= 2^-53, to 2^-8
     count = 50_000
-    batch = sample_rejection(vacuum_density, 0.0, 0.0, count, seed=31415, coefficients=VACUUM)
+    batch = sample_rejection(vacuum_density, 0.0, 0.0, count, seed=31415,
+                             schmidt=SchmidtVector(VACUUM))
     assert batch.sampler == "product-table"
     a = batch.half_width
     assert 2.0 * math.erfc(math.sqrt(2.0) * a) <= 2.0**-53
@@ -148,7 +150,7 @@ def test_rejection_envelope_violation_reported():
         return np.exp(-(x1**2 + x2**2) / 8.0) / (8.0 * math.pi)
 
     with pytest.raises(EnvelopeError, match=r"density exceeds envelope at X = .* > T = "):
-        sample_rejection(wide_density, 0.0, 0.0, 1000, seed=3, coefficients=VACUUM)
+        sample_rejection(wide_density, 0.0, 0.0, 1000, seed=3, schmidt=SchmidtVector(VACUUM))
 
 
 def test_rejection_without_acceptance_gives_up_at_400_rounds():
@@ -156,7 +158,7 @@ def test_rejection_without_acceptance_gives_up_at_400_rounds():
         return np.zeros_like(x1)
 
     with pytest.raises(EnvelopeError, match=r"produced 0/10 samples in 400 rounds"):
-        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, coefficients=VACUUM)
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, schmidt=SchmidtVector(VACUUM))
 
 
 def test_rejection_of_a_density_zero_on_the_whole_scan_is_reported():
@@ -167,10 +169,11 @@ def test_rejection_of_a_density_zero_on_the_whole_scan_is_reported():
         return np.zeros(np.broadcast(x1, x2).shape)
 
     with pytest.raises(EnvelopeError, match=r"produced 0/10000 samples in 400 rounds"):
-        sample_rejection(empty_density, 0.0, 0.0, 10_000, seed=1, coefficients=np.full(16, 0.25))
+        sample_rejection(empty_density, 0.0, 0.0, 10_000, seed=1,
+                         schmidt=SchmidtVector(np.full(16, 0.25)))
     # with every c_n = 0 the envelope itself is 0
     with pytest.raises(EnvelopeError, match=r"the envelope is 0 on the whole square"):
-        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, coefficients=np.zeros(3))
+        sample_rejection(empty_density, 0.0, 0.0, 10, seed=1, schmidt=SchmidtVector(np.zeros(3)))
 
 
 def test_rejection_batch_records_rounds_and_envelope_constant():
@@ -328,7 +331,7 @@ def test_sampler_evaluates_every_proposal_once(state, theta1, theta2, count):
         return tomogram(x1, x2)
 
     batch = sample_rejection(counted, theta1, theta2, count, seed=2501,
-                             coefficients=significant_schmidt(state).coefficients)
+                             schmidt=significant_schmidt(state))
     assert batch.tomogram_evaluations == sum(scanned) + sum(proposals)
     accepted = batch.acceptance_rate * sum(proposals)
     assert accepted == pytest.approx(round(accepted), abs=1e-6)
@@ -481,6 +484,25 @@ def test_product_table_bounds_the_envelope_between_grid_points(state):
     assert np.all(top <= table.values)
 
 
+def test_the_radon_check_and_every_batch_of_a_state_share_one_bisection(monkeypatch):
+    # the square is cached on the state's significant Schmidt vector, which both read
+    from tomobell import states
+
+    calls = []
+
+    def counted(coefficients):
+        calls.append(len(coefficients))
+        return square_half_width(coefficients)
+
+    monkeypatch.setattr(states, "square_half_width", counted)
+    significant_schmidt.cache_clear()
+    state = FockPairSuperposition(3)
+    radon_forward(state, 0.5, 0.3, -0.5, 0.2)
+    batches = [sample_state(state, 0.3, 0.2, 500, seed=4, substream=k) for k in range(4)]
+    assert calls == [4]
+    assert {batch.half_width for batch in batches} == {significant_schmidt(state).half_width}
+
+
 @pytest.mark.parametrize(
     "state", [PairCoherent(0.1), PairCoherent(1.1), PairCoherent(12.0), FockPairSuperposition(3),
               FockPairSuperposition(400), RandomSchmidt(3, 16)], ids=repr)
@@ -531,7 +553,7 @@ def test_screen_violation_reported():
         return vacuum_density(x1, x2) * (1.0 + 0.5 * s1 * s2 * (x1 > 1.0))
 
     with pytest.raises(EnvelopeError, match=r"w = \S+ > T = "):
-        sample_rejection(fringed_density, 0.0, 0.0, 10_000, seed=3, coefficients=VACUUM)
+        sample_rejection(fringed_density, 0.0, 0.0, 10_000, seed=3, schmidt=SchmidtVector(VACUUM))
 
 
 FIG3A_SETTINGS = [(math.pi / 2, -math.pi / 4), (math.pi / 2, -3 * math.pi / 4),

@@ -18,6 +18,7 @@ from tomobell.special import (
     hermite,
     laguerre,
     laguerre_functions,
+    laguerre_pairs,
     periodic_trapezoid,
 )
 from tomobell.tomography import (
@@ -224,6 +225,25 @@ def test_associated_laguerre_function_matches_scipy(alpha):
                               + alpha * np.log(xs) - xs) + np.log(np.abs(poly))
         want = np.sign(poly) * np.exp(log_size)
         assert np.max(np.abs(got - want)) <= 1e-13, n
+
+
+def test_laguerre_pairs_match_scipy_on_a_pair_list_with_gaps():
+    # l_min(m, n)^(|m - n|) in the pairs' own order, either way round, with orders
+    # skipped on the main diagonal (1-8) and asked of diagonal 2 only at order 3
+    from scipy.special import eval_genlaguerre, gammaln
+
+    pairs = [(0, 0), (0, 9), (9, 9), (3, 5), (5, 3)]
+    xs = np.linspace(0.0, 80.0, 161)
+    got = laguerre_pairs(xs, pairs)
+    assert len(got) == len(pairs)
+    for (m, n), values in zip(pairs, got):
+        k, alpha = min(m, n), abs(m - n)
+        poly = eval_genlaguerre(k, alpha, xs)
+        with np.errstate(divide="ignore"):
+            power = alpha * np.log(xs) if alpha else 0.0
+            log_size = 0.5 * (gammaln(k + 1.0) - gammaln(k + alpha + 1.0)
+                              + power - xs) + np.log(np.abs(poly))
+        assert np.max(np.abs(values - np.sign(poly) * np.exp(log_size))) <= 1e-13, (m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,12 @@ from tomobell.states import (
     TwoModeState,
     density_matrix,
     schmidt_coefficients,
-    schmidt_grid,
+    significant_schmidt,
     wigner,
 )
 from tomobell.tomography import radon_forward, tomogram_closed_form
 
-from oracles import schmidt_wigner
+from oracles import RandomSchmidt, schmidt_wigner
 
 BENCHMARKS = [
     SqueezedVacuum(math.tanh(0.5)),
@@ -267,12 +267,15 @@ def test_wigner_factor_form_matches_direct_sums():
 @pytest.mark.parametrize(
     "state",
     [FockPairSuperposition(1), FockPairSuperposition(3), FockPairSuperposition(8),
-     PairCoherent(0.5), PairCoherent(1.05), PairCoherent(2.0)],
+     PairCoherent(0.5), PairCoherent(1.05), PairCoherent(2.0),
+     RandomSchmidt(1, 6), RandomSchmidt(2, 9), RandomSchmidt(3, 16)],
     ids=repr,
 )
 def test_wigner_is_the_fock_basis_sum_over_the_schmidt_vector(state):
     # for the pair-coherent state this checks its Schmidt coefficients against
-    # its angular-integral Wigner function; at r = 2, c_48 is below 1e-32
+    # its angular-integral Wigner function; at r = 2, c_48 is below 1e-32.  The
+    # other states take the package's own Fock-basis sum, here against scipy's
+    # Laguerre polynomials, with c_n of both signs for the random vectors
     rng = np.random.default_rng(29)
     q1, p1, q2, p2 = rng.normal(scale=1.0, size=(4, 40))
     want = schmidt_wigner(state.schmidt(48), q1, p1, q2, p2)
@@ -284,7 +287,7 @@ def test_wigner_pair_coherent_default_rule_holds_at_r_8():
     # half of the Radon box, where a fixed order 128 was off by ~1e-14 of that
     # peak at r = 8 and by ~1e-10 at r = 10
     state = PairCoherent(8.0)
-    half = 0.5 * schmidt_grid(state)[0]
+    half = 0.5 * significant_schmidt(state).half_width
     points = np.random.default_rng(31).uniform(-half, half, size=(4, 400))
     fine = wigner(state, *points, angular_order=512)
     assert np.max(np.abs(wigner(state, *points) - fine)) <= 1e-12 * 4.0 / math.pi**2
@@ -305,7 +308,7 @@ def test_wigner_pair_coherent_default_rule_matches_1024_nodes_on_the_radon_lines
     state = PairCoherent(r)
     rng = np.random.default_rng(37)
     x = rng.uniform(-2.0, 2.0, (2, 500))
-    half, _ = schmidt_grid(state)
+    half = significant_schmidt(state).half_width
     t = rng.uniform(-half, half, (2, 500))
     theta = rng.uniform(0.0, 2.0 * math.pi, (2, 500))
     c, s = np.cos(theta), np.sin(theta)

@@ -30,7 +30,6 @@ from tomobell.states import (
     PairCoherent,
     SqueezedVacuum,
     TwoModeState,
-    schmidt_grid,
     significant_schmidt,
     squeezed_homodyne,
     wigner,
@@ -214,6 +213,32 @@ def test_radon_fock_pair_matches_closed_form_on_grid(n):
         assert np.max(np.abs(closed - numeric)) <= 1e-14
 
 
+@pytest.mark.parametrize("state", [RandomSchmidt(1, 6), RandomSchmidt(2, 9), RandomSchmidt(3, 16)],
+                         ids=repr)
+def test_radon_random_schmidt_vectors_match_closed_form_on_grid(state):
+    # c_n of both signs through the Fock-basis sum of the Wigner function, the
+    # default factor form of every state that gives only its Schmidt vector
+    xs = RADON_GRID
+    for t1, t2 in RADON_ANGLES:
+        record = {}
+        closed = tomogram_closed_form(state, xs[:, None], t1, xs[None, :], t2)
+        numeric = radon_forward(state, xs[:, None], t1, xs[None, :], t2, record=record)
+        assert np.max(np.abs(closed - numeric)) <= 1e-12
+        assert record["orders"] == [96, 192] and record["angular_order"] is None
+
+
+def test_radon_of_the_pair_coherent_state_never_takes_the_fock_basis_sum(monkeypatch):
+    # its angular form is the Radon check's one route that does not read c_n
+    def refuse(*args):
+        raise AssertionError("the pair-coherent Radon check took the Fock-basis sum")
+
+    monkeypatch.setattr(TwoModeState, "wigner_factors", refuse)
+    state = PairCoherent(1.0)
+    numeric = radon_forward(state, RADON_GRID[:, None], 0.3, RADON_GRID[None, :], 0.2)
+    closed = tomogram_closed_form(state, RADON_GRID[:, None], 0.3, RADON_GRID[None, :], 0.2)
+    assert np.max(np.abs(closed - numeric)) < 1e-12
+
+
 @pytest.mark.parametrize("state,last_order", [
     (FockPairSuperposition(1), 192), (FockPairSuperposition(50), 384),
     (FockPairSuperposition(171), 1536), (FockPairSuperposition(300), 1536),
@@ -227,7 +252,7 @@ def test_radon_on_the_sampler_square_matches_closed_form(state, last_order):
     closed = tomogram_closed_form(state, xs[:, None], 0.3, xs[None, :], 0.2)
     assert np.max(np.abs(closed - numeric)) <= 1e-14
     assert record["orders"][0] == 96 and record["orders"][-1] == last_order
-    assert record["half_width"] == schmidt_grid(state)[0]
+    assert record["half_width"] == significant_schmidt(state).half_width
 
 
 def test_radon_of_the_squeezed_vacuum_never_reads_its_schmidt_vector(monkeypatch):
@@ -235,8 +260,7 @@ def test_radon_of_the_squeezed_vacuum_never_reads_its_schmidt_vector(monkeypatch
     def refuse(*args):
         raise AssertionError("the squeezed vacuum's Radon check read its Schmidt vector")
 
-    monkeypatch.setattr("tomobell.states.significant_schmidt", refuse)
-    monkeypatch.setattr("tomobell.states.schmidt_grid", refuse)  # no cached answer either
+    monkeypatch.setattr("tomobell.states.significant_schmidt", refuse)  # nor its cached grid
     monkeypatch.setattr(SqueezedVacuum, "schmidt", refuse)
     state = SqueezedVacuum(0.5)
     record = {}
@@ -254,7 +278,7 @@ def test_radon_doubling_budget_follows_the_fringe_count():
         record = {}
         with pytest.raises(ConvergenceError):
             radon_forward(state, 0.5, 0.0, 0.5, 0.0, tol=-1.0, record=record)
-        return record["orders"][-1], schmidt_grid(state)[1]
+        return record["orders"][-1], significant_schmidt(state).grid_points
 
     assert [orders(FockPairSuperposition(n)) for n in (3, 120, 140, 300)] == [
         (768, 201), (1536, 1433), (3072, 1649), (6144, 3337)]
@@ -273,7 +297,7 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
     # the grid and paired X layouts both exercise the distinct-X indexing
     from tomobell.tomography import _project_factored
 
-    half, _ = schmidt_grid(state)
+    half = significant_schmidt(state).half_width
     rule = gauss_legendre(48, -half, half)
     s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
     factors = state.wigner_factors(32)
@@ -408,7 +432,7 @@ def test_radon_convergence_error_names_orders_and_residuals():
     message = str(info.value)
     assert "orders [4, 8, 16]" in message
     assert record["orders"] == [4, 8, 16]
-    half, _ = schmidt_grid(state)
+    half = significant_schmidt(state).half_width
     x = np.array([0.5])
     setting = SymplecticSetting.from_angle(0.0)
     values = [
@@ -904,17 +928,19 @@ def test_displacement_matrix_columns_are_unit_vectors():
 
 
 def test_displacement_matrix_makes_one_laguerre_run_per_diagonal(monkeypatch):
-    from tomobell import special, tomography
+    # the one kernel behind displacement_matrix and the Fock-basis Wigner factors
+    from tomobell import special
 
     runs, yields = [], []
+    laguerre_functions = special.laguerre_functions
 
     def counted(x, alpha=0):
         runs.append(alpha)
-        for value in special.laguerre_functions(x, alpha):
+        for value in laguerre_functions(x, alpha):
             yields.append(alpha)
             yield value
 
-    monkeypatch.setattr(tomography, "laguerre_functions", counted)
+    monkeypatch.setattr(special, "laguerre_functions", counted)
     for cutoff in (1, 6, 10):
         runs.clear()
         yields.clear()
@@ -922,6 +948,13 @@ def test_displacement_matrix_makes_one_laguerre_run_per_diagonal(monkeypatch):
         assert runs == list(range(cutoff))
         # diagonal d has cutoff - d elements, and its run yields no more
         assert yields == [d for d in range(cutoff) for _ in range(cutoff - d)]
+    # the Fock pair at n = 9: pairs (0, 0), (0, 9) and (9, 9), one run up to l_9 on
+    # the main diagonal and one l_0 on diagonal 9, per mode
+    runs.clear()
+    yields.clear()
+    left, _ = FockPairSuperposition(9).wigner_factors().mode(0, np.array([0.3]), np.array([0.2]))
+    assert left.shape == (1, 3)
+    assert runs == [0, 9] and yields == [0] * 10 + [9]
 
 
 def test_kernel_reconstruct_vacuum():
