@@ -26,13 +26,16 @@ from . import __version__, bell
 from . import sampling as smp
 from . import states as st
 from . import tomography as tg
-from .errors import AccuracyError, ConfigError, ConvergenceError, DomainError
+from .errors import AccuracyError, ConfigError, ConvergenceError, DomainError, NormalizationError
 
 FIG3A_ANGLES = ("pi/2", "-pi/4", "0", "-3pi/4")  # theta1, theta2, theta1p, theta2p
 FIG1_LAMBDAS = (0.20, 0.54, 0.96)
 FIG2_NS = (1, 3, 5)
 #: Most points a start:stop:step range may expand to.
 MAX_RANGE_POINTS = 10**6
+#: Largest |trace_deficit| of a matrix that ``reconstruct`` writes: a thermal
+#: marginal at lambda = 0.5 keeps 1 - lambda^12 of its trace at cutoff 6.
+RECONSTRUCT_DEFICIT_TOL = 1e-3
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -724,6 +727,10 @@ def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
         fn = functools.partial(tg.fock_quadrature_density,
                                {"vacuum": 0, "single-photon": 1}[tomogram_kind])
     rho, diagnostics = tg.kernel_reconstruct_density(fn, cutoff)
+    deficit = 1.0 - float(rho.diagonal().real.sum())
+    if abs(deficit) > RECONSTRUCT_DEFICIT_TOL:
+        raise NormalizationError(f"the reconstruction at cutoff {cutoff} has trace deficit "
+                                 f"{deficit:.3e}, beyond {RECONSTRUCT_DEFICIT_TOL:g}")
     i_idx, j_idx = np.nonzero(np.abs(rho) > 1e-14)
     payload = {
         "cutoff": cutoff,
@@ -731,7 +738,7 @@ def cmd_reconstruct(tomogram_kind, lam, cutoff, out):
             [int(i), int(j), float(rho[i, j].real), float(rho[i, j].imag)]
             for i, j in zip(i_idx, j_idx)
         ],
-        "trace_deficit": 1.0 - float(rho.diagonal().real.sum()),
+        "trace_deficit": deficit,
         "diagnostics": diagnostics,
         "effective_config": {"tomogram": tomogram_kind, "lambda": lam, "cutoff": cutoff},
     }

@@ -135,7 +135,8 @@ def sample_rejection(
     proposals at a time, and the sampler stops at the chunk that completes
     the batch.  It gives up after ``_MAX_ROUNDS`` rounds.  The batch
     records Z as ``envelope_constant`` (the expected acceptance is 1 / Z),
-    a, the bound 4 P(X1 > a) and ``tomogram_evaluations``: the scan's
+    a, the bound 4 P(X1 > a) (``outside_mass_bound``, cached on ``schmidt``
+    with a) and ``tomogram_evaluations``: the scan's
     points plus the proposals evaluated.
     """
     if count < 1:
@@ -187,7 +188,7 @@ def sample_rejection(
         half_width=half_width,
         tomogram_evaluations=evaluations + n_proposed,
         sampler=table.sampler,
-        outside_mass_bound=4.0 * st.marginal_tail(c, half_width),
+        outside_mass_bound=schmidt.outside_mass_bound,
     )
 
 
@@ -277,10 +278,11 @@ def schmidt_envelopes(coefficients, x):
     y = math.sqrt(2.0) * np.asarray(x, dtype=float)
     f, kappa = np.zeros_like(y), np.zeros_like(y)
     for n, (weight, psi) in enumerate(zip(np.abs(coefficients), hermite_functions(y))):
-        term = weight * psi * psi
-        f += term
-        term *= np.square(y * y - (2 * n + 1))
-        kappa += term
+        if weight:  # the recurrence runs through the levels with c_n = 0, the sums skip them
+            term = weight * psi * psi
+            f += term
+            term *= np.square(y * y - (2 * n + 1))
+            kappa += term
     return math.sqrt(2.0) * f, math.sqrt(2.0) * kappa
 
 

@@ -1,12 +1,13 @@
 """Self-contained special functions and quadrature rules.
 
-All closed-form expressions in the library reduce to the functions collected
-here: Hermite polynomials and functions, (associated) Laguerre polynomials
-and functions, the Bessel functions I0 and J0, the error function of a
-complex argument, and two quadrature rules.  The function
-implementations are independent of any external special-function library;
-each one is checked in the test suite against a slow series or quadrature
-oracle.
+The library's closed forms reduce to the Hermite functions, the normalized
+Laguerre functions (``laguerre_pairs``), the Bessel functions I0 and J0,
+and two quadrature rules.  The Hermite and Laguerre polynomials and the
+error function of a complex argument are here for the tests, which check
+the functions above against them, and for bench/tracer.py; no library path
+calls them.  The implementations are independent of any external
+special-function library; each one is checked in the test suite against a
+slow series or quadrature oracle.
 
 Validated ranges are explicit constants rather than silent truncation:
 polynomial recurrences are guarded at ``MAX_POLY_ORDER`` and the complex

@@ -80,7 +80,8 @@ class TwoModeState:
         """The Fock-basis sum over ``significant_schmidt`` (see ``wigner``); no angular rule."""
         _check_angular_order(order)
         c = significant_schmidt(self).coefficients
-        m, n = np.nonzero(np.triu(np.outer(c, c)))
+        k = np.flatnonzero(c)  # only these levels enter: the Fock pair's 2 of its n + 1
+        m, n = (k[i] for i in np.nonzero(np.triu(np.outer(c[k], c[k]))))
         pairs, diagonals = list(zip(m.tolist(), n.tolist())), set((n - m).tolist())
 
         def mode(_, q, p):
@@ -354,6 +355,11 @@ class SchmidtVector:
         """``fringe_points`` on that square: the sampler's grid and the Radon rules' cap."""
         return fringe_points(self.coefficients, self.half_width)
 
+    @cached_property
+    def outside_mass_bound(self) -> float:
+        """4 P(X1 > a) at a = ``half_width``: at most the mass of w outside the square."""
+        return 4.0 * marginal_tail(self.coefficients, self.half_width)
+
 
 def schmidt_coefficients(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> SchmidtVector:
     """Schmidt coefficients of a benchmark state, truncated at ``cutoff``."""
@@ -437,9 +443,10 @@ def marginal_tail(coefficients, x0: float) -> float:
 def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> DensityMatrix:
     """Truncated |psi><psi| of a benchmark state: c_m c_n at (m (cutoff + 1), n (cutoff + 1))."""
     schmidt = schmidt_coefficients(state, cutoff)
-    c_mn = np.outer(schmidt.coefficients, schmidt.coefficients)
-    m, n = np.nonzero(c_mn)
-    return DensityMatrix(cutoff, m * (cutoff + 1), n * (cutoff + 1), c_mn[m, n], schmidt.deficit)
+    c = schmidt.coefficients
+    k = np.flatnonzero(c)
+    m, n = (k[i] for i in np.nonzero(np.outer(c[k], c[k])))
+    return DensityMatrix(cutoff, m * (cutoff + 1), n * (cutoff + 1), c[m] * c[n], schmidt.deficit)
 
 
 # ---------------------------------------------------------------------------

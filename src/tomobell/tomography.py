@@ -12,8 +12,8 @@ Closed forms, in the package convention (vacuum quadrature variance 1/4):
                     the squeezed-vacuum Wigner function produces, and the only
                     form consistent with the arctan(b/N) quadrant probabilities.
 
-  Fock pair and     w = 2 |sum_n c_n e^{-i n (t1+t2)} psi_n(u1) psi_n(u2)|^2
-  pair coherent     over the Schmidt vector |psi> = sum_n c_n |n n>, with
+  every other       w = 2 |sum_n c_n e^{-i n (t1+t2)} psi_n(u1) psi_n(u2)|^2
+  Schmidt state     over the Schmidt vector |psi> = sum_n c_n |n n>, with
                     u = sqrt(2) X and psi_k the normalized Hermite functions.
                     Every Schmidt-diagonal state depends on the angles only
                     through their sum t1 + t2, as the Radon oracle confirms.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -51,8 +51,6 @@ from .special import gauss_legendre, hermite_functions, laguerre_pairs, periodic
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
-#: Cap on the Fock levels of the sign-correlation Schmidt sum (an 8 MB G matrix).
-MAX_SCHMIDT_LEVELS = 1024
 #: Rules of kernel_reconstruct_density.  k = 20 is where the integrand of
 #: |9><9| falls below 1e-16; with k up to 12 its rho is off by 0.096.
 KERNEL_K_MAX = 20.0
@@ -412,9 +410,9 @@ def _sign_series(state):
     through the principal branch of arctan (b changes sign with
     cos(theta1 + theta2), so no piecewise sign bookkeeping is needed).
 
-    Fock pair and pair coherent, sum_n c_n |n n>: the Fock-basis sum (Munro,
+    Every other Schmidt state, sum_n c_n |n n>: the Fock-basis sum (Munro,
     PRA 59, 4197 (1999)) E = sum_{m,n} c_m c_n G_mn^2 cos((m - n)(theta1 +
-    theta2)) with G = sign_matrix, over the Fock levels that c_n needs,
+    theta2)) with G = sign_matrix, over the significant levels with c_n != 0,
     gathered once into the harmonics h_d of ``_sign_harmonics``.
     """
     if state.gaussian:
@@ -434,29 +432,24 @@ def _sign_series(state):
 
 @lru_cache(maxsize=128)
 def _sign_harmonics(state):
-    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 over the significant Schmidt levels of the state."""
+    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 over the significant Schmidt levels with c_n != 0."""
     c = st.significant_schmidt(state).coefficients
-    if c.size > MAX_SCHMIDT_LEVELS:
-        missed = 1.0 - float(np.sum(c[:MAX_SCHMIDT_LEVELS] ** 2))
-        raise ConvergenceError(
-            f"{MAX_SCHMIDT_LEVELS} Fock levels of {state} miss {missed:.3e} of the norm"
-        )
-    k = np.arange(c.size)
-    weights = np.outer(c, c) * sign_matrix(c.size) ** 2
-    return np.bincount(np.abs(np.subtract.outer(k, k)).ravel(), weights=weights.ravel())
+    k = np.flatnonzero(c)
+    weights = np.outer(c[k], c[k]) * sign_matrix(k) ** 2
+    return np.bincount(np.abs(np.subtract.outer(k, k)).ravel(), weights.ravel(), minlength=c.size)
 
 
-def sign_matrix(levels: int) -> np.ndarray:
-    """G_mn = <m| sgn X |n> = (psi_n(0) psi_m'(0) - psi_m(0) psi_n'(0)) / (m - n).
+def sign_matrix(levels) -> np.ndarray:
+    """G_mn = <m| sgn X |n> = (psi_n(0) psi_m'(0) - psi_m(0) psi_n'(0)) / (m - n) on ``levels``.
 
     This integrates the Wronskian identity (psi_m psi_n' - psi_n psi_m')' =
     2 (m - n) psi_m psi_n over X > 0; psi_k'(0) = sqrt(2k) psi_{k-1}(0), and
-    the numerator vanishes for m + n even, where G_mn = 0.
+    the numerator vanishes for m + n even, where G_mn = 0.  ``levels`` must increase.
     """
-    k = np.arange(levels)
-    psi0 = np.fromiter(islice(hermite_functions(0.0), levels), float, levels)
-    dpsi0 = np.sqrt(2.0 * k) * np.concatenate(([0.0], psi0[:-1]))
-    diff = np.subtract.outer(k, k)
+    top = int(levels[-1]) + 1
+    psi = np.fromiter(chain([0.0], islice(hermite_functions(0.0), top)), float, top + 1)
+    psi0, dpsi0 = psi[levels + 1], np.sqrt(2.0 * levels) * psi[levels]  # psi[k] = psi_{k-1}(0)
+    diff = np.subtract.outer(levels, levels)
     return (np.outer(dpsi0, psi0) - np.outer(psi0, dpsi0)) / np.where(diff == 0, 1, diff)
 
 

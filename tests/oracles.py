@@ -31,6 +31,9 @@ different route.
   from numpy's Hermite polynomials, against ``tomography.sign_correlation``.
 - ``schmidt_xz_dense``: the pseudospin x-z block of a raw Schmidt vector
   from a dense ``np.kron`` density matrix, against ``pseudospin_xz``.
+- ``dense_sign_harmonics`` and ``dense_schmidt_pairs``: the Schmidt sums on
+  the full L x L grid of levels, zeros included, against the sums that visit
+  only the levels with c_n != 0 (bit for bit), on ``SPARSE_PIN_STATES``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from tomobell import states
 from tomobell.errors import AccuracyError, ConvergenceError, DomainError
-from tomobell.special import gauss_legendre, periodic_trapezoid
+from tomobell.special import gauss_legendre, hermite_functions, periodic_trapezoid
 from tomobell.tomography import SignBinnedProbs
 
 #: Rules of sign_binned_numeric: Gauss-Legendre nodes per panel, the starting
@@ -367,3 +370,29 @@ def schmidt_xz_dense(c, cutoff: int) -> tuple[float, float, float, float]:
     sx += sx.T
     pairs = ((sz, sz), (sx, sx), (sx, sz), (sz, sx))
     return tuple(float(np.trace(rho @ np.kron(a, b))) for a, b in pairs)
+
+
+#: States whose nonzero-level Schmidt sums are pinned to the dense ones: every
+#: level nonzero (pair coherent), two of up to 1001 (Fock pair), and signed.
+SPARSE_PIN_STATES = (
+    [states.PairCoherent(r) for r in (0.5, 1.0, 1.1, 2.0, 8.0, 18.0)]
+    + [states.FockPairSuperposition(n) for n in (1, 3, 50, 1000)]
+    + [RandomSchmidt(1, 6), RandomSchmidt(2, 9), RandomSchmidt(3, 16)]
+)
+
+
+def dense_sign_harmonics(c) -> np.ndarray:
+    """h_d = sum_{|m-n|=d} c_m c_n G_mn^2 from the full L x L matrices of c_m c_n and G_mn."""
+    levels = np.arange(c.size)
+    psi0 = np.array([p for _, p in zip(levels, hermite_functions(0.0))])
+    dpsi0 = np.sqrt(2.0 * levels) * np.concatenate(([0.0], psi0[:-1]))
+    diff = np.subtract.outer(levels, levels)
+    g = (np.outer(dpsi0, psi0) - np.outer(psi0, dpsi0)) / np.where(diff == 0, 1, diff)
+    weights = np.outer(c, c) * g**2
+    return np.bincount(np.abs(diff).ravel(), weights=weights.ravel())
+
+
+def dense_schmidt_pairs(c, upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) with c_m c_n != 0 from the full L x L matrix c_m c_n (m <= n if ``upper``)."""
+    products = np.outer(c, c)
+    return np.nonzero(np.triu(products) if upper else products)

@@ -632,6 +632,40 @@ def test_reconstruct_single_photon_cutoff_2_keeps_the_trace(runner, tmp_path):
     assert payload["diagnostics"]["trace"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_reconstruct_refuses_a_truncated_matrix(runner, tmp_path):
+    # the thermal marginal at lambda = 0.95 keeps 0.4597 of its trace at cutoff 6
+    out = tmp_path / "rho.json"
+    result = runner.invoke(main, ["reconstruct", "--tomogram", "epr-marginal", "--lambda", "0.95",
+                                  "--cutoff", "6", "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "trace deficit 5.403e-01" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam,cutoff", [(0.5, 6), (0.7, 10)])
+def test_reconstruct_keeps_a_thermal_marginal_within_the_deficit_bound(runner, tmp_path, lam,
+                                                                       cutoff):
+    # deficits 2.44e-4 and 7.98e-4, below the 1e-3 of cli.RECONSTRUCT_DEFICIT_TOL
+    out = str(tmp_path / "rho.json")
+    result = runner.invoke(main, ["reconstruct", "--tomogram", "epr-marginal", "--lambda", str(lam),
+                                  "--cutoff", str(cutoff), "-o", out])
+    assert result.exit_code == 0, result.output
+    assert 0.0 < json.load(open(out))["trace_deficit"] <= cli.RECONSTRUCT_DEFICIT_TOL
+
+
+@pytest.mark.parametrize("args", [
+    ["probs", "--theta-sum", "0,1"],
+    ["optimize", "--grid-points", "8"],
+], ids=lambda args: args[0])
+def test_a_fock_pair_past_a_thousand_levels_runs_the_tomographic_test(runner, tmp_path, args):
+    # the Schmidt sum visits levels 0 and 1501 only; a 1024-level cap once exited 3 here
+    out = str(tmp_path / ("out.csv" if args[0] == "probs" else "out.json"))
+    result = runner.invoke(main, [args[0], "--state", "fock-pair", "--n", "1501", *args[1:],
+                                  "-o", out])
+    assert result.exit_code == 0, result.output
+    assert os.path.exists(out)
+
+
 def test_reconstruct_cutoff_guard(runner, tmp_path):
     result = runner.invoke(main, ["reconstruct", "--tomogram", "vacuum",
                                   "--cutoff", "12", "-o", str(tmp_path / "r.json")])

@@ -503,6 +503,28 @@ def test_the_radon_check_and_every_batch_of_a_state_share_one_bisection(monkeypa
     assert {batch.half_width for batch in batches} == {significant_schmidt(state).half_width}
 
 
+def test_the_radon_check_and_every_batch_of_a_state_share_one_outside_mass_bound(monkeypatch):
+    # past the bisection, the bound 4 P(X1 > a) is one more tail, cached next to a
+    from tomobell import states
+
+    tails = []
+
+    def counted(coefficients, x0):
+        tails.append(x0)
+        return marginal_tail(coefficients, x0)
+
+    monkeypatch.setattr(states, "marginal_tail", counted)
+    significant_schmidt.cache_clear()
+    state = FockPairSuperposition(3)
+    radon_forward(state, 0.5, 0.3, -0.5, 0.2)
+    bisection = len(tails)
+    batches = [sample_state(state, 0.3, 0.2, 500, seed=4, substream=k) for k in range(4)]
+    half_width = significant_schmidt(state).half_width
+    assert tails[bisection:] == [half_width]
+    want = 4.0 * marginal_tail(significant_schmidt(state).coefficients, half_width)
+    assert {batch.outside_mass_bound for batch in batches} == {want}
+
+
 @pytest.mark.parametrize(
     "state", [PairCoherent(0.1), PairCoherent(1.1), PairCoherent(12.0), FockPairSuperposition(3),
               FockPairSuperposition(400), RandomSchmidt(3, 16)], ids=repr)

@@ -29,7 +29,7 @@ from tomobell.states import (
 )
 from tomobell.tomography import radon_forward, tomogram_closed_form
 
-from oracles import RandomSchmidt, schmidt_wigner
+from oracles import SPARSE_PIN_STATES, RandomSchmidt, dense_schmidt_pairs, schmidt_wigner
 
 BENCHMARKS = [
     SqueezedVacuum(math.tanh(0.5)),
@@ -194,6 +194,56 @@ def test_density_matrix_workspace_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("state", SPARSE_PIN_STATES, ids=repr)
+def test_density_matrix_entries_are_the_dense_outer_product_bit_for_bit(state):
+    # same entries, order and values c[m] * c[n] as np.nonzero(np.outer(c, c))
+    cutoff = significant_schmidt(state).coefficients.size
+    c = schmidt_coefficients(state, cutoff).coefficients
+    m, n = dense_schmidt_pairs(c)
+    got = density_matrix(state, cutoff)
+    want = DensityMatrix(cutoff, m * (cutoff + 1), n * (cutoff + 1), c[m] * c[n], got.trace_deficit)
+    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("state", SPARSE_PIN_STATES, ids=repr)
+def test_wigner_pairs_are_the_dense_upper_triangle_bit_for_bit(state, monkeypatch):
+    # the Fock-basis sum's pairs and couplings, from the nonzero levels only
+    # (for the pair-coherent state too, whose own wigner_factors is angular)
+    from tomobell import states
+
+    c = significant_schmidt(state).coefficients
+    m, n = dense_schmidt_pairs(c, upper=True)
+    asked = []
+
+    class Asked(Exception):
+        pass
+
+    def recorded(x, pairs):
+        asked.append(pairs)
+        raise Asked  # the pairs are all this test needs of the run
+
+    monkeypatch.setattr(states, "laguerre_pairs", recorded)
+    factors = TwoModeState.wigner_factors(state)
+    want = (np.where(m == n, 4.0, 8.0) / math.pi**2 * c[m] * c[n])[:, None]
+    assert factors.coupling.tobytes() == want.tobytes()
+    with pytest.raises(Asked):
+        factors.mode(0, np.zeros(1), np.zeros(1))
+    assert asked == [list(zip(m.tolist(), n.tolist()))]
+
+
+def test_fock_pair_wigner_factors_build_no_level_by_level_array():
+    # np.triu(np.outer(c, c)) over the 5001 levels peaked at 436 MB (RSS) for three pairs
+    significant_schmidt.cache_clear()
+    tracemalloc.start()
+    try:
+        FockPairSuperposition(5000).wigner_factors()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_partial_trace_thermal_weights():

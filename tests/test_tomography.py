@@ -51,8 +51,10 @@ from tomobell.tomography import (
 )
 
 from oracles import (
+    SPARSE_PIN_STATES,
     RandomSchmidt,
     correlation_tomographic,
+    dense_sign_harmonics,
     fock_superposition_tomogram,
     inverse_fourier_wigner,
     pair_coherent_integral_direct,
@@ -645,19 +647,37 @@ def test_sign_matrix_matches_half_line_quadrature():
     half = 2.0 * (psi * rule.weights) @ psi.T
     odd = np.add.outer(np.arange(21), np.arange(21)) % 2 == 1
     want = np.where(odd, half, 0.0)
-    assert np.max(np.abs(sign_matrix(21) - want)) < 1e-13
+    assert np.max(np.abs(sign_matrix(np.arange(21)) - want)) < 1e-13
 
 
 def test_sign_binned_fock_pair_beyond_factorial_overflow():
     # H_{n-1}(0)^2 and 2^n n! overflow a double from n = 153 on; the Schmidt sum forms neither
     probs = sign_binned_closed_form(FockPairSuperposition(161), 0.3, 0.0)
-    g = sign_matrix(162)[0, 161]
+    g = sign_matrix(np.array([0, 161]))[0, 1]
     assert probs.w_pp == pytest.approx(0.25 * (1.0 + g * g * math.cos(161 * 0.3)), abs=1e-15)
 
 
-def test_sign_binned_schmidt_sum_never_truncates_silently():
-    with pytest.raises(ConvergenceError):
-        sign_binned_closed_form(FockPairSuperposition(5000), 0.0, 0.0)
+@pytest.mark.parametrize("state", SPARSE_PIN_STATES, ids=repr)
+def test_sign_harmonics_are_the_dense_sum_bit_for_bit(state):
+    # the sum visits only the levels with c_n != 0; the zeros it skips add exactly 0
+    from tomobell.tomography import _sign_harmonics
+
+    want = dense_sign_harmonics(significant_schmidt(state).coefficients)
+    assert _sign_harmonics(state).tobytes() == want.tobytes()
+
+
+def test_sign_harmonics_of_a_fock_pair_past_a_thousand_levels_are_the_closed_form():
+    # h_n = 2 c_0 c_n G_0n^2 = G_0n^2 = (pi^-1/4 sqrt(2n) psi_{n-1}(0) / n)^2, with
+    # |psi_2j(0)| = pi^-1/4 sqrt((2j)!) / (2^j j!); the sum visits levels 0 and n only
+    from tomobell.tomography import _sign_harmonics
+
+    n, j = 1501, 750
+    log_psi = -0.25 * math.log(math.pi) + 0.5 * math.lgamma(2 * j + 1) - j * math.log(2.0) \
+        - math.lgamma(j + 1)
+    g = math.pi**-0.25 * math.sqrt(2.0 * n) * math.exp(log_psi) / n
+    h = _sign_harmonics(FockPairSuperposition(n))
+    assert h.size == n + 1 and np.flatnonzero(h).tolist() == [n]
+    assert h[n] == pytest.approx(g * g, rel=1e-10, abs=0.0)
 
 
 def test_sign_binned_schmidt_sum_built_once_per_state():
