@@ -76,9 +76,8 @@ class TwoModeState:
             f"schmidt_coefficients needs a pure benchmark state, got {type(self).__name__}"
         )
 
-    def wigner_factors(self, order: int | None = None) -> "WignerFactors":
+    def wigner_factors(self) -> "WignerFactors":
         """The Fock-basis sum over ``significant_schmidt`` (see ``wigner``); no angular rule."""
-        _check_angular_order(order)
         c = significant_schmidt(self).coefficients
         k = np.flatnonzero(c)  # only these levels enter: the Fock pair's 2 of its n + 1
         m, n = (k[i] for i in np.nonzero(np.triu(np.outer(c[k], c[k]))))
@@ -123,7 +122,7 @@ class SqueezedVacuum(TwoModeState):
     def schmidt(self, levels):
         return math.sqrt(1.0 - self.lam**2) * self.lam ** np.arange(levels)
 
-    def wigner_factors(self, order=None):
+    def wigner_factors(self):
         """Refused: ``wigner`` has the Gaussian, and c_n may need ~1e7 levels (lam -> 1)."""
         raise UnsupportedStateError("the squeezed vacuum has no factor form of its Wigner function")
 
@@ -175,7 +174,7 @@ class PairCoherent(TwoModeState):
 
     @property
     def angular_order(self) -> int:
-        """Default node count K of ``wigner_factors``' angular rule.
+        """Node count K of ``wigner_factors``' angular rule.
 
         K is the smallest multiple of 8, at least 16, with (e r^2 / (2K))^(K/2)
         <= 1e-20: about the largest Fourier coefficient e^{-|a|^2} I_K(2 r |a|)
@@ -187,15 +186,15 @@ class PairCoherent(TwoModeState):
             order += 8
         return order
 
-    def wigner_factors(self, order=None):
-        """Both angular integrals on ``order`` trapezoid nodes, ``angular_order`` by default
-        (``wigner``); only r up to ``MAX_WIGNER_R`` is evaluated."""
+    def wigner_factors(self):
+        """Both angular integrals on ``angular_order`` trapezoid nodes (``wigner``);
+        only r up to ``MAX_WIGNER_R`` is evaluated."""
         if self.r > MAX_WIGNER_R:
             raise DomainError(
                 f"pair-coherent Wigner function needs r <= {MAX_WIGNER_R}, got {self.r}: "
                 "past it rounding dominates its factor sums"
             )
-        order = self.angular_order if order is None else _check_angular_order(order)
+        order = self.angular_order
         r = self.r
         rule = periodic_trapezoid(order)
         phi = rule.nodes
@@ -454,14 +453,7 @@ def density_matrix(state: TwoModeState, cutoff: int = DEFAULT_CUTOFF) -> Density
 # ---------------------------------------------------------------------------
 
 
-def _check_angular_order(order: int | None) -> int | None:
-    """``order`` if None (the state's own K) or >= 16, for every state, with or without a rule."""
-    if order is not None and order < 16:
-        raise ConfigError(f"Wigner angular quadrature order must be >= 16, got {order}")
-    return order
-
-
-def wigner(state, q1, p1, q2, p2, *, angular_order: int | None = None):
+def wigner(state, q1, p1, q2, p2):
     """Two-mode Wigner function W(q1, p1, q2, p2), normalized to 1.
 
     Accepts scalars or broadcastable arrays.  The squeezed vacuum has its
@@ -477,32 +469,30 @@ def wigner(state, q1, p1, q2, p2, *, angular_order: int | None = None):
         L_j = exp(2 r a e^{+-i phi_j}),  R_k = exp(2 r a* e^{-+i phi_k}),
         C_jk = (2 pi/K)^2 exp(-2 r^2 cos(phi_j - phi_k)) / (pi^4 I0(2 r^2)),
 
-    the upper signs for mode 1 and the lower for mode 2.  For the pair-coherent
-    state the phi_j = 2 pi j / K are the nodes of a periodic trapezoid rule
-    for its two angular integrals, K = ``angular_order`` (>= 16, for every
-    state), by default ``PairCoherent.angular_order``, which grows with r (32
-    at r = 1, 280 at r = 12).  Against K = 1024 on the Radon check's lines,
-    the default is within 5e-16 of the peak |W| = 4/pi^2 for every r from 0.5
-    to 13, where a fixed K = 128 missed by 4.7e-8 at r = 12.  Past r =
-    ``MAX_WIGNER_R`` the factors cancel below rounding, and the pair-coherent
-    state raises ``DomainError``.
+    the upper signs for mode 1 and the lower for mode 2.  The phi_j = 2 pi j / K
+    are the nodes of a periodic trapezoid rule for its two angular integrals,
+    K = ``PairCoherent.angular_order``, which grows with r (32 at r = 1, 280
+    at r = 12).  Against K = 1024 on the Radon check's lines, that K is within
+    5e-16 of the peak |W| = 4/pi^2 for every r from 0.5 to 13, where a fixed
+    K = 128 missed by 4.7e-8 at r = 12.  Past r = ``MAX_WIGNER_R`` the factors
+    cancel below rounding, and the pair-coherent state raises ``DomainError``.
     """
-    if state.gaussian:
-        _check_angular_order(angular_order)  # the Gaussian has no angular rule to use it on
-        return _wigner_squeezed_vacuum(state.s, q1, p1, q2, p2)
-    factors = state.wigner_factors(angular_order)
     q1, p1, q2, p2 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
     )
-    flat = [np.ravel(v) for v in (q1, p1, q2, p2)]
-    out = np.empty(flat[0].size)
-    chunk = max(1, MAX_BLOCK // sum(factors.coupling.shape))
-    for start in range(0, out.size, chunk):
-        part = slice(start, start + chunk)
-        left1, right1 = factors.mode(0, flat[0][part], flat[1][part])
-        left2, right2 = factors.mode(1, flat[2][part], flat[3][part])
-        out[part] = np.sum(((left1 * left2) @ factors.coupling) * (right1 * right2), axis=-1).real
-    out = out.reshape(q1.shape)
+    if state.gaussian:
+        out = _wigner_squeezed_vacuum(state.s, q1, p1, q2, p2)
+    else:
+        factors = state.wigner_factors()
+        flat = [np.ravel(v) for v in (q1, p1, q2, p2)]
+        out = np.empty(flat[0].size)
+        chunk = max(1, MAX_BLOCK // sum(factors.coupling.shape))
+        for start in range(0, out.size, chunk):
+            part = slice(start, start + chunk)
+            left1, right1 = factors.mode(0, flat[0][part], flat[1][part])
+            left2, right2 = factors.mode(1, flat[2][part], flat[3][part])
+            out[part] = np.sum(((left1 * left2) @ factors.coupling) * (right1 * right2), -1).real
+        out = out.reshape(q1.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -522,10 +512,6 @@ class WignerFactors:
 
 def _wigner_squeezed_vacuum(s, q1, p1, q2, p2):
     em, ep = math.exp(-2.0 * s), math.exp(2.0 * s)
-    q1, p1, q2, p2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (q1, p1, q2, p2))
-    )
-    val = (4.0 / math.pi**2) * np.exp(
+    return (4.0 / math.pi**2) * np.exp(
         -em * ((q1 - q2) ** 2 + (p1 + p2) ** 2) - ep * ((q1 + q2) ** 2 + (p1 - p2) ** 2)
     )
-    return float(val) if val.ndim == 0 else val

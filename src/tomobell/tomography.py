@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -67,6 +67,9 @@ GAUSSIAN_HALF_WIDTH = 6.0
 GAUSSIAN_ORDER = 48
 #: First Gauss-Legendre order of the factored Radon lines.
 FACTORED_ORDER = 96
+#: Largest change between two successive Radon orders, relative to max(1, max |w|),
+#: at which the check stops.
+RADON_TOL = 1e-8
 #: Relative tail below which pair_coherent_integral_series stops.
 SERIES_TOL = 1e-12
 
@@ -140,9 +143,6 @@ def radon_forward_symplectic(
     x2,
     setting2: SymplecticSetting,
     *,
-    order: int | None = None,
-    max_doublings: int | None = None,
-    tol: float = 1e-8,
     record: dict | None = None,
 ):
     """Symplectic tomogram w(X1, mu1, nu1, X2, mu2, nu2) by line projection.
@@ -150,15 +150,15 @@ def radon_forward_symplectic(
     Per mode the line mu q + nu p = X is parametrized as
     q = mu X / r^2 - (nu / r) t, p = nu X / r^2 + (mu / r) t with
     r = sqrt(mu^2 + nu^2); the tomogram is the double line integral of the
-    Wigner function divided by r1 r2.  The Gauss-Legendre order starts at
-    ``order`` and is doubled until two successive estimates agree to ``tol``,
-    at most ``max_doublings`` times.  By default the squeezed vacuum starts
-    at ``GAUSSIAN_ORDER`` (48) and doubles once; the other states start at
-    ``FACTORED_ORDER`` (96) and double up to the node count of the sampler's
-    grid, 8 per lobe of the narrowest fringe, and at least 3 times.
+    Wigner function divided by r1 r2.  The Gauss-Legendre order is doubled
+    until two successive estimates agree to ``RADON_TOL``, within a budget the
+    state fixes: the squeezed vacuum starts at ``GAUSSIAN_ORDER`` (48) and
+    doubles once; the other states start at ``FACTORED_ORDER`` (96) and
+    double up to the node count of the sampler's grid, 8 per lobe of the
+    narrowest fringe, and at least 3 times.
 
     Every other state is projected through the factor form of its Wigner
-    function (``TwoModeState.wigner_factors``, at its default angular order):
+    function (``TwoModeState.wigner_factors``):
     each mode's factors are integrated along its own line first, once per
     distinct X value, on lines that span the sampler's square (the
     ``half_width`` and ``grid_points`` of ``states.significant_schmidt``).
@@ -182,32 +182,29 @@ def radon_forward_symplectic(
     record = {} if record is None else record
     record.update(orders=orders, changes=changes)  # filled in as the orders run
     if state.gaussian:  # never the Schmidt vector: near lambda = 1 it has ~1e7 levels
-        half_width, budget = GAUSSIAN_HALF_WIDTH, 1
-        order = GAUSSIAN_ORDER if order is None else order
+        half_width, order, budget = GAUSSIAN_HALF_WIDTH, GAUSSIAN_ORDER, 1
         project = partial(_project_gaussian, state, *_gaussian_axes(state, setting1, setting2))
     else:
         schmidt = st.significant_schmidt(state)
-        half_width = schmidt.half_width
-        order = FACTORED_ORDER if order is None else order
+        half_width, order = schmidt.half_width, FACTORED_ORDER
         budget = max(3, math.ceil(math.log2(schmidt.grid_points / order)))
         factors = state.wigner_factors()
         record["angular_order"] = factors.angular_order
         project = partial(_project_factored, factors)
     record["half_width"] = half_width
-    max_doublings = budget if max_doublings is None else max_doublings
 
     prev = None
-    for k in range(max_doublings + 1):
+    for k in range(budget + 1):
         orders.append(order * 2**k)
         rule = gauss_legendre(orders[-1], -half_width, half_width)
         cur = project(x1, setting1, x2, setting2, rule)
         if prev is not None:
             changes.append(float(np.max(np.abs(cur - prev))))
-            if changes[-1] <= tol * max(1.0, float(np.max(np.abs(cur)))):
+            if changes[-1] <= RADON_TOL * max(1.0, float(np.max(np.abs(cur)))):
                 return float(cur[0]) if scalar else cur
         prev = cur
     raise ConvergenceError(
-        f"Radon projection did not stabilize to {tol} within {max_doublings} grid doublings: "
+        f"Radon projection did not stabilize to {RADON_TOL} within {budget} grid doublings: "
         f"Gauss-Legendre orders {orders}, max |change| at each doubling "
         f"[{', '.join(f'{change:.3e}' for change in changes)}]"
     )
@@ -278,7 +275,7 @@ def _project_factored(factors, x1, setting1, x2, setting2, rule):
     return grid[i1, i2].reshape(x1.shape) / (setting1.scale * setting2.scale)
 
 
-def radon_forward(state, x1, theta1, x2, theta2, **kwargs):
+def radon_forward(state, x1, theta1, x2, theta2, *, record: dict | None = None):
     """Homodyne tomogram w(X1, theta1, X2, theta2) by numeric Radon projection."""
     return radon_forward_symplectic(
         state,
@@ -286,7 +283,7 @@ def radon_forward(state, x1, theta1, x2, theta2, **kwargs):
         SymplecticSetting.from_angle(theta1),
         x2,
         SymplecticSetting.from_angle(theta2),
-        **kwargs,
+        record=record,
     )
 
 
@@ -445,9 +442,13 @@ def sign_matrix(levels) -> np.ndarray:
     This integrates the Wronskian identity (psi_m psi_n' - psi_n psi_m')' =
     2 (m - n) psi_m psi_n over X > 0; psi_k'(0) = sqrt(2k) psi_{k-1}(0), and
     the numerator vanishes for m + n even, where G_mn = 0.  ``levels`` must increase.
+    At X = 0 the Hermite recurrence leaves psi_{k+1}(0) = -sqrt(k / (k + 1)) psi_{k-1}(0),
+    one product over the even levels from psi_0(0) = pi^-1/4; the odd ones are 0.
     """
     top = int(levels[-1]) + 1
-    psi = np.fromiter(chain([0.0], islice(hermite_functions(0.0), top)), float, top + 1)
+    odd = np.arange(1, top - 1, 2)
+    psi = np.zeros(top + 1)
+    psi[1::2] = np.cumprod(np.concatenate(([math.pi**-0.25], -np.sqrt(odd / (odd + 1)))))
     psi0, dpsi0 = psi[levels + 1], np.sqrt(2.0 * levels) * psi[levels]  # psi[k] = psi_{k-1}(0)
     diff = np.subtract.outer(levels, levels)
     return (np.outer(dpsi0, psi0) - np.outer(psi0, dpsi0)) / np.where(diff == 0, 1, diff)

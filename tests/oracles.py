@@ -27,6 +27,8 @@ different route.
   Fock basis from scipy's Laguerre polynomials, against ``states.wigner``.
 - ``RandomSchmidt``: a state whose Schmidt coefficients are random and of
   both signs, which no benchmark state has.
+- ``PairCoherentRule``: the pair-coherent state on an angular rule of a
+  given node count, against the count ``PairCoherent.angular_order`` picks.
 - ``schmidt_sign_correlation``: the sign-binned E of a raw Schmidt vector
   from numpy's Hermite polynomials, against ``tomography.sign_correlation``.
 - ``schmidt_xz_dense``: the pseudospin x-z block of a raw Schmidt vector
@@ -213,7 +215,7 @@ def inverse_fourier_wigner(tomogram_values, x_nodes, theta_nodes, q_nodes, p_nod
     return wig, integral
 
 
-def radon_wigner_grid_sum(state, x1, setting1, x2, setting2, rule, angular_order):
+def radon_wigner_grid_sum(state, x1, setting1, x2, setting2, rule):
     """Line integrals of ``states.wigner`` by one Gauss-Legendre sum over the whole grid.
 
     Both lines of every (X1, X2) pair are laid on ``rule``'s nodes, as in
@@ -223,7 +225,7 @@ def radon_wigner_grid_sum(state, x1, setting1, x2, setting2, rule, angular_order
     t = rule.nodes
     q1, p1 = setting1.line(x1[..., None, None], t[:, None])
     q2, p2 = setting2.line(x2[..., None, None], t[None, :])
-    wig = states.wigner(state, q1, p1, q2, p2, angular_order=angular_order)
+    wig = states.wigner(state, q1, p1, q2, p2)
     grid_sum = np.sum(wig * np.outer(rule.weights, rule.weights), axis=(-2, -1))
     return grid_sum / (setting1.scale * setting2.scale)
 
@@ -338,6 +340,17 @@ class RandomSchmidt(states.TwoModeState):
 
     def schmidt(self, levels):
         return np.concatenate((self.coefficients, np.zeros(levels)))[:levels]
+
+
+@dataclass(frozen=True)
+class PairCoherentRule(states.PairCoherent):
+    """The pair-coherent state whose Wigner factors take ``nodes`` angular nodes."""
+
+    nodes: int
+
+    @property
+    def angular_order(self) -> int:
+        return self.nodes
 
 
 def schmidt_sign_correlation(c, theta_sum: float, order: int = 400) -> float:

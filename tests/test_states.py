@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import tomobell
 from tomobell.bell import closed_form_correlation, density_xz_entries
 from tomobell.cli import main
-from tomobell.errors import ConfigError, DimensionError, DomainError, UnsupportedStateError
+from tomobell.errors import DimensionError, DomainError, UnsupportedStateError
 from tomobell.special import bessel_i0, gauss_legendre, laguerre
 from tomobell.states import (
     DensityMatrix,
@@ -29,7 +29,9 @@ from tomobell.states import (
 )
 from tomobell.tomography import radon_forward, tomogram_closed_form
 
-from oracles import SPARSE_PIN_STATES, RandomSchmidt, dense_schmidt_pairs, schmidt_wigner
+from oracles import (
+    SPARSE_PIN_STATES, PairCoherentRule, RandomSchmidt, dense_schmidt_pairs, schmidt_wigner,
+)
 
 BENCHMARKS = [
     SqueezedVacuum(math.tanh(0.5)),
@@ -309,8 +311,8 @@ def test_wigner_factor_form_matches_direct_sums():
         got = wigner(FockPairSuperposition(n), q1, p1, q2, p2)
         assert np.max(np.abs(got - fock_pair_wigner_oracle(n, q1, p1, q2, p2))) < 1e-14
     for r in (0.5, 1.05, 2.0):
-        got = wigner(PairCoherent(r), q1, p1, q2, p2, angular_order=32)
-        want = pair_coherent_wigner_oracle(r, q1, p1, q2, p2, 32)
+        got = wigner(PairCoherent(r), q1, p1, q2, p2)
+        want = pair_coherent_wigner_oracle(r, q1, p1, q2, p2, PairCoherent(r).angular_order)
         assert np.max(np.abs(got - want)) < 1e-14
 
 
@@ -339,7 +341,7 @@ def test_wigner_pair_coherent_default_rule_holds_at_r_8():
     state = PairCoherent(8.0)
     half = 0.5 * significant_schmidt(state).half_width
     points = np.random.default_rng(31).uniform(-half, half, size=(4, 400))
-    fine = wigner(state, *points, angular_order=512)
+    fine = wigner(PairCoherentRule(8.0, 512), *points)
     assert np.max(np.abs(wigner(state, *points) - fine)) <= 1e-12 * 4.0 / math.pi**2
 
 
@@ -347,7 +349,6 @@ def test_pair_coherent_angular_order_grows_with_r():
     orders = [PairCoherent(r).angular_order for r in (0.1, 0.5, 1.0, 2.0, 6.5, 8.0, 12.0, 13.0)]
     assert orders == [16, 24, 32, 48, 128, 160, 280, 312]
     assert PairCoherent(1.0).wigner_factors().angular_order == 32
-    assert PairCoherent(1.0).wigner_factors(64).angular_order == 64
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 12.0, 13.0])
@@ -364,7 +365,7 @@ def test_wigner_pair_coherent_default_rule_matches_1024_nodes_on_the_radon_lines
     c, s = np.cos(theta), np.sin(theta)
     q, p = x * c - t * s, x * s + t * c
     default = wigner(state, q[0], p[0], q[1], p[1])
-    fine = wigner(state, q[0], p[0], q[1], p[1], angular_order=1024)
+    fine = wigner(PairCoherentRule(r, 1024), q[0], p[0], q[1], p[1])
     assert np.max(np.abs(default - fine)) <= 1e-15 * 4.0 / math.pi**2
 
 
@@ -393,8 +394,8 @@ def test_wigner_workspace_is_bounded():
 
 def test_wigner_factors_shapes():
     q = np.zeros((2, 3))
-    for state, shape in ((FockPairSuperposition(2), (3, 1)), (PairCoherent(1.0), (20, 20))):
-        factors = state.wigner_factors(20)
+    for state, shape in ((FockPairSuperposition(2), (3, 1)), (PairCoherent(1.0), (32, 32))):
+        factors = state.wigner_factors()
         assert factors.coupling.shape == shape
         for mode in (0, 1):
             left, right = factors.mode(mode, q, q)
@@ -436,32 +437,10 @@ def test_wigner_normalization(state, half, order):
     rule = gauss_legendre(order, -half, half)
     x = rule.nodes
     q1, p1, q2, p2 = np.meshgrid(x, x, x, x, indexing="ij")
-    vals = wigner(state, q1, p1, q2, p2, angular_order=64)
+    vals = wigner(state, q1, p1, q2, p2)
     w = rule.weights
     integral = float(np.einsum("i,j,k,l,ijkl->", w, w, w, w, vals))
     assert integral == pytest.approx(1.0, abs=1e-3)
-
-
-def test_wigner_rejects_explicit_fock_and_low_order():
-    with pytest.raises(UnsupportedStateError):
-        wigner(TwoModeState(), 0, 0, 0, 0)
-    with pytest.raises(ConfigError):
-        wigner(PairCoherent(1.0), 0, 0, 0, 0, angular_order=8)
-
-
-@pytest.mark.parametrize(
-    "state", [FockPairSuperposition(3), SqueezedVacuum(0.5), PairCoherent(1.0)]
-)
-def test_every_state_rejects_an_angular_order_below_16(state):
-    # the Fock pair and the squeezed vacuum have no angular rule to use the order on,
-    # yet are held to the pair-coherent state's bound
-    with pytest.raises(ConfigError, match="got -5"):
-        wigner(state, 0.1, 0.2, 0.3, 0.4, angular_order=-5)
-    if not state.gaussian:
-        with pytest.raises(ConfigError, match="got 15"):
-            state.wigner_factors(15)
-    assert wigner(state, 0.1, 0.2, 0.3, 0.4, angular_order=16) == pytest.approx(
-        wigner(state, 0.1, 0.2, 0.3, 0.4), rel=1e-6)
 
 
 @pytest.mark.parametrize(

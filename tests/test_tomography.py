@@ -129,7 +129,7 @@ def test_tomogram_fock_pair_matches_radon(n):
 def test_tomogram_pair_coherent_matches_radon():
     state = PairCoherent(1.05)
     closed = tomogram_closed_form(state, 0.5, 0.0, 0.5, 0.0)
-    numeric = radon_forward(state, 0.5, 0.0, 0.5, 0.0, order=64, tol=1e-7)
+    numeric = radon_forward(state, 0.5, 0.0, 0.5, 0.0)
     assert closed == pytest.approx(numeric, abs=1e-5)
 
 
@@ -273,23 +273,21 @@ def test_radon_of_the_squeezed_vacuum_never_reads_its_schmidt_vector(monkeypatch
     assert record["orders"] == [48, 96] and record["half_width"] == 6.0
 
 
-def test_radon_doubling_budget_follows_the_fringe_count():
+def test_radon_doubling_budget_follows_the_fringe_count(monkeypatch):
     # from 96 up to the sampler grid's node count (states.fringe_points), never
     # fewer than 3 doublings: a tol no change can meet runs the whole budget
+    monkeypatch.setattr("tomobell.tomography.RADON_TOL", -1.0)
+
     def orders(state):
         record = {}
         with pytest.raises(ConvergenceError):
-            radon_forward(state, 0.5, 0.0, 0.5, 0.0, tol=-1.0, record=record)
+            radon_forward(state, 0.5, 0.0, 0.5, 0.0, record=record)
         return record["orders"][-1], significant_schmidt(state).grid_points
 
     assert [orders(FockPairSuperposition(n)) for n in (3, 120, 140, 300)] == [
         (768, 201), (1536, 1433), (3072, 1649), (6144, 3337)]
     assert orders(PairCoherent(1.1)) == (768, 201)
     assert orders(PairCoherent(8.0)) == (1536, 1289)
-    # an explicit budget still wins: three doublings leave n = 171 unresolved
-    with pytest.raises(ConvergenceError, match=r"orders \[96, 192, 384, 768\]"):
-        radon_forward(FockPairSuperposition(171), RADON_GRID[:, None], 0.0, RADON_GRID[None, :], 0.0,
-                      max_doublings=3)
 
 
 @pytest.mark.parametrize("state", [FockPairSuperposition(3), PairCoherent(1.05)])
@@ -302,13 +300,13 @@ def test_radon_factored_projection_matches_dense_wigner_sum(state):
     half = significant_schmidt(state).half_width
     rule = gauss_legendre(48, -half, half)
     s1, s2 = SymplecticSetting(0.9, 0.3), SymplecticSetting(-0.4, 1.3)
-    factors = state.wigner_factors(32)
+    factors = state.wigner_factors()
     for x1, x2 in (
         (np.array([[-1.2], [0.0], [0.4], [1.5]]), np.array([[-0.7, 0.1, 0.9]])),
         (np.array([0.3, -0.8, 0.3, 1.1]), np.array([0.5, 0.5, -1.0, 0.2])),
     ):
         x1, x2 = np.broadcast_arrays(x1, x2)
-        dense = radon_wigner_grid_sum(state, x1, s1, x2, s2, rule, 32)
+        dense = radon_wigner_grid_sum(state, x1, s1, x2, s2, rule)
         factored = _project_factored(factors, x1, s1, x2, s2, rule)
         assert factored.shape == dense.shape == x1.shape
         assert np.max(np.abs(factored - dense)) < 1e-13
@@ -422,25 +420,28 @@ def test_radon_squeezed_past_the_stencil_raises_convergence_error():
     assert record == {"orders": [], "changes": []}
 
 
-def test_radon_convergence_error_names_orders_and_residuals():
-    # a 4-node rule cannot resolve the pair-coherent lines; the error names
-    # every order tried and the change at each doubling, and so does the record
+def test_radon_convergence_error_names_orders_and_residuals(monkeypatch):
+    # from a 4-node rule under a tol no change can meet, the budget is
+    # ceil(log2(201 / 4)) = 6 doublings; the error names every order tried
+    # and the change at each doubling, and so does the record
     from tomobell.tomography import _project_factored
 
+    monkeypatch.setattr("tomobell.tomography.FACTORED_ORDER", 4)
+    monkeypatch.setattr("tomobell.tomography.RADON_TOL", -1.0)
     state = PairCoherent(1.0)
     record = {}
     with pytest.raises(ConvergenceError) as info:
-        radon_forward(state, 0.5, 0.0, 0.5, 0.0, order=4, max_doublings=2, record=record)
+        radon_forward(state, 0.5, 0.0, 0.5, 0.0, record=record)
     message = str(info.value)
-    assert "orders [4, 8, 16]" in message
-    assert record["orders"] == [4, 8, 16]
+    assert "within 6 grid doublings" in message and "orders [4, 8, 16, 32, 64, 128, 256]" in message
+    assert record["orders"] == [4, 8, 16, 32, 64, 128, 256]
     half = significant_schmidt(state).half_width
     x = np.array([0.5])
     setting = SymplecticSetting.from_angle(0.0)
     values = [
         _project_factored(state.wigner_factors(), x, setting, x, setting,
                           gauss_legendre(m, -half, half))[0]
-        for m in (4, 8, 16)
+        for m in record["orders"]
     ]
     for before, after in zip(values[:-1], values[1:]):
         assert f"{abs(after - before):.3e}" in message
@@ -648,6 +649,20 @@ def test_sign_matrix_matches_half_line_quadrature():
     odd = np.add.outer(np.arange(21), np.arange(21)) % 2 == 1
     want = np.where(odd, half, 0.0)
     assert np.max(np.abs(sign_matrix(np.arange(21)) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("levels", [1, 2, 26, 1501])
+def test_sign_matrix_is_the_hermite_recurrence_at_the_origin(levels):
+    # psi_k(0) from hermite_functions(0.0), level by level: every nonzero G_mn
+    # bit for bit, and zero where the recurrence gives zero (its -0.0 included)
+    k = np.arange(levels)
+    psi = np.array([0.0] + [float(p) for _, p in zip(range(levels), hermite_functions(0.0))])
+    psi0, dpsi0 = psi[k + 1], np.sqrt(2.0 * k) * psi[k]
+    diff = np.subtract.outer(k, k)
+    want = (np.outer(dpsi0, psi0) - np.outer(psi0, dpsi0)) / np.where(diff == 0, 1, diff)
+    got = sign_matrix(k)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert got[got != 0.0].tobytes() == want[want != 0.0].tobytes()
 
 
 def test_sign_binned_fock_pair_beyond_factorial_overflow():
