@@ -167,8 +167,9 @@ def calb_curve(t, grid, tv: float, tup: float, tvp: float) -> np.ndarray:
     """calB(theta_u) at fixed theta_v, theta_u', theta_v' for every theta_u of ``grid``.
 
     ``grid`` is ``direction(theta_u values)``, tabulated once for any number of
-    blocks ``t``.  Each value equals the scalar ``chsh`` of four
-    ``correlation_xz`` calls bit for bit.
+    blocks ``t``.  The entries of ``t`` may be (n, 1) arrays, one block per row:
+    the result is then (n, len(theta_u)), one curve per row.  Each value equals
+    the scalar ``chsh`` of four ``correlation_xz`` calls bit for bit.
     """
     v, up, vp = direction(tv), direction(tup), direction(tvp)
     return chsh(correlation_xz(t, grid, v), correlation_xz(t, grid, vp),

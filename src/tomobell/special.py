@@ -74,10 +74,15 @@ def hermite_functions(x):
     psi_k e^s, s = x^2/2 - 600, scaled by 2^-512 whenever it passes 2^512.
     """
     x = np.asarray(x, dtype=float)
-    shift = np.maximum(0.5 * x * x - 600.0, 0.0)
-    prev, cur, k = 0.0 * x, math.pi**-0.25 * np.exp(shift - 0.5 * x * x), 0
-    wide = bool(shift.any())
-    unshift = np.exp(-shift)
+    half_sq = 0.5 * x * x
+    wide = not (half_sq <= 600.0).all()  # nan counts as wide
+    if wide:
+        shift = np.maximum(half_sq - 600.0, 0.0)
+        unshift = np.exp(-shift)
+        start = np.exp(shift - half_sq)
+    else:
+        start = np.exp(-half_sq)  # the shift is 0, and 0.0 - h is -h exactly
+    prev, cur, k = 0.0 * x, math.pi**-0.25 * start, 0
     while True:
         yield cur * unshift if wide else cur
         # (a x) cur - b prev in the float order of the plain expression, with two

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tomobell import cli
+from tomobell import bell, cli
 from tomobell import sampling as smp
 from tomobell.bell import chsh, correlation_pseudospin
 from tomobell.cli import main, parse_angle, parse_named_angles, parse_values
@@ -1172,3 +1172,161 @@ def test_tomogram_epr_past_the_radon_stencil_exits_3(runner, tmp_path):
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("accuracy error: W underflows on the Radon finite-difference")
+
+
+# ---------------------------------------------------------------------------
+# -o is --out
+# ---------------------------------------------------------------------------
+
+#: A quick run of every command that has -o/--out, without the flag.
+_OUT_COMMANDS = {
+    "tomogram": ["tomogram", "--state", "epr", "--lambda", "0.5", "--x-steps", "3"],
+    "probs": ["probs", "--state", "fock-pair", "--n", "1", "--theta-sum", "0,1"],
+    "bell-scan": ["bell-scan", "--state", "epr", "--lambda", "0.2,0.5"],
+    "pseudospin": ["pseudospin", "--state", "epr", "--lambda", "0.5"],
+    "optimize": ["optimize", "--state", "fock-pair", "--n", "1", "--mode", "pseudospin",
+                 "--grid-points", "4"],
+    "sample": ["sample", "--state", "fock-pair", "--n", "1", "--count", "100"],
+    "reconstruct": ["reconstruct", "--tomogram", "vacuum", "--cutoff", "2"],
+}
+
+
+def test_every_command_with_dash_o_is_checked():
+    with_o = {name for name, command in main.commands.items()
+              if any("-o" in param.opts for param in command.params)}
+    assert with_o == set(_OUT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_dash_o_and_dash_dash_out_write_the_same_bytes(runner, tmp_path, command):
+    written = {}
+    for flag in ("-o", "--out"):
+        home = tmp_path / flag.lstrip("-")
+        home.mkdir()
+        result = runner.invoke(main, [*_OUT_COMMANDS[command], flag, str(home / "out.dat")])
+        assert result.exit_code == 0, result.output
+        written[flag] = {path.name: path.read_bytes() for path in home.iterdir()}
+    assert "out.dat" in written["-o"]
+    assert written["-o"] == written["--out"]
+
+
+def test_dash_o_as_a_value_and_in_attached_form(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = _OUT_COMMANDS["pseudospin"]
+    for out in (["--out", "-o"], ["-o", "-o"], ["-oattached.csv"]):
+        result = runner.invoke(main, [*args, *out])
+        assert result.exit_code == 0, result.output
+    assert sorted(os.listdir(tmp_path)) == ["-o", "-o.manifest.json", "attached.csv",
+                                            "attached.csv.manifest.json"]
+    # a value-taking option keeps a following -o as its value, as click's parser does
+    result = runner.invoke(main, ["tomogram", "--state", "epr", "--lambda", "0.5",
+                                  "--theta1", "-o", "--out", "t.csv"])
+    assert result.exit_code == 2 and "cannot parse angle '-o'" in result.output
+    # a trailing -o keeps click's own error message
+    result = runner.invoke(main, [*args, "-o"])
+    assert result.exit_code == 2 and "Option '-o' requires an argument." in result.output
+
+
+def test_dash_o_parses_without_importing_difflib(tmp_path):
+    # click's NoSuchOption detour imports difflib; a misspelled flag still takes it
+    code = (
+        "import sys, click, tomobell.cli\n"
+        "try:\n"
+        "    tomobell.cli.main.main(sys.argv[1:], standalone_mode=False)\n"
+        "except click.UsageError:\n"
+        "    pass\n"
+        "print('difflib' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    seen = {}
+    for flag in ("-o", "--out", "--outt"):
+        proc = subprocess.run([sys.executable, "-c", code, *_OUT_COMMANDS["pseudospin"], flag,
+                               str(tmp_path / "ps.csv")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen[flag] = proc.stdout.splitlines()[-1]
+    assert seen == {"-o": "False", "--out": "False", "--outt": "True"}
+
+
+# ---------------------------------------------------------------------------
+# bell-scan's batched calB curves
+# ---------------------------------------------------------------------------
+
+
+def _per_state_bell_scan(kind, text, mode, cutoff):
+    """bell-scan's rows and summary sections from one calB curve and one argmax per state."""
+    states = cli.make_states(kind, parse_values(text))
+    params = [value for value, _ in states]
+    t1, t2, t1p, t2p = (parse_angle(a) for a in ("pi/2", "-pi/4", "0", "-3pi/4"))
+    quad = bell.BellAnglesQuadrature(t1, t1p, t2, t2p)
+    tv, tup, tvp = (parse_angle(a) for a in ("pi/4", "-pi/2", "-pi/4"))
+    tu_grid = np.linspace(0.0, 2.0 * math.pi, 361)
+    grid = bell.direction(tu_grid)
+    rows, tomo, ps, deficits = [], [], [], []
+    for value, state in states:
+        row = [value, quad.theta1, quad.theta2, quad.theta1p, quad.theta2p]
+        if mode == "both":
+            row.append(cli._tomographic_b(state, quad))
+            tomo.append(row[-1])
+        t, deficit = state.pseudospin_xz(cutoff)
+        deficits.append(cli.checked_deficit(deficit, cutoff))
+        vals = bell.calb_curve(t, grid, tv, tup, tvp)
+        best = int(np.argmax(vals))
+        row += [float(vals[best]), float(tu_grid[best])]
+        ps.append(float(vals[best]))
+        rows.append(row)
+    summary = {"pseudospin": {**cli._series_summary(params, ps),
+                              "trace_deficit": None if None in deficits else max(deficits)}}
+    if mode == "both":
+        summary["tomographic"] = cli._series_summary(params, tomo)
+    return rows, json.loads(json.dumps(summary))
+
+
+@pytest.mark.parametrize("mode", ["pseudospin", "both"])
+@pytest.mark.parametrize("kind, flag, text", [
+    ("pair-coherent", "--r", "0.5:1.5:0.01"),
+    ("fock-pair", "--n", "1,3,5"),
+    ("epr", "--lambda", "0.2,0.54,0.96"),
+])
+def test_bell_scan_batched_calb_matches_the_per_state_loop_bit_for_bit(
+        runner, tmp_path, kind, flag, text, mode):
+    out = str(tmp_path / "scan.csv")
+    result = runner.invoke(main, ["bell-scan", "--state", kind, flag, text, "--mode", mode,
+                                  "--cutoff", "32", "-o", out])
+    assert result.exit_code == 0, result.output
+    rows, summary = _per_state_bell_scan(kind, text, mode, 32)
+    header = ["param", "theta1", "theta2", "theta1p", "theta2p",
+              *(["B_tomographic"] if mode == "both" else []), "B_pseudospin_max", "theta_u_argmax"]
+    cli.write_csv(str(tmp_path / "reference.csv"), header, rows)
+    assert open(out, "rb").read() == (tmp_path / "reference.csv").read_bytes()
+    written = json.load(open(out + ".summary.json"))
+    assert {label: written[label] for label in summary} == summary
+
+
+def test_bell_scan_refuses_the_first_truncated_state_of_a_long_sweep(runner, tmp_path,
+                                                                       monkeypatch):
+    # 251 states span two calB batches; the message names the first state past DEFICIT_TOL
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["bell-scan", "--state", "pair-coherent", "--r", "0.5:3:0.01",
+                                  "--mode", "pseudospin", "--cutoff", "16", "-o", "scan.csv"])
+    assert result.exit_code == 3, result.output
+    with pytest.raises(cli.ConvergenceError) as first:
+        _per_state_bell_scan("pair-coherent", "0.5:3:0.01", "pseudospin", 16)
+    assert result.output == f"accuracy error: {first.value}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_calb_maxima_memory_stays_bounded_over_a_long_sweep():
+    import tracemalloc
+
+    lams = np.linspace(0.0, 0.99, 20000)
+    blocks = [SqueezedVacuum(lam).pseudospin_xz(2)[0] for lam in lams]
+    tu_grid = np.linspace(0.0, 2.0 * math.pi, 361)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in cli._calb_maxima(blocks, tu_grid, 0.0, math.pi, math.pi / 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 20000
+    assert peak < 8e6  # one 20000 x 361 table of doubles alone is 57.8 MB

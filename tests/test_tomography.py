@@ -555,6 +555,31 @@ def test_hermite_functions_normalized_past_the_gaussian_underflow():
     assert float(np.sum(psi**2)) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_hermite_functions_match_the_always_shifted_start_bit_for_bit():
+    # the shift s = max(x^2/2 - 600, 0) is formed only when some |x| passes 34.6;
+    # below is the form that formed it for every x
+    from tomobell import special
+
+    def shifted_hermite(x):
+        shift = np.maximum(0.5 * x * x - 600.0, 0.0)
+        prev, cur, k = 0.0 * x, math.pi**-0.25 * np.exp(shift - 0.5 * x * x), 0
+        wide = bool(shift.any())
+        unshift = np.exp(-shift)
+        while True:
+            yield cur * unshift if wide else cur
+            prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+            k += 1
+            if wide and np.max(np.abs(cur)) > 2.0**512:
+                cur, prev, shift = special._rescale(cur, prev, shift)
+                unshift = np.exp(-shift)
+
+    narrow = np.linspace(-34.6, 34.6, 347)
+    for x in (narrow, np.append(narrow, 34.7), np.linspace(-60.0, 60.0, 241),
+              np.array([0.0, -0.0, 1.5, np.nan]), np.float64(0.0), np.float64(40.0)):
+        for _, got, want in zip(range(1501), hermite_functions(x), shifted_hermite(x)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_schmidt_sum_tomogram_matches_the_plain_recurrence_bit_for_bit():
     # hermite_functions and tomogram_closed_form update arrays in place; the
     # plain expressions below are the same float operations in the same order
